@@ -32,7 +32,6 @@ from .model import (
     constant_law,
     diffusion_coefficient,
     exponential_law,
-    face_coefficient,
     log_mean,
     potential_rate,
     power_law,
@@ -77,7 +76,6 @@ __all__ = [
     "clamp_state",
     "diffusion_coefficient",
     "coefficient_bounds",
-    "face_coefficient",
     "solve_equilibrium",
     "window_from_initial_data",
     "State",

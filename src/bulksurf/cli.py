@@ -2,8 +2,8 @@
 
 Configuration files are flat ``key = value`` text with ``#`` comments; every
 key has a documented default, so an empty file is a valid configuration.  See
-DEFAULTS below for the full key list.  Outputs are deterministic: identical
-configurations produce bit-identical CSV files.
+the KEYS table below for the full key list with defaults and bounds.  Outputs
+are deterministic: identical configurations produce bit-identical CSV files.
 
 Exit codes: 0 on completion, 2 on configuration errors, 3 on solver
 non-convergence (partial outputs are still written).
@@ -13,9 +13,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields, make_dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -27,58 +28,7 @@ DIAGNOSTICS_HEADER = (
     "t,mass,entropy,entropy_L,u_env_max,v_env_max,u_env_min,v_env_min,"
     "reaction_diss,diff_diss_bulk,diff_diss_surf,clamp_activations"
 )
-
-DEFAULTS: dict[str, str] = {
-    # mesh
-    "nx": "16",
-    "ny": "16",
-    "lx": "1.0",
-    "ly": "1.0",
-    "active_edges": "bottom",
-    # kinetics
-    "k": "1.0",
-    "kappa": "1.0",
-    "alpha": "1.0",
-    "beta": "1.0",
-    # diffusion laws
-    "bulk_law": "constant",
-    "bulk_law_param": "1.0",
-    "surface_law": "constant",
-    "surface_law_param": "1.0",
-    # initial data
-    "initial": "constant",
-    "u0": "1.0",
-    "v0": "1.0",
-    "blob_base_u": "1.2",
-    "blob_amplitude_1": "0.5",
-    "blob_amplitude_2": "0.5",
-    "blob_width": "0.12",
-    "blob_x1": "0.35",
-    "blob_y1": "0.6",
-    "blob_x2": "0.65",
-    "blob_y2": "0.4",
-    "initial_u_file": "",
-    "initial_v_file": "",
-    # time controls
-    "dt": "1e-3",
-    "t_final": "0.05",
-    "theta": "1.0",
-    # tolerances
-    "newton_tol": "1e-12",
-    "newton_max_iter": "25",
-    "max_dt_halvings": "5",
-    # clamp window (empty = derive from initial data)
-    "clamp_lower": "",
-    "clamp_upper": "",
-    "clamp_v_exponent": "alpha",
-    # scheme switches
-    "face_average": "arithmetic",
-    "jacobian": "analytic",
-    # outputs
-    "out_dir": "out",
-    "output_every": "1",
-    "outputs": "diagnostics,final_state,summary",
-}
+OUTPUTS = ("diagnostics", "final_state", "summary")
 
 
 @dataclass(frozen=True)
@@ -114,50 +64,122 @@ class ConfigError(ValueError):
         super().__init__("; ".join(str(p) for p in self.problems))
 
 
-@dataclass
-class RunConfig:
-    """Fully validated run description."""
+@dataclass(frozen=True)
+class Key:
+    """One configuration key: value type, default text and the bounds it must meet.
 
-    nx: int
-    ny: int
-    lx: float
-    ly: float
-    active_edges: tuple[str, ...]
-    k: float
-    kappa: float
-    alpha: float
-    beta: float
-    bulk_law: str
-    bulk_law_param: float
-    surface_law: str
-    surface_law_param: float
-    initial: str
-    u0: float
-    v0: float
-    blob_base_u: float
-    blob_amplitude_1: float
-    blob_amplitude_2: float
-    blob_width: float
-    blob_x1: float
-    blob_y1: float
-    blob_x2: float
-    blob_y2: float
-    initial_u_file: str
-    initial_v_file: str
-    dt: float
-    t_final: float
-    theta: float
-    newton_tol: float
-    newton_max_iter: int
-    max_dt_halvings: int
-    clamp_lower: float | None
-    clamp_upper: float | None
-    clamp_v_exponent: str
-    face_average: str
-    jacobian: str
-    out_dir: str
-    output_every: int
-    outputs: tuple[str, ...] = field(default=("diagnostics", "final_state", "summary"))
+    type is int, float, str or tuple (a comma list).  gt, ge and le bound
+    numbers; choices restricts a str, or every entry of a tuple, whose
+    entries are called ``item`` in messages.  An optional key may be left
+    empty, which means None.
+    """
+
+    type: type
+    default: str
+    gt: float | None = None
+    ge: float | None = None
+    le: float | None = None
+    choices: tuple[str, ...] | None = None
+    item: str = ""
+    nonempty: bool = False
+    optional: bool = False
+
+    def parse(self, name: str, text: str, problems: list):
+        """The typed value of text; each violated bound appends a BadValue."""
+
+        def bad(reason):
+            problems.append(BadValue(name, reason))
+
+        if self.optional and text == "":
+            return None
+        if self.type is tuple:
+            items = tuple(s.strip() for s in text.split(",") if s.strip())
+            if self.nonempty and not items:
+                bad(f"must name at least one {self.item}")
+            for item in items:
+                if item not in self.choices:
+                    bad(f"unknown {self.item} {item!r}")
+            return items
+        if self.type is str:
+            if self.choices is not None and text not in self.choices:
+                bad(f"must be one of {', '.join(self.choices)}")
+            return text
+        try:
+            val = self.type(text)
+        except ValueError:
+            bad(f"not {'an integer' if self.type is int else 'a number'}: {text!r}")
+            return self.ge if self.type is int else math.nan
+        if not math.isfinite(val):
+            bad("must be finite")
+        elif self.gt is not None and not val > self.gt:
+            bad(f"must be > {self.gt}")
+        elif self.ge is not None and not val >= self.ge:
+            bad(f"must be >= {self.ge}")
+        elif self.le is not None and not val <= self.le:
+            bad(f"must be <= {self.le}")
+        return val
+
+
+KEYS: dict[str, Key] = {
+    # mesh
+    "nx": Key(int, "16", ge=1),
+    "ny": Key(int, "16", ge=1),
+    "lx": Key(float, "1.0", gt=0.0),
+    "ly": Key(float, "1.0", gt=0.0),
+    "active_edges": Key(tuple, "bottom", choices=EDGE_NAMES, item="edge", nonempty=True),
+    # kinetics
+    "k": Key(float, "1.0", gt=0.0),
+    "kappa": Key(float, "1.0", gt=0.0),
+    "alpha": Key(float, "1.0", ge=1.0),
+    "beta": Key(float, "1.0", ge=1.0),
+    # diffusion laws
+    "bulk_law": Key(str, "constant", choices=model.BULK_KINDS),
+    "bulk_law_param": Key(float, "1.0"),
+    "surface_law": Key(str, "constant", choices=model.SURFACE_KINDS),
+    "surface_law_param": Key(float, "1.0"),
+    # initial data
+    "initial": Key(str, "constant", choices=("constant", "two-blob", "file")),
+    "u0": Key(float, "1.0"),
+    "v0": Key(float, "1.0"),
+    "blob_base_u": Key(float, "1.2"),
+    "blob_amplitude_1": Key(float, "0.5"),
+    "blob_amplitude_2": Key(float, "0.5"),
+    "blob_width": Key(float, "0.12"),
+    "blob_x1": Key(float, "0.35"),
+    "blob_y1": Key(float, "0.6"),
+    "blob_x2": Key(float, "0.65"),
+    "blob_y2": Key(float, "0.4"),
+    "initial_u_file": Key(str, ""),
+    "initial_v_file": Key(str, ""),
+    # time controls
+    "dt": Key(float, "1e-3", gt=0.0),
+    "t_final": Key(float, "0.05", ge=0.0),
+    "theta": Key(float, "1.0", ge=0.5, le=1.0),
+    # tolerances
+    "newton_tol": Key(float, "1e-12", gt=0.0),
+    "newton_max_iter": Key(int, "25", ge=1),
+    "max_dt_halvings": Key(int, "5", ge=0),
+    # clamp window (empty = derive from initial data)
+    "clamp_lower": Key(float, "", gt=0.0, optional=True),
+    "clamp_upper": Key(float, "", gt=0.0, optional=True),
+    "clamp_v_exponent": Key(str, model.V_EXPONENTS[0], choices=model.V_EXPONENTS),
+    # scheme switches
+    "face_average": Key(str, solver.FACE_AVERAGES[0], choices=solver.FACE_AVERAGES),
+    "jacobian": Key(str, solver.JACOBIANS[0], choices=solver.JACOBIANS),
+    # outputs
+    "out_dir": Key(str, "out"),
+    "output_every": Key(int, "1", ge=1),
+    "outputs": Key(tuple, ",".join(OUTPUTS), choices=OUTPUTS, item="output"),
+}
+
+RunConfig = make_dataclass(
+    "RunConfig",
+    [(name, key.type | None if key.optional else key.type) for name, key in KEYS.items()],
+    namespace={
+        "__doc__": "Fully validated run description: one field per entry of KEYS.",
+        "__module__": __name__,
+    },
+)
 
 
 def read_key_values(path: Path) -> dict[str, str]:
@@ -178,164 +200,44 @@ def read_key_values(path: Path) -> dict[str, str]:
     return raw
 
 
-def _validated(raw: dict[str, str]) -> RunConfig:
+def _cross_key_problems(cfg) -> list:
+    """Violations of the rules that tie several keys together."""
     problems: list = []
-    merged = dict(DEFAULTS)
-    for key, value in raw.items():
-        if key not in DEFAULTS:
-            problems.append(BadValue(key, "unrecognized key"))
-        else:
-            merged[key] = value
-
-    def get_float(key, low=None, low_strict=True, high=None) -> float:
-        text = merged[key]
-        try:
-            val = float(text)
-        except ValueError:
-            problems.append(BadValue(key, f"not a number: {text!r}"))
-            return float("nan")
-        if not np.isfinite(val):
-            problems.append(BadValue(key, "must be finite"))
-        elif low is not None and (val <= low if low_strict else val < low):
-            bound = "> " if low_strict else ">= "
-            problems.append(BadValue(key, f"must be {bound}{low}"))
-        elif high is not None and val > high:
-            problems.append(BadValue(key, f"must be <= {high}"))
-        return val
-
-    def get_int(key, low) -> int:
-        text = merged[key]
-        try:
-            val = int(text)
-        except ValueError:
-            problems.append(BadValue(key, f"not an integer: {text!r}"))
-            return low
-        if val < low:
-            problems.append(BadValue(key, f"must be >= {low}"))
-        return val
-
-    def get_choice(key, choices) -> str:
-        val = merged[key]
-        if val not in choices:
-            problems.append(BadValue(key, f"must be one of {', '.join(choices)}"))
-        return val
-
-    nx = get_int("nx", 1)
-    ny = get_int("ny", 1)
-    lx = get_float("lx", 0.0)
-    ly = get_float("ly", 0.0)
-    edges = tuple(e.strip() for e in merged["active_edges"].split(",") if e.strip())
-    if not edges:
-        problems.append(BadValue("active_edges", "must name at least one edge"))
-    for e in edges:
-        if e not in EDGE_NAMES:
-            problems.append(BadValue("active_edges", f"unknown edge {e!r}"))
-
-    k = get_float("k", 0.0)
-    kappa = get_float("kappa", 0.0)
-    alpha = get_float("alpha", 1.0, low_strict=False)
-    beta = get_float("beta", 1.0, low_strict=False)
-
-    bulk_law = get_choice("bulk_law", ("power", "exponential", "constant"))
-    bulk_param = get_float("bulk_law_param")
-    if bulk_law == "constant" and not bulk_param > 0:
-        problems.append(BadValue("bulk_law_param", "constant coefficient must be > 0"))
-    surface_law = get_choice("surface_law", ("power", "exponential", "constant", "surface_cross"))
-    surface_param = get_float("surface_law_param")
-    if surface_law == "constant" and not surface_param > 0:
-        problems.append(BadValue("surface_law_param", "constant coefficient must be > 0"))
-
-    initial = get_choice("initial", ("constant", "two-blob", "file"))
-    u0 = get_float("u0")
-    v0 = get_float("v0")
-    if initial == "constant" and (not u0 > 0 or not v0 > 0):
-        problems.append(NonPositiveInitialData(f"u0={merged['u0']}, v0={merged['v0']}"))
-    blob_base_u = get_float("blob_base_u")
-    blob_width = get_float("blob_width")
-    blob_amp_1 = get_float("blob_amplitude_1")
-    blob_amp_2 = get_float("blob_amplitude_2")
-    blob_x1 = get_float("blob_x1")
-    blob_y1 = get_float("blob_y1")
-    blob_x2 = get_float("blob_x2")
-    blob_y2 = get_float("blob_y2")
-    if initial == "two-blob":
-        if not blob_base_u > 0:
-            problems.append(NonPositiveInitialData(f"blob_base_u={merged['blob_base_u']}"))
-        if not blob_width > 0:
+    for law, param, name in (
+        (cfg.bulk_law, cfg.bulk_law_param, "bulk_law_param"),
+        (cfg.surface_law, cfg.surface_law_param, "surface_law_param"),
+    ):
+        if law == "constant" and not param > 0:
+            problems.append(BadValue(name, "constant coefficient must be > 0"))
+    if cfg.initial == "constant" and not (cfg.u0 > 0 and cfg.v0 > 0):
+        problems.append(NonPositiveInitialData(f"u0={cfg.u0}, v0={cfg.v0}"))
+    if cfg.initial == "two-blob":
+        if not cfg.blob_base_u > 0:
+            problems.append(NonPositiveInitialData(f"blob_base_u={cfg.blob_base_u}"))
+        if not cfg.blob_width > 0:
             problems.append(BadValue("blob_width", "must be > 0"))
-    if initial == "file":
-        if not merged["initial_u_file"]:
+    if cfg.initial == "file":
+        if not cfg.initial_u_file:
             problems.append(MissingKey("initial_u_file"))
-        if not merged["initial_v_file"]:
+        if not cfg.initial_v_file:
             problems.append(MissingKey("initial_v_file"))
-
-    dt = get_float("dt", 0.0)
-    t_final = get_float("t_final", 0.0, low_strict=False)
-    theta = get_float("theta", 0.5, low_strict=False, high=1.0)
-    newton_tol = get_float("newton_tol", 0.0)
-    newton_max_iter = get_int("newton_max_iter", 1)
-    max_dt_halvings = get_int("max_dt_halvings", 0)
-
-    clamp_lower = None if merged["clamp_lower"] == "" else get_float("clamp_lower", 0.0)
-    clamp_upper = None if merged["clamp_upper"] == "" else get_float("clamp_upper", 0.0)
-    if (clamp_lower is None) != (clamp_upper is None):
+    if (cfg.clamp_lower is None) != (cfg.clamp_upper is None):
         problems.append(BadValue("clamp_lower", "clamp_lower and clamp_upper must be given together"))
-    if clamp_lower is not None and clamp_upper is not None and clamp_lower > clamp_upper:
+    elif cfg.clamp_lower is not None and cfg.clamp_lower > cfg.clamp_upper:
         problems.append(BadValue("clamp_upper", "must be >= clamp_lower"))
-    clamp_v_exponent = get_choice("clamp_v_exponent", ("alpha", "beta"))
-    face_average = get_choice("face_average", ("arithmetic", "harmonic"))
-    jacobian = get_choice("jacobian", ("analytic", "fd"))
+    return problems
 
-    output_every = get_int("output_every", 1)
-    outputs = tuple(s.strip() for s in merged["outputs"].split(",") if s.strip())
-    for name in outputs:
-        if name not in ("diagnostics", "final_state", "summary"):
-            problems.append(BadValue("outputs", f"unknown output {name!r}"))
 
+def _validated(raw: dict[str, str]) -> RunConfig:
+    problems: list = [BadValue(name, "unrecognized key") for name in raw if name not in KEYS]
+    values = {}
+    for name, key in KEYS.items():
+        values[name] = key.parse(name, raw.get(name, key.default), problems)
+    cfg = RunConfig(**values)
+    problems += _cross_key_problems(cfg)
     if problems:
         raise ConfigError(problems)
-    return RunConfig(
-        nx=nx,
-        ny=ny,
-        lx=lx,
-        ly=ly,
-        active_edges=edges,
-        k=k,
-        kappa=kappa,
-        alpha=alpha,
-        beta=beta,
-        bulk_law=bulk_law,
-        bulk_law_param=bulk_param,
-        surface_law=surface_law,
-        surface_law_param=surface_param,
-        initial=initial,
-        u0=u0,
-        v0=v0,
-        blob_base_u=blob_base_u,
-        blob_amplitude_1=blob_amp_1,
-        blob_amplitude_2=blob_amp_2,
-        blob_width=blob_width,
-        blob_x1=blob_x1,
-        blob_y1=blob_y1,
-        blob_x2=blob_x2,
-        blob_y2=blob_y2,
-        initial_u_file=merged["initial_u_file"],
-        initial_v_file=merged["initial_v_file"],
-        dt=dt,
-        t_final=t_final,
-        theta=theta,
-        newton_tol=newton_tol,
-        newton_max_iter=newton_max_iter,
-        max_dt_halvings=max_dt_halvings,
-        clamp_lower=clamp_lower,
-        clamp_upper=clamp_upper,
-        clamp_v_exponent=clamp_v_exponent,
-        face_average=face_average,
-        jacobian=jacobian,
-        out_dir=merged["out_dir"],
-        output_every=output_every,
-        outputs=outputs,
-    )
+    return cfg
 
 
 def parse_config(path: str | Path, overrides: list[str] | None = None) -> RunConfig:
@@ -380,23 +282,18 @@ def initial_state(cfg: RunConfig, mesh) -> solver.State:
         u = np.maximum(u, 1e-8 * base_u)
         v = np.full(mesh.n_surface, base_v)
     else:  # file
-        try:
-            u = np.loadtxt(cfg.initial_u_file, dtype=float, ndmin=1)
-            v = np.loadtxt(cfg.initial_v_file, dtype=float, ndmin=1)
-        except OSError as exc:
-            raise ConfigError([BadValue("initial_u_file", str(exc))]) from exc
-        if u.size != mesh.n_bulk or v.size != mesh.n_surface:
-            raise ConfigError(
-                [
-                    BadValue(
-                        "initial_u_file",
-                        f"expected {mesh.n_bulk} bulk and {mesh.n_surface} surface values, "
-                        f"got {u.size} and {v.size}",
-                    )
-                ]
-            )
-        if np.min(u) <= 0 or np.min(v) <= 0:
-            raise ConfigError([NonPositiveInitialData("file values must be > 0")])
+        loaded = []
+        for key, size in (("initial_u_file", mesh.n_bulk), ("initial_v_file", mesh.n_surface)):
+            try:
+                values = np.loadtxt(getattr(cfg, key), dtype=float, ndmin=1)
+            except (OSError, ValueError) as exc:
+                raise ConfigError([BadValue(key, str(exc))]) from exc
+            if values.size != size:
+                raise ConfigError([BadValue(key, f"expected {size} values, got {values.size}")])
+            if np.min(values) <= 0:
+                raise ConfigError([NonPositiveInitialData(f"{key}: values must be > 0")])
+            loaded.append(values)
+        u, v = loaded
     return solver.State(t=0.0, u=u, v=v)
 
 
@@ -404,47 +301,26 @@ def build_problem(cfg: RunConfig):
     """Assemble mesh, kinetics, laws, initial state, equilibrium and window."""
     mesh = build_mesh(cfg.nx, cfg.ny, cfg.lx, cfg.ly, cfg.active_edges)
     kin = model.Kinetics(k=cfg.k, kappa=cfg.kappa, alpha=cfg.alpha, beta=cfg.beta)
-    if cfg.bulk_law == "constant":
-        bulk_law = model.constant_law(cfg.bulk_law_param)
-    elif cfg.bulk_law == "power":
-        bulk_law = model.power_law(cfg.bulk_law_param)
-    else:
-        bulk_law = model.exponential_law(cfg.bulk_law_param)
-    if cfg.surface_law == "surface_cross":
-        surf_law = model.surface_cross_law(kin)
-    elif cfg.surface_law == "constant":
-        surf_law = model.constant_law(cfg.surface_law_param, role="surface")
-    elif cfg.surface_law == "power":
-        surf_law = model.power_law(cfg.surface_law_param, role="surface")
-    else:
-        surf_law = model.exponential_law(cfg.surface_law_param, role="surface")
+    makers = {
+        "power": model.power_law,
+        "exponential": model.exponential_law,
+        "constant": model.constant_law,
+        "surface_cross": lambda _param, role: model.surface_cross_law(kin),
+    }
+    bulk_law = makers[cfg.bulk_law](cfg.bulk_law_param)
+    surf_law = makers[cfg.surface_law](cfg.surface_law_param, role="surface")
 
     state = initial_state(cfg, mesh)
     mass = diagnostics.weighted_mass(state, mesh, kin)
     eq = model.solve_equilibrium(kin, mass, mesh.total_bulk_measure, mesh.total_surface_measure)
-    if cfg.clamp_lower is not None:
-        window = model.ClampWindow(
-            lower=cfg.clamp_lower,
-            upper=cfg.clamp_upper,
-            u_star=eq.u_star,
-            v_star=eq.v_star,
-            alpha=kin.alpha,
-            beta=kin.beta,
-            v_exponent=cfg.clamp_v_exponent,
-        )
-    else:
-        window = model.window_from_initial_data(
-            state.u, state.v, eq, kin, v_exponent=cfg.clamp_v_exponent
-        )
-    step_cfg = solver.StepConfig(
-        dt=cfg.dt,
-        newton_tol=cfg.newton_tol,
-        newton_max_iter=cfg.newton_max_iter,
-        theta=cfg.theta,
-        face_average=cfg.face_average,
-        jacobian=cfg.jacobian,
-        max_dt_halvings=cfg.max_dt_halvings,
+    window = model.window_from_initial_data(
+        state.u, state.v, eq, kin, v_exponent=cfg.clamp_v_exponent
     )
+    if cfg.clamp_lower is not None:
+        window = replace(window, lower=cfg.clamp_lower, upper=cfg.clamp_upper)
+    # every StepConfig field is the configuration key of the same name
+    step_fields = fields(solver.StepConfig)
+    step_cfg = solver.StepConfig(**{f.name: getattr(cfg, f.name) for f in step_fields})
     return mesh, kin, bulk_law, surf_law, state, eq, window, step_cfg
 
 
@@ -483,14 +359,14 @@ def write_diagnostics_csv(records, path: Path, output_every: int = 1) -> None:
 def write_final_state_csv(state, mesh, path: Path) -> None:
     """Per-cell values with coordinates: bulk field u rows, then surface field v."""
     lines = ["field,index,x,y,value"]
-    for i in range(mesh.n_bulk):
-        lines.append(
-            f"u,{i},{_fmt(mesh.cell_center_x[i])},{_fmt(mesh.cell_center_y[i])},{_fmt(state.u[i])}"
-        )
-    for j in range(mesh.n_surface):
-        lines.append(
-            f"v,{j},{_fmt(mesh.surf_center_x[j])},{_fmt(mesh.surf_center_y[j])},{_fmt(state.v[j])}"
-        )
+    for name, values, xs, ys in (
+        ("u", state.u, mesh.cell_center_x, mesh.cell_center_y),
+        ("v", state.v, mesh.surf_center_x, mesh.surf_center_y),
+    ):
+        lines += [
+            f"{name},{i},{_fmt(x)},{_fmt(y)},{_fmt(value)}"
+            for i, (x, y, value) in enumerate(zip(xs, ys, values))
+        ]
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -556,12 +432,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = parse_config(args.config, args.override)
         mesh, kin, bulk_law, surf_law, state, eq, window, step_cfg = build_problem(cfg)
-    except (ConfigError, ValueError) as exc:
-        if isinstance(exc, ConfigError):
-            for problem in exc.problems:
-                print(f"config error: {problem}", file=sys.stderr)
-        else:
-            print(f"config error: {exc}", file=sys.stderr)
+    except ValueError as exc:  # ConfigError included
+        for problem in exc.problems if isinstance(exc, ConfigError) else [exc]:
+            print(f"config error: {problem}", file=sys.stderr)
         return 2
 
     out_dir = Path(args.out) if args.out else Path(cfg.out_dir)
@@ -576,15 +449,16 @@ def main(argv: list[str] | None = None) -> int:
         final, records = solver.run(
             state, cfg.t_final, mesh, kin, eq, bulk_law, surf_law, window, step_cfg
         )
+        completed = True
     except solver.NonConvergence as exc:
-        wall = time.perf_counter() - started
         print(f"solver failed: {exc}", file=sys.stderr)
-        last = exc.last_state if exc.last_state is not None else state
-        recs = exc.records if exc.records is not None else []
-        _write_outputs(cfg, out_dir, mesh, eq, last, recs, wall, completed=False, quiet=args.quiet)
-        return 3
+        final = exc.last_state if exc.last_state is not None else state
+        records = exc.records if exc.records is not None else []
+        completed = False
     wall = time.perf_counter() - started
-    _write_outputs(cfg, out_dir, mesh, eq, final, records, wall, completed=True, quiet=args.quiet)
+    _write_outputs(cfg, out_dir, mesh, eq, final, records, wall, completed, args.quiet)
+    if not completed:
+        return 3
     if not args.quiet:
         print(f"completed {len(records) - 1} steps to t = {final.t:.6g} in {wall:.2f} s")
     return 0
@@ -592,3 +466,7 @@ def main(argv: list[str] | None = None) -> int:
 
 def console_main() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    console_main()

@@ -31,10 +31,10 @@ from .model import (
     Equilibrium,
     Kinetics,
     clamp_state,
-    combine_face,
     diffusion_coefficient,
     log_mean,
 )
+from .solver import face_flux
 
 
 @dataclass(frozen=True)
@@ -133,14 +133,6 @@ def relative_entropy(state, eq: Equilibrium, mesh: CoupledMesh) -> float:
     return float(bulk + surf)
 
 
-def _upper_thresholds(window: ClampWindow) -> tuple[float, float]:
-    """Concentration thresholds of the upper envelope for u and v."""
-    return (
-        window.u_star * window.upper ** (1.0 / window.alpha),
-        window.v_star * window.upper ** (1.0 / window.beta),
-    )
-
-
 def envelope_entropy(state, mesh: CoupledMesh, window: ClampWindow) -> float:
     """Weighted relative entropy of the upper-truncated fields.
 
@@ -148,14 +140,25 @@ def envelope_entropy(state, mesh: CoupledMesh, window: ClampWindow) -> float:
     equilibrium value, so the result is zero exactly when both upper
     envelopes hold, and positive otherwise.
     """
-    u_thr, v_thr = _upper_thresholds(window)
-    u_trunc = np.where(state.u <= u_thr, window.u_star, state.u / window.upper ** (1.0 / window.alpha))
-    v_trunc = np.where(state.v <= v_thr, window.v_star, state.v / window.upper ** (1.0 / window.beta))
-    bulk = window.u_star * np.sum(entropy_density(u_trunc / window.u_star)) * mesh.cell_volume
-    surf = window.v_star * np.sum(entropy_density(v_trunc / window.v_star) * mesh.surf_length)
-    return float(
-        window.upper ** (1.0 / window.alpha) * bulk + window.upper ** (1.0 / window.beta) * surf
-    )
+    total = 0.0
+    for c, star, exponent, measure in (
+        (state.u, window.u_star, window.alpha, mesh.cell_volume),
+        (state.v, window.v_star, window.beta, mesh.surf_length),
+    ):
+        scale = window.upper ** (1.0 / exponent)
+        trunc = np.where(c <= star * scale, star, c / scale)
+        total += scale * star * np.sum(entropy_density(trunc / star) * measure)
+    return float(total)
+
+
+def _excess_potential(c, star: float, exponent: float, window: ClampWindow):
+    """log(c/star) - log(upper)/exponent above the upper envelope, 0 at or below it.
+
+    Total in c: nonpositive entries sit below the envelope and give 0.
+    """
+    above = c > star * window.upper ** (1.0 / exponent)
+    c_safe = np.where(above, c, star)
+    return np.where(above, np.log(c_safe / star) - np.log(window.upper) / exponent, 0.0)
 
 
 def envelope_potentials(state, window: ClampWindow) -> tuple[np.ndarray, np.ndarray]:
@@ -169,17 +172,10 @@ def envelope_potentials(state, window: ClampWindow) -> tuple[np.ndarray, np.ndar
     """
     if np.any(state.u <= 0) or np.any(state.v <= 0):
         raise ValueError("envelope potentials require strictly positive fields")
-    u_thr, v_thr = _upper_thresholds(window)
-    log_upper = np.log(window.upper)
-    u_safe = np.where(state.u > u_thr, state.u, window.u_star)
-    v_safe = np.where(state.v > v_thr, state.v, window.v_star)
-    bulk_pot = np.where(
-        state.u > u_thr, np.log(u_safe / window.u_star) - log_upper / window.alpha, 0.0
+    return (
+        _excess_potential(state.u, window.u_star, window.alpha, window),
+        _excess_potential(state.v, window.v_star, window.beta, window),
     )
-    surf_pot = np.where(
-        state.v > v_thr, np.log(v_safe / window.v_star) - log_upper / window.beta, 0.0
-    )
-    return bulk_pot, surf_pot
 
 
 def reaction_dissipation_split(
@@ -207,14 +203,8 @@ def reaction_dissipation_split(
     u_safe = np.where(admissible, u_t, window.u_star)
     v_safe = np.where(admissible, v, window.v_star)
 
-    u_thr, v_thr = _upper_thresholds(window)
-    log_upper = np.log(window.upper)
-    bulk_pot = np.where(
-        u_safe > u_thr, np.log(u_safe / window.u_star) - log_upper / window.alpha, 0.0
-    )
-    surf_pot = np.where(
-        v_safe > v_thr, np.log(v_safe / window.v_star) - log_upper / window.beta, 0.0
-    )
+    bulk_pot = _excess_potential(u_safe, window.u_star, window.alpha, window)
+    surf_pot = _excess_potential(v_safe, window.v_star, window.beta, window)
 
     lam = log_mean(u_safe**kin.alpha, kin.kappa * v_safe**kin.beta)
     log_diff = kin.alpha * np.log(u_safe / window.u_star) - kin.beta * np.log(
@@ -287,29 +277,21 @@ def _diffusion_dissipation(state, mesh, window, bulk_law, surf_law, face_average
     bulk = -sum_faces mu_f * (du)(d bulk_pot) * |face|/dist and likewise on
     the surface chain; both are <= 0 because the excess potential is a
     nondecreasing function of its own concentration, making each face term
-    a product of like-signed differences.
+    a product of like-signed differences.  Nonpositive entries have zero
+    excess potential.
     """
-    bulk_pot, surf_pot = envelope_potentials(state, window)
-    a, b = mesh.bulk_face_a, mesh.bulk_face_b
-    mu = diffusion_coefficient(bulk_law, state.u, None, window)
-    mu = np.broadcast_to(np.asarray(mu, dtype=float), state.u.shape)
-    mu_f = combine_face(mu[a], mu[b], face_average)
-    bulk_sum = -np.sum(
-        mu_f
-        * (state.u[b] - state.u[a])
-        * (bulk_pot[b] - bulk_pot[a])
-        * mesh.bulk_face_length
-        / mesh.bulk_face_dist
-    )
-
-    p, q = mesh.surf_face_a, mesh.surf_face_b
-    mu_s = diffusion_coefficient(surf_law, state.u[mesh.surf_to_bulk], state.v, window)
-    mu_s = np.broadcast_to(np.asarray(mu_s, dtype=float), state.v.shape)
-    mu_sf = combine_face(mu_s[p], mu_s[q], face_average)
-    surf_sum = -np.sum(
-        mu_sf * (state.v[q] - state.v[p]) * (surf_pot[q] - surf_pot[p]) / mesh.surf_face_dist
-    )
-    return float(bulk_sum), float(surf_sum)
+    u, v = state.u, state.v
+    mu_bulk = diffusion_coefficient(bulk_law, u, None, window)
+    mu_surf = diffusion_coefficient(surf_law, u[mesh.surf_to_bulk], v, window)
+    sums = []
+    for faces, x, mu, star, exponent in (
+        (mesh.bulk_faces, u, mu_bulk, window.u_star, window.alpha),
+        (mesh.surf_faces, v, mu_surf, window.v_star, window.beta),
+    ):
+        pot = _excess_potential(x, star, exponent, window)
+        flux = face_flux(faces, x, mu, face_average)
+        sums.append(-float(np.sum(flux * (pot[faces.cell_b] - pot[faces.cell_a]))))
+    return sums[0], sums[1]
 
 
 def record(
@@ -322,10 +304,12 @@ def record(
     surf_law: DiffusionLaw,
     face_average: str = "arithmetic",
 ) -> DiagnosticsRecord:
-    """Assemble the full diagnostics record for one (positive) state.
+    """Assemble the full diagnostics record for one nonnegative state.
 
-    Envelope extrema treat nonpositive entries as zero pressure, so a
-    violated positivity shows up as u_env_min = 0 rather than an error.
+    Envelope extrema treat zero entries as zero pressure, so a lost strict
+    positivity shows up as u_env_min = 0 (or v_env_min = 0) rather than an
+    error.  Negative entries still raise ValueError: the relative entropy is
+    undefined there.
     The reaction dissipation is reported with the sign it carries in the
     envelope-entropy balance (<= 0), the negated total of the split.
     """

@@ -20,6 +20,26 @@ EDGE_NAMES = ("bottom", "right", "top", "left")
 
 
 @dataclass(frozen=True, eq=False)
+class FaceSet:
+    """Two-point-flux faces as parallel arrays, plus the cells they join.
+
+    Face f joins cells ``cell_a[f]`` and ``cell_b[f]`` whose centers lie
+    ``distance[f]`` apart; its transmissibility ``trans[f]`` is
+    |face|/distance (1/distance on the 1D surface chain).  ``measure[i]`` is
+    the measure of cell i (area in the bulk, length on the chain).
+    """
+
+    cell_a: np.ndarray
+    cell_b: np.ndarray
+    distance: np.ndarray
+    trans: np.ndarray
+    measure: np.ndarray
+
+    def __len__(self) -> int:
+        return int(self.cell_a.size)
+
+
+@dataclass(frozen=True, eq=False)
 class CoupledMesh:
     """Immutable bulk grid plus surface chain and the trace map between them.
 
@@ -42,35 +62,16 @@ class CoupledMesh:
     total_surface_measure: float
     n_bulk: int
     n_surface: int
-    # surface chain
     surf_length: np.ndarray = field(repr=False)
     surf_to_bulk: np.ndarray = field(repr=False)
     surf_center_x: np.ndarray = field(repr=False)
     surf_center_y: np.ndarray = field(repr=False)
     surf_edge: tuple[str, ...] = field(repr=False)
-    surf_face_a: np.ndarray = field(repr=False)
-    surf_face_b: np.ndarray = field(repr=False)
-    surf_face_dist: np.ndarray = field(repr=False)
-    # interior bulk faces
-    bulk_face_a: np.ndarray = field(repr=False)
-    bulk_face_b: np.ndarray = field(repr=False)
-    bulk_face_length: np.ndarray = field(repr=False)
-    bulk_face_dist: np.ndarray = field(repr=False)
     cell_center_x: np.ndarray = field(repr=False)
     cell_center_y: np.ndarray = field(repr=False)
-
-
-@dataclass(frozen=True, eq=False)
-class FaceSet:
-    """Interior faces as parallel arrays: cell pair, face measure, center distance."""
-
-    cell_a: np.ndarray
-    cell_b: np.ndarray
-    length: np.ndarray
-    distance: np.ndarray
-
-    def __len__(self) -> int:
-        return int(self.cell_a.size)
+    # the two face sets of the diffusion operator
+    bulk_faces: FaceSet = field(repr=False)  # interior faces of the grid
+    surf_faces: FaceSet = field(repr=False)  # links between chain-adjacent surface cells
 
 
 def _boundary_cycle(nx: int, ny: int) -> list[tuple[str, int]]:
@@ -139,47 +140,39 @@ def build_mesh(
     # Surface cells in boundary-cycle order; chain faces join cycle-adjacent
     # active positions, wrapping only when the whole boundary is active.
     cycle = _boundary_cycle(nx, ny)
-    active_mask = [edge in edges for edge, _ in cycle]
-    positions = [p for p, on in enumerate(active_mask) if on]
-    surf_index = {p: j for j, p in enumerate(positions)}
+    active = np.array([edge in edges for edge, _ in cycle])
+    positions = np.flatnonzero(active)
+    surf_index = np.cumsum(active) - 1  # surface cell of each active cycle position
 
-    surf_to_bulk = np.empty(len(positions), dtype=np.int64)
-    surf_length = np.empty(len(positions))
-    surf_cx = np.empty(len(positions))
-    surf_cy = np.empty(len(positions))
-    surf_edge = []
-    for j, p in enumerate(positions):
-        edge, t = cycle[p]
-        cell, length, cx, cy = _face_geometry(edge, t, nx, ny, dx, dy)
-        surf_to_bulk[j] = cell
-        surf_length[j] = length
-        surf_cx[j] = cx
-        surf_cy[j] = cy
-        surf_edge.append(edge)
+    geometry = [_face_geometry(*cycle[p], nx, ny, dx, dy) for p in positions]
+    surf_to_bulk, surf_length, surf_cx, surf_cy = (np.array(column) for column in zip(*geometry))
 
     # Cyclic adjacency: position p borders (p + 1) mod n_cycle, so edges that
     # meet at a corner (including across the cycle seam at the origin) chain up.
-    n_cycle = len(cycle)
-    face_a, face_b, face_dist = [], [], []
-    for p in positions:
-        q = (p + 1) % n_cycle
-        if q != p and active_mask[q]:
-            a, b = surf_index[p], surf_index[q]
-            face_a.append(a)
-            face_b.append(b)
-            face_dist.append(0.5 * (surf_length[a] + surf_length[b]))
+    following = (positions + 1) % len(cycle)
+    linked = active[following]
+    chain_a = surf_index[positions[linked]]
+    chain_b = surf_index[following[linked]]
+    chain_dist = 0.5 * (surf_length[chain_a] + surf_length[chain_b])
 
-    # Interior bulk faces: vertical-neighbor pairs share a face of length dx,
-    # horizontal-neighbor pairs a face of length dy.
+    # Interior bulk faces: horizontal-neighbor pairs share a face of length dy
+    # at distance dx, vertical-neighbor pairs a face of length dx at distance dy.
     ii = np.arange(n_bulk).reshape(ny, nx)
-    h_a = ii[:, :-1].ravel()
-    h_b = ii[:, 1:].ravel()
-    v_a = ii[:-1, :].ravel()
-    v_b = ii[1:, :].ravel()
-    bulk_face_a = np.concatenate([h_a, v_a])
-    bulk_face_b = np.concatenate([h_b, v_b])
-    bulk_face_length = np.concatenate([np.full(h_a.size, dy), np.full(v_a.size, dx)])
-    bulk_face_dist = np.concatenate([np.full(h_a.size, dx), np.full(v_a.size, dy)])
+    h, v = ii[:, :-1].size, ii[:-1, :].size
+    bulk_faces = FaceSet(
+        cell_a=np.concatenate([ii[:, :-1].ravel(), ii[:-1, :].ravel()]),
+        cell_b=np.concatenate([ii[:, 1:].ravel(), ii[1:, :].ravel()]),
+        distance=np.concatenate([np.full(h, dx), np.full(v, dy)]),
+        trans=np.concatenate([np.full(h, dy / dx), np.full(v, dx / dy)]),
+        measure=np.full(n_bulk, dx * dy),
+    )
+    surf_faces = FaceSet(
+        cell_a=chain_a,
+        cell_b=chain_b,
+        distance=chain_dist,
+        trans=1.0 / chain_dist,
+        measure=surf_length,
+    )
 
     xs = (np.arange(nx) + 0.5) * dx
     ys = (np.arange(ny) + 0.5) * dy
@@ -202,34 +195,19 @@ def build_mesh(
         surf_to_bulk=surf_to_bulk,
         surf_center_x=surf_cx,
         surf_center_y=surf_cy,
-        surf_edge=tuple(surf_edge),
-        surf_face_a=np.asarray(face_a, dtype=np.int64),
-        surf_face_b=np.asarray(face_b, dtype=np.int64),
-        surf_face_dist=np.asarray(face_dist, dtype=float),
-        bulk_face_a=bulk_face_a,
-        bulk_face_b=bulk_face_b,
-        bulk_face_length=bulk_face_length,
-        bulk_face_dist=bulk_face_dist,
+        surf_edge=tuple(cycle[p][0] for p in positions),
         cell_center_x=cgx.ravel(),
         cell_center_y=cgy.ravel(),
+        bulk_faces=bulk_faces,
+        surf_faces=surf_faces,
     )
 
 
 def bulk_face_list(mesh: CoupledMesh) -> FaceSet:
     """Interior bulk faces, each exactly once; count is ny*(nx-1) + nx*(ny-1)."""
-    return FaceSet(
-        cell_a=mesh.bulk_face_a,
-        cell_b=mesh.bulk_face_b,
-        length=mesh.bulk_face_length,
-        distance=mesh.bulk_face_dist,
-    )
+    return mesh.bulk_faces
 
 
 def surface_face_list(mesh: CoupledMesh) -> FaceSet:
     """Faces between chain-adjacent surface cells (unit face measure in 1D)."""
-    return FaceSet(
-        cell_a=mesh.surf_face_a,
-        cell_b=mesh.surf_face_b,
-        length=np.ones(mesh.surf_face_a.size),
-        distance=mesh.surf_face_dist,
-    )
+    return mesh.surf_faces

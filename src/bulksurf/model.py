@@ -25,14 +25,15 @@ clamp never activates.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 _LOG_MEAN_RIDGE = 1e-8  # switch to the series expansion when |a-b| <= ridge*max(a,b)
 
-_BULK_KINDS = ("power", "exponential", "constant")
-_SURFACE_KINDS = _BULK_KINDS + ("surface_cross",)
+BULK_KINDS = ("power", "exponential", "constant")
+SURFACE_KINDS = BULK_KINDS + ("surface_cross",)
+V_EXPONENTS = ("alpha", "beta")
 
 
 @dataclass(frozen=True)
@@ -92,7 +93,7 @@ class DiffusionLaw:
     def __post_init__(self):
         if self.role not in ("bulk", "surface"):
             raise ValueError(f"role must be 'bulk' or 'surface', got {self.role!r}")
-        allowed = _SURFACE_KINDS if self.role == "surface" else _BULK_KINDS
+        allowed = SURFACE_KINDS if self.role == "surface" else BULK_KINDS
         if self.kind not in allowed:
             raise ValueError(f"{self.kind!r} is not a valid {self.role} diffusion law")
         if self.kind == "constant" and self.param <= 0:
@@ -123,7 +124,8 @@ class ClampWindow:
     """Envelope window (lower, upper) in the (u/u_star)**alpha scale.
 
     Concentrations fed to diffusion laws are clamped so that the normalized
-    pressure stays in (lower/2, 2*upper).  The surface clamp condition uses
+    pressure stays in [lower/2, 2*upper]; ``u_caps`` and ``v_caps`` hold the
+    matching concentration bounds.  The surface clamp condition uses
     exponent alpha on (v/v_star) by default (``v_exponent="alpha"``); set
     ``v_exponent="beta"`` to clamp v on its own (v/v_star)**beta scale
     instead.  The envelope *verification* quantities always use the beta
@@ -137,6 +139,9 @@ class ClampWindow:
     alpha: float
     beta: float
     v_exponent: str = "alpha"
+    # (lowest, highest) clamped concentration of u and of v, set at construction
+    u_caps: tuple[float, float] = field(init=False, repr=False, compare=False)
+    v_caps: tuple[float, float] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not (0 < self.lower <= self.upper):
@@ -145,12 +150,16 @@ class ClampWindow:
             raise ValueError("upper envelope must be finite")
         if self.u_star <= 0 or self.v_star <= 0:
             raise ValueError("equilibrium references must be positive")
-        if self.v_exponent not in ("alpha", "beta"):
+        if self.v_exponent not in V_EXPONENTS:
             raise ValueError(f"v_exponent must be 'alpha' or 'beta', got {self.v_exponent!r}")
-
-    @property
-    def _v_exp(self) -> float:
-        return self.alpha if self.v_exponent == "alpha" else self.beta
+        v_exp = self.alpha if self.v_exponent == "alpha" else self.beta
+        for name, star, exponent in (
+            ("u_caps", self.u_star, self.alpha),
+            ("v_caps", self.v_star, v_exp),
+        ):
+            lo = star * (0.5 * self.lower) ** (1.0 / exponent)
+            hi = star * (2.0 * self.upper) ** (1.0 / exponent)
+            object.__setattr__(self, name, (lo, hi))
 
 
 def window_from_initial_data(
@@ -280,60 +289,80 @@ def potential_rate(u, v, kin: Kinetics, eq: Equilibrium):
     return out
 
 
-def _clamp_one(c, star: float, exponent: float, window: ClampWindow):
-    """Clamp concentrations so (c/star)**exponent lies in [lower/2, 2*upper].
-
-    Nonpositive input falls on the lower cap; the comparison is done on c
-    against precomputed cap concentrations, so fractional powers are never
-    evaluated at negative arguments.
-    """
-    lo = star * (0.5 * window.lower) ** (1.0 / exponent)
-    hi = star * (2.0 * window.upper) ** (1.0 / exponent)
-    return np.minimum(np.maximum(c, lo), hi)
-
-
 def clamp_state(u, v, window: ClampWindow):
     """Clamped pair (u_hat, v_hat) used as diffusion-law arguments.
 
-    v may be None when only the bulk concentration is needed.
+    Each concentration is clamped so that its normalized pressure lies in
+    [lower/2, 2*upper].  Nonpositive input falls on the lower cap; only
+    comparisons against the precomputed caps are made, so fractional powers
+    are never evaluated at negative arguments.  v may be None when only the
+    bulk concentration is needed.
     """
-    u_hat = _clamp_one(np.asarray(u, dtype=float), window.u_star, window.alpha, window)
-    if np.isscalar(u):
-        u_hat = float(u_hat)
-    if v is None:
-        return u_hat, None
-    v_hat = _clamp_one(np.asarray(v, dtype=float), window.v_star, window._v_exp, window)
-    if np.isscalar(v):
-        v_hat = float(v_hat)
-    return u_hat, v_hat
+
+    def clamp(c, caps):
+        out = np.minimum(np.maximum(np.asarray(c, dtype=float), caps[0]), caps[1])
+        return float(out) if np.isscalar(c) else out
+
+    return clamp(u, window.u_caps), None if v is None else clamp(v, window.v_caps)
 
 
-def _law_value(law: DiffusionLaw, c, other=None):
-    """Raw law evaluation at already-clamped arguments.
-
-    For surface_cross, c is the bulk trace and other the surface value.
-    """
-    if law.kind == "power":
-        return c**law.param
-    if law.kind == "exponential":
-        return np.exp(law.param * c)
-    if law.kind == "constant":
-        return np.full_like(np.asarray(c, dtype=float), law.param) if not np.isscalar(c) else law.param
-    # surface_cross
-    return other / (law.alpha * c + law.beta * other)
-
-
-def _law_derivatives(law: DiffusionLaw, c, other=None):
-    """(d/dc, d/dother) of the raw law at clamped arguments; None where absent."""
-    if law.kind == "power":
-        return law.param * c ** (law.param - 1.0), None
-    if law.kind == "exponential":
-        return law.param * np.exp(law.param * c), None
-    if law.kind == "constant":
-        z = np.zeros_like(np.asarray(c, dtype=float))
-        return z, None
+def _cross_derivatives(law, c, other):
     den = law.alpha * c + law.beta * other
     return -law.alpha * other / den**2, law.alpha * c / den**2
+
+
+# Raw laws at already-clamped arguments, by kind: (value, derivatives).  The
+# arguments are the bulk value c for bulk laws, the surface value c for
+# single-argument surface laws, and the bulk trace c plus the surface value
+# other for surface_cross; derivatives come in the same order.
+_LAWS = {
+    "power": (
+        lambda law, c: c**law.param,
+        lambda law, c: (law.param * c ** (law.param - 1.0),),
+    ),
+    "exponential": (
+        lambda law, c: np.exp(law.param * c),
+        lambda law, c: (law.param * np.exp(law.param * c),),
+    ),
+    "constant": (
+        lambda law, c: np.full_like(c, law.param),
+        lambda law, c: (np.zeros_like(c),),
+    ),
+    "surface_cross": (
+        lambda law, c, other: other / (law.alpha * c + law.beta * other),
+        _cross_derivatives,
+    ),
+}
+
+
+def _clamped_law(law: DiffusionLaw, u, v, window: ClampWindow, derivatives: bool):
+    """Evaluate a law at clamped arguments: mu, or (mu, dmu_du, dmu_dv).
+
+    The derivatives are taken w.r.t. the raw values and carry the clamp chain
+    rule, so they vanish wherever the clamp caps the argument; the one for a
+    variable the law does not read is None.
+    """
+    if law.kind == "surface_cross":
+        keys = ("u", "v")
+    elif law.role == "bulk":
+        keys = ("u",)
+    elif v is None:
+        raise ValueError("surface-role law requires the surface concentration")
+    else:
+        keys = ("v",)
+    raw = {"u": u, "v": v}
+    caps = {"u": window.u_caps, "v": window.v_caps}
+    xs = [np.asarray(raw[key], dtype=float) for key in keys]
+    hats = [np.minimum(np.maximum(x, caps[key][0]), caps[key][1]) for key, x in zip(keys, xs)]
+    value, slopes = _LAWS[law.kind]
+    mu = value(law, *hats)
+    if not derivatives:
+        return mu
+    grads = {"u": None, "v": None}
+    for key, x, slope in zip(keys, xs, slopes(law, *hats)):
+        lo, hi = caps[key]
+        grads[key] = np.where((x > lo) & (x < hi), slope, 0.0)
+    return mu, grads["u"], grads["v"]
 
 
 def diffusion_coefficient(law: DiffusionLaw, u, v, window: ClampWindow):
@@ -342,42 +371,29 @@ def diffusion_coefficient(law: DiffusionLaw, u, v, window: ClampWindow):
     Bulk-role laws see the clamped bulk value; single-argument surface laws
     see the clamped surface value; surface_cross sees both.
     """
-    scalar = np.isscalar(u) and (v is None or np.isscalar(v))
-    if law.role == "bulk":
-        u_hat = _clamp_one(np.asarray(u, dtype=float), window.u_star, window.alpha, window)
-        out = _law_value(law, u_hat)
-    elif law.kind == "surface_cross":
-        u_hat = _clamp_one(np.asarray(u, dtype=float), window.u_star, window.alpha, window)
-        v_hat = _clamp_one(np.asarray(v, dtype=float), window.v_star, window._v_exp, window)
-        out = _law_value(law, u_hat, v_hat)
-    else:
-        if v is None:
-            raise ValueError("surface-role law requires the surface concentration")
-        v_hat = _clamp_one(np.asarray(v, dtype=float), window.v_star, window._v_exp, window)
-        out = _law_value(law, v_hat)
-    if scalar:
-        return float(out)
-    return out
+    mu = _clamped_law(law, u, v, window, derivatives=False)
+    return float(mu) if np.isscalar(u) and (v is None or np.isscalar(v)) else mu
+
+
+def coefficient_and_derivatives(law: DiffusionLaw, u, v, window: ClampWindow):
+    """Clamped coefficient plus its derivatives w.r.t. the raw cell values.
+
+    Returns (mu, dmu_du, dmu_dv); the derivatives carry the clamp chain rule,
+    i.e. they vanish wherever the clamp caps the argument.  dmu_dv is None
+    for bulk-role laws; dmu_du is None for single-argument surface laws.
+    """
+    return _clamped_law(law, u, v, window, derivatives=True)
 
 
 def coefficient_bounds(law: DiffusionLaw, window: ClampWindow) -> tuple[float, float]:
     """Extrema of the clamped coefficient over the whole window.
 
     Every supported law is monotone in each argument on the positive axis, so
-    the extrema sit at window corners.
+    the extrema sit at the corners of the cap box.
     """
-    u_lo = window.u_star * (0.5 * window.lower) ** (1.0 / window.alpha)
-    u_hi = window.u_star * (2.0 * window.upper) ** (1.0 / window.alpha)
-    v_lo = window.v_star * (0.5 * window.lower) ** (1.0 / window._v_exp)
-    v_hi = window.v_star * (2.0 * window.upper) ** (1.0 / window._v_exp)
-    if law.kind == "surface_cross":
-        corners = [
-            _law_value(law, cu, cv) for cu in (u_lo, u_hi) for cv in (v_lo, v_hi)
-        ]
-    else:
-        lo, hi = (v_lo, v_hi) if law.role == "surface" else (u_lo, u_hi)
-        corners = [_law_value(law, lo), _law_value(law, hi)]
-    return float(min(corners)), float(max(corners))
+    u, v = np.meshgrid(window.u_caps, window.v_caps)
+    mu = _clamped_law(law, u.ravel(), v.ravel(), window, derivatives=False)
+    return float(np.min(mu)), float(np.max(mu))
 
 
 def solve_equilibrium(
@@ -442,58 +458,3 @@ def combine_face(mu_a, mu_b, face_average: str = "arithmetic"):
     if face_average == "harmonic":
         return 2.0 * mu_a * mu_b / (mu_a + mu_b)
     raise ValueError(f"unknown face average {face_average!r}")
-
-
-def face_coefficient(
-    law: DiffusionLaw,
-    u_a,
-    u_b,
-    v_a,
-    v_b,
-    window: ClampWindow,
-    face_average: str = "arithmetic",
-):
-    """Coefficient on a face from the two adjacent cell values.
-
-    Evaluates the clamped law at each side and combines with the arithmetic
-    mean (default) or the harmonic mean.  For bulk laws pass v_a = v_b = None.
-    """
-    mu_a = diffusion_coefficient(law, u_a, v_a, window)
-    mu_b = diffusion_coefficient(law, u_b, v_b, window)
-    return combine_face(mu_a, mu_b, face_average)
-
-
-def coefficient_and_derivatives(law: DiffusionLaw, u, v, window: ClampWindow):
-    """Clamped coefficient plus its derivatives w.r.t. the raw cell values.
-
-    Returns (mu, dmu_du, dmu_dv); the derivatives carry the clamp chain rule,
-    i.e. they vanish wherever the clamp caps the argument.  dmu_dv is None
-    for bulk-role laws; dmu_du is None for single-argument surface laws.
-    """
-    if law.role == "bulk":
-        lo = window.u_star * (0.5 * window.lower) ** (1.0 / window.alpha)
-        hi = window.u_star * (2.0 * window.upper) ** (1.0 / window.alpha)
-        u_arr = np.asarray(u, dtype=float)
-        u_hat = np.minimum(np.maximum(u_arr, lo), hi)
-        mu = _law_value(law, u_hat)
-        d_u, _ = _law_derivatives(law, u_hat)
-        inside = (u_arr > lo) & (u_arr < hi)
-        return mu, np.where(inside, d_u, 0.0), None
-
-    v_lo = window.v_star * (0.5 * window.lower) ** (1.0 / window._v_exp)
-    v_hi = window.v_star * (2.0 * window.upper) ** (1.0 / window._v_exp)
-    v_arr = np.asarray(v, dtype=float)
-    v_hat = np.minimum(np.maximum(v_arr, v_lo), v_hi)
-    v_inside = (v_arr > v_lo) & (v_arr < v_hi)
-    if law.kind == "surface_cross":
-        u_lo = window.u_star * (0.5 * window.lower) ** (1.0 / window.alpha)
-        u_hi = window.u_star * (2.0 * window.upper) ** (1.0 / window.alpha)
-        u_arr = np.asarray(u, dtype=float)
-        u_hat = np.minimum(np.maximum(u_arr, u_lo), u_hi)
-        u_inside = (u_arr > u_lo) & (u_arr < u_hi)
-        mu = _law_value(law, u_hat, v_hat)
-        d_u, d_v = _law_derivatives(law, u_hat, v_hat)
-        return mu, np.where(u_inside, d_u, 0.0), np.where(v_inside, d_v, 0.0)
-    mu = _law_value(law, v_hat)
-    d_v, _ = _law_derivatives(law, v_hat)
-    return mu, None, np.where(v_inside, d_v, 0.0)

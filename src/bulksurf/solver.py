@@ -34,7 +34,7 @@ from scipy import linalg as dla
 from scipy import sparse
 from scipy.sparse import linalg as spla
 
-from .mesh import CoupledMesh
+from .mesh import CoupledMesh, FaceSet
 from .model import (
     ClampWindow,
     DiffusionLaw,
@@ -45,6 +45,10 @@ from .model import (
     diffusion_coefficient,
     safe_rate,
 )
+
+
+FACE_AVERAGES = ("arithmetic", "harmonic")
+JACOBIANS = ("analytic", "fd")
 
 
 class NonConvergence(RuntimeError):
@@ -96,17 +100,19 @@ class StepConfig:
     max_dt_halvings: int = 5
 
     def __post_init__(self):
-        if self.dt <= 0:
-            raise ValueError(f"dt must be positive, got {self.dt}")
-        if self.newton_tol <= 0:
-            raise ValueError("newton_tol must be positive")
-        if self.newton_max_iter < 1:
+        if not (np.isfinite(self.dt) and self.dt > 0):
+            raise ValueError(f"dt must be positive and finite, got {self.dt}")
+        if not (np.isfinite(self.newton_tol) and self.newton_tol > 0):
+            raise ValueError(f"newton_tol must be positive and finite, got {self.newton_tol}")
+        if not self.newton_max_iter >= 1:
             raise ValueError("newton_max_iter must be >= 1")
+        if not self.max_dt_halvings >= 0:
+            raise ValueError("max_dt_halvings must be >= 0")
         if not (0.5 <= self.theta <= 1.0):
             raise ValueError(f"theta must lie in [0.5, 1], got {self.theta}")
-        if self.face_average not in ("arithmetic", "harmonic"):
+        if self.face_average not in FACE_AVERAGES:
             raise ValueError(f"unknown face average {self.face_average!r}")
-        if self.jacobian not in ("analytic", "fd"):
+        if self.jacobian not in JACOBIANS:
             raise ValueError(f"jacobian must be 'analytic' or 'fd', got {self.jacobian!r}")
 
 
@@ -118,27 +124,31 @@ def _check_sizes(state: State, mesh: CoupledMesh) -> None:
         )
 
 
+def face_flux(faces: FaceSet, x, mu, face_average: str) -> np.ndarray:
+    """Two-point flux mu_f * (x_b - x_a) * trans on every face of a face set.
+
+    mu holds the cell coefficients; mu_f combines the two sides of a face.
+    """
+    a, b = faces.cell_a, faces.cell_b
+    return combine_face(mu[a], mu[b], face_average) * (x[b] - x[a]) * faces.trans
+
+
+def _face_divergence(faces: FaceSet, x, mu, face_average: str) -> np.ndarray:
+    """Net two-point-flux inflow per unit cell measure; its measure-weighted sum is zero."""
+    flux = face_flux(faces, x, mu, face_average)
+    div = np.bincount(faces.cell_a, weights=flux, minlength=faces.measure.size)
+    div -= np.bincount(faces.cell_b, weights=flux, minlength=faces.measure.size)
+    return div / faces.measure
+
+
 def _bulk_diffusion(u, mesh, law, window, face_average):
     mu = diffusion_coefficient(law, u, None, window)
-    mu = np.broadcast_to(np.asarray(mu, dtype=float), u.shape)
-    a, b = mesh.bulk_face_a, mesh.bulk_face_b
-    mu_f = combine_face(mu[a], mu[b], face_average)
-    flux = mu_f * (u[b] - u[a]) * (mesh.bulk_face_length / mesh.bulk_face_dist)
-    div = np.bincount(a, weights=flux, minlength=mesh.n_bulk)
-    div -= np.bincount(b, weights=flux, minlength=mesh.n_bulk)
-    return div / mesh.cell_volume
+    return _face_divergence(mesh.bulk_faces, u, mu, face_average)
 
 
 def _surface_diffusion(u, v, mesh, law, window, face_average):
-    u_trace = u[mesh.surf_to_bulk]
-    mu = diffusion_coefficient(law, u_trace, v, window)
-    mu = np.broadcast_to(np.asarray(mu, dtype=float), v.shape)
-    p, q = mesh.surf_face_a, mesh.surf_face_b
-    mu_f = combine_face(mu[p], mu[q], face_average)
-    flux = mu_f * (v[q] - v[p]) / mesh.surf_face_dist
-    div = np.bincount(p, weights=flux, minlength=mesh.n_surface)
-    div -= np.bincount(q, weights=flux, minlength=mesh.n_surface)
-    return div / mesh.surf_length
+    mu = diffusion_coefficient(law, u[mesh.surf_to_bulk], v, window)
+    return _face_divergence(mesh.surf_faces, v, mu, face_average)
 
 
 def _coupling(u, v, mesh, kin):
@@ -147,6 +157,13 @@ def _coupling(u, v, mesh, kin):
         mesh.surf_to_bulk, weights=r * mesh.surf_length, minlength=mesh.n_bulk
     )
     dv = kin.beta * r
+    return du, dv
+
+
+def _rates(u, v, mesh, kin, bulk_law, surf_law, window, face_average):
+    du, dv = _coupling(u, v, mesh, kin)
+    du = du + _bulk_diffusion(u, mesh, bulk_law, window, face_average)
+    dv = dv + _surface_diffusion(u, v, mesh, surf_law, window, face_average)
     return du, dv
 
 
@@ -208,95 +225,55 @@ def total_rate(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Sum of the three spatial operators: (du/dt, dv/dt)."""
     _check_sizes(state, mesh)
-    du, dv = _coupling(state.u, state.v, mesh, kin)
-    du = du + _bulk_diffusion(state.u, mesh, bulk_law, window, face_average)
-    dv = dv + _surface_diffusion(state.u, state.v, mesh, surf_law, window, face_average)
-    return du, dv
+    return _rates(state.u, state.v, mesh, kin, bulk_law, surf_law, window, face_average)
 
 
 def _rate_vector(w, mesh, kin, bulk_law, surf_law, window, face_average):
     nb = mesh.n_bulk
-    u, v = w[:nb], w[nb:]
-    du, dv = _coupling(u, v, mesh, kin)
-    du = du + _bulk_diffusion(u, mesh, bulk_law, window, face_average)
-    dv = dv + _surface_diffusion(u, v, mesh, surf_law, window, face_average)
+    du, dv = _rates(w[:nb], w[nb:], mesh, kin, bulk_law, surf_law, window, face_average)
     return np.concatenate([du, dv])
+
+
+def _face_block(faces: FaceSet, x, offset: int, mu, dmu_x, face_average, dmu_y=None, y_cols=None):
+    """COO triplets (rows, cols, vals) of the Jacobian of one face divergence.
+
+    The flux phi = trans * mu_f * (x_b - x_a) of a face enters the rate of
+    cell a as +phi/|a| and that of cell b as -phi/|b|.  x is the diffused
+    field, stored at state index offset + cell; mu and dmu_x are the cell
+    coefficients and their derivatives along x.  A cross coefficient also
+    depends on a second field y, with derivatives dmu_y and state indices
+    y_cols[cell].
+    """
+    a, b = faces.cell_a, faces.cell_b
+    mu_a, mu_b = mu[a], mu[b]
+    mu_f = combine_face(mu_a, mu_b, face_average)
+    if face_average == "arithmetic":  # w_a, w_b: d mu_f / d mu_a, d mu_f / d mu_b
+        w_a = w_b = 0.5
+    else:
+        den = (mu_a + mu_b) ** 2
+        w_a, w_b = 2.0 * mu_b**2 / den, 2.0 * mu_a**2 / den
+    g = faces.trans
+    dlt = x[b] - x[a]
+    cols = [offset + a, offset + b]
+    dphi = [g * (w_a * dmu_x[a] * dlt - mu_f), g * (w_b * dmu_x[b] * dlt + mu_f)]
+    if dmu_y is not None:
+        cols += [y_cols[a], y_cols[b]]
+        dphi += [g * w_a * dmu_y[a] * dlt, g * w_b * dmu_y[b] * dlt]
+    inv_a, inv_b = 1.0 / faces.measure[a], 1.0 / faces.measure[b]
+    rows = [offset + a] * len(cols) + [offset + b] * len(cols)
+    return rows, cols + cols, [d * inv_a for d in dphi] + [-d * inv_b for d in dphi]
 
 
 def _analytic_jacobian(w, mesh, kin, bulk_law, surf_law, window, face_average):
     """Sparse Jacobian of the total rate with respect to the stacked state."""
     nb, ns = mesh.n_bulk, mesh.n_surface
-    n = nb + ns
-    u = w[:nb]
-    v = w[nb:]
-    rows: list[np.ndarray] = []
-    cols: list[np.ndarray] = []
-    vals: list[np.ndarray] = []
-
-    # bulk diffusion
-    a, b = mesh.bulk_face_a, mesh.bulk_face_b
-    if a.size:
-        mu, dmu, _ = coefficient_and_derivatives(bulk_law, u, None, window)
-        mu = np.broadcast_to(np.asarray(mu, dtype=float), u.shape)
-        dmu = np.broadcast_to(np.asarray(dmu, dtype=float), u.shape)
-        mu_a, mu_b = mu[a], mu[b]
-        mu_f = combine_face(mu_a, mu_b, face_average)
-        if face_average == "arithmetic":
-            w_a = np.full(a.size, 0.5)
-            w_b = w_a
-        else:
-            den = (mu_a + mu_b) ** 2
-            w_a = 2.0 * mu_b**2 / den
-            w_b = 2.0 * mu_a**2 / den
-        g = mesh.bulk_face_length / mesh.bulk_face_dist
-        dlt = u[b] - u[a]
-        dphi_da = g * (w_a * dmu[a] * dlt - mu_f)
-        dphi_db = g * (w_b * dmu[b] * dlt + mu_f)
-        inv_vol = 1.0 / mesh.cell_volume
-        rows += [a, a, b, b]
-        cols += [a, b, a, b]
-        vals += [dphi_da * inv_vol, dphi_db * inv_vol, -dphi_da * inv_vol, -dphi_db * inv_vol]
-
-    # surface diffusion
-    p, q = mesh.surf_face_a, mesh.surf_face_b
+    u, v = w[:nb], w[nb:]
     tr = mesh.surf_to_bulk
-    if p.size:
-        mu, dmu_du, dmu_dv = coefficient_and_derivatives(surf_law, u[tr], v, window)
-        mu = np.broadcast_to(np.asarray(mu, dtype=float), v.shape)
-        zeros = np.zeros(ns)
-        dmu_du = zeros if dmu_du is None else np.broadcast_to(np.asarray(dmu_du, dtype=float), v.shape)
-        dmu_dv = zeros if dmu_dv is None else np.broadcast_to(np.asarray(dmu_dv, dtype=float), v.shape)
-        mu_p, mu_q = mu[p], mu[q]
-        mu_f = combine_face(mu_p, mu_q, face_average)
-        if face_average == "arithmetic":
-            w_p = np.full(p.size, 0.5)
-            w_q = w_p
-        else:
-            den = (mu_p + mu_q) ** 2
-            w_p = 2.0 * mu_q**2 / den
-            w_q = 2.0 * mu_p**2 / den
-        g = 1.0 / mesh.surf_face_dist
-        dlt = v[q] - v[p]
-        dphi_vp = g * (w_p * dmu_dv[p] * dlt - mu_f)
-        dphi_vq = g * (w_q * dmu_dv[q] * dlt + mu_f)
-        dphi_up = g * w_p * dmu_du[p] * dlt
-        dphi_uq = g * w_q * dmu_du[q] * dlt
-        inv_p = 1.0 / mesh.surf_length[p]
-        inv_q = 1.0 / mesh.surf_length[q]
-        row_p = nb + p
-        row_q = nb + q
-        rows += [row_p, row_p, row_p, row_p, row_q, row_q, row_q, row_q]
-        cols += [nb + p, nb + q, tr[p], tr[q], nb + p, nb + q, tr[p], tr[q]]
-        vals += [
-            dphi_vp * inv_p,
-            dphi_vq * inv_p,
-            dphi_up * inv_p,
-            dphi_uq * inv_p,
-            -dphi_vp * inv_q,
-            -dphi_vq * inv_q,
-            -dphi_up * inv_q,
-            -dphi_uq * inv_q,
-        ]
+    mu, dmu_du, _ = coefficient_and_derivatives(bulk_law, u, None, window)
+    rows, cols, vals = _face_block(mesh.bulk_faces, u, 0, mu, dmu_du, face_average)
+    mu, dmu_du, dmu_dv = coefficient_and_derivatives(surf_law, u[tr], v, window)
+    block = _face_block(mesh.surf_faces, v, nb, mu, dmu_dv, face_average, dmu_du, tr)
+    rows, cols, vals = rows + block[0], cols + block[1], vals + block[2]
 
     # coupling
     u_t = u[tr]
@@ -313,7 +290,7 @@ def _analytic_jacobian(w, mesh, kin, bulk_law, surf_law, window, face_average):
 
     return sparse.coo_matrix(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n, n),
+        shape=(nb + ns, nb + ns),
     ).tocsc()
 
 

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -141,6 +145,23 @@ class TestInitialData:
         with pytest.raises(ConfigError):
             initial_state(cfg, mesh)
 
+    def test_missing_v_file_names_its_own_key(self, tmp_path):
+        mesh = build_mesh(2, 1, 1.0, 1.0, {"bottom"})
+        np.savetxt(tmp_path / "u.txt", [1.0, 2.0])
+        cfg = parse_config(
+            write(
+                tmp_path,
+                f"nx = 2\nny = 1\ninitial = file\n"
+                f"initial_u_file = {tmp_path / 'u.txt'}\n"
+                f"initial_v_file = {tmp_path / 'missing_v.txt'}\n",
+            )
+        )
+        with pytest.raises(ConfigError) as info:
+            initial_state(cfg, mesh)
+        keys = {p.key for p in info.value.problems if isinstance(p, BadValue)}
+        assert keys == {"initial_v_file"}
+        assert "missing_v.txt" in str(info.value)
+
     def test_build_problem_window_defaults_from_data(self, tmp_path):
         cfg = parse_config(write(tmp_path, BLOB_RUN))
         mesh, kin, bulk_law, surf_law, state, eq, window, step_cfg = build_problem(cfg)
@@ -240,3 +261,17 @@ class TestMainExitCodes:
         rows = (out / "diagnostics.csv").read_text().splitlines()[1:]
         entropies = [float(r.split(",")[2]) for r in rows]
         assert all(abs(e) < 1e-13 for e in entropies)
+
+    def test_module_entry_point_reports_config_error(self, tmp_path):
+        cfg = write(tmp_path, "alpha = 0.5\n", "bad.cfg")
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-m", "bulksurf.cli", "--config", str(cfg)],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=120,
+        )
+        assert proc.returncode == 2
+        assert "alpha" in proc.stderr

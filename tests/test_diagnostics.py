@@ -349,3 +349,15 @@ class TestRecord:
         rec = bs.record(wild, mesh, kin, eq, window,
                         bs.power_law(1.0), bs.surface_cross_law(kin))
         assert rec.clamp_activations == 2
+
+    def test_zero_entry_shows_as_zero_envelope_minimum(self):
+        mesh, kin, eq, state, window = make_problem()
+        laws = (bs.power_law(1.0), bs.surface_cross_law(kin))
+        dry = state.copy()
+        dry.u[3] = 0.0
+        rec = bs.record(dry, mesh, kin, eq, window, *laws)
+        assert rec.u_env_min == 0.0
+        assert rec.diffusion_dissipation_bulk <= 1e-14
+        dry.u[3] = -1e-3  # negative entries are still rejected
+        with pytest.raises(ValueError):
+            bs.record(dry, mesh, kin, eq, window, *laws)

@@ -223,6 +223,16 @@ class TestStep:
             bs.StepConfig(dt=1e-3, jacobian="magic")
         with pytest.raises(ValueError):
             bs.StepConfig(dt=1e-3, face_average="geometric")
+        nan, inf = float("nan"), float("inf")
+        for bad in (
+            dict(dt=nan),
+            dict(dt=inf),
+            dict(dt=1e-3, newton_tol=nan),
+            dict(dt=1e-3, newton_tol=inf),
+            dict(dt=1e-3, max_dt_halvings=-1),
+        ):
+            with pytest.raises(ValueError):
+                bs.StepConfig(**bad)
 
 
 class TestSingleCellOde:
