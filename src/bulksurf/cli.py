@@ -24,10 +24,22 @@ import numpy as np
 from . import diagnostics, model, solver
 from .mesh import EDGE_NAMES, build_mesh
 
-DIAGNOSTICS_HEADER = (
-    "t,mass,entropy,entropy_L,u_env_max,v_env_max,u_env_min,v_env_min,"
-    "reaction_diss,diff_diss_bulk,diff_diss_surf,clamp_activations"
+# (diagnostics.csv column, DiagnosticsRecord attribute), in column order
+DIAGNOSTICS_COLUMNS = (
+    ("t", "t"),
+    ("mass", "mass"),
+    ("entropy", "entropy"),
+    ("entropy_L", "envelope_entropy"),
+    ("u_env_max", "u_env_max"),
+    ("v_env_max", "v_env_max"),
+    ("u_env_min", "u_env_min"),
+    ("v_env_min", "v_env_min"),
+    ("reaction_diss", "reaction_dissipation"),
+    ("diff_diss_bulk", "diffusion_dissipation_bulk"),
+    ("diff_diss_surf", "diffusion_dissipation_surface"),
+    ("clamp_activations", "clamp_activations"),
 )
+DIAGNOSTICS_HEADER = ",".join(column for column, _ in DIAGNOSTICS_COLUMNS)
 OUTPUTS = ("diagnostics", "final_state", "summary")
 
 
@@ -165,7 +177,6 @@ KEYS: dict[str, Key] = {
     "clamp_v_exponent": Key(str, model.V_EXPONENTS[0], choices=model.V_EXPONENTS),
     # scheme switches
     "face_average": Key(str, solver.FACE_AVERAGES[0], choices=solver.FACE_AVERAGES),
-    "jacobian": Key(str, solver.JACOBIANS[0], choices=solver.JACOBIANS),
     # outputs
     "out_dir": Key(str, "out"),
     "output_every": Key(int, "1", ge=1),
@@ -325,6 +336,7 @@ def build_problem(cfg: RunConfig):
 
 
 def _fmt(x: float) -> str:
+    """17 significant digits; a count (an int below 10**17) prints as its plain digits."""
     return f"{x:.17g}"
 
 
@@ -335,24 +347,7 @@ def write_diagnostics_csv(records, path: Path, output_every: int = 1) -> None:
         keep.append(records[-1])
     lines = [DIAGNOSTICS_HEADER]
     for rec in keep:
-        lines.append(
-            ",".join(
-                [
-                    _fmt(rec.t),
-                    _fmt(rec.mass),
-                    _fmt(rec.entropy),
-                    _fmt(rec.envelope_entropy),
-                    _fmt(rec.u_env_max),
-                    _fmt(rec.v_env_max),
-                    _fmt(rec.u_env_min),
-                    _fmt(rec.v_env_min),
-                    _fmt(rec.reaction_dissipation),
-                    _fmt(rec.diffusion_dissipation_bulk),
-                    _fmt(rec.diffusion_dissipation_surface),
-                    str(rec.clamp_activations),
-                ]
-            )
-        )
+        lines.append(",".join(_fmt(getattr(rec, attr)) for _, attr in DIAGNOSTICS_COLUMNS))
     path.write_text("\n".join(lines) + "\n")
 
 

@@ -122,10 +122,10 @@ def build_mesh(
         Nonempty subset of {"bottom", "right", "top", "left"} forming the
         active surface.
     """
-    if nx < 1 or ny < 1:
+    if not (nx >= 1 and ny >= 1):
         raise ValueError(f"cell counts must be >= 1, got nx={nx}, ny={ny}")
-    if lx <= 0 or ly <= 0:
-        raise ValueError(f"side lengths must be positive, got lx={lx}, ly={ly}")
+    if not (np.isfinite(lx) and np.isfinite(ly) and lx > 0 and ly > 0):
+        raise ValueError(f"side lengths must be positive and finite, got lx={lx}, ly={ly}")
     edges = set(active_edges)
     if not edges:
         raise ValueError("active_edges must contain at least one edge")

@@ -36,6 +36,10 @@ SURFACE_KINDS = BULK_KINDS + ("surface_cross",)
 V_EXPONENTS = ("alpha", "beta")
 
 
+def _finite(*values) -> bool:
+    return all(math.isfinite(x) for x in values)
+
+
 @dataclass(frozen=True)
 class Kinetics:
     """Mass-action reaction parameters.
@@ -52,13 +56,11 @@ class Kinetics:
     beta: float
 
     def __post_init__(self):
-        if self.k <= 0:
-            raise ValueError(f"k must be positive, got {self.k}")
-        if self.kappa <= 0:
-            raise ValueError(f"kappa must be positive, got {self.kappa}")
-        if self.alpha < 1 or self.beta < 1:
+        if not (_finite(self.k, self.kappa) and self.k > 0 and self.kappa > 0):
+            raise ValueError(f"need finite k > 0 and kappa > 0, got k={self.k}, kappa={self.kappa}")
+        if not (_finite(self.alpha, self.beta) and self.alpha >= 1 and self.beta >= 1):
             raise ValueError(
-                f"stoichiometric exponents must be >= 1, got alpha={self.alpha}, beta={self.beta}"
+                f"need finite exponents alpha, beta >= 1, got alpha={self.alpha}, beta={self.beta}"
             )
 
 
@@ -96,6 +98,8 @@ class DiffusionLaw:
         allowed = SURFACE_KINDS if self.role == "surface" else BULK_KINDS
         if self.kind not in allowed:
             raise ValueError(f"{self.kind!r} is not a valid {self.role} diffusion law")
+        if not _finite(self.param, self.alpha, self.beta):
+            raise ValueError(f"diffusion law parameters must be finite, got {self}")
         if self.kind == "constant" and self.param <= 0:
             raise ValueError(f"constant diffusion coefficient must be positive, got {self.param}")
         if self.kind == "surface_cross" and (self.alpha <= 0 or self.beta <= 0):
@@ -144,12 +148,11 @@ class ClampWindow:
     v_caps: tuple[float, float] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not (0 < self.lower <= self.upper):
-            raise ValueError(f"need 0 < lower <= upper, got ({self.lower}, {self.upper})")
-        if not (math.isfinite(self.upper)):
-            raise ValueError("upper envelope must be finite")
-        if self.u_star <= 0 or self.v_star <= 0:
-            raise ValueError("equilibrium references must be positive")
+        if not (0 < self.lower <= self.upper < math.inf):
+            raise ValueError(f"need 0 < lower <= upper < inf, got ({self.lower}, {self.upper})")
+        refs = (self.u_star, self.v_star, self.alpha, self.beta)
+        if not (_finite(*refs) and min(refs) > 0):
+            raise ValueError(f"need finite positive u_star, v_star, alpha, beta, got {refs}")
         if self.v_exponent not in V_EXPONENTS:
             raise ValueError(f"v_exponent must be 'alpha' or 'beta', got {self.v_exponent!r}")
         v_exp = self.alpha if self.v_exponent == "alpha" else self.beta
@@ -255,17 +258,29 @@ def rate(u, v, kin: Kinetics):
     return kin.k * (u**kin.alpha - kin.kappa * v**kin.beta)
 
 
-def safe_rate(u, v, kin: Kinetics):
-    """Rate guarded on the closed positive quadrant: 0 whenever u <= 0 or v <= 0."""
+def _positive_quadrant(u, v):
+    """Mask of u > 0 and v > 0, and u, v with 1 outside it, where any power is defined."""
     u_arr = np.asarray(u, dtype=float)
     v_arr = np.asarray(v, dtype=float)
     pos = (u_arr > 0) & (v_arr > 0)
-    u_safe = np.where(pos, u_arr, 1.0)
-    v_safe = np.where(pos, v_arr, 1.0)
+    return pos, np.where(pos, u_arr, 1.0), np.where(pos, v_arr, 1.0)
+
+
+def safe_rate(u, v, kin: Kinetics):
+    """Rate guarded on the closed positive quadrant: 0 whenever u <= 0 or v <= 0."""
+    pos, u_safe, v_safe = _positive_quadrant(u, v)
     out = np.where(pos, rate(u_safe, v_safe, kin), 0.0)
     if np.isscalar(u) and np.isscalar(v):
         return float(out)
     return out
+
+
+def safe_rate_derivatives(u, v, kin: Kinetics):
+    """Partial derivatives (d/du, d/dv) of safe_rate, 0 wherever the guard holds it at 0."""
+    pos, u_safe, v_safe = _positive_quadrant(u, v)
+    dr_du = np.where(pos, kin.k * kin.alpha * u_safe ** (kin.alpha - 1.0), 0.0)
+    dr_dv = np.where(pos, -kin.k * kin.kappa * kin.beta * v_safe ** (kin.beta - 1.0), 0.0)
+    return dr_du, dr_dv
 
 
 def potential_rate(u, v, kin: Kinetics, eq: Equilibrium):
@@ -411,10 +426,10 @@ def solve_equilibrium(
     (0, m/(alpha*|Gamma|)] followed by a Newton polish, then recovers
     u_star = kappa**(1/alpha) * v_star**(beta/alpha).
     """
-    if mass <= 0:
-        raise ValueError(f"equilibrium requires positive mass, got {mass}")
-    if omega_measure <= 0 or gamma_measure <= 0:
-        raise ValueError("domain measures must be positive")
+    if not (math.isfinite(mass) and mass > 0):
+        raise ValueError(f"equilibrium requires positive finite mass, got {mass}")
+    if not (_finite(omega_measure, gamma_measure) and omega_measure > 0 and gamma_measure > 0):
+        raise ValueError("domain measures must be positive and finite")
 
     kroot = kin.kappa ** (1.0 / kin.alpha)
     expo = kin.beta / kin.alpha
@@ -449,12 +464,3 @@ def solve_equilibrium(
 
     u_star = kroot * v_star**expo
     return Equilibrium(u_star=float(u_star), v_star=float(v_star), mass=float(mass))
-
-
-def combine_face(mu_a, mu_b, face_average: str = "arithmetic"):
-    """Combine the two cell-side coefficients of a face into one face value."""
-    if face_average == "arithmetic":
-        return 0.5 * (mu_a + mu_b)
-    if face_average == "harmonic":
-        return 2.0 * mu_a * mu_b / (mu_a + mu_b)
-    raise ValueError(f"unknown face average {face_average!r}")

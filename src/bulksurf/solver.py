@@ -19,10 +19,10 @@ is conserved exactly by this flux/source structure, up to the nonlinear-solve
 residual.
 
 Time discretization is theta-implicit (backward Euler at theta = 1), solved
-by damped Newton.  The Jacobian is assembled analytically as a sparse matrix
-and its LU factorization is reused while the contraction rate stays good; a
-dense finite-difference Jacobian is available as an option and serves as a
-cross-check in the tests.
+by damped Newton.  The Newton matrix I - theta*dt*dF/dw is assembled from the
+analytic sparse Jacobian and its LU factorization is reused while the
+contraction rate stays good.  A dense finite-difference Jacobian serves as
+its cross-check in the tests.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import linalg as dla
 from scipy import sparse
 from scipy.sparse import linalg as spla
 
@@ -41,14 +40,22 @@ from .model import (
     Equilibrium,
     Kinetics,
     coefficient_and_derivatives,
-    combine_face,
     diffusion_coefficient,
     safe_rate,
+    safe_rate_derivatives,
 )
 
 
-FACE_AVERAGES = ("arithmetic", "harmonic")
-JACOBIANS = ("analytic", "fd")
+# Face averages by name: (face value mu_f of the cell coefficients a and b,
+# its partial weights (d mu_f / d a, d mu_f / d b)).
+_FACE_AVERAGES = {
+    "arithmetic": (lambda a, b: 0.5 * (a + b), lambda a, b: (0.5, 0.5)),
+    "harmonic": (
+        lambda a, b: 2.0 * a * b / (a + b),
+        lambda a, b: (2.0 * b**2 / (a + b) ** 2, 2.0 * a**2 / (a + b) ** 2),
+    ),
+}
+FACE_AVERAGES = tuple(_FACE_AVERAGES)
 
 
 class NonConvergence(RuntimeError):
@@ -86,9 +93,8 @@ class State:
 class StepConfig:
     """Time-step controls.
 
-    theta = 1 is backward Euler; theta = 0.5 the trapezoidal rule.  The
-    Jacobian choice is "analytic" (sparse, default) or "fd" (dense
-    finite-difference columns with increment 1e-7 * (1 + |w_i|)).
+    theta = 1 is backward Euler; theta = 0.5 the trapezoidal rule.
+    face_average names the face coefficient mean, one of FACE_AVERAGES.
     """
 
     dt: float
@@ -96,7 +102,6 @@ class StepConfig:
     newton_max_iter: int = 25
     theta: float = 1.0
     face_average: str = "arithmetic"
-    jacobian: str = "analytic"
     max_dt_halvings: int = 5
 
     def __post_init__(self):
@@ -112,8 +117,6 @@ class StepConfig:
             raise ValueError(f"theta must lie in [0.5, 1], got {self.theta}")
         if self.face_average not in FACE_AVERAGES:
             raise ValueError(f"unknown face average {self.face_average!r}")
-        if self.jacobian not in JACOBIANS:
-            raise ValueError(f"jacobian must be 'analytic' or 'fd', got {self.jacobian!r}")
 
 
 def _check_sizes(state: State, mesh: CoupledMesh) -> None:
@@ -129,8 +132,11 @@ def face_flux(faces: FaceSet, x, mu, face_average: str) -> np.ndarray:
 
     mu holds the cell coefficients; mu_f combines the two sides of a face.
     """
+    if face_average not in _FACE_AVERAGES:
+        raise ValueError(f"unknown face average {face_average!r}")
     a, b = faces.cell_a, faces.cell_b
-    return combine_face(mu[a], mu[b], face_average) * (x[b] - x[a]) * faces.trans
+    mean, _ = _FACE_AVERAGES[face_average]
+    return mean(mu[a], mu[b]) * (x[b] - x[a]) * faces.trans
 
 
 def _face_divergence(faces: FaceSet, x, mu, face_average: str) -> np.ndarray:
@@ -246,12 +252,9 @@ def _face_block(faces: FaceSet, x, offset: int, mu, dmu_x, face_average, dmu_y=N
     """
     a, b = faces.cell_a, faces.cell_b
     mu_a, mu_b = mu[a], mu[b]
-    mu_f = combine_face(mu_a, mu_b, face_average)
-    if face_average == "arithmetic":  # w_a, w_b: d mu_f / d mu_a, d mu_f / d mu_b
-        w_a = w_b = 0.5
-    else:
-        den = (mu_a + mu_b) ** 2
-        w_a, w_b = 2.0 * mu_b**2 / den, 2.0 * mu_a**2 / den
+    mean, weights = _FACE_AVERAGES[face_average]
+    mu_f = mean(mu_a, mu_b)
+    w_a, w_b = weights(mu_a, mu_b)
     g = faces.trans
     dlt = x[b] - x[a]
     cols = [offset + a, offset + b]
@@ -276,12 +279,7 @@ def _analytic_jacobian(w, mesh, kin, bulk_law, surf_law, window, face_average):
     rows, cols, vals = rows + block[0], cols + block[1], vals + block[2]
 
     # coupling
-    u_t = u[tr]
-    pos = (u_t > 0) & (v > 0)
-    u_safe = np.where(pos, u_t, 1.0)
-    v_safe = np.where(pos, v, 1.0)
-    dr_du = np.where(pos, kin.k * kin.alpha * u_safe ** (kin.alpha - 1.0), 0.0)
-    dr_dv = np.where(pos, -kin.k * kin.kappa * kin.beta * v_safe ** (kin.beta - 1.0), 0.0)
+    dr_du, dr_dv = safe_rate_derivatives(u[tr], v, kin)
     cpl = -kin.alpha * mesh.surf_length / mesh.cell_volume
     j_idx = nb + np.arange(ns)
     rows += [tr, tr, j_idx, j_idx]
@@ -336,13 +334,14 @@ def step(
     def fvec(w: np.ndarray) -> np.ndarray:
         return _rate_vector(w, mesh, kin, bulk_law, surf_law, window, cfg.face_average)
 
-    expl = np.zeros_like(w_old) if theta == 1.0 else dt * (1.0 - theta) * fvec(w_old)
+    f_old = fvec(w_old)
+    expl = np.zeros_like(w_old) if theta == 1.0 else dt * (1.0 - theta) * f_old
 
-    def residual(w: np.ndarray) -> np.ndarray:
-        return w - w_old - dt * theta * fvec(w) - expl
+    def residual(w: np.ndarray, f: np.ndarray) -> np.ndarray:
+        return w - w_old - dt * theta * f - expl
 
     w = w_old.copy()
-    r = residual(w)
+    r = residual(w, f_old)
     rn = float(np.max(np.abs(r)))
     if rn <= cfg.newton_tol:
         return State(t=state.t + dt, u=state.u.copy(), v=state.v.copy())
@@ -353,15 +352,8 @@ def step(
     iters = 0
     while iters < cfg.newton_max_iter:
         if lu_solve is None:
-            if cfg.jacobian == "analytic":
-                jmat = _analytic_jacobian(
-                    w, mesh, kin, bulk_law, surf_law, window, cfg.face_average
-                )
-                lu_solve = spla.splu((identity - dt * theta * jmat).tocsc()).solve
-            else:
-                jmat = _fd_jacobian(w, mesh, kin, bulk_law, surf_law, window, cfg.face_average)
-                factors = dla.lu_factor(np.eye(w.size) - dt * theta * jmat)
-                lu_solve = lambda rhs: dla.lu_solve(factors, rhs)  # noqa: E731
+            jmat = _analytic_jacobian(w, mesh, kin, bulk_law, surf_law, window, cfg.face_average)
+            lu_solve = spla.splu((identity - dt * theta * jmat).tocsc()).solve
             jac_age = 0
         delta = lu_solve(-r)
         iters += 1
@@ -371,7 +363,7 @@ def step(
         rn_trial = rn
         for _ in range(12):
             w_trial = w + lam * delta
-            r_trial = residual(w_trial)
+            r_trial = residual(w_trial, fvec(w_trial))
             rn_trial = float(np.max(np.abs(r_trial)))
             if np.isfinite(rn_trial) and rn_trial < rn:
                 accepted = True

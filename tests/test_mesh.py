@@ -115,6 +115,11 @@ def test_rejects_bad_arguments():
         build_mesh(1, 0, 1.0, 1.0, {"bottom"})
     with pytest.raises(ValueError):
         build_mesh(1, 1, 0.0, 1.0, {"bottom"})
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            build_mesh(2, 2, bad, 1.0, {"bottom"})
+        with pytest.raises(ValueError):
+            build_mesh(2, 2, 1.0, bad, {"bottom"})
     with pytest.raises(ValueError):
         build_mesh(1, 1, 1.0, 1.0, set())
     with pytest.raises(ValueError):

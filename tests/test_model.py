@@ -211,6 +211,13 @@ class TestClamp:
         assert va == pytest.approx((2 * win_a.upper) ** (1 / 2))
         assert vb == pytest.approx((2 * win_b.upper) ** (1 / 1))
 
+    def test_rejects_bad_window(self):
+        nan = float("nan")
+        for bad in (dict(u_star=nan), dict(v_star=nan), dict(alpha=nan), dict(alpha=0.0),
+                    dict(beta=float("inf")), dict(upper=float("inf")), dict(lower=nan)):
+            with pytest.raises(ValueError):
+                self.window(**bad)
+
     def test_window_from_initial_data(self):
         kin = Kinetics(k=1.0, kappa=0.5, alpha=2.0, beta=1.0)
         eq = Equilibrium(u_star=1.0, v_star=2.0, mass=5.0)
@@ -255,6 +262,11 @@ class TestDiffusionLaws:
     def test_constant_law_positive(self):
         with pytest.raises(ValueError):
             constant_law(0.0)
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                constant_law(bad)
+            with pytest.raises(ValueError):
+                power_law(bad)
 
     @pytest.mark.parametrize(
         "law",
@@ -308,6 +320,9 @@ class TestEquilibrium:
             solve_equilibrium(kin, 0.0, 1.0, 1.0)
         with pytest.raises(ValueError):
             solve_equilibrium(kin, -1.0, 1.0, 1.0)
+        for mass in (float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                solve_equilibrium(kin, mass, 1.0, 1.0)
 
     def test_matches_bisection_oracle(self):
         rng = np.random.default_rng(23)
@@ -347,3 +362,7 @@ class TestKineticsValidation:
             Kinetics(k=1.0, kappa=1.0, alpha=0.5, beta=1.0)
         with pytest.raises(ValueError):
             Kinetics(k=1.0, kappa=1.0, alpha=1.0, beta=0.99)
+        nan, inf = float("nan"), float("inf")
+        for bad in (dict(k=nan), dict(k=inf), dict(alpha=nan), dict(kappa=nan), dict(beta=inf)):
+            with pytest.raises(ValueError):
+                Kinetics(**{**dict(k=1.0, kappa=1.0, alpha=1.0, beta=1.0), **bad})

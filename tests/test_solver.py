@@ -129,19 +129,30 @@ class TestCoupling:
         assert abs(total) < 1e-13
 
 
+JACOBIAN_LAWS = [
+    (bs.power_law(1.0), lambda kin: bs.surface_cross_law(kin)),
+    (bs.exponential_law(0.5), lambda kin: bs.power_law(0.8, role="surface")),
+    (bs.constant_law(1.5), lambda kin: bs.constant_law(0.7, role="surface")),
+]
+
+
 class TestJacobian:
     @pytest.mark.parametrize("face_average", ["arithmetic", "harmonic"])
-    @pytest.mark.parametrize(
-        "bulk_law,surf_law_maker",
-        [
-            (bs.power_law(1.0), lambda kin: bs.surface_cross_law(kin)),
-            (bs.exponential_law(0.5), lambda kin: bs.power_law(0.8, role="surface")),
-            (bs.constant_law(1.5), lambda kin: bs.constant_law(0.7, role="surface")),
-        ],
-    )
+    @pytest.mark.parametrize("bulk_law,surf_law_maker", JACOBIAN_LAWS)
     def test_analytic_matches_finite_differences(self, face_average, bulk_law, surf_law_maker):
-        rng = np.random.default_rng(43)
         mesh = bs.build_mesh(4, 3, 1.0, 1.5, {"bottom", "left"})
+        self.check(mesh, face_average, bulk_law, surf_law_maker)
+
+    @pytest.mark.parametrize("face_average", ["arithmetic", "harmonic"])
+    @pytest.mark.parametrize("bulk_law,surf_law_maker", JACOBIAN_LAWS)
+    def test_closed_chain_matches_finite_differences(self, face_average, bulk_law, surf_law_maker):
+        # all four edges: the surface chain closes into a loop, as in the CLI benchmark run
+        mesh = bs.build_mesh(4, 3, 1.0, 1.5, {"bottom", "right", "top", "left"})
+        self.check(mesh, face_average, bulk_law, surf_law_maker)
+
+    @staticmethod
+    def check(mesh, face_average, bulk_law, surf_law_maker):
+        rng = np.random.default_rng(43)
         kin = bs.Kinetics(k=1.2, kappa=0.6, alpha=2.0, beta=1.5)
         win = bs.ClampWindow(
             lower=0.3, upper=5.0, u_star=1.0, v_star=1.1, alpha=2.0, beta=1.5
@@ -186,15 +197,20 @@ class TestStep:
             m = bs.weighted_mass(state, mesh, kin)
             assert abs(m - m0) <= 1e-12 * m0
 
-    def test_fd_jacobian_option_agrees(self):
+    @pytest.mark.parametrize("theta", [1.0, 0.5])
+    def test_step_solves_theta_scheme(self, theta):
+        # w1 - w0 - dt*(theta*F(w1) + (1-theta)*F(w0)) = 0 to newton_tol, F from total_rate
         mesh, kin, eq, state, window = self.setup_problem()
         laws = (bs.power_law(1.0), bs.surface_cross_law(kin))
-        out_an = bs.step(state, mesh, kin, *laws, window, bs.StepConfig(dt=2e-3, newton_tol=1e-13))
-        out_fd = bs.step(
-            state, mesh, kin, *laws, window, bs.StepConfig(dt=2e-3, newton_tol=1e-13, jacobian="fd")
-        )
-        np.testing.assert_allclose(out_an.u, out_fd.u, rtol=1e-10)
-        np.testing.assert_allclose(out_an.v, out_fd.v, rtol=1e-10)
+        cfg = bs.StepConfig(dt=2e-3, theta=theta, newton_tol=1e-13)
+        out = bs.step(state, mesh, kin, *laws, window, cfg)
+        f0 = np.concatenate(bs.total_rate(state, mesh, kin, *laws, window))
+        f1 = np.concatenate(bs.total_rate(out, mesh, kin, *laws, window))
+        w0 = np.concatenate([state.u, state.v])
+        w1 = np.concatenate([out.u, out.v])
+        res = w1 - w0 - cfg.dt * (theta * f1 + (1.0 - theta) * f0)
+        assert np.max(np.abs(res)) <= cfg.newton_tol
+        assert np.max(np.abs(w1 - w0)) > 1e3 * cfg.newton_tol  # the step moved the state
 
     def test_trapezoidal_theta(self):
         mesh, kin, eq, state, window = self.setup_problem()
@@ -220,9 +236,11 @@ class TestStep:
         with pytest.raises(ValueError):
             bs.StepConfig(dt=1e-3, theta=0.3)
         with pytest.raises(ValueError):
-            bs.StepConfig(dt=1e-3, jacobian="magic")
-        with pytest.raises(ValueError):
             bs.StepConfig(dt=1e-3, face_average="geometric")
+        mesh, kin, eq, state, window = self.setup_problem()
+        laws = (bs.power_law(1.0), bs.surface_cross_law(kin))
+        with pytest.raises(ValueError):
+            bs.total_rate(state, mesh, kin, *laws, window, face_average="geometric")
         nan, inf = float("nan"), float("inf")
         for bad in (
             dict(dt=nan),
