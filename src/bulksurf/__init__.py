@@ -42,6 +42,7 @@ from .model import (
     window_from_initial_data,
 )
 from .solver import (
+    NewtonLU,
     NonConvergence,
     State,
     StepConfig,
@@ -80,6 +81,7 @@ __all__ = [
     "window_from_initial_data",
     "State",
     "StepConfig",
+    "NewtonLU",
     "NonConvergence",
     "bulk_diffusion_rate",
     "surface_diffusion_rate",

@@ -20,13 +20,20 @@ residual.
 
 Time discretization is theta-implicit (backward Euler at theta = 1), solved
 by damped Newton.  The Newton matrix I - theta*dt*dF/dw is assembled from the
-analytic sparse Jacobian and its LU factorization is reused while the
-contraction rate stays good.  A dense finite-difference Jacobian serves as
-its cross-check in the tests.
+analytic sparse Jacobian and factored by SuperLU with the minimum-degree
+ordering of A^T + A, since the matrix is structurally symmetric.  The LU is
+kept across steps in a NewtonLU holder keyed on theta*dt (simplified Newton):
+a step refactors only when the key changes (a clipped last step, a halved
+dt), when an iteration leaves more than CONTRACTION times the previous
+residual, or when a line search fails on a reused LU.  A dense
+finite-difference Jacobian serves as the cross-check of the analytic one in
+the tests.
 """
 
 from __future__ import annotations
 
+import numbers
+from collections.abc import Callable
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -56,6 +63,14 @@ _FACE_AVERAGES = {
     ),
 }
 FACE_AVERAGES = tuple(_FACE_AVERAGES)
+
+# A Newton iteration whose residual max-norm exceeds this fraction of the
+# previous one drops the LU, so the next iteration refactors at the current
+# iterate.  Of 0.2, 0.1, 0.05 and 0.02, 0.05 gave the shortest runs on the
+# blob and CLI problems: at 0.2 a lagged LU took about 11 iterations per step
+# on the 32x32 blob, and at 0.02 the extra factorizations cost more than they
+# saved.
+CONTRACTION = 0.05
 
 
 class NonConvergence(RuntimeError):
@@ -109,14 +124,32 @@ class StepConfig:
             raise ValueError(f"dt must be positive and finite, got {self.dt}")
         if not (np.isfinite(self.newton_tol) and self.newton_tol > 0):
             raise ValueError(f"newton_tol must be positive and finite, got {self.newton_tol}")
-        if not self.newton_max_iter >= 1:
-            raise ValueError("newton_max_iter must be >= 1")
-        if not self.max_dt_halvings >= 0:
-            raise ValueError("max_dt_halvings must be >= 0")
+        if not (_is_int(self.newton_max_iter) and self.newton_max_iter >= 1):
+            raise ValueError(f"newton_max_iter must be an integer >= 1, got {self.newton_max_iter!r}")
+        if not (_is_int(self.max_dt_halvings) and self.max_dt_halvings >= 0):
+            raise ValueError(f"max_dt_halvings must be an integer >= 0, got {self.max_dt_halvings!r}")
         if not (0.5 <= self.theta <= 1.0):
             raise ValueError(f"theta must lie in [0.5, 1], got {self.theta}")
         if self.face_average not in FACE_AVERAGES:
             raise ValueError(f"unknown face average {self.face_average!r}")
+
+
+def _is_int(x) -> bool:
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
+
+
+@dataclass
+class NewtonLU:
+    """The LU of the Newton matrix I - key*J, kept from one step to the next.
+
+    key is theta*dt of the matrix and solve the factorization's solve; both
+    are None until the first factorization.  A holder serves one problem
+    (mesh, kinetics, laws, window, face average): step refactors when the key
+    differs, but cannot see any other change.
+    """
+
+    key: float | None = None
+    solve: Callable[[np.ndarray], np.ndarray] | None = None
 
 
 def _check_sizes(state: State, mesh: CoupledMesh) -> None:
@@ -314,6 +347,8 @@ def step(
     surf_law: DiffusionLaw,
     window: ClampWindow,
     cfg: StepConfig,
+    *,
+    lu: NewtonLU | None = None,
 ) -> State:
     """Advance one theta-implicit step with damped Newton.
 
@@ -321,9 +356,20 @@ def step(
     max-norm tolerance cfg.newton_tol.  If the old state already satisfies
     the residual (e.g. at equilibrium) it is returned unchanged apart from
     the time.  Negative intermediate iterates are harmless: the guarded rate
-    and the coefficient clamp keep every evaluation defined.  Raises
-    NonConvergence when the iteration cap is reached; the caller may halve
-    dt and retry.
+    and the coefficient clamp keep every evaluation defined.
+
+    lu holds the LU of I - theta*dt*J from earlier steps of the same problem
+    and receives the one this step leaves; without it the step starts from a
+    new empty holder and factors at the old state.  A holder keyed on another
+    theta*dt is emptied first.  A reused LU is stale: if the line search
+    fails on it, the iteration is retried with a fresh LU at the current
+    iterate.  After any iteration that leaves more than CONTRACTION times
+    the previous residual the LU is dropped and the next iteration
+    refactors.  The
+    factorization uses the MMD_AT_PLUS_A column ordering.
+
+    Raises NonConvergence when the iteration cap is reached or the line
+    search fails on a fresh LU; the caller may halve dt and retry.
     """
     _check_sizes(state, mesh)
     nb = mesh.n_bulk
@@ -346,16 +392,19 @@ def step(
     if rn <= cfg.newton_tol:
         return State(t=state.t + dt, u=state.u.copy(), v=state.v.copy())
 
-    lu_solve = None
-    jac_age = 0
-    identity = sparse.identity(w.size, format="csc")
+    if lu is None:
+        lu = NewtonLU()
+    if lu.key != dt * theta:
+        lu.key, lu.solve = dt * theta, None
+    fresh = False  # lu.solve was factored at the current iterate
     iters = 0
     while iters < cfg.newton_max_iter:
-        if lu_solve is None:
+        if lu.solve is None:
             jmat = _analytic_jacobian(w, mesh, kin, bulk_law, surf_law, window, cfg.face_average)
-            lu_solve = spla.splu((identity - dt * theta * jmat).tocsc()).solve
-            jac_age = 0
-        delta = lu_solve(-r)
+            matrix = (sparse.identity(w.size, format="csc") - lu.key * jmat).tocsc()
+            lu.solve = spla.splu(matrix, permc_spec="MMD_AT_PLUS_A").solve
+            fresh = True
+        delta = lu.solve(-r)
         iters += 1
 
         lam = 1.0
@@ -370,18 +419,18 @@ def step(
                 break
             lam *= 0.5
         if not accepted:
-            if jac_age > 0:
-                lu_solve = None  # retry this iteration with a fresh Jacobian
+            if not fresh:
+                lu.solve = None  # retry this iteration with a fresh Jacobian
                 continue
             raise NonConvergence(iters, rn)
 
         contraction = rn_trial / rn
         w, r, rn = w_trial, r_trial, rn_trial
-        jac_age += 1
+        fresh = False
         if rn <= cfg.newton_tol:
             return State(t=state.t + dt, u=w[:nb].copy(), v=w[nb:].copy())
-        if contraction > 0.2:
-            lu_solve = None
+        if contraction > CONTRACTION:
+            lu.solve = None
 
     raise NonConvergence(iters, rn)
 
@@ -402,12 +451,15 @@ def run(
     The first record is the initial state; one more follows each accepted
     step (the final step is clipped to land on t_final exactly).  On Newton
     failure the step is retried with dt halved, up to cfg.max_dt_halvings
-    times; subsequent steps return to the configured dt.  A fatal failure
-    propagates NonConvergence with the last good state and the records so
-    far attached to the exception.
+    times; subsequent steps return to the configured dt.  The steps share
+    one NewtonLU, so the LU is reused across steps and refactored when dt
+    changes.  A fatal failure propagates NonConvergence with the last good
+    state and the records so far attached to the exception.
     """
     from .diagnostics import record as make_record
 
+    if not np.isfinite(t_final):
+        raise ValueError(f"t_final must be finite, got {t_final}")
     if t_final < initial.t:
         raise ValueError(f"t_final={t_final} lies before the initial time {initial.t}")
     _check_sizes(initial, mesh)
@@ -419,13 +471,14 @@ def run(
 
     state = initial
     records = [recorded(state)]
+    lu = NewtonLU()
     t_eps = 1e-12 * max(1.0, abs(t_final))
     while state.t < t_final - t_eps:
         dt_step = min(cfg.dt, t_final - state.t)
         local = replace(cfg, dt=dt_step)
         for halving in range(cfg.max_dt_halvings + 1):
             try:
-                state = step(state, mesh, kin, bulk_law, surf_law, window, local)
+                state = step(state, mesh, kin, bulk_law, surf_law, window, local, lu=lu)
                 break
             except NonConvergence as exc:
                 if halving == cfg.max_dt_halvings:

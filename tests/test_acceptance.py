@@ -1,9 +1,9 @@
 """Acceptance suite: one test per numbered criterion, each printing a PASS line.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
-lines; the whole suite needs a couple of minutes, dominated by the
-equilibration run of criterion 9 (which extends the criterion-1 run at its
-original time step).
+lines; the whole suite needs about 15 seconds, most of it the equilibration
+run of criterion 9 (which extends the criterion-1 run at its original time
+step).  Both step loops pass one NewtonLU through, as run does.
 """
 
 import math
@@ -80,9 +80,10 @@ def blob_run():
     undershoots = [bs.undershoot_fields(p.state, p.mesh, p.kin, p.window)]
     sups = [sup_distance(p.state, p.eq)]
     state = p.state
+    lu = bs.NewtonLU()
     started = time.perf_counter()
     for _ in range(2000):
-        state = bs.step(state, p.mesh, p.kin, p.bulk_law, p.surf_law, p.window, p.cfg)
+        state = bs.step(state, p.mesh, p.kin, p.bulk_law, p.surf_law, p.window, p.cfg, lu=lu)
         records.append(bs.record(state, p.mesh, p.kin, p.eq, p.window, p.bulk_law, p.surf_law))
         undershoots.append(bs.undershoot_fields(state, p.mesh, p.kin, p.window))
         sups.append(sup_distance(state, p.eq))
@@ -289,9 +290,10 @@ def test_criterion_09_equilibration(blob_run):
     state = p.final_state.copy()
     sups = list(p.sups)
     steps = 0
+    lu = bs.NewtonLU()
     while sups[-1] > 1e-6:
         assert state.t < 50.0, "equilibration stalled"
-        state = bs.step(state, p.mesh, p.kin, p.bulk_law, p.surf_law, p.window, p.cfg)
+        state = bs.step(state, p.mesh, p.kin, p.bulk_law, p.surf_law, p.window, p.cfg, lu=lu)
         sups.append(sup_distance(state, p.eq))
         steps += 1
     sups = np.array(sups)

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -248,6 +250,10 @@ class TestStep:
             dict(dt=1e-3, newton_tol=nan),
             dict(dt=1e-3, newton_tol=inf),
             dict(dt=1e-3, max_dt_halvings=-1),
+            dict(dt=1e-3, max_dt_halvings=1.5),
+            dict(dt=1e-3, max_dt_halvings=True),
+            dict(dt=1e-3, newton_max_iter=1.5),
+            dict(dt=1e-3, newton_max_iter=True),
         ):
             with pytest.raises(ValueError):
                 bs.StepConfig(**bad)
@@ -364,3 +370,81 @@ class TestRun:
         with pytest.raises(ValueError):
             bs.run(bs.State(t=1.0, u=state.u, v=state.v), 0.5, mesh, kin, eq, *laws, window,
                    bs.StepConfig(dt=1e-2))
+        for t_final in (float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                bs.run(state, t_final, mesh, kin, eq, *laws, window, bs.StepConfig(dt=1e-2))
+
+
+class TestLUReuse:
+    """run keeps one Newton LU across steps and refactors when theta*dt changes."""
+
+    def setup_problem(self):
+        kin = bs.Kinetics(k=1.0, kappa=0.5, alpha=2.0, beta=1.0)
+        mesh = bs.build_mesh(16, 16, 1.0, 1.0, {"bottom"})
+        bump = np.exp(
+            -((mesh.cell_center_x - 0.35) ** 2 + (mesh.cell_center_y - 0.6) ** 2) / (2 * 0.12**2)
+        )
+        u0 = 1.2 + 0.6 * bump
+        v0 = np.full(mesh.n_surface, 1.2**kin.alpha / kin.kappa)
+        state = bs.State(t=0.0, u=u0, v=v0)
+        mass = bs.weighted_mass(state, mesh, kin)
+        eq = bs.solve_equilibrium(kin, mass, mesh.total_bulk_measure, mesh.total_surface_measure)
+        window = bs.window_from_initial_data(u0, v0, eq, kin)
+        laws = (bs.power_law(1.0), bs.surface_cross_law(kin))
+        # a power of two, so that step sums hit t_final exactly and no step is clipped
+        cfg = bs.StepConfig(dt=2.0**-12, newton_tol=1e-13, newton_max_iter=40)
+        return mesh, kin, eq, state, window, laws, cfg
+
+    @staticmethod
+    def count_splu(monkeypatch):
+        calls = []
+        splu = bs.solver.spla.splu
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return splu(*args, **kwargs)
+
+        monkeypatch.setattr(bs.solver.spla, "splu", counted)
+        return calls
+
+    def test_run_factors_rarely_and_matches_bare_steps(self, monkeypatch):
+        mesh, kin, eq, state, window, laws, cfg = self.setup_problem()
+        calls = self.count_splu(monkeypatch)
+        final, records = bs.run(state, 50 * cfg.dt, mesh, kin, eq, *laws, window, cfg)
+        assert len(records) == 51
+        assert 1 <= len(calls) <= 5
+        reused = len(calls)
+
+        chain = state
+        for _ in range(50):
+            chain = bs.step(chain, mesh, kin, *laws, window, cfg)
+        assert len(calls) == reused + 50  # a bare step factors afresh
+        scale = max(np.abs(chain.u).max(), np.abs(chain.v).max())
+        gap = max(np.abs(final.u - chain.u).max(), np.abs(final.v - chain.v).max())
+        assert gap <= 1e-11 * scale
+
+        # a clipped last step changes theta*dt and costs exactly one more LU
+        del calls[:]
+        bs.run(state, 50.5 * cfg.dt, mesh, kin, eq, *laws, window, cfg)
+        assert len(calls) == reused + 1
+
+    def test_holder_with_other_key_is_refactored(self):
+        mesh, kin, eq, state, window, laws, cfg = self.setup_problem()
+        lu = bs.NewtonLU()
+        bs.step(state, mesh, kin, *laws, window, replace(cfg, dt=2 * cfg.dt), lu=lu)
+        assert lu.key == 2 * cfg.dt and lu.solve is not None
+        out = bs.step(state, mesh, kin, *laws, window, cfg, lu=lu)
+        bare = bs.step(state, mesh, kin, *laws, window, cfg)
+        np.testing.assert_array_equal(out.u, bare.u)
+        np.testing.assert_array_equal(out.v, bare.v)
+        assert lu.key == cfg.dt * cfg.theta
+
+    def test_stale_lu_failing_line_search_is_refactored(self):
+        # a reused LU whose Newton direction raises the residual at every
+        # damping: the step refactors at the old state instead of failing
+        mesh, kin, eq, state, window, laws, cfg = self.setup_problem()
+        lu = bs.NewtonLU(key=cfg.dt * cfg.theta, solve=lambda b: -b)
+        out = bs.step(state, mesh, kin, *laws, window, cfg, lu=lu)
+        bare = bs.step(state, mesh, kin, *laws, window, cfg)
+        np.testing.assert_array_equal(out.u, bare.u)
+        np.testing.assert_array_equal(out.v, bare.v)
