@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import diagnostics, model, solver
-from .mesh import EDGE_NAMES, build_mesh
+from .mesh import EDGE_NAMES, FACE_AVERAGES, build_mesh
 
 # (diagnostics.csv column, DiagnosticsRecord attribute), in column order
 DIAGNOSTICS_COLUMNS = (
@@ -176,7 +176,7 @@ KEYS: dict[str, Key] = {
     "clamp_upper": Key(float, "", gt=0.0, optional=True),
     "clamp_v_exponent": Key(str, model.V_EXPONENTS[0], choices=model.V_EXPONENTS),
     # scheme switches
-    "face_average": Key(str, solver.FACE_AVERAGES[0], choices=solver.FACE_AVERAGES),
+    "face_average": Key(str, FACE_AVERAGES[0], choices=FACE_AVERAGES),
     # outputs
     "out_dir": Key(str, "out"),
     "output_every": Key(int, "1", ge=1),
@@ -193,21 +193,19 @@ RunConfig = make_dataclass(
 )
 
 
-def read_key_values(path: Path) -> dict[str, str]:
-    """Read a flat key = value file; '#' starts a comment, blank lines skipped."""
+def read_key_values(entries, problems: list) -> dict[str, str]:
+    """Stripped key and value of each (where, text) entry, split at its first '='.
+
+    An entry without '=' appends a BadValue under where (a file line or
+    --override) and is skipped; a later entry for a key wins.
+    """
     raw: dict[str, str] = {}
-    problems: list = []
-    for lineno, line in enumerate(path.read_text().splitlines(), start=1):
-        stripped = line.split("#", 1)[0].strip()
-        if not stripped:
+    for where, text in entries:
+        key, sep, value = text.partition("=")
+        if not sep:
+            problems.append(BadValue(where, f"expected 'key = value', got {text!r}"))
             continue
-        if "=" not in stripped:
-            problems.append(BadValue(f"line {lineno}", f"expected 'key = value', got {stripped!r}"))
-            continue
-        key, value = stripped.split("=", 1)
         raw[key.strip()] = value.strip()
-    if problems:
-        raise ConfigError(problems)
     return raw
 
 
@@ -239,8 +237,8 @@ def _cross_key_problems(cfg) -> list:
     return problems
 
 
-def _validated(raw: dict[str, str]) -> RunConfig:
-    problems: list = [BadValue(name, "unrecognized key") for name in raw if name not in KEYS]
+def _validated(raw: dict[str, str], problems: list) -> RunConfig:
+    problems += [BadValue(name, "unrecognized key") for name in raw if name not in KEYS]
     values = {}
     for name, key in KEYS.items():
         values[name] = key.parse(name, raw.get(name, key.default), problems)
@@ -252,17 +250,18 @@ def _validated(raw: dict[str, str]) -> RunConfig:
 
 
 def parse_config(path: str | Path, overrides: list[str] | None = None) -> RunConfig:
-    """Parse and validate a configuration file, applying 'key=value' overrides."""
+    """Parse and validate a configuration file, applying 'key=value' overrides.
+
+    '#' starts a comment in the file.  One ConfigError reports every problem.
+    """
     path = Path(path)
     if not path.is_file():
         raise ConfigError([MissingKey(f"config file {path}")])
-    raw = read_key_values(path)
-    for item in overrides or []:
-        if "=" not in item:
-            raise ConfigError([BadValue("--override", f"expected key=value, got {item!r}")])
-        key, value = item.split("=", 1)
-        raw[key.strip()] = value.strip()
-    return _validated(raw)
+    lines = [line.split("#", 1)[0].strip() for line in path.read_text().splitlines()]
+    entries = [(f"line {n}", text) for n, text in enumerate(lines, start=1) if text]
+    entries += [("--override", item) for item in overrides or []]
+    problems: list = []
+    return _validated(read_key_values(entries, problems), problems)
 
 
 def _gaussian(cx, cy, x0, y0, width):

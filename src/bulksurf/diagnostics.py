@@ -24,17 +24,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh import CoupledMesh
+from .mesh import CoupledMesh, face_flux
 from .model import (
     ClampWindow,
     DiffusionLaw,
     Equilibrium,
     Kinetics,
+    check_role,
     clamp_state,
     diffusion_coefficient,
     log_mean,
 )
-from .solver import face_flux
 
 
 @dataclass(frozen=True)
@@ -106,10 +106,10 @@ class UndershootFields:
 def entropy_density(z):
     """e(z) = z*log(z) - z + 1 for z > 0, continuously extended by e(0) = 1.
 
-    Nonnegative with a unique zero at z = 1; negative input is rejected.
+    Nonnegative with a unique zero at z = 1; negative or NaN input is rejected.
     """
     z_arr = np.asarray(z, dtype=float)
-    if np.any(z_arr < 0):
+    if not np.all(z_arr >= 0):
         raise ValueError("entropy density requires nonnegative argument")
     z_safe = np.where(z_arr > 0, z_arr, 1.0)
     out = np.where(z_arr > 0, z_arr * np.log(z_safe) - z_arr + 1.0, 1.0)
@@ -278,8 +278,10 @@ def _diffusion_dissipation(state, mesh, window, bulk_law, surf_law, face_average
     the surface chain; both are <= 0 because the excess potential is a
     nondecreasing function of its own concentration, making each face term
     a product of like-signed differences.  Nonpositive entries have zero
-    excess potential.
+    excess potential.  Each law must have the role of its slot.
     """
+    check_role(bulk_law, "bulk")
+    check_role(surf_law, "surface")
     u, v = state.u, state.v
     mu_bulk = diffusion_coefficient(bulk_law, u, None, window)
     mu_surf = diffusion_coefficient(surf_law, u[mesh.surf_to_bulk], v, window)

@@ -8,15 +8,35 @@ cycle (bottom, right, top, left), so that cells on adjacent active edges form
 a single connected 1D chain joined at the shared corner.  Chain endpoints have
 no neighbor, which realizes the zero-flux condition there; with all four edges
 active the chain closes into a loop.
+
+The two-point face operator (face flux, net inflow per unit cell measure and
+its Jacobian block) lives here beside FaceSet, below both the time stepper
+and the entropy diagnostics, which pair the flux with potential differences.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 EDGE_NAMES = ("bottom", "right", "top", "left")
+
+# Face averages by name: (face value mu_f of the cell coefficients a and b,
+# its partial weights (d mu_f / d a, d mu_f / d b)).
+_FACE_AVERAGES = {
+    "arithmetic": (lambda a, b: 0.5 * (a + b), lambda a, b: (0.5, 0.5)),
+    "harmonic": (
+        lambda a, b: 2.0 * a * b / (a + b),
+        lambda a, b: (2.0 * b**2 / (a + b) ** 2, 2.0 * a**2 / (a + b) ** 2),
+    ),
+}
+FACE_AVERAGES = tuple(_FACE_AVERAGES)
+
+
+def is_int(x) -> bool:
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
 
 
 @dataclass(frozen=True, eq=False)
@@ -37,6 +57,53 @@ class FaceSet:
 
     def __len__(self) -> int:
         return int(self.cell_a.size)
+
+
+def face_flux(faces: FaceSet, x, mu, face_average: str) -> np.ndarray:
+    """Two-point flux mu_f * (x_b - x_a) * trans on every face of a face set.
+
+    mu holds the cell coefficients; mu_f combines the two sides of a face.
+    """
+    if face_average not in _FACE_AVERAGES:
+        raise ValueError(f"unknown face average {face_average!r}")
+    a, b = faces.cell_a, faces.cell_b
+    mean, _ = _FACE_AVERAGES[face_average]
+    return mean(mu[a], mu[b]) * (x[b] - x[a]) * faces.trans
+
+
+def face_divergence(faces: FaceSet, x, mu, face_average: str) -> np.ndarray:
+    """Net two-point-flux inflow per unit cell measure; its measure-weighted sum is zero."""
+    flux = face_flux(faces, x, mu, face_average)
+    div = np.bincount(faces.cell_a, weights=flux, minlength=faces.measure.size)
+    div -= np.bincount(faces.cell_b, weights=flux, minlength=faces.measure.size)
+    return div / faces.measure
+
+
+def face_block(faces: FaceSet, x, offset: int, mu, dmu_x, face_average, dmu_y=None, y_cols=None):
+    """COO triplets (rows, cols, vals) of the Jacobian of one face divergence.
+
+    The flux phi = trans * mu_f * (x_b - x_a) of a face enters the rate of
+    cell a as +phi/|a| and that of cell b as -phi/|b|.  x is the diffused
+    field, stored at state index offset + cell; mu and dmu_x are the cell
+    coefficients and their derivatives along x.  A cross coefficient also
+    depends on a second field y, with derivatives dmu_y and state indices
+    y_cols[cell].
+    """
+    a, b = faces.cell_a, faces.cell_b
+    mu_a, mu_b = mu[a], mu[b]
+    mean, weights = _FACE_AVERAGES[face_average]
+    mu_f = mean(mu_a, mu_b)
+    w_a, w_b = weights(mu_a, mu_b)
+    g = faces.trans
+    dlt = x[b] - x[a]
+    cols = [offset + a, offset + b]
+    dphi = [g * (w_a * dmu_x[a] * dlt - mu_f), g * (w_b * dmu_x[b] * dlt + mu_f)]
+    if dmu_y is not None:
+        cols += [y_cols[a], y_cols[b]]
+        dphi += [g * w_a * dmu_y[a] * dlt, g * w_b * dmu_y[b] * dlt]
+    inv_a, inv_b = 1.0 / faces.measure[a], 1.0 / faces.measure[b]
+    rows = [offset + a] * len(cols) + [offset + b] * len(cols)
+    return rows, cols + cols, [d * inv_a for d in dphi] + [-d * inv_b for d in dphi]
 
 
 @dataclass(frozen=True, eq=False)
@@ -115,15 +182,15 @@ def build_mesh(
     Parameters
     ----------
     nx, ny : int
-        Cell counts per axis, both >= 1.
+        Cell counts per axis, both integers >= 1 (not bool).
     lx, ly : float
         Rectangle side lengths, both > 0.
     active_edges : iterable of str
         Nonempty subset of {"bottom", "right", "top", "left"} forming the
         active surface.
     """
-    if not (nx >= 1 and ny >= 1):
-        raise ValueError(f"cell counts must be >= 1, got nx={nx}, ny={ny}")
+    if not (is_int(nx) and is_int(ny) and nx >= 1 and ny >= 1):
+        raise ValueError(f"cell counts must be integers >= 1, got nx={nx!r}, ny={ny!r}")
     if not (np.isfinite(lx) and np.isfinite(ly) and lx > 0 and ly > 0):
         raise ValueError(f"side lengths must be positive and finite, got lx={lx}, ly={ly}")
     edges = set(active_edges)

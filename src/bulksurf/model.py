@@ -30,6 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 _LOG_MEAN_RIDGE = 1e-8  # switch to the series expansion when |a-b| <= ridge*max(a,b)
+_BISECTION_TOL = 1e-15  # equilibrium bisection stops at this relative bracket width
 
 BULK_KINDS = ("power", "exponential", "constant")
 SURFACE_KINDS = BULK_KINDS + ("surface_cross",)
@@ -104,6 +105,12 @@ class DiffusionLaw:
             raise ValueError(f"constant diffusion coefficient must be positive, got {self.param}")
         if self.kind == "surface_cross" and (self.alpha <= 0 or self.beta <= 0):
             raise ValueError("surface_cross requires positive alpha and beta")
+
+
+def check_role(law: DiffusionLaw, role: str) -> None:
+    """Raise ValueError unless law has the role ("bulk" or "surface") of the slot it fills."""
+    if law.role != role:
+        raise ValueError(f"the {role} law slot needs a {role}-role law, got {law}")
 
 
 def power_law(gamma: float, role: str = "bulk") -> DiffusionLaw:
@@ -416,7 +423,6 @@ def solve_equilibrium(
     mass: float,
     omega_measure: float,
     gamma_measure: float,
-    tol: float = 1e-15,
 ) -> Equilibrium:
     """Unique positive equilibrium for a given conserved weighted mass.
 
@@ -450,7 +456,7 @@ def solve_equilibrium(
             v_hi = v_mid
         else:
             v_lo = v_mid
-        if v_hi - v_lo <= tol * v_hi:
+        if v_hi - v_lo <= _BISECTION_TOL * v_hi:
             break
     v_star = 0.5 * (v_lo + v_hi)
     for _ in range(8):

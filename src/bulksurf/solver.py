@@ -11,7 +11,9 @@ averages:
 with f the guarded mass-action rate and all diffusion coefficients evaluated
 at clamped arguments.  Faces are two-point fluxes with arithmetic (default)
 or harmonic coefficient averaging; every boundary face outside the active
-surface is no-flux by omission.  The weighted mass
+surface is no-flux by omission.  The face operator (flux, divergence and
+Jacobian block) lives in mesh.py beside FaceSet; this module evaluates the
+coefficients, adds the reaction coupling and steps in time.  The weighted mass
 
     beta * sum_i U_i |cell| + alpha * sum_j V_j |G_j|
 
@@ -32,7 +34,6 @@ the tests.
 
 from __future__ import annotations
 
-import numbers
 from collections.abc import Callable
 from dataclasses import dataclass, replace
 
@@ -40,29 +41,19 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse import linalg as spla
 
-from .mesh import CoupledMesh, FaceSet
+from . import diagnostics
+from .mesh import FACE_AVERAGES, CoupledMesh, face_block, face_divergence, is_int
 from .model import (
     ClampWindow,
     DiffusionLaw,
     Equilibrium,
     Kinetics,
+    check_role,
     coefficient_and_derivatives,
     diffusion_coefficient,
     safe_rate,
     safe_rate_derivatives,
 )
-
-
-# Face averages by name: (face value mu_f of the cell coefficients a and b,
-# its partial weights (d mu_f / d a, d mu_f / d b)).
-_FACE_AVERAGES = {
-    "arithmetic": (lambda a, b: 0.5 * (a + b), lambda a, b: (0.5, 0.5)),
-    "harmonic": (
-        lambda a, b: 2.0 * a * b / (a + b),
-        lambda a, b: (2.0 * b**2 / (a + b) ** 2, 2.0 * a**2 / (a + b) ** 2),
-    ),
-}
-FACE_AVERAGES = tuple(_FACE_AVERAGES)
 
 # A Newton iteration whose residual max-norm exceeds this fraction of the
 # previous one drops the LU, so the next iteration refactors at the current
@@ -88,7 +79,7 @@ class NonConvergence(RuntimeError):
 
 @dataclass
 class State:
-    """Cell-averaged fields at one time instant."""
+    """Cell-averaged fields at one time instant: a finite t and 1-D finite u and v."""
 
     t: float
     u: np.ndarray
@@ -97,6 +88,10 @@ class State:
     def __post_init__(self):
         self.u = np.asarray(self.u, dtype=float)
         self.v = np.asarray(self.v, dtype=float)
+        if not np.isfinite(self.t):
+            raise ValueError(f"state time must be finite, got {self.t}")
+        if self.u.ndim != 1 or self.v.ndim != 1:
+            raise ValueError(f"state fields must be 1-D, got shapes {self.u.shape}, {self.v.shape}")
         if not (np.all(np.isfinite(self.u)) and np.all(np.isfinite(self.v))):
             raise ValueError("state fields must be finite")
 
@@ -124,18 +119,14 @@ class StepConfig:
             raise ValueError(f"dt must be positive and finite, got {self.dt}")
         if not (np.isfinite(self.newton_tol) and self.newton_tol > 0):
             raise ValueError(f"newton_tol must be positive and finite, got {self.newton_tol}")
-        if not (_is_int(self.newton_max_iter) and self.newton_max_iter >= 1):
+        if not (is_int(self.newton_max_iter) and self.newton_max_iter >= 1):
             raise ValueError(f"newton_max_iter must be an integer >= 1, got {self.newton_max_iter!r}")
-        if not (_is_int(self.max_dt_halvings) and self.max_dt_halvings >= 0):
+        if not (is_int(self.max_dt_halvings) and self.max_dt_halvings >= 0):
             raise ValueError(f"max_dt_halvings must be an integer >= 0, got {self.max_dt_halvings!r}")
         if not (0.5 <= self.theta <= 1.0):
             raise ValueError(f"theta must lie in [0.5, 1], got {self.theta}")
         if self.face_average not in FACE_AVERAGES:
             raise ValueError(f"unknown face average {self.face_average!r}")
-
-
-def _is_int(x) -> bool:
-    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
 
 
 @dataclass
@@ -160,34 +151,16 @@ def _check_sizes(state: State, mesh: CoupledMesh) -> None:
         )
 
 
-def face_flux(faces: FaceSet, x, mu, face_average: str) -> np.ndarray:
-    """Two-point flux mu_f * (x_b - x_a) * trans on every face of a face set.
-
-    mu holds the cell coefficients; mu_f combines the two sides of a face.
-    """
-    if face_average not in _FACE_AVERAGES:
-        raise ValueError(f"unknown face average {face_average!r}")
-    a, b = faces.cell_a, faces.cell_b
-    mean, _ = _FACE_AVERAGES[face_average]
-    return mean(mu[a], mu[b]) * (x[b] - x[a]) * faces.trans
-
-
-def _face_divergence(faces: FaceSet, x, mu, face_average: str) -> np.ndarray:
-    """Net two-point-flux inflow per unit cell measure; its measure-weighted sum is zero."""
-    flux = face_flux(faces, x, mu, face_average)
-    div = np.bincount(faces.cell_a, weights=flux, minlength=faces.measure.size)
-    div -= np.bincount(faces.cell_b, weights=flux, minlength=faces.measure.size)
-    return div / faces.measure
-
-
 def _bulk_diffusion(u, mesh, law, window, face_average):
+    check_role(law, "bulk")
     mu = diffusion_coefficient(law, u, None, window)
-    return _face_divergence(mesh.bulk_faces, u, mu, face_average)
+    return face_divergence(mesh.bulk_faces, u, mu, face_average)
 
 
 def _surface_diffusion(u, v, mesh, law, window, face_average):
+    check_role(law, "surface")
     mu = diffusion_coefficient(law, u[mesh.surf_to_bulk], v, window)
-    return _face_divergence(mesh.surf_faces, v, mu, face_average)
+    return face_divergence(mesh.surf_faces, v, mu, face_average)
 
 
 def _coupling(u, v, mesh, kin):
@@ -273,42 +246,15 @@ def _rate_vector(w, mesh, kin, bulk_law, surf_law, window, face_average):
     return np.concatenate([du, dv])
 
 
-def _face_block(faces: FaceSet, x, offset: int, mu, dmu_x, face_average, dmu_y=None, y_cols=None):
-    """COO triplets (rows, cols, vals) of the Jacobian of one face divergence.
-
-    The flux phi = trans * mu_f * (x_b - x_a) of a face enters the rate of
-    cell a as +phi/|a| and that of cell b as -phi/|b|.  x is the diffused
-    field, stored at state index offset + cell; mu and dmu_x are the cell
-    coefficients and their derivatives along x.  A cross coefficient also
-    depends on a second field y, with derivatives dmu_y and state indices
-    y_cols[cell].
-    """
-    a, b = faces.cell_a, faces.cell_b
-    mu_a, mu_b = mu[a], mu[b]
-    mean, weights = _FACE_AVERAGES[face_average]
-    mu_f = mean(mu_a, mu_b)
-    w_a, w_b = weights(mu_a, mu_b)
-    g = faces.trans
-    dlt = x[b] - x[a]
-    cols = [offset + a, offset + b]
-    dphi = [g * (w_a * dmu_x[a] * dlt - mu_f), g * (w_b * dmu_x[b] * dlt + mu_f)]
-    if dmu_y is not None:
-        cols += [y_cols[a], y_cols[b]]
-        dphi += [g * w_a * dmu_y[a] * dlt, g * w_b * dmu_y[b] * dlt]
-    inv_a, inv_b = 1.0 / faces.measure[a], 1.0 / faces.measure[b]
-    rows = [offset + a] * len(cols) + [offset + b] * len(cols)
-    return rows, cols + cols, [d * inv_a for d in dphi] + [-d * inv_b for d in dphi]
-
-
 def _analytic_jacobian(w, mesh, kin, bulk_law, surf_law, window, face_average):
     """Sparse Jacobian of the total rate with respect to the stacked state."""
     nb, ns = mesh.n_bulk, mesh.n_surface
     u, v = w[:nb], w[nb:]
     tr = mesh.surf_to_bulk
     mu, dmu_du, _ = coefficient_and_derivatives(bulk_law, u, None, window)
-    rows, cols, vals = _face_block(mesh.bulk_faces, u, 0, mu, dmu_du, face_average)
+    rows, cols, vals = face_block(mesh.bulk_faces, u, 0, mu, dmu_du, face_average)
     mu, dmu_du, dmu_dv = coefficient_and_derivatives(surf_law, u[tr], v, window)
-    block = _face_block(mesh.surf_faces, v, nb, mu, dmu_dv, face_average, dmu_du, tr)
+    block = face_block(mesh.surf_faces, v, nb, mu, dmu_dv, face_average, dmu_du, tr)
     rows, cols, vals = rows + block[0], cols + block[1], vals + block[2]
 
     # coupling
@@ -353,20 +299,22 @@ def step(
     """Advance one theta-implicit step with damped Newton.
 
     Solves R(w) = w - w_old - dt*(theta*F(w) + (1-theta)*F(w_old)) = 0 to
-    max-norm tolerance cfg.newton_tol.  If the old state already satisfies
-    the residual (e.g. at equilibrium) it is returned unchanged apart from
-    the time.  Negative intermediate iterates are harmless: the guarded rate
-    and the coefficient clamp keep every evaluation defined.
+    max-norm tolerance cfg.newton_tol, tested once at the top of every
+    Newton iteration (a NaN residual never passes).  If the old state
+    already satisfies it (e.g. at equilibrium) no iteration runs and the
+    state is returned unchanged apart from the time.  Negative intermediate
+    iterates are harmless: the guarded rate and the coefficient clamp keep
+    every evaluation defined.
 
     lu holds the LU of I - theta*dt*J from earlier steps of the same problem
     and receives the one this step leaves; without it the step starts from a
     new empty holder and factors at the old state.  A holder keyed on another
     theta*dt is emptied first.  A reused LU is stale: if the line search
     fails on it, the iteration is retried with a fresh LU at the current
-    iterate.  After any iteration that leaves more than CONTRACTION times
-    the previous residual the LU is dropped and the next iteration
-    refactors.  The
-    factorization uses the MMD_AT_PLUS_A column ordering.
+    iterate.  After any unconverged iteration that leaves more than
+    CONTRACTION times the previous residual the LU is dropped and the next
+    iteration refactors.  The factorization uses the MMD_AT_PLUS_A column
+    ordering.
 
     Raises NonConvergence when the iteration cap is reached or the line
     search fails on a fresh LU; the caller may halve dt and retry.
@@ -389,50 +337,42 @@ def step(
     w = w_old.copy()
     r = residual(w, f_old)
     rn = float(np.max(np.abs(r)))
-    if rn <= cfg.newton_tol:
-        return State(t=state.t + dt, u=state.u.copy(), v=state.v.copy())
-
     if lu is None:
         lu = NewtonLU()
     if lu.key != dt * theta:
         lu.key, lu.solve = dt * theta, None
-    fresh = False  # lu.solve was factored at the current iterate
     iters = 0
-    while iters < cfg.newton_max_iter:
-        if lu.solve is None:
+    while not rn <= cfg.newton_tol:
+        if iters >= cfg.newton_max_iter:
+            raise NonConvergence(iters, rn)
+        fresh = lu.solve is None  # factored at the current iterate
+        if fresh:
             jmat = _analytic_jacobian(w, mesh, kin, bulk_law, surf_law, window, cfg.face_average)
             matrix = (sparse.identity(w.size, format="csc") - lu.key * jmat).tocsc()
             lu.solve = spla.splu(matrix, permc_spec="MMD_AT_PLUS_A").solve
-            fresh = True
         delta = lu.solve(-r)
         iters += 1
 
         lam = 1.0
-        accepted = False
-        rn_trial = rn
         for _ in range(12):
             w_trial = w + lam * delta
             r_trial = residual(w_trial, fvec(w_trial))
             rn_trial = float(np.max(np.abs(r_trial)))
             if np.isfinite(rn_trial) and rn_trial < rn:
-                accepted = True
                 break
             lam *= 0.5
-        if not accepted:
-            if not fresh:
-                lu.solve = None  # retry this iteration with a fresh Jacobian
-                continue
-            raise NonConvergence(iters, rn)
+        else:  # no trial reduced the residual
+            if fresh:
+                raise NonConvergence(iters, rn)
+            lu.solve = None  # retry this iteration with a fresh Jacobian
+            continue
 
         contraction = rn_trial / rn
         w, r, rn = w_trial, r_trial, rn_trial
-        fresh = False
-        if rn <= cfg.newton_tol:
-            return State(t=state.t + dt, u=w[:nb].copy(), v=w[nb:].copy())
-        if contraction > CONTRACTION:
+        if rn > cfg.newton_tol and contraction > CONTRACTION:
             lu.solve = None
 
-    raise NonConvergence(iters, rn)
+    return State(t=state.t + dt, u=w[:nb].copy(), v=w[nb:].copy())
 
 
 def run(
@@ -456,8 +396,6 @@ def run(
     changes.  A fatal failure propagates NonConvergence with the last good
     state and the records so far attached to the exception.
     """
-    from .diagnostics import record as make_record
-
     if not np.isfinite(t_final):
         raise ValueError(f"t_final must be finite, got {t_final}")
     if t_final < initial.t:
@@ -465,7 +403,7 @@ def run(
     _check_sizes(initial, mesh)
 
     def recorded(st: State):
-        return make_record(
+        return diagnostics.record(
             st, mesh, kin, eq, window, bulk_law, surf_law, face_average=cfg.face_average
         )
 

@@ -68,11 +68,11 @@ class TestParseConfig:
         assert any(isinstance(p, NonPositiveInitialData) for p in info.value.problems)
 
     def test_all_problems_reported_not_just_first(self, tmp_path):
-        text = "alpha = 0.2\nbeta = -1\ndt = 0\nnx = 0\nface_average = fancy\n"
+        text = "alpha = 0.2\nbeta = -1\ndt = 0\nnx = 0\nface_average = fancy\nny 4\n"
         with pytest.raises(ConfigError) as info:
-            parse_config(write(tmp_path, text))
+            parse_config(write(tmp_path, text), overrides=["nx8"])
         keys = {p.key for p in info.value.problems if isinstance(p, BadValue)}
-        assert {"alpha", "beta", "dt", "nx", "face_average"} <= keys
+        assert {"alpha", "beta", "dt", "nx", "face_average", "line 6", "--override"} <= keys
 
     def test_unknown_key_rejected(self, tmp_path):
         with pytest.raises(ConfigError) as info:

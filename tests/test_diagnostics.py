@@ -34,6 +34,10 @@ class TestEntropyDensity:
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             bs.entropy_density(-0.5)
+        with pytest.raises(ValueError):
+            bs.entropy_density(float("nan"))
+        with pytest.raises(ValueError):
+            bs.entropy_density(np.array([1.0, float("nan")]))
 
     def test_nonnegative_with_unique_zero(self):
         z = np.linspace(0.0, 5.0, 10001)

@@ -1,0 +1,92 @@
+"""Package structure: the modules import one another in one direction only.
+
+mesh and model sit at the bottom, then diagnostics, then solver, then cli.
+A cycle, or an import hidden inside a function to dodge one, fails here.
+The smoke test runs one tiny traced benchmark sample, whose tracer wraps the
+package's layer entry points by name and fails when one is gone or unused.
+"""
+
+import ast
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "bulksurf"
+
+
+def _module_name(path: Path) -> str:
+    return "bulksurf" if path.stem == "__init__" else f"bulksurf.{path.stem}"
+
+
+def _modules() -> dict[str, ast.Module]:
+    return {_module_name(p): ast.parse(p.read_text(), str(p)) for p in sorted(PACKAGE.glob("*.py"))}
+
+
+def _imported(node: ast.AST, module: str, known) -> set[str]:
+    """Modules among known that an import statement inside module names."""
+    if isinstance(node, ast.Import):
+        return {alias.name for alias in node.names} & known
+    if not isinstance(node, ast.ImportFrom):
+        return set()
+    if node.level == 0:
+        base = node.module
+    else:
+        package = module if module == "bulksurf" else module.rsplit(".", 1)[0]
+        base = ".".join([package] + ([node.module] if node.module else []))
+    # "from . import diagnostics" names a submodule, "from .mesh import x" a module
+    submodules = {f"{base}.{alias.name}" for alias in node.names} & known
+    return submodules or ({base} & known)
+
+
+def test_import_graph_is_acyclic_and_module_level():
+    modules = _modules()
+    graph = {name: set() for name in modules}
+    nested = []
+    for name, tree in modules.items():
+        for node in ast.walk(tree):
+            graph[name] |= _imported(node, name, modules.keys()) - {name}
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                nested += [
+                    f"{name}.{node.name}"
+                    for inner in ast.walk(node)
+                    if isinstance(inner, (ast.Import, ast.ImportFrom))
+                ]
+    assert not nested, f"imports inside functions: {nested}"
+
+    done, path = set(), []
+
+    def visit(name):
+        if name in path:
+            raise AssertionError(f"import cycle: {' -> '.join(path[path.index(name):] + [name])}")
+        if name in done:
+            return
+        path.append(name)
+        for target in sorted(graph[name]):
+            visit(target)
+        path.pop()
+        done.add(name)
+
+    for name in graph:
+        visit(name)
+    assert not graph["bulksurf.mesh"] and not graph["bulksurf.model"]
+    assert "bulksurf.solver" not in graph["bulksurf.diagnostics"]
+    assert "bulksurf.diagnostics" in graph["bulksurf.solver"]
+
+
+def test_traced_benchmark_sample_enters_every_layer():
+    env = dict(os.environ, PYTHONPATH="src")
+    proc = subprocess.run(
+        [sys.executable, "perfbench/worker.py",
+         "--workload", "cli-loop", "--size", "tiny", "--trace", "1"],
+        cwd=ROOT,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result["failures"] == []

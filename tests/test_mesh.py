@@ -113,6 +113,11 @@ def test_rejects_bad_arguments():
         build_mesh(0, 1, 1.0, 1.0, {"bottom"})
     with pytest.raises(ValueError):
         build_mesh(1, 0, 1.0, 1.0, {"bottom"})
+    for bad in (2.5, True):
+        with pytest.raises(ValueError):
+            build_mesh(bad, 2, 1.0, 1.0, {"bottom"})
+        with pytest.raises(ValueError):
+            build_mesh(2, bad, 1.0, 1.0, {"bottom"})
     with pytest.raises(ValueError):
         build_mesh(1, 1, 0.0, 1.0, {"bottom"})
     for bad in (float("nan"), float("inf")):

@@ -231,6 +231,32 @@ class TestStep:
             bs.step(hot, mesh, kin, bs.power_law(1.0), bs.surface_cross_law(kin), window, cfg)
         assert info.value.iterations >= 1
         assert info.value.residual > 0
+        # u**2 - kappa*v**2 overflows to inf - inf: a NaN residual never counts as converged
+        huge = bs.State(t=0.0, u=np.full(mesh.n_bulk, 1e200), v=np.full(mesh.n_surface, 1e200))
+        kin2 = bs.Kinetics(k=1.0, kappa=1.0, alpha=2.0, beta=2.0)
+        with np.errstate(all="ignore"), pytest.raises(bs.NonConvergence):
+            bs.step(huge, mesh, kin2, bs.constant_law(1.0), bs.constant_law(1.0, role="surface"),
+                    wide_window(alpha=2.0, beta=2.0), bs.StepConfig(dt=1e-3))
+
+    def test_law_in_wrong_slot_raises(self):
+        # a bulk law in the surface slot would read the bulk trace as v, and
+        # surface_cross in the bulk slot has no surface value to read
+        mesh, kin, eq, state, window = self.setup_problem()
+        cfg = bs.StepConfig(dt=1e-3)
+        bulk, cross = bs.power_law(1.0), bs.surface_cross_law(kin)
+        for slot, laws, operator in (
+            ("surface", (bulk, bulk), lambda: bs.surface_diffusion_rate(state, mesh, bulk, window)),
+            ("bulk", (cross, cross), lambda: bs.bulk_diffusion_rate(state, mesh, cross, window)),
+        ):
+            for call in (
+                operator,
+                lambda: bs.total_rate(state, mesh, kin, *laws, window),
+                lambda: bs.record(state, mesh, kin, eq, window, *laws),
+                lambda: bs.step(state, mesh, kin, *laws, window, cfg),
+                lambda: bs.run(state, 2e-3, mesh, kin, eq, *laws, window, cfg),
+            ):
+                with pytest.raises(ValueError, match=f"{slot} law slot"):
+                    call()
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -257,6 +283,8 @@ class TestStep:
         ):
             with pytest.raises(ValueError):
                 bs.StepConfig(**bad)
+        with pytest.raises(ValueError):
+            bs.State(t=0.0, u=state.u[:, None], v=state.v)
 
 
 class TestSingleCellOde:
@@ -373,6 +401,8 @@ class TestRun:
         for t_final in (float("nan"), float("inf")):
             with pytest.raises(ValueError):
                 bs.run(state, t_final, mesh, kin, eq, *laws, window, bs.StepConfig(dt=1e-2))
+            with pytest.raises(ValueError):
+                bs.State(t=t_final, u=state.u, v=state.v)
 
 
 class TestLUReuse:
