@@ -43,8 +43,9 @@ class DiagnosticsRecord:
 
     The three dissipation fields are the signed contributions to the envelope
     entropy's time derivative, so each is <= 0 up to round-off on healthy
-    states.  partition_counts holds the surface-cell counts of the three
-    envelope-violation classes (only u above, only v above, both above).
+    states, and exactly 0 while both upper envelopes hold.  partition_counts
+    holds the surface-cell counts of the three envelope-violation classes
+    (only u above, only v above, both above).
     """
 
     t: float
@@ -85,9 +86,7 @@ class UndershootFields:
 
     sigma_u = lower**(1/alpha) and sigma_v = (lower/kappa)**(1/beta) form the
     constant stationary pair implied by the window (sigma_u**alpha equals
-    kappa*sigma_v**beta equals lower).  sigma_v_printed = kappa*lower**(1/beta)
-    is logged alongside for reference; it is not balanced against sigma_u and
-    is not used in the truncations.
+    kappa*sigma_v**beta equals lower).
     """
 
     u_minus: np.ndarray
@@ -96,7 +95,6 @@ class UndershootFields:
     v_norm_sq: float
     sigma_u: float
     sigma_v: float
-    sigma_v_printed: float
     n_u_below_only: int
     n_v_below_only: int
     n_both_below_backward: int
@@ -106,11 +104,12 @@ class UndershootFields:
 def entropy_density(z):
     """e(z) = z*log(z) - z + 1 for z > 0, continuously extended by e(0) = 1.
 
-    Nonnegative with a unique zero at z = 1; negative or NaN input is rejected.
+    Nonnegative with a unique zero at z = 1; negative, infinite or NaN input
+    is rejected.
     """
     z_arr = np.asarray(z, dtype=float)
-    if not np.all(z_arr >= 0):
-        raise ValueError("entropy density requires nonnegative argument")
+    if not np.all((z_arr >= 0) & (z_arr < np.inf)):
+        raise ValueError("entropy density requires a finite nonnegative argument")
     z_safe = np.where(z_arr > 0, z_arr, 1.0)
     out = np.where(z_arr > 0, z_arr * np.log(z_safe) - z_arr + 1.0, 1.0)
     if np.isscalar(z):
@@ -146,9 +145,26 @@ def envelope_entropy(state, mesh: CoupledMesh, window: ClampWindow) -> float:
         (state.v, window.v_star, window.beta, mesh.surf_length),
     ):
         scale = window.upper ** (1.0 / exponent)
-        trunc = np.where(c <= star * scale, star, c / scale)
+        trunc = np.where(c <= _upper_threshold(star, exponent, window), star, c / scale)
         total += scale * star * np.sum(entropy_density(trunc / star) * measure)
     return float(total)
+
+
+def _upper_threshold(star: float, exponent: float, window: ClampWindow) -> float:
+    """The concentration star*upper**(1/exponent) at which (c/star)**exponent reaches upper."""
+    return star * window.upper ** (1.0 / exponent)
+
+
+def _below_upper_envelopes(state, window: ClampWindow) -> bool:
+    """True when every u and every v lies at or below its upper threshold.
+
+    Then the envelope entropy, every excess potential and with them the
+    reaction split and both diffusion dissipations are exactly zero.
+    """
+    return bool(
+        np.all(state.u <= _upper_threshold(window.u_star, window.alpha, window))
+        and np.all(state.v <= _upper_threshold(window.v_star, window.beta, window))
+    )
 
 
 def _excess_potential(c, star: float, exponent: float, window: ClampWindow):
@@ -156,7 +172,7 @@ def _excess_potential(c, star: float, exponent: float, window: ClampWindow):
 
     Total in c: nonpositive entries sit below the envelope and give 0.
     """
-    above = c > star * window.upper ** (1.0 / exponent)
+    above = c > _upper_threshold(star, exponent, window)
     c_safe = np.where(above, c, star)
     return np.where(above, np.log(c_safe / star) - np.log(window.upper) / exponent, 0.0)
 
@@ -263,7 +279,6 @@ def undershoot_fields(
         v_norm_sq=float(np.sum(v_minus**2 * mesh.surf_length)),
         sigma_u=float(sigma_u),
         sigma_v=float(sigma_v),
-        sigma_v_printed=float(kin.kappa * window.lower ** (1.0 / window.beta)),
         n_u_below_only=int(np.count_nonzero(u_below & ~v_below)),
         n_v_below_only=int(np.count_nonzero(v_below & ~u_below)),
         n_both_below_backward=int(np.count_nonzero(both & (pu < pv))),
@@ -311,18 +326,32 @@ def record(
     Envelope extrema treat zero entries as zero pressure, so a lost strict
     positivity shows up as u_env_min = 0 (or v_env_min = 0) rather than an
     error.  Negative entries still raise ValueError: the relative entropy is
-    undefined there.
+    undefined there.  Each law must have the role of its slot.
     The reaction dissipation is reported with the sign it carries in the
     envelope-entropy balance (<= 0), the negated total of the split.
+
+    Both upper envelopes are tested once, on the thresholds of
+    envelope_entropy.  While they hold, the envelope entropy, the reaction
+    and both diffusion dissipations are exactly 0 and no cell is in a
+    violation class, so those fields are set to zero without evaluating
+    them; otherwise they come from envelope_entropy,
+    reaction_dissipation_split and the face-sum dissipation.
     """
+    check_role(bulk_law, "bulk")
+    check_role(surf_law, "surface")
+    entropy = relative_entropy(state, eq, mesh)
     u_pos = np.maximum(state.u, 0.0)
     v_pos = np.maximum(state.v, 0.0)
     u_env = (u_pos / eq.u_star) ** kin.alpha
     v_env = (v_pos / eq.v_star) ** kin.beta
-    split = reaction_dissipation_split(state, mesh, kin, window)
-    diss_bulk, diss_surf = _diffusion_dissipation(
-        state, mesh, window, bulk_law, surf_law, face_average
-    )
+    if _below_upper_envelopes(state, window):
+        envelope, reaction, diss, counts = 0.0, 0.0, (0.0, 0.0), (0, 0, 0)
+    else:
+        envelope = envelope_entropy(state, mesh, window)
+        split = reaction_dissipation_split(state, mesh, kin, window)
+        reaction = -split.total
+        diss = _diffusion_dissipation(state, mesh, window, bulk_law, surf_law, face_average)
+        counts = (split.n_u_only, split.n_v_only, split.n_both)
     u_hat, v_hat = clamp_state(state.u, state.v, window)
     clamp_count = int(np.count_nonzero(u_hat != state.u)) + int(
         np.count_nonzero(v_hat != state.v)
@@ -330,15 +359,15 @@ def record(
     return DiagnosticsRecord(
         t=float(state.t),
         mass=weighted_mass(state, mesh, kin),
-        entropy=relative_entropy(state, eq, mesh),
-        envelope_entropy=envelope_entropy(state, mesh, window),
+        entropy=entropy,
+        envelope_entropy=envelope,
         u_env_max=float(np.max(u_env)),
         v_env_max=float(np.max(v_env)),
         u_env_min=float(np.min(u_pos**kin.alpha)),
         v_env_min=float(np.min(kin.kappa * v_pos**kin.beta)),
-        reaction_dissipation=-split.total + 0.0,
-        diffusion_dissipation_bulk=diss_bulk + 0.0,
-        diffusion_dissipation_surface=diss_surf + 0.0,
+        reaction_dissipation=reaction + 0.0,
+        diffusion_dissipation_bulk=diss[0] + 0.0,
+        diffusion_dissipation_surface=diss[1] + 0.0,
         clamp_activations=clamp_count,
-        partition_counts=(split.n_u_only, split.n_v_only, split.n_both),
+        partition_counts=counts,
     )

@@ -364,12 +364,12 @@ def _clamped_law(law: DiffusionLaw, u, v, window: ClampWindow, derivatives: bool
     rule, so they vanish wherever the clamp caps the argument; the one for a
     variable the law does not read is None.
     """
-    if law.kind == "surface_cross":
-        keys = ("u", "v")
-    elif law.role == "bulk":
+    if law.role == "bulk":
         keys = ("u",)
     elif v is None:
         raise ValueError("surface-role law requires the surface concentration")
+    elif law.kind == "surface_cross":
+        keys = ("u", "v")
     else:
         keys = ("v",)
     raw = {"u": u, "v": v}
@@ -391,7 +391,8 @@ def diffusion_coefficient(law: DiffusionLaw, u, v, window: ClampWindow):
     """Coefficient evaluated at clamped arguments, total in (u, v).
 
     Bulk-role laws see the clamped bulk value; single-argument surface laws
-    see the clamped surface value; surface_cross sees both.
+    see the clamped surface value; surface_cross sees both.  Every
+    surface-role law needs v and raises ValueError when it is None.
     """
     mu = _clamped_law(law, u, v, window, derivatives=False)
     return float(mu) if np.isscalar(u) and (v is None or np.isscalar(v)) else mu

@@ -27,9 +27,9 @@ ordering of A^T + A, since the matrix is structurally symmetric.  The LU is
 kept across steps in a NewtonLU holder keyed on theta*dt (simplified Newton):
 a step refactors only when the key changes (a clipped last step, a halved
 dt), when an iteration leaves more than CONTRACTION times the previous
-residual, or when a line search fails on a reused LU.  A dense
-finite-difference Jacobian serves as the cross-check of the analytic one in
-the tests.
+residual, or when a line search fails on a reused LU.  The holder also keeps
+the rate F at the accepted iterate, which the next step reuses as F at its
+old state.
 """
 
 from __future__ import annotations
@@ -131,16 +131,23 @@ class StepConfig:
 
 @dataclass
 class NewtonLU:
-    """The LU of the Newton matrix I - key*J, kept from one step to the next.
+    """The Newton LU and the last accepted rate, kept from one step to the next.
 
-    key is theta*dt of the matrix and solve the factorization's solve; both
-    are None until the first factorization.  A holder serves one problem
-    (mesh, kinetics, laws, window, face average): step refactors when the key
-    differs, but cannot see any other change.
+    key is theta*dt of the matrix I - key*J and solve the factorization's
+    solve; both are None until the first factorization.  f is the total rate
+    F(w) at the stacked state w that the last step accepted, None until then.
+    problem records what the holder serves: (mesh, kinetics, bulk law,
+    surface law, window, face average).  A holder with no recorded problem
+    adopts the first one step uses it with; step empties a holder recorded
+    for another problem (the mesh compared by identity, the rest by value),
+    and refactors when only the key differs.
     """
 
     key: float | None = None
     solve: Callable[[np.ndarray], np.ndarray] | None = None
+    problem: tuple | None = None
+    w: np.ndarray | None = None
+    f: np.ndarray | None = None
 
 
 def _check_sizes(state: State, mesh: CoupledMesh) -> None:
@@ -271,20 +278,6 @@ def _analytic_jacobian(w, mesh, kin, bulk_law, surf_law, window, face_average):
     ).tocsc()
 
 
-def _fd_jacobian(w, mesh, kin, bulk_law, surf_law, window, face_average):
-    """Dense finite-difference Jacobian of the total rate (column perturbations)."""
-    n = w.size
-    f0 = _rate_vector(w, mesh, kin, bulk_law, surf_law, window, face_average)
-    jac = np.empty((n, n))
-    for i in range(n):
-        h = 1e-7 * (1.0 + abs(w[i]))
-        wp = w.copy()
-        wp[i] += h
-        fp = _rate_vector(wp, mesh, kin, bulk_law, surf_law, window, face_average)
-        jac[:, i] = (fp - f0) / h
-    return jac
-
-
 def step(
     state: State,
     mesh: CoupledMesh,
@@ -308,13 +301,16 @@ def step(
 
     lu holds the LU of I - theta*dt*J from earlier steps of the same problem
     and receives the one this step leaves; without it the step starts from a
-    new empty holder and factors at the old state.  A holder keyed on another
-    theta*dt is emptied first.  A reused LU is stale: if the line search
-    fails on it, the iteration is retried with a fresh LU at the current
-    iterate.  After any unconverged iteration that leaves more than
-    CONTRACTION times the previous residual the LU is dropped and the next
-    iteration refactors.  The factorization uses the MMD_AT_PLUS_A column
-    ordering.
+    new empty holder and factors at the old state.  A holder recorded for
+    another problem is emptied first, and one keyed on another theta*dt loses
+    its LU.  A reused LU is stale: if the line search fails on it, the
+    iteration is retried with a fresh LU at the current iterate.  After any
+    unconverged iteration that leaves more than CONTRACTION times the
+    previous residual the LU is dropped and the next iteration refactors.
+    The factorization uses the MMD_AT_PLUS_A column ordering.  The step
+    leaves F at its accepted state on the holder; the next step takes it as
+    F(w_old) when its old state equals that one exactly, and evaluates F
+    otherwise.
 
     Raises NonConvergence when the iteration cap is reached or the line
     search fails on a fresh LU; the caller may halve dt and retry.
@@ -328,19 +324,24 @@ def step(
     def fvec(w: np.ndarray) -> np.ndarray:
         return _rate_vector(w, mesh, kin, bulk_law, surf_law, window, cfg.face_average)
 
-    f_old = fvec(w_old)
+    if lu is None:
+        lu = NewtonLU()
+    problem = (mesh, kin, bulk_law, surf_law, window, cfg.face_average)
+    if lu.problem is not None and not (lu.problem[0] is mesh and lu.problem[1:] == problem[1:]):
+        lu.key = lu.solve = lu.w = lu.f = None
+    lu.problem = problem
+    if lu.key != dt * theta:
+        lu.key, lu.solve = dt * theta, None
+
+    f_old = lu.f if lu.w is not None and np.array_equal(lu.w, w_old) else fvec(w_old)
     expl = np.zeros_like(w_old) if theta == 1.0 else dt * (1.0 - theta) * f_old
 
     def residual(w: np.ndarray, f: np.ndarray) -> np.ndarray:
         return w - w_old - dt * theta * f - expl
 
-    w = w_old.copy()
-    r = residual(w, f_old)
+    w, f = w_old.copy(), f_old
+    r = residual(w, f)
     rn = float(np.max(np.abs(r)))
-    if lu is None:
-        lu = NewtonLU()
-    if lu.key != dt * theta:
-        lu.key, lu.solve = dt * theta, None
     iters = 0
     while not rn <= cfg.newton_tol:
         if iters >= cfg.newton_max_iter:
@@ -356,7 +357,8 @@ def step(
         lam = 1.0
         for _ in range(12):
             w_trial = w + lam * delta
-            r_trial = residual(w_trial, fvec(w_trial))
+            f_trial = fvec(w_trial)
+            r_trial = residual(w_trial, f_trial)
             rn_trial = float(np.max(np.abs(r_trial)))
             if np.isfinite(rn_trial) and rn_trial < rn:
                 break
@@ -368,10 +370,11 @@ def step(
             continue
 
         contraction = rn_trial / rn
-        w, r, rn = w_trial, r_trial, rn_trial
+        w, f, r, rn = w_trial, f_trial, r_trial, rn_trial
         if rn > cfg.newton_tol and contraction > CONTRACTION:
             lu.solve = None
 
+    lu.w, lu.f = w, f
     return State(t=state.t + dt, u=w[:nb].copy(), v=w[nb:].copy())
 
 
@@ -389,12 +392,15 @@ def run(
     """March from initial.t to t_final, collecting one DiagnosticsRecord per state.
 
     The first record is the initial state; one more follows each accepted
-    step (the final step is clipped to land on t_final exactly).  On Newton
-    failure the step is retried with dt halved, up to cfg.max_dt_halvings
-    times; subsequent steps return to the configured dt.  The steps share
-    one NewtonLU, so the LU is reused across steps and refactored when dt
-    changes.  A fatal failure propagates NonConvergence with the last good
-    state and the records so far attached to the exception.
+    step.  The final step is clipped to land on t_final exactly; a remainder
+    within round-off (t_eps) of cfg.dt is taken at cfg.dt, so summed step
+    times do not cost a clipped step, and its time is set to t_final.  On
+    Newton failure the step is retried with dt halved, up to
+    cfg.max_dt_halvings times; subsequent steps return to the configured dt.
+    The steps share one NewtonLU, so the LU is reused across steps and
+    refactored when dt changes, and each step starts from the rate its
+    predecessor accepted.  A fatal failure propagates NonConvergence with the
+    last good state and the records so far attached to the exception.
     """
     if not np.isfinite(t_final):
         raise ValueError(f"t_final must be finite, got {t_final}")
@@ -412,8 +418,8 @@ def run(
     lu = NewtonLU()
     t_eps = 1e-12 * max(1.0, abs(t_final))
     while state.t < t_final - t_eps:
-        dt_step = min(cfg.dt, t_final - state.t)
-        local = replace(cfg, dt=dt_step)
+        remaining = t_final - state.t
+        local = replace(cfg, dt=cfg.dt if remaining >= cfg.dt - t_eps else remaining)
         for halving in range(cfg.max_dt_halvings + 1):
             try:
                 state = step(state, mesh, kin, bulk_law, surf_law, window, local, lu=lu)
@@ -424,5 +430,7 @@ def run(
                     exc.records = records
                     raise
                 local = replace(local, dt=0.5 * local.dt)
+        if abs(state.t - t_final) <= t_eps:
+            state.t = t_final
         records.append(recorded(state))
     return state, records

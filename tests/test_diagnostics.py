@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import bulksurf as bs
-from bulksurf.diagnostics import _diffusion_dissipation
+from bulksurf.diagnostics import _below_upper_envelopes, _diffusion_dissipation
 
 
 def make_problem(nx=4, ny=3, edges=("bottom",), alpha=2.0, beta=1.0, kappa=0.5, seed=61,
@@ -38,6 +38,10 @@ class TestEntropyDensity:
             bs.entropy_density(float("nan"))
         with pytest.raises(ValueError):
             bs.entropy_density(np.array([1.0, float("nan")]))
+        with pytest.raises(ValueError):
+            bs.entropy_density(float("inf"))
+        with pytest.raises(ValueError):
+            bs.entropy_density(np.array([1.0, float("inf")]))
 
     def test_nonnegative_with_unique_zero(self):
         z = np.linspace(0.0, 5.0, 10001)
@@ -331,19 +335,33 @@ class TestRecord:
         assert rec.u_env_min >= window.lower
 
     def test_composes_individual_operations(self):
+        # field by field, on a state inside both upper envelopes (where record
+        # skips the envelope terms) and on one that breaches both
         mesh, kin, eq, state, window = make_problem(seed=89)
+        laws = (bs.power_law(1.0), bs.surface_cross_law(kin))
         hot = state.copy()
         hot.u[mesh.surf_to_bulk[0]] = eq.u_star * (3 * window.upper) ** (1 / kin.alpha)
-        rec = bs.record(hot, mesh, kin, eq, window,
-                        bs.power_law(1.0), bs.surface_cross_law(kin))
-        split = bs.reaction_dissipation_split(hot, mesh, kin, window)
-        assert rec.mass == bs.weighted_mass(hot, mesh, kin)
-        assert rec.entropy == bs.relative_entropy(hot, eq, mesh)
-        assert rec.envelope_entropy == bs.envelope_entropy(hot, mesh, window)
-        assert rec.reaction_dissipation == -split.total
-        assert rec.partition_counts == (split.n_u_only, split.n_v_only, split.n_both)
-        assert rec.u_env_max == pytest.approx(np.max((hot.u / eq.u_star) ** kin.alpha), rel=1e-14)
-        assert rec.v_env_min == pytest.approx(np.min(kin.kappa * hot.v**kin.beta), rel=1e-14)
+        hot.u[mesh.surf_to_bulk[1]] = eq.u_star * (2 * window.upper) ** (1 / kin.alpha)
+        hot.v[1:3] = eq.v_star * (2 * window.upper) ** (1 / kin.beta)
+        for st, healthy in ((state, True), (hot, False)):
+            rec = bs.record(st, mesh, kin, eq, window, *laws)
+            split = bs.reaction_dissipation_split(st, mesh, kin, window)
+            diss = _diffusion_dissipation(st, mesh, window, *laws, "arithmetic")
+            u_hat, v_hat = bs.clamp_state(st.u, st.v, window)
+            assert rec.t == st.t
+            assert rec.mass == bs.weighted_mass(st, mesh, kin)
+            assert rec.entropy == bs.relative_entropy(st, eq, mesh)
+            assert rec.envelope_entropy == bs.envelope_entropy(st, mesh, window)
+            assert rec.u_env_max == np.max((st.u / eq.u_star) ** kin.alpha)
+            assert rec.v_env_max == np.max((st.v / eq.v_star) ** kin.beta)
+            assert rec.u_env_min == np.min(st.u**kin.alpha)
+            assert rec.v_env_min == np.min(kin.kappa * st.v**kin.beta)
+            assert rec.reaction_dissipation == -split.total
+            assert (rec.diffusion_dissipation_bulk, rec.diffusion_dissipation_surface) == diss
+            assert rec.clamp_activations == np.sum(u_hat != st.u) + np.sum(v_hat != st.v)
+            assert rec.partition_counts == (split.n_u_only, split.n_v_only, split.n_both)
+            assert _below_upper_envelopes(st, window) == healthy
+        assert min(rec.partition_counts) > 0 and min(diss) < 0.0  # every breached term is live
 
     def test_clamp_activation_count(self):
         mesh, kin, eq, state, window = make_problem()

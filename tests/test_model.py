@@ -259,6 +259,14 @@ class TestDiffusionLaws:
         with pytest.raises(ValueError):
             DiffusionLaw(kind="surface_cross", role="bulk")
 
+    def test_surface_law_without_surface_value_raises(self):
+        kin = Kinetics(k=1.0, kappa=1.0, alpha=1.0, beta=1.0)
+        win = self.window()
+        u = np.array([1.0, 2.0])
+        for law in (surface_cross_law(kin), power_law(1.0, role="surface")):
+            with pytest.raises(ValueError, match="surface concentration"):
+                diffusion_coefficient(law, u, None, win)
+
     def test_constant_law_positive(self):
         with pytest.raises(ValueError):
             constant_law(0.0)

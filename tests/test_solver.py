@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import bulksurf as bs
-from bulksurf.solver import _analytic_jacobian, _fd_jacobian
+from bulksurf.solver import _analytic_jacobian, _rate_vector
 
 
 def wide_window(u_star=1.0, v_star=1.0, alpha=1.0, beta=1.0):
@@ -16,6 +16,20 @@ def wide_window(u_star=1.0, v_star=1.0, alpha=1.0, beta=1.0):
 
 def linear_kinetics(k=1.0, kappa=1.0):
     return bs.Kinetics(k=k, kappa=kappa, alpha=1.0, beta=1.0)
+
+
+def _fd_jacobian(w, mesh, kin, bulk_law, surf_law, window, face_average):
+    """Dense finite-difference Jacobian of the total rate (column perturbations)."""
+    n = w.size
+    f0 = _rate_vector(w, mesh, kin, bulk_law, surf_law, window, face_average)
+    jac = np.empty((n, n))
+    for i in range(n):
+        h = 1e-7 * (1.0 + abs(w[i]))
+        wp = w.copy()
+        wp[i] += h
+        fp = _rate_vector(wp, mesh, kin, bulk_law, surf_law, window, face_average)
+        jac[:, i] = (fp - f0) / h
+    return jac
 
 
 class TestBulkDiffusion:
@@ -457,6 +471,62 @@ class TestLUReuse:
         del calls[:]
         bs.run(state, 50.5 * cfg.dt, mesh, kin, eq, *laws, window, cfg)
         assert len(calls) == reused + 1
+
+    def test_summed_steps_do_not_clip_the_last_step(self, monkeypatch):
+        # with a non-dyadic dt the summed step times fall short of N*dt by
+        # round-off; the last step still takes dt and reuses the LU
+        mesh, kin, eq, state, window, laws, cfg = self.setup_problem()
+        cfg = replace(cfg, dt=3e-4)
+        n = 20
+        t = 0.0
+        for _ in range(n - 1):
+            t += cfg.dt
+        assert n * cfg.dt - t < cfg.dt  # a plain min(dt, remainder) would clip
+        calls = self.count_splu(monkeypatch)
+        final, records = bs.run(state, n * cfg.dt, mesh, kin, eq, *laws, window, cfg)
+        run_lus = len(calls)
+        lu = bs.NewtonLU()
+        chain = state
+        for _ in range(n):
+            chain = bs.step(chain, mesh, kin, *laws, window, cfg, lu=lu)
+        assert len(calls) == 2 * run_lus
+        assert final.t == records[-1].t == n * cfg.dt
+        np.testing.assert_array_equal(final.u, chain.u)
+        np.testing.assert_array_equal(final.v, chain.v)
+
+    def test_second_step_reuses_the_accepted_rate(self, monkeypatch):
+        mesh, kin, eq, state, window, laws, cfg = self.setup_problem()
+        cfg = replace(cfg, theta=0.5)
+        lu = bs.NewtonLU()
+        first = bs.step(state, mesh, kin, *laws, window, cfg, lu=lu)
+        evaluated = []
+        rate_vector = bs.solver._rate_vector
+
+        def counted(w, *args):
+            evaluated.append(w.copy())
+            return rate_vector(w, *args)
+
+        monkeypatch.setattr(bs.solver, "_rate_vector", counted)
+        twin = replace(lu, w=None, f=None)  # the same LU, without the rate
+        out = bs.step(first, mesh, kin, *laws, window, cfg, lu=lu)
+        w_old = np.concatenate([first.u, first.v])
+        assert evaluated and not any(np.array_equal(w, w_old) for w in evaluated)
+        fresh = bs.step(first, mesh, kin, *laws, window, cfg, lu=twin)
+        np.testing.assert_array_equal(out.u, fresh.u)
+        np.testing.assert_array_equal(out.v, fresh.v)
+
+    def test_holder_from_other_problem_is_emptied(self):
+        # problem B differs from A only in its kinetics; A's LU and rate
+        # must not leak into B's step
+        mesh, kin, eq, state, window, laws, cfg = self.setup_problem()
+        cfg = replace(cfg, theta=0.5)
+        kin_b = replace(kin, k=3.0)
+        lu = bs.NewtonLU()
+        first = bs.step(state, mesh, kin, *laws, window, cfg, lu=lu)
+        out = bs.step(first, mesh, kin_b, *laws, window, cfg, lu=lu)
+        bare = bs.step(first, mesh, kin_b, *laws, window, cfg)
+        np.testing.assert_array_equal(out.u, bare.u)
+        np.testing.assert_array_equal(out.v, bare.v)
 
     def test_holder_with_other_key_is_refactored(self):
         mesh, kin, eq, state, window, laws, cfg = self.setup_problem()
