@@ -174,7 +174,6 @@ KEYS: dict[str, Key] = {
     # clamp window (empty = derive from initial data)
     "clamp_lower": Key(float, "", gt=0.0, optional=True),
     "clamp_upper": Key(float, "", gt=0.0, optional=True),
-    "clamp_v_exponent": Key(str, model.V_EXPONENTS[0], choices=model.V_EXPONENTS),
     # scheme switches
     "face_average": Key(str, FACE_AVERAGES[0], choices=FACE_AVERAGES),
     # outputs
@@ -300,6 +299,8 @@ def initial_state(cfg: RunConfig, mesh) -> solver.State:
                 raise ConfigError([BadValue(key, str(exc))]) from exc
             if values.size != size:
                 raise ConfigError([BadValue(key, f"expected {size} values, got {values.size}")])
+            if not np.all(np.isfinite(values)):
+                raise ConfigError([BadValue(key, "values must be finite")])
             if np.min(values) <= 0:
                 raise ConfigError([NonPositiveInitialData(f"{key}: values must be > 0")])
             loaded.append(values)
@@ -323,9 +324,7 @@ def build_problem(cfg: RunConfig):
     state = initial_state(cfg, mesh)
     mass = diagnostics.weighted_mass(state, mesh, kin)
     eq = model.solve_equilibrium(kin, mass, mesh.total_bulk_measure, mesh.total_surface_measure)
-    window = model.window_from_initial_data(
-        state.u, state.v, eq, kin, v_exponent=cfg.clamp_v_exponent
-    )
+    window = model.window_from_initial_data(state.u, state.v, eq, kin)
     if cfg.clamp_lower is not None:
         window = replace(window, lower=cfg.clamp_lower, upper=cfg.clamp_upper)
     # every StepConfig field is the configuration key of the same name

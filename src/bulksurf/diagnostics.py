@@ -140,39 +140,34 @@ def envelope_entropy(state, mesh: CoupledMesh, window: ClampWindow) -> float:
     envelopes hold, and positive otherwise.
     """
     total = 0.0
-    for c, star, exponent, measure in (
-        (state.u, window.u_star, window.alpha, mesh.cell_volume),
-        (state.v, window.v_star, window.beta, mesh.surf_length),
+    for c, star, exponent, ceiling, measure in (
+        (state.u, window.u_star, window.alpha, window.u_ceiling, mesh.cell_volume),
+        (state.v, window.v_star, window.beta, window.v_ceiling, mesh.surf_length),
     ):
         scale = window.upper ** (1.0 / exponent)
-        trunc = np.where(c <= _upper_threshold(star, exponent, window), star, c / scale)
+        trunc = np.where(c <= ceiling, star, c / scale)
         total += scale * star * np.sum(entropy_density(trunc / star) * measure)
     return float(total)
 
 
-def _upper_threshold(star: float, exponent: float, window: ClampWindow) -> float:
-    """The concentration star*upper**(1/exponent) at which (c/star)**exponent reaches upper."""
-    return star * window.upper ** (1.0 / exponent)
-
-
 def _below_upper_envelopes(state, window: ClampWindow) -> bool:
-    """True when every u and every v lies at or below its upper threshold.
+    """True when every u and every v lies at or below its window ceiling.
 
     Then the envelope entropy, every excess potential and with them the
     reaction split and both diffusion dissipations are exactly zero.
     """
     return bool(
-        np.all(state.u <= _upper_threshold(window.u_star, window.alpha, window))
-        and np.all(state.v <= _upper_threshold(window.v_star, window.beta, window))
+        np.all(state.u <= window.u_ceiling) and np.all(state.v <= window.v_ceiling)
     )
 
 
-def _excess_potential(c, star: float, exponent: float, window: ClampWindow):
-    """log(c/star) - log(upper)/exponent above the upper envelope, 0 at or below it.
+def _excess_potential(c, star: float, exponent: float, ceiling: float, window: ClampWindow):
+    """log(c/star) - log(upper)/exponent above the ceiling, 0 at or below it.
 
+    ceiling is the window's star*upper**(1/exponent) for the same field.
     Total in c: nonpositive entries sit below the envelope and give 0.
     """
-    above = c > _upper_threshold(star, exponent, window)
+    above = c > ceiling
     c_safe = np.where(above, c, star)
     return np.where(above, np.log(c_safe / star) - np.log(window.upper) / exponent, 0.0)
 
@@ -189,8 +184,8 @@ def envelope_potentials(state, window: ClampWindow) -> tuple[np.ndarray, np.ndar
     if np.any(state.u <= 0) or np.any(state.v <= 0):
         raise ValueError("envelope potentials require strictly positive fields")
     return (
-        _excess_potential(state.u, window.u_star, window.alpha, window),
-        _excess_potential(state.v, window.v_star, window.beta, window),
+        _excess_potential(state.u, window.u_star, window.alpha, window.u_ceiling, window),
+        _excess_potential(state.v, window.v_star, window.beta, window.v_ceiling, window),
     )
 
 
@@ -219,8 +214,8 @@ def reaction_dissipation_split(
     u_safe = np.where(admissible, u_t, window.u_star)
     v_safe = np.where(admissible, v, window.v_star)
 
-    bulk_pot = _excess_potential(u_safe, window.u_star, window.alpha, window)
-    surf_pot = _excess_potential(v_safe, window.v_star, window.beta, window)
+    bulk_pot = _excess_potential(u_safe, window.u_star, window.alpha, window.u_ceiling, window)
+    surf_pot = _excess_potential(v_safe, window.v_star, window.beta, window.v_ceiling, window)
 
     lam = log_mean(u_safe**kin.alpha, kin.kappa * v_safe**kin.beta)
     log_diff = kin.alpha * np.log(u_safe / window.u_star) - kin.beta * np.log(
@@ -301,11 +296,11 @@ def _diffusion_dissipation(state, mesh, window, bulk_law, surf_law, face_average
     mu_bulk = diffusion_coefficient(bulk_law, u, None, window)
     mu_surf = diffusion_coefficient(surf_law, u[mesh.surf_to_bulk], v, window)
     sums = []
-    for faces, x, mu, star, exponent in (
-        (mesh.bulk_faces, u, mu_bulk, window.u_star, window.alpha),
-        (mesh.surf_faces, v, mu_surf, window.v_star, window.beta),
+    for faces, x, mu, star, exponent, ceiling in (
+        (mesh.bulk_faces, u, mu_bulk, window.u_star, window.alpha, window.u_ceiling),
+        (mesh.surf_faces, v, mu_surf, window.v_star, window.beta, window.v_ceiling),
     ):
-        pot = _excess_potential(x, star, exponent, window)
+        pot = _excess_potential(x, star, exponent, ceiling, window)
         flux = face_flux(faces, x, mu, face_average)
         sums.append(-float(np.sum(flux * (pot[faces.cell_b] - pot[faces.cell_a]))))
     return sums[0], sums[1]
@@ -330,12 +325,12 @@ def record(
     The reaction dissipation is reported with the sign it carries in the
     envelope-entropy balance (<= 0), the negated total of the split.
 
-    Both upper envelopes are tested once, on the thresholds of
-    envelope_entropy.  While they hold, the envelope entropy, the reaction
-    and both diffusion dissipations are exactly 0 and no cell is in a
-    violation class, so those fields are set to zero without evaluating
-    them; otherwise they come from envelope_entropy,
-    reaction_dissipation_split and the face-sum dissipation.
+    Both upper envelopes are tested once, against the window's u_ceiling
+    and v_ceiling.  While they hold, the envelope entropy, the reaction and
+    both diffusion dissipations are exactly 0 and no cell is in a violation
+    class, so those fields are set to zero without evaluating them;
+    otherwise they come from envelope_entropy, reaction_dissipation_split
+    and the face-sum dissipation.
     """
     check_role(bulk_law, "bulk")
     check_role(surf_law, "surface")

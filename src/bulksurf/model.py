@@ -34,7 +34,6 @@ _BISECTION_TOL = 1e-15  # equilibrium bisection stops at this relative bracket w
 
 BULK_KINDS = ("power", "exponential", "constant")
 SURFACE_KINDS = BULK_KINDS + ("surface_cross",)
-V_EXPONENTS = ("alpha", "beta")
 
 
 def _finite(*values) -> bool:
@@ -132,15 +131,16 @@ def surface_cross_law(kin: Kinetics) -> DiffusionLaw:
 
 @dataclass(frozen=True)
 class ClampWindow:
-    """Envelope window (lower, upper) in the (u/u_star)**alpha scale.
+    """Envelope window (lower, upper), read on each field's own scale.
 
-    Concentrations fed to diffusion laws are clamped so that the normalized
-    pressure stays in [lower/2, 2*upper]; ``u_caps`` and ``v_caps`` hold the
-    matching concentration bounds.  The surface clamp condition uses
-    exponent alpha on (v/v_star) by default (``v_exponent="alpha"``); set
-    ``v_exponent="beta"`` to clamp v on its own (v/v_star)**beta scale
-    instead.  The envelope *verification* quantities always use the beta
-    scale for v, independent of this switch.
+    u is measured by the normalized pressure (u/u_star)**alpha and v by
+    (v/v_star)**beta.  Concentrations fed to diffusion laws are clamped so
+    that this pressure stays in [lower/2, 2*upper]; ``u_caps`` and ``v_caps``
+    hold the matching concentration bounds.  ``u_ceiling`` and ``v_ceiling``
+    are the concentrations star*upper**(1/exponent) at which each field
+    reaches its upper envelope.  On one scale the caps contain
+    [star*lower**(1/exponent), star*upper**(1/exponent)] for every alpha and
+    beta, so the clamp is inert wherever the upper envelope holds.
     """
 
     lower: float
@@ -149,10 +149,12 @@ class ClampWindow:
     v_star: float
     alpha: float
     beta: float
-    v_exponent: str = "alpha"
     # (lowest, highest) clamped concentration of u and of v, set at construction
     u_caps: tuple[float, float] = field(init=False, repr=False, compare=False)
     v_caps: tuple[float, float] = field(init=False, repr=False, compare=False)
+    # concentration at which u and v reach the upper envelope, set at construction
+    u_ceiling: float = field(init=False, repr=False, compare=False)
+    v_ceiling: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not (0 < self.lower <= self.upper < math.inf):
@@ -160,16 +162,11 @@ class ClampWindow:
         refs = (self.u_star, self.v_star, self.alpha, self.beta)
         if not (_finite(*refs) and min(refs) > 0):
             raise ValueError(f"need finite positive u_star, v_star, alpha, beta, got {refs}")
-        if self.v_exponent not in V_EXPONENTS:
-            raise ValueError(f"v_exponent must be 'alpha' or 'beta', got {self.v_exponent!r}")
-        v_exp = self.alpha if self.v_exponent == "alpha" else self.beta
-        for name, star, exponent in (
-            ("u_caps", self.u_star, self.alpha),
-            ("v_caps", self.v_star, v_exp),
-        ):
+        for name, star, exponent in (("u", self.u_star, self.alpha), ("v", self.v_star, self.beta)):
             lo = star * (0.5 * self.lower) ** (1.0 / exponent)
             hi = star * (2.0 * self.upper) ** (1.0 / exponent)
-            object.__setattr__(self, name, (lo, hi))
+            object.__setattr__(self, f"{name}_caps", (lo, hi))
+            object.__setattr__(self, f"{name}_ceiling", star * self.upper ** (1.0 / exponent))
 
 
 def window_from_initial_data(
@@ -177,7 +174,6 @@ def window_from_initial_data(
     v0: np.ndarray,
     eq: Equilibrium,
     kin: Kinetics,
-    v_exponent: str = "alpha",
 ) -> ClampWindow:
     """Envelope window implied by strictly positive initial data.
 
@@ -185,6 +181,8 @@ def window_from_initial_data(
 
         lower = min(c_u**alpha, kappa * c_v**beta),
         upper = max(C_u**alpha, C_v**beta).
+
+    The window takes u_star, v_star from eq and alpha, beta from kin.
     """
     u0 = np.asarray(u0, dtype=float)
     v0 = np.asarray(v0, dtype=float)
@@ -199,13 +197,7 @@ def window_from_initial_data(
     lower = min(c_u**kin.alpha, kin.kappa * c_v**kin.beta)
     upper = max(C_u**kin.alpha, C_v**kin.beta)
     return ClampWindow(
-        lower=lower,
-        upper=upper,
-        u_star=eq.u_star,
-        v_star=eq.v_star,
-        alpha=kin.alpha,
-        beta=kin.beta,
-        v_exponent=v_exponent,
+        lower=lower, upper=upper, u_star=eq.u_star, v_star=eq.v_star, alpha=kin.alpha, beta=kin.beta
     )
 
 
@@ -311,6 +303,11 @@ def potential_rate(u, v, kin: Kinetics, eq: Equilibrium):
     return out
 
 
+def _clip(c, caps):
+    """c as a float array, clipped into the closed interval caps = (lo, hi)."""
+    return np.minimum(np.maximum(np.asarray(c, dtype=float), caps[0]), caps[1])
+
+
 def clamp_state(u, v, window: ClampWindow):
     """Clamped pair (u_hat, v_hat) used as diffusion-law arguments.
 
@@ -322,7 +319,7 @@ def clamp_state(u, v, window: ClampWindow):
     """
 
     def clamp(c, caps):
-        out = np.minimum(np.maximum(np.asarray(c, dtype=float), caps[0]), caps[1])
+        out = _clip(c, caps)
         return float(out) if np.isscalar(c) else out
 
     return clamp(u, window.u_caps), None if v is None else clamp(v, window.v_caps)
@@ -375,7 +372,7 @@ def _clamped_law(law: DiffusionLaw, u, v, window: ClampWindow, derivatives: bool
     raw = {"u": u, "v": v}
     caps = {"u": window.u_caps, "v": window.v_caps}
     xs = [np.asarray(raw[key], dtype=float) for key in keys]
-    hats = [np.minimum(np.maximum(x, caps[key][0]), caps[key][1]) for key, x in zip(keys, xs)]
+    hats = [_clip(x, caps[key]) for key, x in zip(keys, xs)]
     value, slopes = _LAWS[law.kind]
     mu = value(law, *hats)
     if not derivatives:

@@ -419,7 +419,7 @@ def run(
     t_eps = 1e-12 * max(1.0, abs(t_final))
     while state.t < t_final - t_eps:
         remaining = t_final - state.t
-        local = replace(cfg, dt=cfg.dt if remaining >= cfg.dt - t_eps else remaining)
+        local = cfg if remaining >= cfg.dt - t_eps else replace(cfg, dt=remaining)
         for halving in range(cfg.max_dt_halvings + 1):
             try:
                 state = step(state, mesh, kin, bulk_law, surf_law, window, local, lu=lu)

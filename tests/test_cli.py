@@ -144,6 +144,13 @@ class TestInitialData:
         )
         with pytest.raises(ConfigError):
             initial_state(cfg, mesh)
+        # non-finite values are reported under the key of the file that holds them
+        np.savetxt(tmp_path / "u.txt", [1.0, 2.0])
+        for bad in ("nan", "inf"):
+            (tmp_path / "v.txt").write_text(f"1.0\n{bad}\n")
+            with pytest.raises(ConfigError) as info:
+                initial_state(cfg, mesh)
+            assert [(type(p), p.key) for p in info.value.problems] == [(BadValue, "initial_v_file")]
 
     def test_missing_v_file_names_its_own_key(self, tmp_path):
         mesh = build_mesh(2, 1, 1.0, 1.0, {"bottom"})
@@ -198,6 +205,13 @@ class TestMainExitCodes:
         assert main(["--config", str(cfg)]) == 2
         err = capsys.readouterr().err
         assert "alpha" in err
+
+    @pytest.mark.parametrize("removed", ["jacobian = fd", "clamp_v_exponent = beta"])
+    def test_removed_key_is_exit_2(self, tmp_path, capsys, removed):
+        cfg = write(tmp_path, removed + "\n")
+        assert main(["--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert f"{removed.split()[0]}: unrecognized key" in err
 
     def test_solver_failure_is_exit_3_with_partial_outputs(self, tmp_path, capsys):
         # deliberately impossible: one Newton iteration, huge dt, stiff law

@@ -372,6 +372,20 @@ class TestRecord:
                         bs.power_law(1.0), bs.surface_cross_law(kin))
         assert rec.clamp_activations == 2
 
+    def test_clamp_inert_inside_upper_envelope(self):
+        # alpha > beta: v = 6 lies inside v's envelope (v/v_star)**beta <= 8,
+        # so neither the envelope entropy nor the clamp sees it
+        kin = bs.Kinetics(k=1.0, kappa=1.0, alpha=2.0, beta=1.0)
+        mesh = bs.build_mesh(1, 1, 1.0, 1.0, {"bottom"})
+        eq = bs.Equilibrium(u_star=1.0, v_star=1.0, mass=13.0)
+        window = bs.ClampWindow(lower=0.5, upper=8.0, u_star=1.0, v_star=1.0,
+                                alpha=2.0, beta=1.0)
+        state = bs.State(t=0.0, u=np.ones(mesh.n_bulk), v=np.full(mesh.n_surface, 6.0))
+        rec = bs.record(state, mesh, kin, eq, window, bs.constant_law(1.0),
+                        bs.constant_law(1.0, role="surface"))
+        assert rec.envelope_entropy == 0.0
+        assert rec.clamp_activations == 0
+
     def test_zero_entry_shows_as_zero_envelope_minimum(self):
         mesh, kin, eq, state, window = make_problem()
         laws = (bs.power_law(1.0), bs.surface_cross_law(kin))

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bulksurf import (
     ClampWindow,
@@ -183,8 +185,9 @@ class TestClamp:
     def test_interior_unchanged(self):
         win = self.window()
         u = win.u_star * win.upper ** (1.0 / win.alpha)  # pressure exactly at upper
-        u_hat, _ = clamp_state(u, None, win)
-        assert u_hat == u
+        v = win.v_star * win.upper ** (1.0 / win.beta)
+        assert (win.u_ceiling, win.v_ceiling) == (u, v)
+        assert clamp_state(u, v, win) == (u, v)
 
     def test_zero_maps_to_lower_cap(self):
         win = self.window()
@@ -202,14 +205,30 @@ class TestClamp:
         u_hat, v_hat = clamp_state(np.array([-3.0]), np.array([-1.0]), win)
         assert np.all(u_hat > 0) and np.all(v_hat > 0)
 
-    def test_v_exponent_switch(self):
-        win_a = self.window(alpha=2.0, beta=1.0, v_exponent="alpha")
-        win_b = self.window(alpha=2.0, beta=1.0, v_exponent="beta")
-        v = 10.0  # above both windows
-        _, va = clamp_state(1.0, v, win_a)
-        _, vb = clamp_state(1.0, v, win_b)
-        assert va == pytest.approx((2 * win_a.upper) ** (1 / 2))
-        assert vb == pytest.approx((2 * win_b.upper) ** (1 / 1))
+    @settings(max_examples=200, deadline=None)
+    @given(
+        alpha=st.floats(1.0, 4.0),
+        beta=st.floats(1.0, 4.0),
+        u_star=st.floats(0.1, 10.0),
+        v_star=st.floats(0.1, 10.0),
+        lower=st.floats(0.0, 1.0, exclude_min=True),
+        upper=st.floats(1.0, 100.0),
+        t=st.floats(0.0, 1.0),
+    )
+    def test_caps_contain_the_envelope_on_each_scale(self, alpha, beta, u_star, v_star,
+                                                      lower, upper, t):
+        # u on (u/u_star)**alpha and v on (v/v_star)**beta: every concentration
+        # between the lower and the upper envelope passes the clamp unchanged
+        win = self.window(lower=lower, upper=upper, u_star=u_star, v_star=v_star,
+                          alpha=alpha, beta=beta)
+        inside = []
+        for caps, star, exponent in ((win.u_caps, u_star, alpha), (win.v_caps, v_star, beta)):
+            lo = star * lower ** (1.0 / exponent)
+            hi = star * upper ** (1.0 / exponent)
+            assert caps[0] <= lo and hi <= caps[1]
+            inside.append(np.array([lo, min(max(lo + t * (hi - lo), lo), hi), hi]))
+        u_hat, v_hat = clamp_state(*inside, win)
+        assert np.array_equal(u_hat, inside[0]) and np.array_equal(v_hat, inside[1])
 
     def test_rejects_bad_window(self):
         nan = float("nan")
