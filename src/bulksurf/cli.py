@@ -195,13 +195,13 @@ RunConfig = make_dataclass(
 def read_key_values(entries, problems: list) -> dict[str, str]:
     """Stripped key and value of each (where, text) entry, split at its first '='.
 
-    An entry without '=' appends a BadValue under where (a file line or
-    --override) and is skipped; a later entry for a key wins.
+    An entry without '=' or with an empty key appends a BadValue under where
+    (a file line or --override) and is skipped; a later entry for a key wins.
     """
     raw: dict[str, str] = {}
     for where, text in entries:
         key, sep, value = text.partition("=")
-        if not sep:
+        if not (sep and key.strip()):
             problems.append(BadValue(where, f"expected 'key = value', got {text!r}"))
             continue
         raw[key.strip()] = value.strip()

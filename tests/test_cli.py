@@ -68,11 +68,14 @@ class TestParseConfig:
         assert any(isinstance(p, NonPositiveInitialData) for p in info.value.problems)
 
     def test_all_problems_reported_not_just_first(self, tmp_path):
-        text = "alpha = 0.2\nbeta = -1\ndt = 0\nnx = 0\nface_average = fancy\nny 4\n"
+        text = "alpha = 0.2\nbeta = -1\ndt = 0\nnx = 0\nface_average = fancy\nny 4\n = 5\n"
         with pytest.raises(ConfigError) as info:
-            parse_config(write(tmp_path, text), overrides=["nx8"])
-        keys = {p.key for p in info.value.problems if isinstance(p, BadValue)}
-        assert {"alpha", "beta", "dt", "nx", "face_average", "line 6", "--override"} <= keys
+            parse_config(write(tmp_path, text), overrides=["nx8", "=3"])
+        bad = [p for p in info.value.problems if isinstance(p, BadValue)]
+        keys = {p.key for p in bad}
+        assert {"alpha", "beta", "dt", "nx", "face_average", "line 6", "line 7", "--override"} <= keys
+        assert "" not in keys  # an empty key is reported where it stands, not as a key
+        assert sum(p.key == "--override" for p in bad) == 2
 
     def test_unknown_key_rejected(self, tmp_path):
         with pytest.raises(ConfigError) as info:

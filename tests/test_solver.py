@@ -441,19 +441,37 @@ class TestLUReuse:
 
     @staticmethod
     def count_splu(monkeypatch):
-        calls = []
+        """Lists that grow by one per factorization and per solve with a factor."""
+        calls, solves = [], []
         splu = bs.solver.spla.splu
+
+        class Counted:
+            def __init__(self, factor):
+                self.factor = factor
+
+            def solve(self, b):
+                solves.append(1)
+                return self.factor.solve(b)
 
         def counted(*args, **kwargs):
             calls.append(1)
-            return splu(*args, **kwargs)
+            return Counted(splu(*args, **kwargs))
 
         monkeypatch.setattr(bs.solver.spla, "splu", counted)
-        return calls
+        return calls, solves
+
+    def primed(self):
+        """The problem, and the state and holder after just enough steps to fill the history."""
+        mesh, kin, eq, state, window, laws, cfg = self.setup_problem()
+        lu = bs.NewtonLU()
+        for _ in range(bs.solver.PREDICTOR_DEGREE):
+            state = bs.step(state, mesh, kin, *laws, window, cfg, lu=lu)
+        assert len(lu.history) == bs.solver.PREDICTOR_DEGREE + 1
+        return mesh, kin, eq, state, window, laws, cfg, lu
 
     def test_run_factors_rarely_and_matches_bare_steps(self, monkeypatch):
         mesh, kin, eq, state, window, laws, cfg = self.setup_problem()
-        calls = self.count_splu(monkeypatch)
+        calls, _ = self.count_splu(monkeypatch)
         final, records = bs.run(state, 50 * cfg.dt, mesh, kin, eq, *laws, window, cfg)
         assert len(records) == 51
         assert 1 <= len(calls) <= 5
@@ -482,7 +500,7 @@ class TestLUReuse:
         for _ in range(n - 1):
             t += cfg.dt
         assert n * cfg.dt - t < cfg.dt  # a plain min(dt, remainder) would clip
-        calls = self.count_splu(monkeypatch)
+        calls, _ = self.count_splu(monkeypatch)
         final, records = bs.run(state, n * cfg.dt, mesh, kin, eq, *laws, window, cfg)
         run_lus = len(calls)
         lu = bs.NewtonLU()
@@ -507,7 +525,7 @@ class TestLUReuse:
             return rate_vector(w, *args)
 
         monkeypatch.setattr(bs.solver, "_rate_vector", counted)
-        twin = replace(lu, w=None, f=None)  # the same LU, without the rate
+        twin = replace(lu, f=None)  # the same LU, start and history, without the rate
         out = bs.step(first, mesh, kin, *laws, window, cfg, lu=lu)
         w_old = np.concatenate([first.u, first.v])
         assert evaluated and not any(np.array_equal(w, w_old) for w in evaluated)
@@ -548,3 +566,97 @@ class TestLUReuse:
         bare = bs.step(state, mesh, kin, *laws, window, cfg)
         np.testing.assert_array_equal(out.u, bare.u)
         np.testing.assert_array_equal(out.v, bare.v)
+
+    def test_history_cuts_newton_solves(self, monkeypatch):
+        mesh, kin, eq, state, window, laws, cfg = self.setup_problem()
+        _, solves = self.count_splu(monkeypatch)
+        final, _ = bs.run(state, 50 * cfg.dt, mesh, kin, eq, *laws, window, cfg)
+        with_history = len(solves)
+        del solves[:]
+        lu = bs.NewtonLU()
+        chain = state
+        for _ in range(50):
+            lu.history = ()
+            chain = bs.step(chain, mesh, kin, *laws, window, cfg, lu=lu)
+        # 201 against 310 solves: the predictor saves two to three of the
+        # four to seven solves a step takes once the history is full
+        assert with_history <= 2 / 3 * len(solves)
+        scale = max(np.abs(chain.u).max(), np.abs(chain.v).max())
+        gap = max(np.abs(final.u - chain.u).max(), np.abs(final.v - chain.v).max())
+        assert gap <= 1e-11 * scale
+
+    def test_history_is_live(self):
+        # the control for the invalidation tests below: with a full history
+        # the next step does start elsewhere than a holder without one
+        mesh, kin, eq, state, window, laws, cfg, lu = self.primed()
+        twin = replace(lu, history=())
+        out = bs.step(state, mesh, kin, *laws, window, cfg, lu=lu)
+        plain = bs.step(state, mesh, kin, *laws, window, cfg, lu=twin)
+        assert not np.array_equal(out.u, plain.u)
+
+    @pytest.mark.parametrize("ratio", [0.5, 0.3])  # a halved dt, a clipped last step
+    def test_key_change_empties_the_history(self, ratio):
+        mesh, kin, eq, state, window, laws, cfg, lu = self.primed()
+        twin = replace(lu, history=())
+        short = replace(cfg, dt=ratio * cfg.dt)
+        out = bs.step(state, mesh, kin, *laws, window, short, lu=lu)
+        plain = bs.step(state, mesh, kin, *laws, window, short, lu=twin)
+        np.testing.assert_array_equal(out.u, plain.u)
+        np.testing.assert_array_equal(out.v, plain.v)
+        assert len(lu.history) == 2  # (accepted, old): one step at the new key
+        # back at the old key, the history restarts once more
+        back = bs.step(out, mesh, kin, *laws, window, cfg, lu=lu)
+        again = bs.step(plain, mesh, kin, *laws, window, cfg, lu=twin)
+        np.testing.assert_array_equal(back.u, again.u)
+        np.testing.assert_array_equal(back.v, again.v)
+
+    def test_problem_change_empties_the_history(self):
+        mesh, kin, eq, state, window, laws, cfg, lu = self.primed()
+        kin_b = replace(kin, k=3.0)
+        out = bs.step(state, mesh, kin_b, *laws, window, cfg, lu=lu)
+        bare = bs.step(state, mesh, kin_b, *laws, window, cfg)
+        np.testing.assert_array_equal(out.u, bare.u)
+        np.testing.assert_array_equal(out.v, bare.v)
+        assert len(lu.history) == 2
+
+    def test_other_old_state_ignores_the_history(self):
+        mesh, kin, eq, state, window, laws, cfg, lu = self.primed()
+        other = bs.State(t=state.t, u=state.u * (1 + 1e-9), v=state.v)
+        twin = replace(lu, history=())
+        out = bs.step(other, mesh, kin, *laws, window, cfg, lu=lu)
+        plain = bs.step(other, mesh, kin, *laws, window, cfg, lu=twin)
+        np.testing.assert_array_equal(out.u, plain.u)
+        np.testing.assert_array_equal(out.v, plain.v)
+        assert len(lu.history) == 2
+
+    def test_equilibrium_run_evaluates_the_rate_once(self, monkeypatch):
+        mesh, kin, eq, _, window, laws, cfg = self.setup_problem()
+        state = bs.State(t=0.0, u=np.full(mesh.n_bulk, eq.u_star), v=np.full(mesh.n_surface, eq.v_star))
+        evaluated = []
+        rate_vector = bs.solver._rate_vector
+
+        def counted(w, *args):
+            evaluated.append(w.copy())
+            return rate_vector(w, *args)
+
+        monkeypatch.setattr(bs.solver, "_rate_vector", counted)
+        n = 3 * (bs.solver.PREDICTOR_DEGREE + 1)
+        final, records = bs.run(state, n * cfg.dt, mesh, kin, eq, *laws, window, cfg)
+        assert len(records) == n + 1
+        assert len(evaluated) == 1
+        np.testing.assert_array_equal(evaluated[0], np.concatenate([state.u, state.v]))
+        np.testing.assert_array_equal(final.u, state.u)
+        np.testing.assert_array_equal(final.v, state.v)
+
+    def test_worse_prediction_is_discarded(self):
+        # a history that zigzags extrapolates far off; the step evaluates the
+        # rate there once and then starts from the old state as without it
+        mesh, kin, eq, state, window, laws, cfg = self.setup_problem()
+        w_old = np.concatenate([state.u, state.v])
+        zigzag = tuple(w_old * (1.0 + 0.1 * (j % 2)) for j in range(bs.solver.PREDICTOR_DEGREE + 1))
+        lu = bs.NewtonLU(key=cfg.dt * cfg.theta, w=w_old, history=zigzag)
+        twin = replace(lu, history=())
+        out = bs.step(state, mesh, kin, *laws, window, cfg, lu=lu)
+        plain = bs.step(state, mesh, kin, *laws, window, cfg, lu=twin)
+        np.testing.assert_array_equal(out.u, plain.u)
+        np.testing.assert_array_equal(out.v, plain.v)
