@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh import CoupledMesh, face_flux
+from .mesh import CoupledMesh, check_sizes, face_flux
 from .model import (
     ClampWindow,
     DiffusionLaw,
@@ -119,6 +119,7 @@ def entropy_density(z):
 
 def weighted_mass(state, mesh: CoupledMesh, kin: Kinetics) -> float:
     """Conserved functional beta*sum(u)*|cell| + alpha*sum(v*|G_j|)."""
+    check_sizes(state, mesh)
     return float(
         kin.beta * np.sum(state.u) * mesh.cell_volume
         + kin.alpha * np.sum(state.v * mesh.surf_length)
@@ -127,6 +128,7 @@ def weighted_mass(state, mesh: CoupledMesh, kin: Kinetics) -> float:
 
 def relative_entropy(state, eq: Equilibrium, mesh: CoupledMesh) -> float:
     """Discrete relative entropy against the equilibrium pair; zero iff at it."""
+    check_sizes(state, mesh)
     bulk = eq.u_star * np.sum(entropy_density(state.u / eq.u_star)) * mesh.cell_volume
     surf = eq.v_star * np.sum(entropy_density(state.v / eq.v_star) * mesh.surf_length)
     return float(bulk + surf)
@@ -139,6 +141,7 @@ def envelope_entropy(state, mesh: CoupledMesh, window: ClampWindow) -> float:
     equilibrium value, so the result is zero exactly when both upper
     envelopes hold, and positive otherwise.
     """
+    check_sizes(state, mesh)
     total = 0.0
     for c, star, exponent, ceiling, measure in (
         (state.u, window.u_star, window.alpha, window.u_ceiling, mesh.cell_volume),
@@ -208,6 +211,7 @@ def reaction_dissipation_split(
     with both active the product is a perfect square thanks to the envelope
     weights.  Cells below the envelope contribute exactly zero.
     """
+    check_sizes(state, mesh)
     u_t = state.u[mesh.surf_to_bulk]
     v = state.v
     admissible = (u_t > 0) & (v > 0)
@@ -254,6 +258,7 @@ def undershoot_fields(
     undershoots and, when both do, by the sign of u**alpha - kappa*v**beta
     (nonpositive values enter that comparison as zero pressure).
     """
+    check_sizes(state, mesh)
     sigma_u = window.lower ** (1.0 / window.alpha)
     sigma_v = (window.lower / kin.kappa) ** (1.0 / window.beta)
     u_minus = np.minimum(state.u - sigma_u, 0.0)
@@ -332,6 +337,7 @@ def record(
     otherwise they come from envelope_entropy, reaction_dissipation_split
     and the face-sum dissipation.
     """
+    check_sizes(state, mesh)
     check_role(bulk_law, "bulk")
     check_role(surf_law, "surface")
     entropy = relative_entropy(state, eq, mesh)

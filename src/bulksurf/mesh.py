@@ -141,6 +141,15 @@ class CoupledMesh:
     surf_faces: FaceSet = field(repr=False)  # links between chain-adjacent surface cells
 
 
+def check_sizes(state, mesh: CoupledMesh) -> None:
+    """Reject a state whose u and v do not hold one entry per bulk and per surface cell."""
+    if state.u.size != mesh.n_bulk or state.v.size != mesh.n_surface:
+        raise ValueError(
+            f"state sizes ({state.u.size}, {state.v.size}) do not match mesh "
+            f"({mesh.n_bulk}, {mesh.n_surface})"
+        )
+
+
 def _boundary_cycle(nx: int, ny: int) -> list[tuple[str, int]]:
     """All boundary faces in counterclockwise cycle order as (edge, along-index)."""
     cycle: list[tuple[str, int]] = []

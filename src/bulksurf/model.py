@@ -213,12 +213,12 @@ def log_mean(a, b):
       carries no cancellation;
     * far apart: the plain quotient (hi-lo)/(log hi - log lo) is benign.
 
-    Accepts scalars or arrays; negative input is rejected.
+    Accepts scalars or arrays; negative, infinite or NaN input is rejected.
     """
     a_arr = np.asarray(a, dtype=float)
     b_arr = np.asarray(b, dtype=float)
-    if np.any(a_arr < 0) or np.any(b_arr < 0):
-        raise ValueError("log_mean requires nonnegative arguments")
+    if not (np.all((a_arr >= 0) & (a_arr < np.inf)) and np.all((b_arr >= 0) & (b_arr < np.inf))):
+        raise ValueError("log_mean requires finite nonnegative arguments")
     hi = np.maximum(a_arr, b_arr)
     lo = np.minimum(a_arr, b_arr)
     zero = lo == 0
@@ -289,12 +289,13 @@ def potential_rate(u, v, kin: Kinetics, eq: Equilibrium):
           * (alpha*log(u/u_star) - beta*log(v/v_star)).
 
     Agrees with rate(u, v) to high relative accuracy; the two evaluations are
-    kept independent so the identity can be tested.
+    kept independent so the identity can be tested.  Nonpositive, infinite
+    or NaN input is rejected.
     """
     u_arr = np.asarray(u, dtype=float)
     v_arr = np.asarray(v, dtype=float)
-    if np.any(u_arr <= 0) or np.any(v_arr <= 0):
-        raise ValueError("potential_rate requires strictly positive concentrations")
+    if not (np.all((u_arr > 0) & (u_arr < np.inf)) and np.all((v_arr > 0) & (v_arr < np.inf))):
+        raise ValueError("potential_rate requires finite strictly positive concentrations")
     lam = log_mean(u_arr**kin.alpha, kin.kappa * v_arr**kin.beta)
     pot = kin.alpha * np.log(u_arr / eq.u_star) - kin.beta * np.log(v_arr / eq.v_star)
     out = kin.k * lam * pot

@@ -23,20 +23,11 @@ residual.
 Time discretization is theta-implicit (backward Euler at theta = 1), solved
 by damped Newton.  The Newton matrix I - theta*dt*dF/dw is assembled from the
 analytic sparse Jacobian and factored by SuperLU with the minimum-degree
-ordering of A^T + A, since the matrix is structurally symmetric.  The LU is
-kept across steps in a NewtonLU holder keyed on theta*dt (simplified Newton):
-a step refactors only when the key changes (a clipped last step, a halved
-dt), when an iteration leaves more than CONTRACTION times the previous
-residual, or when a line search fails on a reused LU.  The holder also keeps
-the rate F at the accepted iterate, which the next step reuses as F at its
-old state, and the last PREDICTOR_DEGREE + 1 consecutive accepted states at
-its key.  A step whose old state fails the tolerance starts Newton from the
-polynomial extrapolation of those states (the predictor of multistep codes,
-Hairer & Wanner, Solving ODEs II, IV.8) when its residual is strictly
-smaller than the old state's, and from the old state otherwise.  The history
-is emptied with the LU when the key changes and restarts whenever a step's
-old state is not the state the holder last accepted, so the predictor only
-ever extrapolates an unbroken equally spaced sequence.
+ordering of A^T + A, since the matrix is structurally symmetric.  A NewtonLU
+holder carries the LU, the last accepted rate and the last accepted states
+from one step to the next (simplified Newton with a predictor, Hairer &
+Wanner, Solving ODEs II, IV.8); its docstring states when each is used and
+when it is dropped.
 """
 
 from __future__ import annotations
@@ -50,7 +41,7 @@ from scipy import sparse
 from scipy.sparse import linalg as spla
 
 from . import diagnostics
-from .mesh import FACE_AVERAGES, CoupledMesh, face_block, face_divergence, is_int
+from .mesh import FACE_AVERAGES, CoupledMesh, check_sizes, face_block, face_divergence, is_int
 from .model import (
     ClampWindow,
     DiffusionLaw,
@@ -85,7 +76,12 @@ _PREDICTOR_WEIGHTS = [
 
 
 class NonConvergence(RuntimeError):
-    """Newton failed to reach the residual tolerance within the iteration cap."""
+    """Newton failed to converge in step.
+
+    step raises it when the iteration cap cfg.newton_max_iter is reached, or
+    when no damping of the line search lowers the residual on an LU freshly
+    factored at the current iterate.
+    """
 
     def __init__(self, iterations: int, residual: float):
         super().__init__(
@@ -153,34 +149,29 @@ class StepConfig:
 class NewtonLU:
     """The Newton LU, the last accepted rate and states, kept from one step to the next.
 
-    key is theta*dt of the matrix I - key*J and solve the factorization's
-    solve; both are None until the first factorization.  f is the total rate
-    F(w) at the stacked state w that the last step accepted, None until then.
-    history holds up to PREDICTOR_DEGREE + 1 consecutive accepted stacked
-    states at this key, newest first; when present, history[0] is w.  A step
-    whose old state equals history[0] prepends its accepted state; any other
-    step restarts it as (accepted state, old state).  problem records what
-    the holder serves: (mesh, kinetics, bulk law, surface law, window, face
-    average).  A holder with no recorded problem adopts the first one step
-    uses it with; step empties a holder recorded for another problem (the
-    mesh compared by identity, the rest by value), and drops the LU and the
-    history when only the key differs.
+    problem is what the holder serves: (mesh, kinetics, bulk law, surface
+    law, window, face average, theta*dt).  solve is the solve of the LU of
+    I - theta*dt*J, f the total rate F at the state the last step accepted,
+    and history up to PREDICTOR_DEGREE + 1 consecutive accepted stacked
+    states, newest first, so history[0] is the accepted state.  A holder
+    with no recorded problem adopts the first one step uses it with.
+
+    step keeps two rules.  A step with another problem (the mesh compared
+    by identity, the rest by value) empties solve, f and history first.  A
+    step whose old state equals history[0] bit for bit takes f as F(w_old)
+    and prepends its accepted state to the history, starting Newton from the
+    history's extrapolation once it is full; any other step evaluates
+    F(w_old) and restarts the history as (accepted state, old state).  So
+    the predictor only extrapolates an unbroken equally spaced sequence.
+    The LU is also dropped, and refactored at the current iterate, after an
+    iteration that leaves more than CONTRACTION times the previous residual
+    and when the line search fails on it.
     """
 
-    key: float | None = None
-    solve: Callable[[np.ndarray], np.ndarray] | None = None
     problem: tuple | None = None
-    w: np.ndarray | None = None
+    solve: Callable[[np.ndarray], np.ndarray] | None = None
     f: np.ndarray | None = None
     history: tuple[np.ndarray, ...] = ()
-
-
-def _check_sizes(state: State, mesh: CoupledMesh) -> None:
-    if state.u.size != mesh.n_bulk or state.v.size != mesh.n_surface:
-        raise ValueError(
-            f"state sizes ({state.u.size}, {state.v.size}) do not match mesh "
-            f"({mesh.n_bulk}, {mesh.n_surface})"
-        )
 
 
 def _bulk_diffusion(u, mesh, law, window, face_average):
@@ -223,7 +214,7 @@ def bulk_diffusion_rate(
     Boundary faces carry no flux here; the active-surface exchange is a
     separate operator.  The volume-weighted sum over cells is zero.
     """
-    _check_sizes(state, mesh)
+    check_sizes(state, mesh)
     return _bulk_diffusion(state.u, mesh, law, window, face_average)
 
 
@@ -239,7 +230,7 @@ def surface_diffusion_rate(
     The coefficient may depend on the bulk trace value (cross diffusion);
     chain endpoints are zero flux.  The length-weighted sum is zero.
     """
-    _check_sizes(state, mesh)
+    check_sizes(state, mesh)
     return _surface_diffusion(state.u, state.v, mesh, law, window, face_average)
 
 
@@ -254,7 +245,7 @@ def coupling_rate(
     per unit volume and the surface cell gains beta*r_j, so the
     (beta, alpha)-weighted sum of the two returned arrays is zero.
     """
-    _check_sizes(state, mesh)
+    check_sizes(state, mesh)
     return _coupling(state.u, state.v, mesh, kin)
 
 
@@ -268,7 +259,7 @@ def total_rate(
     face_average: str = "arithmetic",
 ) -> tuple[np.ndarray, np.ndarray]:
     """Sum of the three spatial operators: (du/dt, dv/dt)."""
-    _check_sizes(state, mesh)
+    check_sizes(state, mesh)
     return _rates(state.u, state.v, mesh, kin, bulk_law, surf_law, window, face_average)
 
 
@@ -321,31 +312,23 @@ def step(
     Newton iteration (a NaN residual never passes).  If the old state
     already satisfies it (e.g. at equilibrium) no iteration runs, no
     predictor is evaluated and the state is returned unchanged apart from
-    the time.  Otherwise, when lu holds PREDICTOR_DEGREE + 1 consecutive
-    accepted states ending at w_old, Newton starts from their extrapolant
-    sum_j (-1)^j C(K+1, j+1) w_{n-j} (K = PREDICTOR_DEGREE) if R there,
-    evaluated once, has a strictly smaller max-norm than R(w_old) =
-    -dt*F(w_old); else from w_old.  Negative intermediate iterates are
-    harmless: the guarded rate and the coefficient clamp keep every
-    evaluation defined.
+    the time.  Otherwise Newton starts from w_old, or, when lu holds a full
+    history ending at w_old, from its extrapolant sum_j (-1)^j C(K+1, j+1)
+    w_{n-j} (K = PREDICTOR_DEGREE) if R there, evaluated once, has a
+    strictly smaller max-norm than R(w_old) = -dt*F(w_old).  Negative
+    intermediate iterates are harmless: the guarded rate and the coefficient
+    clamp keep every evaluation defined.
 
-    lu holds the LU of I - theta*dt*J from earlier steps of the same problem
-    and receives the one this step leaves; without it the step starts from a
-    new empty holder and factors at the old state.  A holder recorded for
-    another problem is emptied first, and one keyed on another theta*dt loses
-    its LU and its history.  A reused LU is stale: if the line search fails
-    on it, the iteration is retried with a fresh LU at the current iterate.
-    After any unconverged iteration that leaves more than CONTRACTION times
-    the previous residual the LU is dropped and the next iteration refactors.
-    The factorization uses the MMD_AT_PLUS_A column ordering.  The step
-    leaves its accepted state and F there on the holder; the next step takes
-    that F as F(w_old) and extends the history when its old state equals the
-    accepted one exactly, and evaluates F and restarts the history otherwise.
+    lu carries the LU, the accepted rate and the accepted states from the
+    step before and receives this step's; NewtonLU states when each is used
+    and when it is dropped.  Without lu the step starts from a new empty
+    holder and factors at the old state, with the MMD_AT_PLUS_A column
+    ordering.
 
     Raises NonConvergence when the iteration cap is reached or the line
     search fails on a fresh LU; the caller may halve dt and retry.
     """
-    _check_sizes(state, mesh)
+    check_sizes(state, mesh)
     nb = mesh.n_bulk
     dt = cfg.dt
     theta = cfg.theta
@@ -356,16 +339,13 @@ def step(
 
     if lu is None:
         lu = NewtonLU()
-    problem = (mesh, kin, bulk_law, surf_law, window, cfg.face_average)
-    if lu.problem is not None and not (lu.problem[0] is mesh and lu.problem[1:] == problem[1:]):
-        lu.key = lu.solve = lu.w = lu.f = None
-        lu.history = ()
+    problem = (mesh, kin, bulk_law, surf_law, window, cfg.face_average, dt * theta)
+    if lu.problem is not None and lu.problem != problem:
+        lu.solve, lu.f, lu.history = None, None, ()
     lu.problem = problem
-    if lu.key != dt * theta:
-        lu.key, lu.solve, lu.history = dt * theta, None, ()
 
-    chained = lu.w is not None and np.array_equal(lu.w, w_old)
-    history = lu.history if chained and lu.history else (w_old,)
+    chained = bool(lu.history) and np.array_equal(lu.history[0], w_old)
+    history = lu.history if chained else (w_old,)
     f_old = lu.f if chained and lu.f is not None else fvec(w_old)
     expl = np.zeros_like(w_old) if theta == 1.0 else dt * (1.0 - theta) * f_old
 
@@ -389,7 +369,7 @@ def step(
         fresh = lu.solve is None  # factored at the current iterate
         if fresh:
             jmat = _analytic_jacobian(w, mesh, kin, bulk_law, surf_law, window, cfg.face_average)
-            matrix = (sparse.identity(w.size, format="csc") - lu.key * jmat).tocsc()
+            matrix = (sparse.identity(w.size, format="csc") - dt * theta * jmat).tocsc()
             lu.solve = spla.splu(matrix, permc_spec="MMD_AT_PLUS_A").solve
         delta = lu.solve(-r)
         iters += 1
@@ -414,7 +394,7 @@ def step(
         if rn > cfg.newton_tol and contraction > CONTRACTION:
             lu.solve = None
 
-    lu.w, lu.f = w, f
+    lu.f = f
     lu.history = (w,) + history[:PREDICTOR_DEGREE]
     return State(t=state.t + dt, u=w[:nb].copy(), v=w[nb:].copy())
 
@@ -438,20 +418,15 @@ def run(
     times do not cost a clipped step, and its time is set to t_final.  On
     Newton failure the step is retried with dt halved, up to
     cfg.max_dt_halvings times; subsequent steps return to the configured dt.
-    The steps share one NewtonLU, so the LU is reused across steps and
-    refactored when dt changes, each step starts from the rate its
-    predecessor accepted, and from the (PREDICTOR_DEGREE + 1)-th step at one
-    theta*dt on, Newton starts from the extrapolation of the accepted states
-    when that lowers the starting residual.  A halved or clipped step empties
-    the history, so the predictor restarts after it.  A fatal failure
-    propagates NonConvergence with the last good state and the records so
-    far attached to the exception.
+    The steps share one NewtonLU (see there for what it carries across
+    steps and when a halved or clipped step drops it).  A fatal failure propagates NonConvergence with the last good state and the
+    records so far attached to the exception.
     """
     if not np.isfinite(t_final):
         raise ValueError(f"t_final must be finite, got {t_final}")
     if t_final < initial.t:
         raise ValueError(f"t_final={t_final} lies before the initial time {initial.t}")
-    _check_sizes(initial, mesh)
+    check_sizes(initial, mesh)
 
     def recorded(st: State):
         return diagnostics.record(

@@ -21,6 +21,24 @@ def make_problem(nx=4, ny=3, edges=("bottom",), alpha=2.0, beta=1.0, kappa=0.5, 
     return mesh, kin, eq, state, window
 
 
+def test_state_sized_for_another_mesh_is_rejected():
+    # too few or too many entries must raise, not give a plausible number
+    mesh, kin, eq, state, window = make_problem(nx=2, ny=2)
+    laws = (bs.power_law(1.0), bs.surface_cross_law(kin))
+    for u, v in ((state.u[:3], state.v), (state.u, np.append(state.v, 1.5))):
+        bad = bs.State(t=0.0, u=u, v=v)
+        for diagnostic in (
+            lambda: bs.weighted_mass(bad, mesh, kin),
+            lambda: bs.relative_entropy(bad, eq, mesh),
+            lambda: bs.envelope_entropy(bad, mesh, window),
+            lambda: bs.reaction_dissipation_split(bad, mesh, kin, window),
+            lambda: bs.undershoot_fields(bad, mesh, kin, window),
+            lambda: bs.record(bad, mesh, kin, eq, window, *laws),
+        ):
+            with pytest.raises(ValueError, match="do not match mesh"):
+                diagnostic()
+
+
 class TestEntropyDensity:
     def test_zero_at_one(self):
         assert bs.entropy_density(1.0) == 0.0

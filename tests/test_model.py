@@ -64,8 +64,11 @@ class TestLogMean:
         assert log_mean(math.e, 1.0) == pytest.approx(1.718281828459045, rel=1e-14)
 
     def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            log_mean(-1.0, 2.0)
+        # negative, NaN and infinite arguments, in either slot and in arrays
+        for bad in (-1.0, math.nan, math.inf):
+            for a, b in ((bad, 2.0), (2.0, bad), (np.array([1.0, bad]), np.ones(2))):
+                with pytest.raises(ValueError):
+                    log_mean(a, b)
 
     def test_bounds_between_geometric_and_arithmetic(self):
         rng = np.random.default_rng(3)
@@ -155,8 +158,11 @@ class TestPotentialRate:
     def test_rejects_nonpositive(self):
         kin = Kinetics(k=1.0, kappa=1.0, alpha=1.0, beta=1.0)
         eq = Equilibrium(u_star=1.0, v_star=1.0, mass=2.0)
-        with pytest.raises(ValueError):
-            potential_rate(0.0, 1.0, kin, eq)
+        for bad in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                potential_rate(bad, 1.0, kin, eq)
+            with pytest.raises(ValueError):
+                potential_rate(1.0, bad, kin, eq)
 
     def test_identity_with_power_form(self):
         rng = np.random.default_rng(11)

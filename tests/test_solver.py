@@ -2,6 +2,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import bulksurf as bs
 from bulksurf.solver import _analytic_jacobian, _rate_vector
@@ -550,18 +552,40 @@ class TestLUReuse:
         mesh, kin, eq, state, window, laws, cfg = self.setup_problem()
         lu = bs.NewtonLU()
         bs.step(state, mesh, kin, *laws, window, replace(cfg, dt=2 * cfg.dt), lu=lu)
-        assert lu.key == 2 * cfg.dt and lu.solve is not None
+        assert lu.problem[-1] == 2 * cfg.dt and lu.solve is not None
         out = bs.step(state, mesh, kin, *laws, window, cfg, lu=lu)
         bare = bs.step(state, mesh, kin, *laws, window, cfg)
         np.testing.assert_array_equal(out.u, bare.u)
         np.testing.assert_array_equal(out.v, bare.v)
-        assert lu.key == cfg.dt * cfg.theta
+        assert lu.problem[-1] == cfg.dt * cfg.theta
+
+    def test_other_key_evaluates_the_old_rate_afresh(self, monkeypatch):
+        # theta*dt is part of the problem: a clipped or halved step empties
+        # the accepted rate with the LU and evaluates F at its old state
+        mesh, kin, eq, state, window, laws, cfg = self.setup_problem()
+        cfg = replace(cfg, theta=0.5)
+        lu = bs.NewtonLU()
+        first = bs.step(state, mesh, kin, *laws, window, cfg, lu=lu)
+        evaluated = []
+        rate_vector = bs.solver._rate_vector
+
+        def counted(w, *args):
+            evaluated.append(w.copy())
+            return rate_vector(w, *args)
+
+        monkeypatch.setattr(bs.solver, "_rate_vector", counted)
+        short = replace(cfg, dt=0.5 * cfg.dt)
+        out = bs.step(first, mesh, kin, *laws, window, short, lu=lu)
+        np.testing.assert_array_equal(evaluated[0], np.concatenate([first.u, first.v]))
+        bare = bs.step(first, mesh, kin, *laws, window, short)
+        np.testing.assert_array_equal(out.u, bare.u)
+        np.testing.assert_array_equal(out.v, bare.v)
 
     def test_stale_lu_failing_line_search_is_refactored(self):
         # a reused LU whose Newton direction raises the residual at every
         # damping: the step refactors at the old state instead of failing
         mesh, kin, eq, state, window, laws, cfg = self.setup_problem()
-        lu = bs.NewtonLU(key=cfg.dt * cfg.theta, solve=lambda b: -b)
+        lu = bs.NewtonLU(solve=lambda b: -b)
         out = bs.step(state, mesh, kin, *laws, window, cfg, lu=lu)
         bare = bs.step(state, mesh, kin, *laws, window, cfg)
         np.testing.assert_array_equal(out.u, bare.u)
@@ -603,8 +627,8 @@ class TestLUReuse:
         plain = bs.step(state, mesh, kin, *laws, window, short, lu=twin)
         np.testing.assert_array_equal(out.u, plain.u)
         np.testing.assert_array_equal(out.v, plain.v)
-        assert len(lu.history) == 2  # (accepted, old): one step at the new key
-        # back at the old key, the history restarts once more
+        assert len(lu.history) == 2  # (accepted, old): one step at the new theta*dt
+        # back at the old theta*dt, the history restarts once more
         back = bs.step(out, mesh, kin, *laws, window, cfg, lu=lu)
         again = bs.step(plain, mesh, kin, *laws, window, cfg, lu=twin)
         np.testing.assert_array_equal(back.u, again.u)
@@ -654,9 +678,70 @@ class TestLUReuse:
         mesh, kin, eq, state, window, laws, cfg = self.setup_problem()
         w_old = np.concatenate([state.u, state.v])
         zigzag = tuple(w_old * (1.0 + 0.1 * (j % 2)) for j in range(bs.solver.PREDICTOR_DEGREE + 1))
-        lu = bs.NewtonLU(key=cfg.dt * cfg.theta, w=w_old, history=zigzag)
+        lu = bs.NewtonLU(history=zigzag)  # zigzag[0] is w_old
         twin = replace(lu, history=())
         out = bs.step(state, mesh, kin, *laws, window, cfg, lu=lu)
         plain = bs.step(state, mesh, kin, *laws, window, cfg, lu=twin)
         np.testing.assert_array_equal(out.u, plain.u)
         np.testing.assert_array_equal(out.v, plain.v)
+
+
+# every law kind in each slot; the surface makers take the kinetics because
+# surface_cross reads its alpha and beta
+BULK_LAWS = (bs.power_law(1.0), bs.exponential_law(0.5), bs.constant_law(1.5))
+SURFACE_LAW_MAKERS = (
+    bs.surface_cross_law,
+    lambda kin: bs.power_law(0.8, role="surface"),
+    lambda kin: bs.exponential_law(0.3, role="surface"),
+    lambda kin: bs.constant_law(0.7, role="surface"),
+)
+
+
+class TestRandomProblems:
+    """Structure checks on randomly drawn meshes, laws, exponents and face averages."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        nx=st.integers(1, 6),
+        ny=st.integers(1, 6),
+        edges=st.sets(st.sampled_from(bs.mesh.EDGE_NAMES), min_size=1),
+        bulk_law=st.sampled_from(BULK_LAWS),
+        surf_law_maker=st.sampled_from(SURFACE_LAW_MAKERS),
+        alpha=st.floats(1.0, 3.0),
+        beta=st.floats(1.0, 3.0),
+        face_average=st.sampled_from(bs.mesh.FACE_AVERAGES),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_jacobian_mass_and_fixed_point(
+        self, nx, ny, edges, bulk_law, surf_law_maker, alpha, beta, face_average, seed
+    ):
+        kin = bs.Kinetics(k=1.2, kappa=0.6, alpha=alpha, beta=beta)
+        mesh = bs.build_mesh(nx, ny, 1.0, 1.3, edges)
+        rng = np.random.default_rng(seed)
+        state = bs.State(
+            t=0.0, u=rng.uniform(0.6, 1.8, mesh.n_bulk), v=rng.uniform(0.6, 1.8, mesh.n_surface)
+        )
+        m0 = bs.weighted_mass(state, mesh, kin)
+        eq = bs.solve_equilibrium(kin, m0, mesh.total_bulk_measure, mesh.total_surface_measure)
+        window = bs.window_from_initial_data(state.u, state.v, eq, kin)
+        laws = (bulk_law, surf_law_maker(kin))
+        cfg = bs.StepConfig(dt=1e-3, newton_tol=1e-13, newton_max_iter=40, face_average=face_average)
+
+        w = np.concatenate([state.u, state.v])
+        J_an = _analytic_jacobian(w, mesh, kin, *laws, window, face_average).toarray()
+        J_fd = _fd_jacobian(w, mesh, kin, *laws, window, face_average)
+        assert np.abs(J_an - J_fd).max() <= 1e-5 * max(1.0, np.abs(J_fd).max())
+
+        # the weighted mass moves by at most the weighted Newton residual
+        slack = (kin.beta * mesh.total_bulk_measure + kin.alpha * mesh.total_surface_measure)
+        lu = bs.NewtonLU()
+        for _ in range(3):
+            new = bs.step(state, mesh, kin, *laws, window, cfg, lu=lu)
+            m = bs.weighted_mass(new, mesh, kin)
+            assert abs(m - bs.weighted_mass(state, mesh, kin)) <= slack * cfg.newton_tol + 1e-14 * m0
+            state = new
+
+        star = bs.State(t=0.0, u=np.full(mesh.n_bulk, eq.u_star), v=np.full(mesh.n_surface, eq.v_star))
+        out = bs.step(star, mesh, kin, *laws, window, cfg)
+        np.testing.assert_allclose(out.u, eq.u_star, rtol=1e-13, atol=0)
+        np.testing.assert_allclose(out.v, eq.v_star, rtol=1e-13, atol=0)
