@@ -23,11 +23,15 @@ residual.
 Time discretization is theta-implicit (backward Euler at theta = 1), solved
 by damped Newton.  The Newton matrix I - theta*dt*dF/dw is assembled from the
 analytic sparse Jacobian and factored by SuperLU with the minimum-degree
-ordering of A^T + A, since the matrix is structurally symmetric.  A NewtonLU
-holder carries the LU, the last accepted rate and the last accepted states
-from one step to the next (simplified Newton with a predictor, Hairer &
-Wanner, Solving ODEs II, IV.8); its docstring states when each is used and
-when it is dropped.
+ordering of A^T + A, since the matrix is structurally symmetric, and panel
+size 1.  The factor is single precision: it only steers the iteration, while
+residuals, iterates, the line search and the stopping test stay in double
+precision (mixed-precision iterative refinement, Carson & Higham, SIAM J.
+Sci. Comput. 40, 2018).  A problem on which a single-precision factor fails
+falls back to double precision.  A NewtonLU holder carries the LU, the last
+accepted rate and the last accepted states from one step to the next
+(simplified Newton with a predictor, Hairer & Wanner, Solving ODEs II, IV.8);
+its docstring states when each is used and when it is dropped.
 """
 
 from __future__ import annotations
@@ -166,12 +170,50 @@ class NewtonLU:
     The LU is also dropped, and refactored at the current iterate, after an
     iteration that leaves more than CONTRACTION times the previous residual
     and when the line search fails on it.
+
+    Factors are single precision until double is set.  step sets it when
+    the Newton matrix is not finite in float32, when SuperLU cannot factor
+    it, or when an iteration on a fresh single-precision factor fails the
+    line search or leaves more than CONTRACTION times the residual; the
+    next factor, at the current iterate, is then double precision, and so
+    is every later one until another problem empties the holder.
     """
 
     problem: tuple | None = None
     solve: Callable[[np.ndarray], np.ndarray] | None = None
     f: np.ndarray | None = None
     history: tuple[np.ndarray, ...] = ()
+    double: bool = False
+
+
+def _factor(matrix: sparse.csc_matrix, dtype=np.float32) -> Callable[[np.ndarray], np.ndarray] | None:
+    """The solve of a SuperLU factor of matrix in dtype, or None if it cannot be made.
+
+    Panel size 1 gives the same factor as SuperLU's default panel size, bit
+    for bit, in less time and memory (the panel workspace scales with panel
+    size times n).  A float32
+    factor solves the right-hand side scaled by its max-norm, so its range
+    fits single precision, and returns float64; it is None when the matrix
+    is not finite in float32.  Either precision is None when SuperLU raises
+    (an exactly singular factor).
+    """
+    if dtype == np.float32:
+        with np.errstate(over="ignore"):
+            matrix = matrix.astype(np.float32)
+        if not np.all(np.isfinite(matrix.data)):
+            return None
+    try:
+        factor = spla.splu(matrix, permc_spec="MMD_AT_PLUS_A", panel_size=1)
+    except RuntimeError:
+        return None
+    if dtype != np.float32:
+        return factor.solve
+
+    def solve(b: np.ndarray) -> np.ndarray:
+        scale = np.max(np.abs(b))
+        return scale * factor.solve((b / scale).astype(np.float32)).astype(float)
+
+    return solve
 
 
 def _bulk_diffusion(u, mesh, law, window, face_average):
@@ -321,12 +363,13 @@ def step(
 
     lu carries the LU, the accepted rate and the accepted states from the
     step before and receives this step's; NewtonLU states when each is used
-    and when it is dropped.  Without lu the step starts from a new empty
-    holder and factors at the old state, with the MMD_AT_PLUS_A column
-    ordering.
+    and when it is dropped, and when its factors switch from single to
+    double precision.  Without lu the step starts from a new empty holder
+    and factors at the old state.  Every factor comes from _factor.
 
-    Raises NonConvergence when the iteration cap is reached or the line
-    search fails on a fresh LU; the caller may halve dt and retry.
+    Raises NonConvergence when the iteration cap is reached, or when SuperLU
+    cannot factor the matrix or the line search fails on a fresh
+    double-precision LU; the caller may halve dt and retry.
     """
     check_sizes(state, mesh)
     nb = mesh.n_bulk
@@ -341,7 +384,7 @@ def step(
         lu = NewtonLU()
     problem = (mesh, kin, bulk_law, surf_law, window, cfg.face_average, dt * theta)
     if lu.problem is not None and lu.problem != problem:
-        lu.solve, lu.f, lu.history = None, None, ()
+        lu.solve, lu.f, lu.history, lu.double = None, None, (), False
     lu.problem = problem
 
     chained = bool(lu.history) and np.array_equal(lu.history[0], w_old)
@@ -370,7 +413,12 @@ def step(
         if fresh:
             jmat = _analytic_jacobian(w, mesh, kin, bulk_law, surf_law, window, cfg.face_average)
             matrix = (sparse.identity(w.size, format="csc") - dt * theta * jmat).tocsc()
-            lu.solve = spla.splu(matrix, permc_spec="MMD_AT_PLUS_A").solve
+            lu.solve = None if lu.double else _factor(matrix)
+            if lu.solve is None:
+                lu.double = True
+                lu.solve = _factor(matrix, np.float64)
+                if lu.solve is None:
+                    raise NonConvergence(iters, rn)
         delta = lu.solve(-r)
         iters += 1
 
@@ -384,14 +432,16 @@ def step(
                 break
             lam *= 0.5
         else:  # no trial reduced the residual
-            if fresh:
+            if fresh and lu.double:
                 raise NonConvergence(iters, rn)
+            lu.double |= fresh  # a fresh single-precision factor failed
             lu.solve = None  # retry this iteration with a fresh Jacobian
             continue
 
         contraction = rn_trial / rn
         w, f, r, rn = w_trial, f_trial, r_trial, rn_trial
         if rn > cfg.newton_tol and contraction > CONTRACTION:
+            lu.double |= fresh
             lu.solve = None
 
     lu.f = f

@@ -232,6 +232,22 @@ class TestMainExitCodes:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["completed"] is False
 
+    def test_singular_newton_matrix_is_exit_3_with_partial_outputs(self, tmp_path, capsys):
+        # dt*J overflows, so SuperLU finds the Newton matrix exactly singular
+        # in either precision at every halving of dt
+        text = (
+            "nx = 4\nny = 4\nalpha = 3.0\nbeta = 2.0\ninitial = constant\n"
+            "u0 = 1e100\nv0 = 1e100\ndt = 1e110\nt_final = 2e110\n"
+        )
+        cfg = write(tmp_path, text)
+        out = tmp_path / "singular"
+        with np.errstate(all="ignore"):
+            assert main(["--config", str(cfg), "--out", str(out), "--quiet"]) == 3
+        assert "solver failed" in capsys.readouterr().err
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["completed"] is False
+        assert summary["steps"] == 0
+
     def test_mass_column_conserved(self, tmp_path):
         cfg = write(tmp_path, BLOB_RUN)
         out = tmp_path / "results"

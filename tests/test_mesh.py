@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bulksurf import build_mesh, bulk_face_list, surface_face_list
+from bulksurf.mesh import EDGE_NAMES
 
 
 def test_unit_single_cell():
@@ -129,3 +132,50 @@ def test_rejects_bad_arguments():
         build_mesh(1, 1, 1.0, 1.0, set())
     with pytest.raises(ValueError):
         build_mesh(1, 1, 1.0, 1.0, {"bottom", "diagonal"})
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    nx=st.integers(1, 6),
+    ny=st.integers(1, 6),
+    edges=st.sets(st.sampled_from(EDGE_NAMES), min_size=1),
+)
+def test_chain_topology(nx, ny, edges):
+    lx, ly = 1.5, 0.7
+    mesh = build_mesh(nx, ny, lx, ly, edges)
+    faces = surface_face_list(mesh)
+    perimeter = 2 * (lx + ly)
+
+    # arc length of each surface face centre along the counterclockwise
+    # boundary from the origin, read from its edge and centre alone
+    cx, cy = mesh.surf_center_x, mesh.surf_center_y
+    start = {"bottom": 0.0, "right": lx, "top": lx + ly, "left": 2 * lx + ly}
+    along = {"bottom": cx, "right": cy, "top": lx - cx, "left": ly - cy}
+    arc = np.array([start[e] + along[e][j] for j, e in enumerate(mesh.surf_edge)])
+
+    # every face joins cells that touch along the boundary, b following a
+    gap = (arc[faces.cell_b] - arc[faces.cell_a]) % perimeter
+    half = 0.5 * (mesh.surf_length[faces.cell_a] + mesh.surf_length[faces.cell_b])
+    np.testing.assert_allclose(gap, half, rtol=1e-12)
+    # and every such pair of surface cells has its face
+    order = np.argsort(arc)
+    touching = (np.roll(arc[order], -1) - arc[order]) % perimeter
+    touching_half = 0.5 * (mesh.surf_length[order] + np.roll(mesh.surf_length[order], -1))
+    expected = int(np.sum(np.isclose(touching, touching_half, rtol=1e-12))) if mesh.n_surface > 1 else 0
+    assert len(faces) == expected
+
+    # the chain is a loop exactly when all four edges are active
+    degree = np.bincount(np.concatenate([faces.cell_a, faces.cell_b]), minlength=mesh.n_surface)
+    assert np.all(degree == 2) == (set(edges) == set(EDGE_NAMES))
+
+    # each surface cell sits on a boundary face of its bulk cell, on its edge
+    ix, iy = mesh.surf_to_bulk % nx, mesh.surf_to_bulk // nx
+    for j, edge in enumerate(mesh.surf_edge):
+        assert edge in edges
+        assert {"bottom": iy[j] == 0, "top": iy[j] == ny - 1, "left": ix[j] == 0, "right": ix[j] == nx - 1}[edge]
+        assert abs(cx[j] - mesh.cell_center_x[mesh.surf_to_bulk[j]]) <= 0.5 * mesh.dx * (1 + 1e-12)
+        assert abs(cy[j] - mesh.cell_center_y[mesh.surf_to_bulk[j]]) <= 0.5 * mesh.dy * (1 + 1e-12)
+
+    assert mesh.total_surface_measure == pytest.approx(float(np.sum(mesh.surf_length)), rel=1e-15)
+    edge_lengths = {"bottom": lx, "top": lx, "left": ly, "right": ly}
+    assert mesh.total_surface_measure == pytest.approx(sum(edge_lengths[e] for e in edges), rel=1e-12)

@@ -1,4 +1,9 @@
+import os
+import platform
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +12,7 @@ from hypothesis import strategies as st
 
 import bulksurf as bs
 from bulksurf.solver import _analytic_jacobian, _rate_vector
+from test_acceptance import blob_problem
 
 
 def wide_window(u_star=1.0, v_star=1.0, alpha=1.0, beta=1.0):
@@ -247,12 +253,19 @@ class TestStep:
             bs.step(hot, mesh, kin, bs.power_law(1.0), bs.surface_cross_law(kin), window, cfg)
         assert info.value.iterations >= 1
         assert info.value.residual > 0
-        # u**2 - kappa*v**2 overflows to inf - inf: a NaN residual never counts as converged
-        huge = bs.State(t=0.0, u=np.full(mesh.n_bulk, 1e200), v=np.full(mesh.n_surface, 1e200))
-        kin2 = bs.Kinetics(k=1.0, kappa=1.0, alpha=2.0, beta=2.0)
-        with np.errstate(all="ignore"), pytest.raises(bs.NonConvergence):
-            bs.step(huge, mesh, kin2, bs.constant_law(1.0), bs.constant_law(1.0, role="surface"),
-                    wide_window(alpha=2.0, beta=2.0), bs.StepConfig(dt=1e-3))
+        # u**alpha - kappa*v**2 overflows to inf - inf: a NaN residual never
+        # counts as converged.  At alpha = 2 the Newton matrix overflows
+        # float32; at alpha = 3 and 4 on a 4x4 mesh SuperLU finds it exactly
+        # singular.  Each case falls back to double precision and fails there.
+        small = bs.build_mesh(4, 4, 1.0, 1.0, {"bottom"})
+        for alpha, m in ((2.0, mesh), (3.0, small), (4.0, small)):
+            huge = bs.State(t=0.0, u=np.full(m.n_bulk, 1e200), v=np.full(m.n_surface, 1e200))
+            kin2 = bs.Kinetics(k=1.0, kappa=1.0, alpha=alpha, beta=2.0)
+            lu = bs.NewtonLU()
+            with np.errstate(all="ignore"), pytest.raises(bs.NonConvergence):
+                bs.step(huge, m, kin2, bs.constant_law(1.0), bs.constant_law(1.0, role="surface"),
+                        wide_window(alpha=alpha, beta=2.0), bs.StepConfig(dt=1e-3), lu=lu)
+            assert lu.double
 
     def test_law_in_wrong_slot_raises(self):
         # a bulk law in the surface slot would read the bulk trace as v, and
@@ -462,6 +475,15 @@ class TestLUReuse:
         monkeypatch.setattr(bs.solver.spla, "splu", counted)
         return calls, solves
 
+    @staticmethod
+    def force_double(monkeypatch):
+        """Make every factor double precision: no single-precision factor can be made."""
+        factor = bs.solver._factor
+        monkeypatch.setattr(
+            bs.solver, "_factor",
+            lambda matrix, dtype=np.float32: None if dtype == np.float32 else factor(matrix, dtype),
+        )
+
     def primed(self):
         """The problem, and the state and holder after just enough steps to fill the history."""
         mesh, kin, eq, state, window, laws, cfg = self.setup_problem()
@@ -590,6 +612,70 @@ class TestLUReuse:
         bare = bs.step(state, mesh, kin, *laws, window, cfg)
         np.testing.assert_array_equal(out.u, bare.u)
         np.testing.assert_array_equal(out.v, bare.v)
+
+    def test_single_precision_factors_match_double(self, monkeypatch):
+        # the single-precision LU only steers Newton; the double-precision
+        # residual decides convergence, so the run factors as often
+        mesh, kin, eq, state, window, laws, cfg = self.setup_problem()
+        calls, _ = self.count_splu(monkeypatch)
+        single, _ = bs.run(state, 50 * cfg.dt, mesh, kin, eq, *laws, window, cfg)
+        single_lus = len(calls)
+        del calls[:]
+        self.force_double(monkeypatch)
+        double, _ = bs.run(state, 50 * cfg.dt, mesh, kin, eq, *laws, window, cfg)
+        assert len(calls) == single_lus
+        scale = max(np.abs(double.u).max(), np.abs(double.v).max())
+        gap = max(np.abs(single.u - double.u).max(), np.abs(single.v - double.v).max())
+        assert gap <= 1e-11 * scale
+
+    def test_failing_single_factor_falls_back_to_double(self, monkeypatch):
+        # a fresh single-precision factor whose direction fails the line
+        # search: the step refactors in double precision at the same iterate,
+        # as a step that never had a single-precision factor
+        mesh, kin, eq, state, window, laws, cfg = self.setup_problem()
+        factor = bs.solver._factor
+        monkeypatch.setattr(
+            bs.solver, "_factor",
+            lambda matrix, dtype=np.float32: (lambda b: -b) if dtype == np.float32 else factor(matrix, dtype),
+        )
+        lu = bs.NewtonLU()
+        out = bs.step(state, mesh, kin, *laws, window, cfg, lu=lu)
+        assert lu.double
+        self.force_double(monkeypatch)
+        bare = bs.step(state, mesh, kin, *laws, window, cfg)
+        np.testing.assert_array_equal(out.u, bare.u)
+        np.testing.assert_array_equal(out.v, bare.v)
+        # double precision holds for the rest of the problem only
+        monkeypatch.setattr(bs.solver, "_factor", factor)
+        bs.step(out, mesh, kin, *laws, window, cfg, lu=lu)
+        assert lu.double
+        bs.step(out, mesh, replace(kin, k=3.0), *laws, window, cfg, lu=lu)
+        assert not lu.double
+
+    def test_ill_conditioned_steps_fall_back_to_double(self, monkeypatch):
+        # the acceptance blob at 1e8 times its dt: cond(I - dt*J) is about
+        # 7e8 at the start, beyond what a single-precision LU can steer.
+        # Double precision takes 4 LUs and 10 solves for 3 steps; single
+        # precision alone fails to converge.  The fallback may cost one more
+        # factor.
+        p = blob_problem()
+        cfg = replace(p.cfg, dt=1e8 * p.cfg.dt, newton_tol=1e-6)
+        laws = (p.bulk_law, p.surf_law)
+        calls, _ = self.count_splu(monkeypatch)
+        lu = bs.NewtonLU()
+        single = p.state
+        for _ in range(3):
+            single = bs.step(single, p.mesh, p.kin, *laws, p.window, cfg, lu=lu)
+        single_lus = len(calls)
+        assert lu.double
+        del calls[:]
+        self.force_double(monkeypatch)
+        lu = bs.NewtonLU()
+        double = p.state
+        for _ in range(3):
+            double = bs.step(double, p.mesh, p.kin, *laws, p.window, cfg, lu=lu)
+        assert single_lus <= len(calls) + 1
+        assert single.t == double.t == 3 * cfg.dt
 
     def test_history_cuts_newton_solves(self, monkeypatch):
         mesh, kin, eq, state, window, laws, cfg = self.setup_problem()
@@ -745,3 +831,49 @@ class TestRandomProblems:
         out = bs.step(star, mesh, kin, *laws, window, cfg)
         np.testing.assert_allclose(out.u, eq.u_star, rtol=1e-13, atol=0)
         np.testing.assert_allclose(out.v, eq.v_star, rtol=1e-13, atol=0)
+
+
+# Factors and solves Newton matrices of 1x1, 3x2 all-edge, 16x16 and 64x64
+# meshes at three time steps, in both precisions, through the solver's factor
+# helper, in 12 passes.  Under MALLOC_CHECK_=3 glibc aborts the interpreter
+# when SuperLU corrupts its heap.  relax=100 corrupts it, but not on every
+# pass: this test caught it in one to two of every four runs.
+_HEAP_SCRIPT = """
+import numpy as np
+from scipy import sparse
+import bulksurf as bs
+from bulksurf.solver import _analytic_jacobian, _factor
+
+kin = bs.Kinetics(k=1.0, kappa=0.5, alpha=2.0, beta=1.0)
+laws = (bs.power_law(1.0), bs.surface_cross_law(kin))
+problems = []
+for nx, ny, edges in ((1, 1, {"bottom"}), (3, 2, set(bs.mesh.EDGE_NAMES)),
+                      (16, 16, {"bottom"}), (64, 64, {"bottom"})):
+    mesh = bs.build_mesh(nx, ny, 1.0, 1.0, edges)
+    rng = np.random.default_rng(nx)
+    u = rng.uniform(0.8, 1.6, mesh.n_bulk)
+    v = rng.uniform(0.8, 1.6, mesh.n_surface)
+    eq = bs.solve_equilibrium(kin, 2.0, mesh.total_bulk_measure, mesh.total_surface_measure)
+    window = bs.window_from_initial_data(u, v, eq, kin)
+    w = np.concatenate([u, v])
+    jac = _analytic_jacobian(w, mesh, kin, *laws, window, "arithmetic")
+    for dt in (1e-3, 1.0, 1e3):
+        problems.append((w, (sparse.identity(w.size, format="csc") - dt * jac).tocsc()))
+for _ in range(12):
+    for w, matrix in problems:
+        for dtype in (np.float32, np.float64):
+            x = _factor(matrix, dtype)(w)
+            # normwise backward error within a few hundred units of round-off
+            norm = abs(matrix).sum(axis=1).max() * np.abs(x).max()
+            assert np.abs(matrix @ x - w).max() <= 1e3 * np.finfo(dtype).eps * norm
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="MALLOC_CHECK_ is a glibc feature")
+def test_superlu_options_keep_the_heap_intact():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, MALLOC_CHECK_="3",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", _HEAP_SCRIPT], capture_output=True, text=True,
+                          env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr[-2000:]
