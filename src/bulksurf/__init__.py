@@ -21,7 +21,7 @@ from .diagnostics import (
     undershoot_fields,
     weighted_mass,
 )
-from .mesh import CoupledMesh, FaceSet, build_mesh, bulk_face_list, surface_face_list
+from .mesh import CoupledMesh, FaceSet, build_mesh
 from .model import (
     ClampWindow,
     DiffusionLaw,
@@ -60,8 +60,6 @@ __all__ = [
     "CoupledMesh",
     "FaceSet",
     "build_mesh",
-    "bulk_face_list",
-    "surface_face_list",
     "Kinetics",
     "DiffusionLaw",
     "ClampWindow",

@@ -80,7 +80,7 @@ def face_divergence(faces: FaceSet, x, mu, face_average: str) -> np.ndarray:
 
 
 def face_block(faces: FaceSet, x, offset: int, mu, dmu_x, face_average, dmu_y=None, y_cols=None):
-    """COO triplets (rows, cols, vals) of the Jacobian of one face divergence.
+    """Jacobian of one face divergence: off-diagonal COO triplets plus its diagonal.
 
     The flux phi = trans * mu_f * (x_b - x_a) of a face enters the rate of
     cell a as +phi/|a| and that of cell b as -phi/|b|.  x is the diffused
@@ -88,22 +88,48 @@ def face_block(faces: FaceSet, x, offset: int, mu, dmu_x, face_average, dmu_y=No
     coefficients and their derivatives along x.  A cross coefficient also
     depends on a second field y, with derivatives dmu_y and state indices
     y_cols[cell].
+
+    Returns (rows, cols, vals, diag).  The triplets hold two entries per
+    face, a -> b and then b -> a, followed by the four y entries of every
+    face of a cross coefficient; their indices are np.intc, SuperLU's index
+    type.  diag[cell] is the derivative of the rate of cell along its own x,
+    summed over the faces of the cell.
     """
     a, b = faces.cell_a, faces.cell_b
     mu_a, mu_b = mu[a], mu[b]
     mean, weights = _FACE_AVERAGES[face_average]
     mu_f = mean(mu_a, mu_b)
     w_a, w_b = weights(mu_a, mu_b)
+    del mu_a, mu_b  # per-face arrays go once spent: they set the assembly's peak memory
     g = faces.trans
     dlt = x[b] - x[a]
-    cols = [offset + a, offset + b]
-    dphi = [g * (w_a * dmu_x[a] * dlt - mu_f), g * (w_b * dmu_x[b] * dlt + mu_f)]
-    if dmu_y is not None:
-        cols += [y_cols[a], y_cols[b]]
-        dphi += [g * w_a * dmu_y[a] * dlt, g * w_b * dmu_y[b] * dlt]
+    dphi_a = g * (w_a * dmu_x[a] * dlt - mu_f)
+    dphi_b = g * (w_b * dmu_x[b] * dlt + mu_f)
+    del mu_f
     inv_a, inv_b = 1.0 / faces.measure[a], 1.0 / faces.measure[b]
-    rows = [offset + a] * len(cols) + [offset + b] * len(cols)
-    return rows, cols + cols, [d * inv_a for d in dphi] + [-d * inv_b for d in dphi]
+    n = faces.measure.size
+    # without faces bincount returns integers
+    diag = np.bincount(a, weights=dphi_a * inv_a, minlength=n).astype(float, copy=False)
+    diag -= np.bincount(b, weights=dphi_b * inv_b, minlength=n)
+
+    ends = np.concatenate([a, b], dtype=np.intc)  # rows a, b; the columns swap them
+    ends += offset
+    rows, cols = [ends], [np.concatenate([ends[a.size :], ends[: a.size]])]
+    dphi_b *= inv_a
+    dphi_a *= inv_b
+    vals = [dphi_b, np.negative(dphi_a, out=dphi_a)]
+    if dmu_y is not None:
+        dphi_ya, dphi_yb = g * w_a * dmu_y[a] * dlt, g * w_b * dmu_y[b] * dlt
+        ya, yb = y_cols[a], y_cols[b]
+        rows += [ends, ends]
+        cols += [ya, ya, yb, yb]
+        vals += [dphi_ya * inv_a, -dphi_ya * inv_b, dphi_yb * inv_a, -dphi_yb * inv_b]
+    return (
+        np.concatenate(rows, dtype=np.intc),
+        np.concatenate(cols, dtype=np.intc),
+        np.concatenate(vals),
+        diag,
+    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -278,12 +304,3 @@ def build_mesh(
         surf_faces=surf_faces,
     )
 
-
-def bulk_face_list(mesh: CoupledMesh) -> FaceSet:
-    """Interior bulk faces, each exactly once; count is ny*(nx-1) + nx*(ny-1)."""
-    return mesh.bulk_faces
-
-
-def surface_face_list(mesh: CoupledMesh) -> FaceSet:
-    """Faces between chain-adjacent surface cells (unit face measure in 1D)."""
-    return mesh.surf_faces

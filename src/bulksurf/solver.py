@@ -21,13 +21,15 @@ is conserved exactly by this flux/source structure, up to the nonlinear-solve
 residual.
 
 Time discretization is theta-implicit (backward Euler at theta = 1), solved
-by damped Newton.  The Newton matrix I - theta*dt*dF/dw is assembled from the
-analytic sparse Jacobian and factored by SuperLU with the minimum-degree
-ordering of A^T + A, since the matrix is structurally symmetric, and panel
-size 1.  The factor is single precision: it only steers the iteration, while
-residuals, iterates, the line search and the stopping test stay in double
-precision (mixed-precision iterative refinement, Carson & Higham, SIAM J.
-Sci. Comput. 40, 2018).  A problem on which a single-precision factor fails
+by damped Newton.  The Newton matrix I - theta*dt*dF/dw is assembled in one
+pass from the analytic derivatives: two off-diagonal entries per face and
+per surface-cell coupling, and a diagonal summed per cell with the identity
+folded in.  SuperLU factors it with the minimum-degree ordering of A^T + A,
+since the matrix is structurally symmetric, and panel size 1.  The factor
+is single precision: it only steers the iteration, while residuals,
+iterates, the line search and the stopping test stay in double precision
+(mixed-precision iterative refinement, Carson & Higham, SIAM J. Sci.
+Comput. 40, 2018).  A problem on which a single-precision factor fails
 falls back to double precision.  A NewtonLU holder carries the LU, the last
 accepted rate and the last accepted states from one step to the next
 (simplified Newton with a predictor, Hairer & Wanner, Solving ODEs II, IV.8);
@@ -191,17 +193,18 @@ def _factor(matrix: sparse.csc_matrix, dtype=np.float32) -> Callable[[np.ndarray
 
     Panel size 1 gives the same factor as SuperLU's default panel size, bit
     for bit, in less time and memory (the panel workspace scales with panel
-    size times n).  A float32
-    factor solves the right-hand side scaled by its max-norm, so its range
-    fits single precision, and returns float64; it is None when the matrix
-    is not finite in float32.  Either precision is None when SuperLU raises
-    (an exactly singular factor).
+    size times n).  A float32 factor is made from a float32 copy of the
+    values on the matrix's own index arrays; it solves the right-hand side
+    scaled by its max-norm, so its range fits single precision, and returns
+    float64.  It is None when the matrix is not finite in float32.  Either
+    precision is None when SuperLU raises (an exactly singular factor).
     """
     if dtype == np.float32:
         with np.errstate(over="ignore"):
-            matrix = matrix.astype(np.float32)
-        if not np.all(np.isfinite(matrix.data)):
+            data = matrix.data.astype(np.float32)
+        if not np.all(np.isfinite(data)):
             return None
+        matrix = sparse.csc_matrix((data, matrix.indices, matrix.indptr), shape=matrix.shape)
     try:
         factor = spla.splu(matrix, permc_spec="MMD_AT_PLUS_A", panel_size=1)
     except RuntimeError:
@@ -311,29 +314,41 @@ def _rate_vector(w, mesh, kin, bulk_law, surf_law, window, face_average):
     return np.concatenate([du, dv])
 
 
-def _analytic_jacobian(w, mesh, kin, bulk_law, surf_law, window, face_average):
-    """Sparse Jacobian of the total rate with respect to the stacked state."""
+def _newton_matrix(w, c, mesh, kin, bulk_law, surf_law, window, face_average):
+    """The Newton matrix I - c*J in CSC, J the Jacobian of the total rate at w.
+
+    Every face adds its two off-diagonal entries (and, on the chain, the
+    columns of the bulk trace of a cross coefficient), and the coupling adds
+    two per surface cell; the diagonal is summed per cell and 1 - c*J_ii is
+    folded into it.  All indices are np.intc, and explicit zeros are
+    dropped, so SuperLU orders the pattern of the nonzeros.
+    """
     nb, ns = mesh.n_bulk, mesh.n_surface
     u, v = w[:nb], w[nb:]
     tr = mesh.surf_to_bulk
     mu, dmu_du, _ = coefficient_and_derivatives(bulk_law, u, None, window)
-    rows, cols, vals = face_block(mesh.bulk_faces, u, 0, mu, dmu_du, face_average)
+    bulk = face_block(mesh.bulk_faces, u, 0, mu, dmu_du, face_average)
     mu, dmu_du, dmu_dv = coefficient_and_derivatives(surf_law, u[tr], v, window)
-    block = face_block(mesh.surf_faces, v, nb, mu, dmu_dv, face_average, dmu_du, tr)
-    rows, cols, vals = rows + block[0], cols + block[1], vals + block[2]
+    surf = face_block(mesh.surf_faces, v, nb, mu, dmu_dv, face_average, dmu_du, tr)
 
-    # coupling
+    # coupling: bulk trace cell tr[j] <-> surface cell nb + j
     dr_du, dr_dv = safe_rate_derivatives(u[tr], v, kin)
     cpl = -kin.alpha * mesh.surf_length / mesh.cell_volume
-    j_idx = nb + np.arange(ns)
-    rows += [tr, tr, j_idx, j_idx]
-    cols += [tr, j_idx, tr, j_idx]
-    vals += [cpl * dr_du, cpl * dr_dv, kin.beta * dr_du, kin.beta * dr_dv]
+    diag = np.concatenate([bulk[3], surf[3]])
+    diag[:nb] += np.bincount(tr, weights=cpl * dr_du, minlength=nb)
+    diag[nb:] += kin.beta * dr_dv
 
-    return sparse.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(nb + ns, nb + ns),
-    ).tocsc()
+    n = nb + ns
+    cells = np.arange(n, dtype=np.intc)
+    rows = np.concatenate([bulk[0], surf[0], tr, cells[nb:], cells], dtype=np.intc)
+    cols = np.concatenate([bulk[1], surf[1], cells[nb:], tr, cells], dtype=np.intc)
+    vals = np.concatenate([bulk[2], surf[2], cpl * dr_dv, kin.beta * dr_du, diag])
+    del bulk, surf, diag
+    vals *= -c
+    vals[-n:] += 1.0  # the identity
+    matrix = sparse.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsc()
+    matrix.eliminate_zeros()
+    return matrix
 
 
 def step(
@@ -411,8 +426,9 @@ def step(
             raise NonConvergence(iters, rn)
         fresh = lu.solve is None  # factored at the current iterate
         if fresh:
-            jmat = _analytic_jacobian(w, mesh, kin, bulk_law, surf_law, window, cfg.face_average)
-            matrix = (sparse.identity(w.size, format="csc") - dt * theta * jmat).tocsc()
+            matrix = _newton_matrix(
+                w, dt * theta, mesh, kin, bulk_law, surf_law, window, cfg.face_average
+            )
             lu.solve = None if lu.double else _factor(matrix)
             if lu.solve is None:
                 lu.double = True
@@ -469,8 +485,9 @@ def run(
     Newton failure the step is retried with dt halved, up to
     cfg.max_dt_halvings times; subsequent steps return to the configured dt.
     The steps share one NewtonLU (see there for what it carries across
-    steps and when a halved or clipped step drops it).  A fatal failure propagates NonConvergence with the last good state and the
-    records so far attached to the exception.
+    steps and when a halved or clipped step drops it).  A fatal failure
+    propagates NonConvergence with the last good state and the records so
+    far attached to the exception.
     """
     if not np.isfinite(t_final):
         raise ValueError(f"t_final must be finite, got {t_final}")

@@ -18,8 +18,8 @@ import bulksurf as bs
 RNG_SEED = 20240817
 
 
-def blob_problem():
-    """The reference verification run: 32x32 bulk, bottom-edge surface.
+def blob_problem(n=32):
+    """The reference verification run: n x n bulk (32x32 by default), bottom-edge surface.
 
     Two Gaussian bumps ride on a reaction-balanced background (the background
     pair satisfies base_u**alpha = kappa*base_v**beta, so every deviation is
@@ -28,7 +28,7 @@ def blob_problem():
     meaningful.
     """
     kin = bs.Kinetics(k=1.0, kappa=0.5, alpha=2.0, beta=1.0)
-    mesh = bs.build_mesh(32, 32, 1.0, 1.0, {"bottom"})
+    mesh = bs.build_mesh(n, n, 1.0, 1.0, {"bottom"})
     base_u = 1.2
     base_v = (base_u**kin.alpha / kin.kappa) ** (1.0 / kin.beta)
     width = 0.12

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bulksurf import build_mesh, bulk_face_list, surface_face_list
+from bulksurf import build_mesh
 from bulksurf.mesh import EDGE_NAMES
 
 
@@ -15,8 +15,8 @@ def test_unit_single_cell():
     assert mesh.surf_length[0] == 1.0
     assert mesh.total_bulk_measure == 1.0
     assert mesh.total_surface_measure == 1.0
-    assert len(bulk_face_list(mesh)) == 0
-    assert len(surface_face_list(mesh)) == 0
+    assert len(mesh.bulk_faces) == 0
+    assert len(mesh.surf_faces) == 0
 
 
 def test_uniform_grid_arithmetic():
@@ -37,9 +37,9 @@ def test_two_edge_surface_count():
 
 
 def test_interior_face_count():
-    assert len(bulk_face_list(build_mesh(2, 1, 1.0, 1.0, {"top"}))) == 1
+    assert len(build_mesh(2, 1, 1.0, 1.0, {"top"}).bulk_faces) == 1
     mesh = build_mesh(3, 3, 1.0, 1.0, {"bottom"})
-    faces = bulk_face_list(mesh)
+    faces = mesh.bulk_faces
     assert len(faces) == 12  # 3*2 + 3*2
     # every unordered pair appears exactly once
     pairs = {tuple(sorted(p)) for p in zip(faces.cell_a, faces.cell_b)}
@@ -49,7 +49,7 @@ def test_interior_face_count():
 @pytest.mark.parametrize("nx,ny", [(1, 1), (4, 2), (5, 7)])
 def test_face_count_formula(nx, ny):
     mesh = build_mesh(nx, ny, 1.5, 0.7, {"bottom"})
-    assert len(bulk_face_list(mesh)) == ny * (nx - 1) + nx * (ny - 1)
+    assert len(mesh.bulk_faces) == ny * (nx - 1) + nx * (ny - 1)
 
 
 def test_trace_map_on_active_edges():
@@ -66,7 +66,7 @@ def test_trace_map_on_active_edges():
 
 def test_single_edge_chain_is_connected_path():
     mesh = build_mesh(6, 2, 3.0, 1.0, {"bottom"})
-    faces = surface_face_list(mesh)
+    faces = mesh.surf_faces
     assert len(faces) == mesh.n_surface - 1
     np.testing.assert_array_equal(faces.cell_a, np.arange(5))
     np.testing.assert_array_equal(faces.cell_b, np.arange(1, 6))
@@ -75,7 +75,7 @@ def test_single_edge_chain_is_connected_path():
 
 def test_corner_adjacent_edges_join_into_one_chain():
     mesh = build_mesh(3, 2, 1.0, 1.0, {"bottom", "left"})
-    faces = surface_face_list(mesh)
+    faces = mesh.surf_faces
     # 5 surface cells, one connected chain => 4 faces, including the corner join
     assert mesh.n_surface == 5
     assert len(faces) == 4
@@ -90,7 +90,7 @@ def test_corner_adjacent_edges_join_into_one_chain():
 
 def test_opposite_edges_stay_disconnected():
     mesh = build_mesh(4, 3, 1.0, 1.0, {"bottom", "top"})
-    faces = surface_face_list(mesh)
+    faces = mesh.surf_faces
     assert len(faces) == 2 * 3  # two open chains of 4 cells
     for a, b in zip(faces.cell_a, faces.cell_b):
         assert mesh.surf_edge[a] == mesh.surf_edge[b]
@@ -98,7 +98,7 @@ def test_opposite_edges_stay_disconnected():
 
 def test_full_boundary_closes_into_loop():
     mesh = build_mesh(3, 3, 1.0, 1.0, {"bottom", "right", "top", "left"})
-    faces = surface_face_list(mesh)
+    faces = mesh.surf_faces
     assert mesh.n_surface == 12
     assert len(faces) == 12  # closed loop: one face per cell
     degree = np.bincount(np.concatenate([faces.cell_a, faces.cell_b]), minlength=12)
@@ -143,7 +143,7 @@ def test_rejects_bad_arguments():
 def test_chain_topology(nx, ny, edges):
     lx, ly = 1.5, 0.7
     mesh = build_mesh(nx, ny, lx, ly, edges)
-    faces = surface_face_list(mesh)
+    faces = mesh.surf_faces
     perimeter = 2 * (lx + ly)
 
     # arc length of each surface face centre along the counterclockwise

@@ -2,6 +2,7 @@ import os
 import platform
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -11,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bulksurf as bs
-from bulksurf.solver import _analytic_jacobian, _rate_vector
+from bulksurf.solver import _newton_matrix, _rate_vector
 from test_acceptance import blob_problem
 
 
@@ -24,6 +25,17 @@ def wide_window(u_star=1.0, v_star=1.0, alpha=1.0, beta=1.0):
 
 def linear_kinetics(k=1.0, kappa=1.0):
     return bs.Kinetics(k=k, kappa=kappa, alpha=1.0, beta=1.0)
+
+
+# The scalings theta*dt of the Newton matrix M = I - theta*dt*J that the
+# Jacobian checks recover J from.
+NEWTON_SCALES = (1e-3, 1.0, 1e3)
+
+
+def _newton_jacobian(w, c, mesh, kin, bulk_law, surf_law, window, face_average):
+    """Dense Jacobian of the total rate recovered from the Newton matrix as (I - M)/c."""
+    matrix = _newton_matrix(w, c, mesh, kin, bulk_law, surf_law, window, face_average)
+    return (np.eye(w.size) - matrix.toarray()) / c
 
 
 def _fd_jacobian(w, mesh, kin, bulk_law, surf_law, window, face_average):
@@ -183,10 +195,42 @@ class TestJacobian:
         )
         surf_law = surf_law_maker(kin)
         w = rng.uniform(0.6, 1.8, mesh.n_bulk + mesh.n_surface)
-        J_an = _analytic_jacobian(w, mesh, kin, bulk_law, surf_law, win, face_average).toarray()
         J_fd = _fd_jacobian(w, mesh, kin, bulk_law, surf_law, win, face_average)
         scale = max(1.0, np.abs(J_fd).max())
-        assert np.abs(J_an - J_fd).max() / scale < 1e-5
+        for c in NEWTON_SCALES:
+            J_an = _newton_jacobian(w, c, mesh, kin, bulk_law, surf_law, win, face_average)
+            assert np.abs(J_an - J_fd).max() / scale < 1e-5
+
+
+def test_newton_matrix_assembly_is_lean(monkeypatch):
+    # One assembly of the 128x128 blob matrix peaks at about 200 bytes per
+    # unknown: the COO triplets, two per face plus the diagonal, and the CSC
+    # they become.  int64 indices alone would take it to 260.
+    p = blob_problem(128)
+    w = np.concatenate([p.state.u, p.state.v])
+    args = (p.mesh, p.kin, p.bulk_law, p.surf_law, p.window, p.cfg.face_average)
+    _newton_matrix(w, p.cfg.dt, *args)  # first-call allocations are not the assembly's
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        matrix = _newton_matrix(w, p.cfg.dt, *args)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 250 * w.size
+    assert matrix.indices.dtype == matrix.indptr.dtype == np.intc
+    # the uniform surface start makes the cross-diffusion entries exactly 0:
+    # they must be dropped, not stored
+    assert np.all(matrix.data != 0)
+
+    # the single-precision factor copies the values only
+    seen = []
+    splu = bs.solver.spla.splu
+    monkeypatch.setattr(bs.solver.spla, "splu", lambda a, **kw: seen.append(a) or splu(a, **kw))
+    bs.solver._factor(matrix)
+    assert seen[0].dtype == np.float32
+    assert np.shares_memory(seen[0].indices, matrix.indices)
+    assert np.shares_memory(seen[0].indptr, matrix.indptr)
 
 
 class TestStep:
@@ -796,10 +840,11 @@ class TestRandomProblems:
         alpha=st.floats(1.0, 3.0),
         beta=st.floats(1.0, 3.0),
         face_average=st.sampled_from(bs.mesh.FACE_AVERAGES),
+        c=st.sampled_from(NEWTON_SCALES),
         seed=st.integers(0, 2**32 - 1),
     )
     def test_jacobian_mass_and_fixed_point(
-        self, nx, ny, edges, bulk_law, surf_law_maker, alpha, beta, face_average, seed
+        self, nx, ny, edges, bulk_law, surf_law_maker, alpha, beta, face_average, c, seed
     ):
         kin = bs.Kinetics(k=1.2, kappa=0.6, alpha=alpha, beta=beta)
         mesh = bs.build_mesh(nx, ny, 1.0, 1.3, edges)
@@ -814,7 +859,7 @@ class TestRandomProblems:
         cfg = bs.StepConfig(dt=1e-3, newton_tol=1e-13, newton_max_iter=40, face_average=face_average)
 
         w = np.concatenate([state.u, state.v])
-        J_an = _analytic_jacobian(w, mesh, kin, *laws, window, face_average).toarray()
+        J_an = _newton_jacobian(w, c, mesh, kin, *laws, window, face_average)
         J_fd = _fd_jacobian(w, mesh, kin, *laws, window, face_average)
         assert np.abs(J_an - J_fd).max() <= 1e-5 * max(1.0, np.abs(J_fd).max())
 
@@ -834,15 +879,16 @@ class TestRandomProblems:
 
 
 # Factors and solves Newton matrices of 1x1, 3x2 all-edge, 16x16 and 64x64
-# meshes at three time steps, in both precisions, through the solver's factor
-# helper, in 12 passes.  Under MALLOC_CHECK_=3 glibc aborts the interpreter
-# when SuperLU corrupts its heap.  relax=100 corrupts it, but not on every
-# pass: this test caught it in one to two of every four runs.
+# meshes at three time steps, built by the solver's assembly, in both
+# precisions through the solver's factor helper (a single-precision factor
+# shares the index arrays of its matrix), in 12 passes.  Under
+# MALLOC_CHECK_=3 glibc aborts the interpreter when SuperLU corrupts its
+# heap.  relax=100 corrupts it, but not on every pass: this test caught it
+# in one to two of every four runs.
 _HEAP_SCRIPT = """
 import numpy as np
-from scipy import sparse
 import bulksurf as bs
-from bulksurf.solver import _analytic_jacobian, _factor
+from bulksurf.solver import _factor, _newton_matrix
 
 kin = bs.Kinetics(k=1.0, kappa=0.5, alpha=2.0, beta=1.0)
 laws = (bs.power_law(1.0), bs.surface_cross_law(kin))
@@ -856,9 +902,8 @@ for nx, ny, edges in ((1, 1, {"bottom"}), (3, 2, set(bs.mesh.EDGE_NAMES)),
     eq = bs.solve_equilibrium(kin, 2.0, mesh.total_bulk_measure, mesh.total_surface_measure)
     window = bs.window_from_initial_data(u, v, eq, kin)
     w = np.concatenate([u, v])
-    jac = _analytic_jacobian(w, mesh, kin, *laws, window, "arithmetic")
     for dt in (1e-3, 1.0, 1e3):
-        problems.append((w, (sparse.identity(w.size, format="csc") - dt * jac).tocsc()))
+        problems.append((w, _newton_matrix(w, dt, mesh, kin, *laws, window, "arithmetic")))
 for _ in range(12):
     for w, matrix in problems:
         for dtype in (np.float32, np.float64):
