@@ -11,14 +11,11 @@ and the sign-definite pieces of the entropy production.
 from .diagnostics import (
     DiagnosticsRecord,
     ReactionDissipation,
-    UndershootFields,
     entropy_density,
     envelope_entropy,
-    envelope_potentials,
     reaction_dissipation_split,
     record,
     relative_entropy,
-    undershoot_fields,
     weighted_mass,
 )
 from .mesh import CoupledMesh, FaceSet, build_mesh
@@ -46,11 +43,8 @@ from .solver import (
     NonConvergence,
     State,
     StepConfig,
-    bulk_diffusion_rate,
-    coupling_rate,
     run,
     step,
-    surface_diffusion_rate,
     total_rate,
 )
 
@@ -81,21 +75,15 @@ __all__ = [
     "StepConfig",
     "NewtonLU",
     "NonConvergence",
-    "bulk_diffusion_rate",
-    "surface_diffusion_rate",
-    "coupling_rate",
     "total_rate",
     "step",
     "run",
     "DiagnosticsRecord",
     "ReactionDissipation",
-    "UndershootFields",
     "entropy_density",
     "relative_entropy",
     "envelope_entropy",
-    "envelope_potentials",
     "reaction_dissipation_split",
-    "undershoot_fields",
     "weighted_mass",
     "record",
     "__version__",

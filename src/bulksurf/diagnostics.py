@@ -11,9 +11,10 @@ scalar functionals:
   pointwise upper envelope (u/u_star)**alpha <= upper,
   (v/v_star)**beta <= upper holds;
 * the excess log-potentials of the truncated fields, whose pairing with the
-  reaction rate splits into three sign-definite surface integrals;
-* undershoot fields below the stationary floor pair (sigma_u, sigma_v), whose
-  squared L2 norms vanish exactly when the lower envelope holds.
+  reaction rate splits into three sign-definite surface integrals, and whose
+  face differences give the two sign-definite diffusion dissipations;
+* the envelope extrema max (u/u_star)**alpha, max (v/v_star)**beta,
+  min u**alpha and min kappa*v**beta of every record.
 
 All operations are read-only on the state and safe to evaluate concurrently.
 """
@@ -80,27 +81,6 @@ class ReactionDissipation:
     n_both: int
 
 
-@dataclass(frozen=True)
-class UndershootFields:
-    """Truncations below the stationary floor and their squared L2 norms.
-
-    sigma_u = lower**(1/alpha) and sigma_v = (lower/kappa)**(1/beta) form the
-    constant stationary pair implied by the window (sigma_u**alpha equals
-    kappa*sigma_v**beta equals lower).
-    """
-
-    u_minus: np.ndarray
-    v_minus: np.ndarray
-    u_norm_sq: float
-    v_norm_sq: float
-    sigma_u: float
-    sigma_v: float
-    n_u_below_only: int
-    n_v_below_only: int
-    n_both_below_backward: int
-    n_both_below_forward: int
-
-
 def entropy_density(z):
     """e(z) = z*log(z) - z + 1 for z > 0, continuously extended by e(0) = 1.
 
@@ -164,32 +144,24 @@ def _below_upper_envelopes(state, window: ClampWindow) -> bool:
     )
 
 
-def _excess_potential(c, star: float, exponent: float, ceiling: float, window: ClampWindow):
-    """log(c/star) - log(upper)/exponent above the ceiling, 0 at or below it.
-
-    ceiling is the window's star*upper**(1/exponent) for the same field.
-    Total in c: nonpositive entries sit below the envelope and give 0.
-    """
-    above = c > ceiling
-    c_safe = np.where(above, c, star)
-    return np.where(above, np.log(c_safe / star) - np.log(window.upper) / exponent, 0.0)
-
-
-def envelope_potentials(state, window: ClampWindow) -> tuple[np.ndarray, np.ndarray]:
+def _envelope_potentials(u, v, window: ClampWindow) -> tuple[np.ndarray, np.ndarray]:
     """Excess log-potentials of the truncated fields, entrywise.
 
-    bulk_pot_i = log(u_i/u_star) - log(upper)/alpha where the bulk envelope
-    is exceeded and 0 otherwise (the threshold itself belongs to the zero
-    branch); surf_pot_j likewise with exponent beta.  Both are >= 0 and
-    vanish exactly where the envelope holds.  Requires strictly positive
-    entries.
+    bulk_pot = log(u/u_star) - log(upper)/alpha where u exceeds u_ceiling
+    and 0 otherwise (the ceiling itself belongs to the zero branch);
+    surf_pot likewise for v with exponent beta.  Both are >= 0 and vanish
+    exactly where the envelope holds.  Total in u and v: nonpositive
+    entries sit below the envelope and give 0.
     """
-    if np.any(state.u <= 0) or np.any(state.v <= 0):
-        raise ValueError("envelope potentials require strictly positive fields")
-    return (
-        _excess_potential(state.u, window.u_star, window.alpha, window.u_ceiling, window),
-        _excess_potential(state.v, window.v_star, window.beta, window.v_ceiling, window),
-    )
+    pots = []
+    for c, star, exponent, ceiling in (
+        (u, window.u_star, window.alpha, window.u_ceiling),
+        (v, window.v_star, window.beta, window.v_ceiling),
+    ):
+        above = c > ceiling
+        c_safe = np.where(above, c, star)
+        pots.append(np.where(above, np.log(c_safe / star) - np.log(window.upper) / exponent, 0.0))
+    return pots[0], pots[1]
 
 
 def reaction_dissipation_split(
@@ -218,8 +190,7 @@ def reaction_dissipation_split(
     u_safe = np.where(admissible, u_t, window.u_star)
     v_safe = np.where(admissible, v, window.v_star)
 
-    bulk_pot = _excess_potential(u_safe, window.u_star, window.alpha, window.u_ceiling, window)
-    surf_pot = _excess_potential(v_safe, window.v_star, window.beta, window.v_ceiling, window)
+    bulk_pot, surf_pot = _envelope_potentials(u_safe, v_safe, window)
 
     lam = log_mean(u_safe**kin.alpha, kin.kappa * v_safe**kin.beta)
     log_diff = kin.alpha * np.log(u_safe / window.u_star) - kin.beta * np.log(
@@ -244,68 +215,24 @@ def reaction_dissipation_split(
     )
 
 
-def undershoot_fields(
-    state,
-    mesh: CoupledMesh,
-    kin: Kinetics,
-    window: ClampWindow,
-) -> UndershootFields:
-    """Parts of the fields below the stationary floor, and where they sit.
-
-    u_minus = min(u - sigma_u, 0) per bulk cell and v_minus likewise per
-    surface cell; the squared L2 norms are zero exactly when the lower
-    envelope holds.  Surface cells are classified by which trace component
-    undershoots and, when both do, by the sign of u**alpha - kappa*v**beta
-    (nonpositive values enter that comparison as zero pressure).
-    """
-    check_sizes(state, mesh)
-    sigma_u = window.lower ** (1.0 / window.alpha)
-    sigma_v = (window.lower / kin.kappa) ** (1.0 / window.beta)
-    u_minus = np.minimum(state.u - sigma_u, 0.0)
-    v_minus = np.minimum(state.v - sigma_v, 0.0)
-
-    u_t = state.u[mesh.surf_to_bulk]
-    u_below = u_t < sigma_u
-    v_below = state.v < sigma_v
-    u_safe = np.where(u_t > 0, u_t, 1.0)
-    v_safe = np.where(state.v > 0, state.v, 1.0)
-    pu = np.where(u_t > 0, u_safe**kin.alpha, 0.0)
-    pv = np.where(state.v > 0, kin.kappa * v_safe**kin.beta, 0.0)
-    both = u_below & v_below
-    return UndershootFields(
-        u_minus=u_minus,
-        v_minus=v_minus,
-        u_norm_sq=float(np.sum(u_minus**2) * mesh.cell_volume),
-        v_norm_sq=float(np.sum(v_minus**2 * mesh.surf_length)),
-        sigma_u=float(sigma_u),
-        sigma_v=float(sigma_v),
-        n_u_below_only=int(np.count_nonzero(u_below & ~v_below)),
-        n_v_below_only=int(np.count_nonzero(v_below & ~u_below)),
-        n_both_below_backward=int(np.count_nonzero(both & (pu < pv))),
-        n_both_below_forward=int(np.count_nonzero(both & (pu > pv))),
-    )
-
-
 def _diffusion_dissipation(state, mesh, window, bulk_law, surf_law, face_average):
     """Face-sum analogues of the two gradient terms of the entropy production.
 
     bulk = -sum_faces mu_f * (du)(d bulk_pot) * |face|/dist and likewise on
-    the surface chain; both are <= 0 because the excess potential is a
-    nondecreasing function of its own concentration, making each face term
-    a product of like-signed differences.  Nonpositive entries have zero
-    excess potential.  Each law must have the role of its slot.
+    the surface chain, with the potentials of _envelope_potentials; both are
+    <= 0 because the excess potential is a nondecreasing function of its own
+    concentration, making each face term a product of like-signed
+    differences.  The laws' roles are checked by record, the only caller.
     """
-    check_role(bulk_law, "bulk")
-    check_role(surf_law, "surface")
     u, v = state.u, state.v
     mu_bulk = diffusion_coefficient(bulk_law, u, None, window)
     mu_surf = diffusion_coefficient(surf_law, u[mesh.surf_to_bulk], v, window)
+    bulk_pot, surf_pot = _envelope_potentials(u, v, window)
     sums = []
-    for faces, x, mu, star, exponent, ceiling in (
-        (mesh.bulk_faces, u, mu_bulk, window.u_star, window.alpha, window.u_ceiling),
-        (mesh.surf_faces, v, mu_surf, window.v_star, window.beta, window.v_ceiling),
+    for faces, x, mu, pot in (
+        (mesh.bulk_faces, u, mu_bulk, bulk_pot),
+        (mesh.surf_faces, v, mu_surf, surf_pot),
     ):
-        pot = _excess_potential(x, star, exponent, ceiling, window)
         flux = face_flux(faces, x, mu, face_average)
         sums.append(-float(np.sum(flux * (pot[faces.cell_b] - pot[faces.cell_a]))))
     return sums[0], sums[1]

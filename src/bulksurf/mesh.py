@@ -43,15 +43,14 @@ def is_int(x) -> bool:
 class FaceSet:
     """Two-point-flux faces as parallel arrays, plus the cells they join.
 
-    Face f joins cells ``cell_a[f]`` and ``cell_b[f]`` whose centers lie
-    ``distance[f]`` apart; its transmissibility ``trans[f]`` is
-    |face|/distance (1/distance on the 1D surface chain).  ``measure[i]`` is
-    the measure of cell i (area in the bulk, length on the chain).
+    Face f joins cells ``cell_a[f]`` and ``cell_b[f]``; its transmissibility
+    ``trans[f]`` is |face| over the distance of their centers (one over it
+    on the 1D surface chain).  ``measure[i]`` is the measure of cell i (area
+    in the bulk, length on the chain).
     """
 
     cell_a: np.ndarray
     cell_b: np.ndarray
-    distance: np.ndarray
     trans: np.ndarray
     measure: np.ndarray
 
@@ -264,14 +263,12 @@ def build_mesh(
     bulk_faces = FaceSet(
         cell_a=np.concatenate([ii[:, :-1].ravel(), ii[:-1, :].ravel()]),
         cell_b=np.concatenate([ii[:, 1:].ravel(), ii[1:, :].ravel()]),
-        distance=np.concatenate([np.full(h, dx), np.full(v, dy)]),
         trans=np.concatenate([np.full(h, dy / dx), np.full(v, dx / dy)]),
         measure=np.full(n_bulk, dx * dy),
     )
     surf_faces = FaceSet(
         cell_a=chain_a,
         cell_b=chain_b,
-        distance=chain_dist,
         trans=1.0 / chain_dist,
         measure=surf_length,
     )

@@ -219,81 +219,6 @@ def _factor(matrix: sparse.csc_matrix, dtype=np.float32) -> Callable[[np.ndarray
     return solve
 
 
-def _bulk_diffusion(u, mesh, law, window, face_average):
-    check_role(law, "bulk")
-    mu = diffusion_coefficient(law, u, None, window)
-    return face_divergence(mesh.bulk_faces, u, mu, face_average)
-
-
-def _surface_diffusion(u, v, mesh, law, window, face_average):
-    check_role(law, "surface")
-    mu = diffusion_coefficient(law, u[mesh.surf_to_bulk], v, window)
-    return face_divergence(mesh.surf_faces, v, mu, face_average)
-
-
-def _coupling(u, v, mesh, kin):
-    r = np.asarray(safe_rate(u[mesh.surf_to_bulk], v, kin), dtype=float)
-    du = -kin.alpha / mesh.cell_volume * np.bincount(
-        mesh.surf_to_bulk, weights=r * mesh.surf_length, minlength=mesh.n_bulk
-    )
-    dv = kin.beta * r
-    return du, dv
-
-
-def _rates(u, v, mesh, kin, bulk_law, surf_law, window, face_average):
-    du, dv = _coupling(u, v, mesh, kin)
-    du = du + _bulk_diffusion(u, mesh, bulk_law, window, face_average)
-    dv = dv + _surface_diffusion(u, v, mesh, surf_law, window, face_average)
-    return du, dv
-
-
-def bulk_diffusion_rate(
-    state: State,
-    mesh: CoupledMesh,
-    law: DiffusionLaw,
-    window: ClampWindow,
-    face_average: str = "arithmetic",
-) -> np.ndarray:
-    """Per-bulk-cell rate of change from interior two-point diffusion fluxes.
-
-    Boundary faces carry no flux here; the active-surface exchange is a
-    separate operator.  The volume-weighted sum over cells is zero.
-    """
-    check_sizes(state, mesh)
-    return _bulk_diffusion(state.u, mesh, law, window, face_average)
-
-
-def surface_diffusion_rate(
-    state: State,
-    mesh: CoupledMesh,
-    law: DiffusionLaw,
-    window: ClampWindow,
-    face_average: str = "arithmetic",
-) -> np.ndarray:
-    """Per-surface-cell rate of change from the 1D chain diffusion fluxes.
-
-    The coefficient may depend on the bulk trace value (cross diffusion);
-    chain endpoints are zero flux.  The length-weighted sum is zero.
-    """
-    check_sizes(state, mesh)
-    return _surface_diffusion(state.u, state.v, mesh, law, window, face_average)
-
-
-def coupling_rate(
-    state: State,
-    mesh: CoupledMesh,
-    kin: Kinetics,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Reaction exchange between each surface cell and its trace bulk cell.
-
-    With r_j = safe_rate(u_trace, v_j), the bulk cell loses alpha*r_j*|G_j|
-    per unit volume and the surface cell gains beta*r_j, so the
-    (beta, alpha)-weighted sum of the two returned arrays is zero.
-    """
-    check_sizes(state, mesh)
-    return _coupling(state.u, state.v, mesh, kin)
-
-
 def total_rate(
     state: State,
     mesh: CoupledMesh,
@@ -303,14 +228,33 @@ def total_rate(
     window: ClampWindow,
     face_average: str = "arithmetic",
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Sum of the three spatial operators: (du/dt, dv/dt)."""
+    """Sum of the three spatial operators, (du/dt, dv/dt); each law fills its own slot."""
     check_sizes(state, mesh)
-    return _rates(state.u, state.v, mesh, kin, bulk_law, surf_law, window, face_average)
+    check_role(bulk_law, "bulk")
+    check_role(surf_law, "surface")
+    w = np.concatenate([state.u, state.v])
+    f = _rate_vector(w, mesh, kin, bulk_law, surf_law, window, face_average)
+    return f[: mesh.n_bulk], f[mesh.n_bulk :]
 
 
 def _rate_vector(w, mesh, kin, bulk_law, surf_law, window, face_average):
+    """The total rate F(w) of the stacked state w = (u, v); callers check the law roles.
+
+    With r_j = safe_rate(u_trace, v_j), the trace bulk cell loses
+    alpha*r_j*|G_j| per unit volume and surface cell j gains beta*r_j; each
+    diffusion adds the face divergence of its face set.
+    """
     nb = mesh.n_bulk
-    du, dv = _rates(w[:nb], w[nb:], mesh, kin, bulk_law, surf_law, window, face_average)
+    u, v = w[:nb], w[nb:]
+    tr = mesh.surf_to_bulk
+    r = np.asarray(safe_rate(u[tr], v, kin), dtype=float)
+    du = -kin.alpha / mesh.cell_volume * np.bincount(
+        tr, weights=r * mesh.surf_length, minlength=nb
+    )
+    mu = diffusion_coefficient(bulk_law, u, None, window)
+    du = du + face_divergence(mesh.bulk_faces, u, mu, face_average)
+    mu = diffusion_coefficient(surf_law, u[tr], v, window)
+    dv = kin.beta * r + face_divergence(mesh.surf_faces, v, mu, face_average)
     return np.concatenate([du, dv])
 
 
@@ -387,6 +331,8 @@ def step(
     double-precision LU; the caller may halve dt and retry.
     """
     check_sizes(state, mesh)
+    check_role(bulk_law, "bulk")
+    check_role(surf_law, "surface")
     nb = mesh.n_bulk
     dt = cfg.dt
     theta = cfg.theta

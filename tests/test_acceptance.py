@@ -77,7 +77,6 @@ def blob_run():
     """2000 backward-Euler steps of the reference run, fully instrumented."""
     p = blob_problem()
     records = [bs.record(p.state, p.mesh, p.kin, p.eq, p.window, p.bulk_law, p.surf_law)]
-    undershoots = [bs.undershoot_fields(p.state, p.mesh, p.kin, p.window)]
     sups = [sup_distance(p.state, p.eq)]
     state = p.state
     lu = bs.NewtonLU()
@@ -85,11 +84,9 @@ def blob_run():
     for _ in range(2000):
         state = bs.step(state, p.mesh, p.kin, p.bulk_law, p.surf_law, p.window, p.cfg, lu=lu)
         records.append(bs.record(state, p.mesh, p.kin, p.eq, p.window, p.bulk_law, p.surf_law))
-        undershoots.append(bs.undershoot_fields(state, p.mesh, p.kin, p.window))
         sups.append(sup_distance(state, p.eq))
     elapsed = time.perf_counter() - started
     p.records = records
-    p.undershoots = undershoots
     p.sups = sups
     p.final_state = state
     p.elapsed = elapsed
@@ -174,14 +171,12 @@ def test_criterion_03_upper_envelope(blob_run):
 
 def test_criterion_04_lower_envelope(blob_run):
     p = blob_run
-    bound = p.window.lower * (1 - 1e-6)
     u_min = min(r.u_env_min for r in p.records)
     v_min = min(r.v_env_min for r in p.records)
-    assert u_min >= bound
-    assert v_min >= bound
-    assert all(u.u_norm_sq == 0.0 and u.v_norm_sq == 0.0 for u in p.undershoots)
+    assert u_min >= p.window.lower
+    assert v_min >= p.window.lower
     print(f"[criterion 4] PASS lower envelope: min u^a {u_min:.6f}, "
-          f"min kappa*v^b {v_min:.6f} vs l {p.window.lower:.6f}; undershoot norms 0 throughout")
+          f"min kappa*v^b {v_min:.6f} vs l {p.window.lower:.6f}")
 
 
 def test_criterion_05_entropy_monotonicity(blob_run):

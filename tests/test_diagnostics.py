@@ -4,7 +4,11 @@ import numpy as np
 import pytest
 
 import bulksurf as bs
-from bulksurf.diagnostics import _below_upper_envelopes, _diffusion_dissipation
+from bulksurf.diagnostics import (
+    _below_upper_envelopes,
+    _diffusion_dissipation,
+    _envelope_potentials,
+)
 
 
 def make_problem(nx=4, ny=3, edges=("bottom",), alpha=2.0, beta=1.0, kappa=0.5, seed=61,
@@ -32,7 +36,6 @@ def test_state_sized_for_another_mesh_is_rejected():
             lambda: bs.relative_entropy(bad, eq, mesh),
             lambda: bs.envelope_entropy(bad, mesh, window),
             lambda: bs.reaction_dissipation_split(bad, mesh, kin, window),
-            lambda: bs.undershoot_fields(bad, mesh, kin, window),
             lambda: bs.record(bad, mesh, kin, eq, window, *laws),
         ):
             with pytest.raises(ValueError, match="do not match mesh"):
@@ -135,14 +138,14 @@ class TestEnvelopeEntropy:
         hot.u[2] = eq.u_star * (3.0 * window.upper) ** (1 / kin.alpha)
         for st in (state, hot):
             e_l = bs.envelope_entropy(st, mesh, window)
-            pots = np.concatenate(bs.envelope_potentials(st, window))
+            pots = np.concatenate(_envelope_potentials(st.u, st.v, window))
             assert (e_l == 0.0) == bool(np.all(pots == 0.0))
 
 
 class TestEnvelopePotentials:
     def test_zero_within_envelope(self):
         mesh, kin, eq, state, window = make_problem()
-        bulk_pot, surf_pot = bs.envelope_potentials(state, window)
+        bulk_pot, surf_pot = _envelope_potentials(state.u, state.v, window)
         assert np.all(bulk_pot == 0.0)
         assert np.all(surf_pot == 0.0)
 
@@ -151,28 +154,21 @@ class TestEnvelopePotentials:
         mesh, kin, eq, state, window = make_problem(alpha=2.0)
         hot = state.copy()
         hot.u[0] = window.u_star * (math.e**2 * window.upper) ** (1 / 2)
-        bulk_pot, _ = bs.envelope_potentials(hot, window)
+        bulk_pot, _ = _envelope_potentials(hot.u, hot.v, window)
         assert bulk_pot[0] == pytest.approx(1.0, rel=1e-12)
 
     def test_threshold_belongs_to_zero_branch(self):
         mesh, kin, eq, state, window = make_problem(beta=2.0)
         edge = state.copy()
         edge.v[1] = window.v_star * window.upper ** (1 / window.beta)
-        _, surf_pot = bs.envelope_potentials(edge, window)
+        _, surf_pot = _envelope_potentials(edge.u, edge.v, window)
         assert surf_pot[1] == 0.0
-
-    def test_rejects_nonpositive(self):
-        mesh, kin, eq, state, window = make_problem()
-        bad = state.copy()
-        bad.u[0] = 0.0
-        with pytest.raises(ValueError):
-            bs.envelope_potentials(bad, window)
 
     def test_nondecreasing_in_concentration(self):
         _, _, _, _, window = make_problem()
         u = np.linspace(1e-3, 10 * window.u_star * window.upper, 5001)
         state = bs.State(t=0.0, u=u, v=np.full(3, window.v_star))
-        bulk_pot, _ = bs.envelope_potentials(state, window)
+        bulk_pot, _ = _envelope_potentials(state.u, state.v, window)
         assert np.all(np.diff(bulk_pot) >= 0)
 
 
@@ -250,63 +246,6 @@ class TestReactionDissipationSplit:
             assert split.u_only >= -1e-14 * scale
             assert split.v_only >= -1e-14 * scale
             assert split.both >= -1e-14 * scale
-
-
-class TestUndershootFields:
-    def test_zero_above_floor(self):
-        mesh, kin, eq, state, window = make_problem()
-        und = bs.undershoot_fields(state, mesh, kin, window)
-        assert und.u_norm_sq == 0.0
-        assert und.v_norm_sq == 0.0
-        np.testing.assert_array_equal(und.u_minus, 0.0)
-
-    def test_floor_pair_is_balanced(self):
-        mesh, kin, eq, state, window = make_problem()
-        und = bs.undershoot_fields(state, mesh, kin, window)
-        # sigma_u**alpha = kappa * sigma_v**beta = lower
-        assert und.sigma_u**kin.alpha == pytest.approx(window.lower, rel=1e-12)
-        assert kin.kappa * und.sigma_v**kin.beta == pytest.approx(window.lower, rel=1e-12)
-        r = bs.rate(und.sigma_u, und.sigma_v, kin)
-        assert abs(r) < 1e-14
-
-    def test_half_floor_unit_cell_contribution(self):
-        kin = bs.Kinetics(k=1.0, kappa=1.0, alpha=1.0, beta=1.0)
-        mesh = bs.build_mesh(1, 1, 1.0, 1.0, {"bottom"})
-        window = bs.ClampWindow(lower=0.36, upper=4.0, u_star=1.0, v_star=1.0,
-                                alpha=1.0, beta=1.0)
-        sigma_u = 0.36
-        state = bs.State(t=0.0, u=np.array([sigma_u / 2]), v=np.array([window.v_star]))
-        und = bs.undershoot_fields(state, mesh, kin, window)
-        assert und.u_minus[0] == pytest.approx(-sigma_u / 2, rel=1e-15)
-        assert und.u_norm_sq == pytest.approx(sigma_u**2 / 4, rel=1e-14)
-
-    def test_matches_naive_loop(self):
-        mesh, kin, eq, state, window = make_problem(nx=6, ny=4, edges=("bottom", "right"))
-        mixed = state.copy()
-        rng = np.random.default_rng(79)
-        mixed.u *= rng.uniform(0.05, 1.2, mesh.n_bulk)
-        mixed.v *= rng.uniform(0.05, 1.2, mesh.n_surface)
-        und = bs.undershoot_fields(mixed, mesh, kin, window)
-        expect_u = sum(min(ui - und.sigma_u, 0.0) ** 2 for ui in mixed.u) * mesh.cell_volume
-        expect_v = sum(
-            min(vj - und.sigma_v, 0.0) ** 2 * hj for vj, hj in zip(mixed.v, mesh.surf_length)
-        )
-        assert und.u_norm_sq == pytest.approx(expect_u, rel=1e-14)
-        assert und.v_norm_sq == pytest.approx(expect_v, rel=1e-14)
-
-    def test_classification_counts(self):
-        kin = bs.Kinetics(k=1.0, kappa=1.0, alpha=1.0, beta=1.0)
-        mesh = bs.build_mesh(4, 1, 1.0, 1.0, {"bottom"})
-        window = bs.ClampWindow(lower=0.25, upper=4.0, u_star=1.0, v_star=1.0,
-                                alpha=1.0, beta=1.0)
-        # sigma_u = sigma_v = 0.25
-        u = np.array([0.1, 1.0, 0.1, 0.2])
-        v = np.array([1.0, 0.1, 0.05, 0.21])
-        und = bs.undershoot_fields(bs.State(t=0.0, u=u, v=v), mesh, kin, window)
-        assert und.n_u_below_only == 1
-        assert und.n_v_below_only == 1
-        assert und.n_both_below_backward == 1  # u=0.2 < v=0.21 pressure
-        assert und.n_both_below_forward == 1  # u=0.1 > v=0.05 pressure
 
 
 class TestDiffusionDissipationSign:

@@ -1,7 +1,8 @@
 """Package structure: the modules import one another in one direction only.
 
 mesh and model sit at the bottom, then diagnostics, then solver, then cli.
-A cycle, or an import hidden inside a function to dodge one, fails here.
+A cycle, or an import hidden inside a function to dodge one, fails here, and
+so does a README "Python API" list that names other than the exported names.
 The smoke test runs one tiny traced benchmark sample, whose tracer wraps the
 package's layer entry points by name and fails when one is gone or unused.
 """
@@ -9,9 +10,12 @@ package's layer entry points by name and fails when one is gone or unused.
 import ast
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
+
+import bulksurf
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "bulksurf"
@@ -90,3 +94,15 @@ def test_traced_benchmark_sample_enters_every_layer():
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     assert result["failures"] == []
+
+
+def test_readme_lists_exactly_the_exported_names():
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("\n## Python API\n", 1)[1].split("\n## ", 1)[0]
+    # the bullet list that follows the sentence naming bs.__all__
+    _, found, rest = section.partition("`bs.__all__`:\n\n")
+    assert found, "README Python API lists no `bs.__all__`"
+    listing = rest.split("\n\n", 1)[0]
+    listed = re.findall(r"`([A-Za-z_][A-Za-z0-9_]*)`", listing)
+    assert len(listed) == len(set(listed)), "a name is listed twice"
+    assert set(listed) == set(bulksurf.__all__)

@@ -70,7 +70,7 @@ def test_single_edge_chain_is_connected_path():
     assert len(faces) == mesh.n_surface - 1
     np.testing.assert_array_equal(faces.cell_a, np.arange(5))
     np.testing.assert_array_equal(faces.cell_b, np.arange(1, 6))
-    np.testing.assert_allclose(faces.distance, 0.5)
+    np.testing.assert_allclose(1.0 / faces.trans, 0.5)
 
 
 def test_corner_adjacent_edges_join_into_one_chain():
@@ -82,7 +82,7 @@ def test_corner_adjacent_edges_join_into_one_chain():
     degree = np.bincount(np.concatenate([faces.cell_a, faces.cell_b]), minlength=5)
     assert sorted(degree) == [1, 1, 2, 2, 2]
     # corner face distance is the mean of the two different face lengths
-    corner = [d for a, b, d in zip(faces.cell_a, faces.cell_b, faces.distance)
+    corner = [d for a, b, d in zip(faces.cell_a, faces.cell_b, 1.0 / faces.trans)
               if mesh.surf_edge[a] != mesh.surf_edge[b]]
     assert len(corner) == 1
     assert corner[0] == pytest.approx(0.5 * (1.0 / 3.0 + 0.5))

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bulksurf as bs
+from bulksurf.mesh import face_divergence
 from bulksurf.solver import _newton_matrix, _rate_vector
 from test_acceptance import blob_problem
 
@@ -52,31 +53,57 @@ def _fd_jacobian(w, mesh, kin, bulk_law, surf_law, window, face_average):
     return jac
 
 
+def bulk_only_rate(state, mesh, law, window, face_average="arithmetic"):
+    """du of total_rate on a state with a constant v and no exchange.
+
+    There dv == 0 checks that the surface flux and the exchange vanish bit
+    for bit, so du is the bulk diffusion alone.
+    """
+    surf_law = bs.constant_law(1.0, role="surface")
+    du, dv = bs.total_rate(state, mesh, linear_kinetics(), law, surf_law, window, face_average)
+    np.testing.assert_array_equal(dv, 0.0)
+    return du
+
+
+def surface_only_rate(state, mesh, law, window):
+    """dv of total_rate on a state with a constant u and no exchange.
+
+    There du == 0 checks that the bulk flux and the exchange vanish bit for
+    bit (each surface cell here has its own trace cell), so dv is the
+    surface diffusion alone.
+    """
+    du, dv = bs.total_rate(state, mesh, linear_kinetics(), bs.constant_law(1.0), law, window)
+    np.testing.assert_array_equal(du, 0.0)
+    return dv
+
+
 class TestBulkDiffusion:
+    # v = 0 holds the guarded exchange at zero and carries no surface flux
+
     def test_constant_state_gives_zero(self):
         mesh = bs.build_mesh(5, 4, 2.0, 1.0, {"bottom"})
-        state = bs.State(t=0.0, u=np.full(20, 3.7), v=np.ones(5))
-        out = bs.bulk_diffusion_rate(state, mesh, bs.power_law(2.0), wide_window())
+        state = bs.State(t=0.0, u=np.full(20, 3.7), v=np.zeros(5))
+        out = bulk_only_rate(state, mesh, bs.power_law(2.0), wide_window())
         np.testing.assert_array_equal(out, 0.0)
 
     def test_two_cell_hand_flux(self):
         # lx=2, ly=1 -> two unit cells; face length 1, center distance 1
         mesh = bs.build_mesh(2, 1, 2.0, 1.0, {"bottom"})
-        state = bs.State(t=0.0, u=np.array([0.0, 2.0]), v=np.ones(2))
-        out = bs.bulk_diffusion_rate(state, mesh, bs.constant_law(1.0), wide_window())
+        state = bs.State(t=0.0, u=np.array([0.0, 2.0]), v=np.zeros(2))
+        out = bulk_only_rate(state, mesh, bs.constant_law(1.0), wide_window())
         np.testing.assert_allclose(out, [2.0, -2.0])
 
     def test_two_cell_nonlinear_face_average(self):
         mesh = bs.build_mesh(2, 1, 2.0, 1.0, {"bottom"})
-        state = bs.State(t=0.0, u=np.array([1.0, 3.0]), v=np.ones(2))
-        out = bs.bulk_diffusion_rate(state, mesh, bs.power_law(1.0), wide_window())
+        state = bs.State(t=0.0, u=np.array([1.0, 3.0]), v=np.zeros(2))
+        out = bulk_only_rate(state, mesh, bs.power_law(1.0), wide_window())
         # mu_face = (1+3)/2 = 2, flux = 2*2 = 4
         np.testing.assert_allclose(out, [4.0, -4.0])
 
     def test_harmonic_average_option(self):
         mesh = bs.build_mesh(2, 1, 2.0, 1.0, {"bottom"})
-        state = bs.State(t=0.0, u=np.array([1.0, 3.0]), v=np.ones(2))
-        out = bs.bulk_diffusion_rate(
+        state = bs.State(t=0.0, u=np.array([1.0, 3.0]), v=np.zeros(2))
+        out = bulk_only_rate(
             state, mesh, bs.power_law(1.0), wide_window(), face_average="harmonic"
         )
         np.testing.assert_allclose(out, [3.0, -3.0])  # harmonic mean 1.5, flux 3
@@ -84,44 +111,52 @@ class TestBulkDiffusion:
     def test_volume_weighted_sum_is_zero(self):
         rng = np.random.default_rng(31)
         mesh = bs.build_mesh(7, 5, 1.3, 0.9, {"bottom", "left"})
-        state = bs.State(t=0.0, u=rng.uniform(0.5, 2.0, mesh.n_bulk), v=np.ones(mesh.n_surface))
-        out = bs.bulk_diffusion_rate(state, mesh, bs.exponential_law(0.4), wide_window())
+        u = rng.uniform(0.5, 2.0, mesh.n_bulk)
+        mu = bs.diffusion_coefficient(bs.exponential_law(0.4), u, None, wide_window())
+        out = face_divergence(mesh.bulk_faces, u, mu, "arithmetic")
         assert abs(np.sum(out) * mesh.cell_volume) < 1e-13
 
 
 class TestSurfaceDiffusion:
+    # u = 0 holds the guarded exchange at zero and carries no bulk flux
+
     def test_constant_state_gives_zero(self):
         mesh = bs.build_mesh(4, 2, 1.0, 1.0, {"bottom"})
-        state = bs.State(t=0.0, u=np.ones(8), v=np.full(4, 2.2))
-        out = bs.surface_diffusion_rate(state, mesh, bs.constant_law(1.0, role="surface"), wide_window())
+        state = bs.State(t=0.0, u=np.zeros(8), v=np.full(4, 2.2))
+        out = surface_only_rate(state, mesh, bs.constant_law(1.0, role="surface"), wide_window())
         np.testing.assert_array_equal(out, 0.0)
 
     def test_two_cell_chain_hand_flux(self):
         # lx=2 with nx=2 -> two surface cells of length 1, distance 1
         mesh = bs.build_mesh(2, 1, 2.0, 1.0, {"bottom"})
-        state = bs.State(t=0.0, u=np.ones(2), v=np.array([1.0, 3.0]))
-        out = bs.surface_diffusion_rate(state, mesh, bs.constant_law(1.0, role="surface"), wide_window())
+        state = bs.State(t=0.0, u=np.zeros(2), v=np.array([1.0, 3.0]))
+        out = surface_only_rate(state, mesh, bs.constant_law(1.0, role="surface"), wide_window())
         np.testing.assert_allclose(out, [2.0, -2.0])
 
     def test_cross_law_constant_surface_field(self):
-        kin = linear_kinetics()
+        # u = v = 1 with kappa = 1: the exchange is zero and the cross law reads u = 1
         mesh = bs.build_mesh(2, 1, 2.0, 1.0, {"bottom"})
         state = bs.State(t=0.0, u=np.ones(2), v=np.ones(2))
-        out = bs.surface_diffusion_rate(state, mesh, bs.surface_cross_law(kin), wide_window())
+        cross = bs.surface_cross_law(linear_kinetics())
+        out = surface_only_rate(state, mesh, cross, wide_window())
         np.testing.assert_array_equal(out, 0.0)
 
     def test_length_weighted_sum_is_zero(self):
         rng = np.random.default_rng(37)
         kin = bs.Kinetics(k=1.0, kappa=1.0, alpha=2.0, beta=1.0)
         mesh = bs.build_mesh(6, 3, 2.0, 1.0, {"bottom", "left", "top"})
-        state = bs.State(
-            t=0.0,
-            u=rng.uniform(0.5, 2.0, mesh.n_bulk),
-            v=rng.uniform(0.5, 2.0, mesh.n_surface),
-        )
+        u = rng.uniform(0.5, 2.0, mesh.n_bulk)
+        v = rng.uniform(0.5, 2.0, mesh.n_surface)
         win = wide_window(alpha=2.0)
-        out = bs.surface_diffusion_rate(state, mesh, bs.surface_cross_law(kin), win)
+        mu = bs.diffusion_coefficient(bs.surface_cross_law(kin), u[mesh.surf_to_bulk], v, win)
+        out = face_divergence(mesh.surf_faces, v, mu, "arithmetic")
         assert abs(np.sum(out * mesh.surf_length)) < 1e-13
+
+
+def exchange_rate(state, mesh, kin):
+    """total_rate under constant laws: the exchange alone where both fields are constant."""
+    laws = (bs.constant_law(1.0), bs.constant_law(1.0, role="surface"))
+    return bs.total_rate(state, mesh, kin, *laws, wide_window())
 
 
 class TestCoupling:
@@ -130,7 +165,7 @@ class TestCoupling:
         eq = bs.solve_equilibrium(kin, 3.0, 1.0, 1.0)
         mesh = bs.build_mesh(3, 3, 1.0, 1.0, {"bottom"})
         state = bs.State(t=0.0, u=np.full(9, eq.u_star), v=np.full(3, eq.v_star))
-        du, dv = bs.coupling_rate(state, mesh, kin)
+        du, dv = exchange_rate(state, mesh, kin)
         np.testing.assert_allclose(du, 0.0, atol=1e-15)
         np.testing.assert_allclose(dv, 0.0, atol=1e-15)
 
@@ -138,20 +173,20 @@ class TestCoupling:
         kin = linear_kinetics()
         mesh = bs.build_mesh(1, 1, 1.0, 1.0, {"bottom"})
         state = bs.State(t=0.0, u=np.array([2.0]), v=np.array([1.0]))
-        du, dv = bs.coupling_rate(state, mesh, kin)
+        du, dv = exchange_rate(state, mesh, kin)
         np.testing.assert_allclose(du, [-1.0])
         np.testing.assert_allclose(dv, [1.0])
 
     def test_nonpositive_trace_contributes_nothing(self):
+        # one cell per trace pair, so no flux reaches it
         kin = bs.Kinetics(k=1.0, kappa=1.0, alpha=1.5, beta=1.0)
-        mesh = bs.build_mesh(3, 1, 1.0, 1.0, {"bottom"})
-        state = bs.State(t=0.0, u=np.array([-0.2, 1.0, 1.0]), v=np.array([1.0, 1.0, 0.0]))
-        du, dv = bs.coupling_rate(state, mesh, kin)
-        assert du[0] == 0.0 and dv[0] == 0.0  # u <= 0
-        assert du[2] == 0.0 and dv[2] == 0.0  # v <= 0
-        assert dv[1] == 0.0  # rate vanishes at (1, 1) with kappa = 1
+        mesh = bs.build_mesh(1, 1, 1.0, 1.0, {"bottom"})
+        for u, v in ((-0.2, 1.0), (1.0, 0.0), (1.0, 1.0)):  # u <= 0, v <= 0, the rate's zero
+            du, dv = exchange_rate(bs.State(t=0.0, u=np.array([u]), v=np.array([v])), mesh, kin)
+            assert du[0] == 0.0 and dv[0] == 0.0
 
     def test_weighted_sum_is_zero(self):
+        # each flux conserves its own field: the weighted sum is the exchange's
         rng = np.random.default_rng(41)
         kin = bs.Kinetics(k=2.0, kappa=0.5, alpha=2.0, beta=3.0)
         mesh = bs.build_mesh(5, 4, 2.0, 1.5, {"bottom", "right"})
@@ -160,7 +195,7 @@ class TestCoupling:
             u=rng.uniform(0.5, 2.0, mesh.n_bulk),
             v=rng.uniform(0.5, 2.0, mesh.n_surface),
         )
-        du, dv = bs.coupling_rate(state, mesh, kin)
+        du, dv = exchange_rate(state, mesh, kin)
         total = kin.beta * np.sum(du) * mesh.cell_volume + kin.alpha * np.sum(dv * mesh.surf_length)
         assert abs(total) < 1e-13
 
@@ -317,12 +352,8 @@ class TestStep:
         mesh, kin, eq, state, window = self.setup_problem()
         cfg = bs.StepConfig(dt=1e-3)
         bulk, cross = bs.power_law(1.0), bs.surface_cross_law(kin)
-        for slot, laws, operator in (
-            ("surface", (bulk, bulk), lambda: bs.surface_diffusion_rate(state, mesh, bulk, window)),
-            ("bulk", (cross, cross), lambda: bs.bulk_diffusion_rate(state, mesh, cross, window)),
-        ):
+        for slot, laws in (("surface", (bulk, bulk)), ("bulk", (cross, cross))):
             for call in (
-                operator,
                 lambda: bs.total_rate(state, mesh, kin, *laws, window),
                 lambda: bs.record(state, mesh, kin, eq, window, *laws),
                 lambda: bs.step(state, mesh, kin, *laws, window, cfg),
@@ -877,6 +908,48 @@ class TestRandomProblems:
         np.testing.assert_allclose(out.u, eq.u_star, rtol=1e-13, atol=0)
         np.testing.assert_allclose(out.v, eq.v_star, rtol=1e-13, atol=0)
 
+    @pytest.mark.parametrize("face_average", bs.mesh.FACE_AVERAGES)
+    @pytest.mark.parametrize("edges", [{"bottom"}, {"left", "bottom"}, set(bs.mesh.EDGE_NAMES)],
+                             ids=["open", "open-corner", "closed"])
+    @settings(max_examples=15, deadline=None)
+    @given(
+        nx=st.integers(1, 6),
+        ny=st.integers(1, 6),
+        bulk_law=st.sampled_from(BULK_LAWS),
+        alpha=st.floats(1.0, 3.0),
+        beta=st.floats(1.0, 3.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_total_rate_is_the_sum_of_its_operators(
+        self, face_average, edges, nx, ny, bulk_law, alpha, beta, seed
+    ):
+        # exchange + bulk divergence + surface divergence, bit for bit; some
+        # entries are nonpositive, where the guarded rate is 0
+        kin = bs.Kinetics(k=1.2, kappa=0.6, alpha=alpha, beta=beta)
+        mesh = bs.build_mesh(nx, ny, 1.0, 1.3, edges)
+        rng = np.random.default_rng(seed)
+        u = rng.uniform(-0.2, 1.8, mesh.n_bulk)
+        v = rng.uniform(-0.2, 1.8, mesh.n_surface)
+        window = wide_window(alpha=alpha, beta=beta)
+        surf_law = bs.surface_cross_law(kin)
+        du, dv = bs.total_rate(
+            bs.State(t=0.0, u=u, v=v), mesh, kin, bulk_law, surf_law, window, face_average
+        )
+
+        tr = mesh.surf_to_bulk
+        r = bs.safe_rate(u[tr], v, kin)
+        exchange = -kin.alpha / mesh.cell_volume * np.bincount(
+            tr, weights=r * mesh.surf_length, minlength=mesh.n_bulk
+        )
+        mu = bs.diffusion_coefficient(bulk_law, u, None, window)
+        np.testing.assert_array_equal(
+            du, exchange + face_divergence(mesh.bulk_faces, u, mu, face_average)
+        )
+        mu = bs.diffusion_coefficient(surf_law, u[tr], v, window)
+        np.testing.assert_array_equal(
+            dv, kin.beta * r + face_divergence(mesh.surf_faces, v, mu, face_average)
+        )
+
 
 # Factors and solves Newton matrices of 1x1, 3x2 all-edge, 16x16 and 64x64
 # meshes at three time steps, built by the solver's assembly, in both
@@ -888,6 +961,7 @@ class TestRandomProblems:
 _HEAP_SCRIPT = """
 import numpy as np
 import bulksurf as bs
+from bulksurf.mesh import face_divergence
 from bulksurf.solver import _factor, _newton_matrix
 
 kin = bs.Kinetics(k=1.0, kappa=0.5, alpha=2.0, beta=1.0)
