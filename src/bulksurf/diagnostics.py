@@ -16,6 +16,9 @@ scalar functionals:
 * the envelope extrema max (u/u_star)**alpha, max (v/v_star)**beta,
   min u**alpha and min kappa*v**beta of every record.
 
+record reads the stacked state (u, v) in single passes, one for each kind of
+work, and keeps the arithmetic of each public function it stands for.
+
 All operations are read-only on the state and safe to evaluate concurrently.
 """
 
@@ -32,7 +35,6 @@ from .model import (
     Equilibrium,
     Kinetics,
     check_role,
-    clamp_state,
     diffusion_coefficient,
     log_mean,
 )
@@ -88,10 +90,10 @@ def entropy_density(z):
     is rejected.
     """
     z_arr = np.asarray(z, dtype=float)
-    if not np.all((z_arr >= 0) & (z_arr < np.inf)):
+    if not ((z_arr >= 0) & (z_arr < np.inf)).all():
         raise ValueError("entropy density requires a finite nonnegative argument")
-    z_safe = np.where(z_arr > 0, z_arr, 1.0)
-    out = np.where(z_arr > 0, z_arr * np.log(z_safe) - z_arr + 1.0, 1.0)
+    pos = z_arr > 0
+    out = np.where(pos, z_arr * np.log(np.where(pos, z_arr, 1.0)) - z_arr + 1.0, 1.0)
     if np.isscalar(z):
         return float(out)
     return out
@@ -101,17 +103,25 @@ def weighted_mass(state, mesh: CoupledMesh, kin: Kinetics) -> float:
     """Conserved functional beta*sum(u)*|cell| + alpha*sum(v*|G_j|)."""
     check_sizes(state, mesh)
     return float(
-        kin.beta * np.sum(state.u) * mesh.cell_volume
-        + kin.alpha * np.sum(state.v * mesh.surf_length)
+        kin.beta * state.u.sum() * mesh.cell_volume
+        + kin.alpha * (state.v * mesh.surf_length).sum()
     )
 
 
 def relative_entropy(state, eq: Equilibrium, mesh: CoupledMesh) -> float:
     """Discrete relative entropy against the equilibrium pair; zero iff at it."""
     check_sizes(state, mesh)
-    bulk = eq.u_star * np.sum(entropy_density(state.u / eq.u_star)) * mesh.cell_volume
-    surf = eq.v_star * np.sum(entropy_density(state.v / eq.v_star) * mesh.surf_length)
-    return float(bulk + surf)
+    return _entropy(state, eq, mesh)[0]
+
+
+def _entropy(state, eq: Equilibrium, mesh: CoupledMesh) -> tuple[float, np.ndarray]:
+    """Relative entropy by one density pass over z = (u/u_star, v/v_star), and z."""
+    z = np.concatenate((state.u / eq.u_star, state.v / eq.v_star))
+    dens = entropy_density(z)
+    nb = mesh.n_bulk
+    bulk = eq.u_star * dens[:nb].sum() * mesh.cell_volume
+    surf = eq.v_star * (dens[nb:] * mesh.surf_length).sum()
+    return float(bulk + surf), z
 
 
 def envelope_entropy(state, mesh: CoupledMesh, window: ClampWindow) -> float:
@@ -131,17 +141,6 @@ def envelope_entropy(state, mesh: CoupledMesh, window: ClampWindow) -> float:
         trunc = np.where(c <= ceiling, star, c / scale)
         total += scale * star * np.sum(entropy_density(trunc / star) * measure)
     return float(total)
-
-
-def _below_upper_envelopes(state, window: ClampWindow) -> bool:
-    """True when every u and every v lies at or below its window ceiling.
-
-    Then the envelope entropy, every excess potential and with them the
-    reaction split and both diffusion dissipations are exactly zero.
-    """
-    return bool(
-        np.all(state.u <= window.u_ceiling) and np.all(state.v <= window.v_ceiling)
-    )
 
 
 def _envelope_potentials(u, v, window: ClampWindow) -> tuple[np.ndarray, np.ndarray]:
@@ -222,20 +221,20 @@ def _diffusion_dissipation(state, mesh, window, bulk_law, surf_law, face_average
     the surface chain, with the potentials of _envelope_potentials; both are
     <= 0 because the excess potential is a nondecreasing function of its own
     concentration, making each face term a product of like-signed
-    differences.  The laws' roles are checked by record, the only caller.
+    differences.  One pass over mesh.faces and the stacked state gives every
+    face term; the sum splits at the first chain face.  The laws' roles are
+    checked by record, the only caller.
     """
     u, v = state.u, state.v
-    mu_bulk = diffusion_coefficient(bulk_law, u, None, window)
-    mu_surf = diffusion_coefficient(surf_law, u[mesh.surf_to_bulk], v, window)
-    bulk_pot, surf_pot = _envelope_potentials(u, v, window)
-    sums = []
-    for faces, x, mu, pot in (
-        (mesh.bulk_faces, u, mu_bulk, bulk_pot),
-        (mesh.surf_faces, v, mu_surf, surf_pot),
-    ):
-        flux = face_flux(faces, x, mu, face_average)
-        sums.append(-float(np.sum(flux * (pot[faces.cell_b] - pot[faces.cell_a]))))
-    return sums[0], sums[1]
+    mu = np.concatenate((
+        diffusion_coefficient(bulk_law, u, None, window),
+        diffusion_coefficient(surf_law, u[mesh.surf_to_bulk], v, window),
+    ))
+    pot = np.concatenate(_envelope_potentials(u, v, window))
+    faces, m = mesh.faces, mesh.n_bulk_faces
+    flux = face_flux(faces, np.concatenate((u, v)), mu, face_average)
+    terms = flux * (pot[faces.cell_b] - pot[faces.cell_a])
+    return -float(np.sum(terms[:m])), -float(np.sum(terms[m:]))
 
 
 def record(
@@ -257,22 +256,24 @@ def record(
     The reaction dissipation is reported with the sign it carries in the
     envelope-entropy balance (<= 0), the negated total of the split.
 
-    Both upper envelopes are tested once, against the window's u_ceiling
-    and v_ceiling.  While they hold, the envelope entropy, the reaction and
-    both diffusion dissipations are exactly 0 and no cell is in a violation
-    class, so those fields are set to zero without evaluating them;
-    otherwise they come from envelope_entropy, reaction_dissipation_split
-    and the face-sum dissipation.
+    One pass over the stacked state w = (u, v) takes the minima and maxima
+    of u and v.  The maxima test both upper envelopes, against u_ceiling
+    and v_ceiling; only when an extremum lies outside the clamp caps are
+    the clamped entries counted.  While both envelopes hold, the envelope
+    entropy, the reaction and both diffusion dissipations are exactly 0 and
+    no cell is in a violation class, so those fields are set to zero
+    without evaluating them; otherwise they come from envelope_entropy,
+    reaction_dissipation_split and the face-sum dissipation.
     """
     check_sizes(state, mesh)
     check_role(bulk_law, "bulk")
     check_role(surf_law, "surface")
-    entropy = relative_entropy(state, eq, mesh)
-    u_pos = np.maximum(state.u, 0.0)
-    v_pos = np.maximum(state.v, 0.0)
-    u_env = (u_pos / eq.u_star) ** kin.alpha
-    v_env = (v_pos / eq.v_star) ** kin.beta
-    if _below_upper_envelopes(state, window):
+    nb = mesh.n_bulk
+    u, v = state.u, state.v
+    entropy, z = _entropy(state, eq, mesh)  # rejects negative and non-finite entries
+    w = np.concatenate((u, v))
+    (u_min, v_min), (u_max, v_max) = (f.reduceat(w, (0, nb)) for f in (np.minimum, np.maximum))
+    if u_max <= window.u_ceiling and v_max <= window.v_ceiling:
         envelope, reaction, diss, counts = 0.0, 0.0, (0.0, 0.0), (0, 0, 0)
     else:
         envelope = envelope_entropy(state, mesh, window)
@@ -280,19 +281,23 @@ def record(
         reaction = -split.total
         diss = _diffusion_dissipation(state, mesh, window, bulk_law, surf_law, face_average)
         counts = (split.n_u_only, split.n_v_only, split.n_both)
-    u_hat, v_hat = clamp_state(state.u, state.v, window)
-    clamp_count = int(np.count_nonzero(u_hat != state.u)) + int(
-        np.count_nonzero(v_hat != state.v)
-    )
+    clamp_count = 0
+    for c, c_min, c_max, (lo, hi) in (
+        (u, u_min, u_max, window.u_caps),
+        (v, v_min, v_max, window.v_caps),
+    ):
+        if c_min < lo or c_max > hi:  # the clamp moves exactly the entries outside [lo, hi]
+            clamp_count += int(np.count_nonzero((c < lo) | (c > hi)))
+    # + 0.0 turns a -0.0 entry's extremum into 0.0, the pressure of max(c, 0)
     return DiagnosticsRecord(
         t=float(state.t),
         mass=weighted_mass(state, mesh, kin),
         entropy=entropy,
         envelope_entropy=envelope,
-        u_env_max=float(np.max(u_env)),
-        v_env_max=float(np.max(v_env)),
-        u_env_min=float(np.min(u_pos**kin.alpha)),
-        v_env_min=float(np.min(kin.kappa * v_pos**kin.beta)),
+        u_env_max=float((z[:nb] ** kin.alpha).max()) + 0.0,
+        v_env_max=float((z[nb:] ** kin.beta).max()) + 0.0,
+        u_env_min=float((u**kin.alpha).min()) + 0.0,
+        v_env_min=float((kin.kappa * v**kin.beta).min()) + 0.0,
         reaction_dissipation=reaction + 0.0,
         diffusion_dissipation_bulk=diss[0] + 0.0,
         diffusion_dissipation_surface=diss[1] + 0.0,

@@ -9,9 +9,12 @@ a single connected 1D chain joined at the shared corner.  Chain endpoints have
 no neighbor, which realizes the zero-flux condition there; with all four edges
 active the chain closes into a loop.
 
-The two-point face operator (face flux, net inflow per unit cell measure and
-its Jacobian block) lives here beside FaceSet, below both the time stepper
-and the entropy diagnostics, which pair the flux with potential differences.
+Both diffusions are one two-point flux on one face set over the stacked
+state w = (u, v): the interior faces of the grid first, then the chain faces,
+whose cells are numbered after the n_bulk bulk cells.  The face operator
+(face flux, net inflow per unit cell measure and its Jacobian block) lives
+here beside FaceSet, below both the time stepper and the entropy
+diagnostics, which pair the flux with potential differences.
 """
 
 from __future__ import annotations
@@ -46,7 +49,9 @@ class FaceSet:
     Face f joins cells ``cell_a[f]`` and ``cell_b[f]``; its transmissibility
     ``trans[f]`` is |face| over the distance of their centers (one over it
     on the 1D surface chain).  ``measure[i]`` is the measure of cell i (area
-    in the bulk, length on the chain).
+    in the bulk, length on the chain).  The face set of a CoupledMesh holds
+    bulk and surface cells alike, but no face joins a bulk cell to a surface
+    cell.
     """
 
     cell_a: np.ndarray
@@ -161,9 +166,25 @@ class CoupledMesh:
     surf_edge: tuple[str, ...] = field(repr=False)
     cell_center_x: np.ndarray = field(repr=False)
     cell_center_y: np.ndarray = field(repr=False)
-    # the two face sets of the diffusion operator
-    bulk_faces: FaceSet = field(repr=False)  # interior faces of the grid
-    surf_faces: FaceSet = field(repr=False)  # links between chain-adjacent surface cells
+    # the faces of both diffusions on the stacked cells (bulk, then surface
+    # at n_bulk + j): the n_bulk_faces interior faces of the grid, then the
+    # links between chain-adjacent surface cells
+    faces: FaceSet = field(repr=False)
+    n_bulk_faces: int
+
+    def face_parts(self) -> tuple[FaceSet, FaceSet]:
+        """The bulk and the chain faces as face sets of their own, cells numbered from 0.
+
+        The bulk part views the arrays of faces; the chain part shifts its
+        cell indices back by n_bulk, into new arrays of one entry per chain
+        face.
+        """
+        faces, m, nb = self.faces, self.n_bulk_faces, self.n_bulk
+        bulk = FaceSet(faces.cell_a[:m], faces.cell_b[:m], faces.trans[:m], faces.measure[:nb])
+        chain = FaceSet(
+            faces.cell_a[m:] - nb, faces.cell_b[m:] - nb, faces.trans[m:], faces.measure[nb:]
+        )
+        return bulk, chain
 
 
 def check_sizes(state, mesh: CoupledMesh) -> None:
@@ -258,19 +279,14 @@ def build_mesh(
 
     # Interior bulk faces: horizontal-neighbor pairs share a face of length dy
     # at distance dx, vertical-neighbor pairs a face of length dx at distance dy.
+    # The chain faces follow them, on the surface cells numbered from n_bulk.
     ii = np.arange(n_bulk).reshape(ny, nx)
     h, v = ii[:, :-1].size, ii[:-1, :].size
-    bulk_faces = FaceSet(
-        cell_a=np.concatenate([ii[:, :-1].ravel(), ii[:-1, :].ravel()]),
-        cell_b=np.concatenate([ii[:, 1:].ravel(), ii[1:, :].ravel()]),
-        trans=np.concatenate([np.full(h, dy / dx), np.full(v, dx / dy)]),
-        measure=np.full(n_bulk, dx * dy),
-    )
-    surf_faces = FaceSet(
-        cell_a=chain_a,
-        cell_b=chain_b,
-        trans=1.0 / chain_dist,
-        measure=surf_length,
+    faces = FaceSet(
+        cell_a=np.concatenate([ii[:, :-1].ravel(), ii[:-1, :].ravel(), n_bulk + chain_a]),
+        cell_b=np.concatenate([ii[:, 1:].ravel(), ii[1:, :].ravel(), n_bulk + chain_b]),
+        trans=np.concatenate([np.full(h, dy / dx), np.full(v, dx / dy), 1.0 / chain_dist]),
+        measure=np.concatenate([np.full(n_bulk, dx * dy), surf_length]),
     )
 
     xs = (np.arange(nx) + 0.5) * dx
@@ -290,14 +306,14 @@ def build_mesh(
         total_surface_measure=float(np.sum(surf_length)),
         n_bulk=n_bulk,
         n_surface=len(positions),
-        surf_length=surf_length,
+        surf_length=faces.measure[n_bulk:],
         surf_to_bulk=surf_to_bulk,
         surf_center_x=surf_cx,
         surf_center_y=surf_cy,
         surf_edge=tuple(cycle[p][0] for p in positions),
         cell_center_x=cgx.ravel(),
         cell_center_y=cgy.ravel(),
-        bulk_faces=bulk_faces,
-        surf_faces=surf_faces,
+        faces=faces,
+        n_bulk_faces=h + v,
     )
 

@@ -266,12 +266,18 @@ def _positive_quadrant(u, v):
 
 
 def safe_rate(u, v, kin: Kinetics):
-    """Rate guarded on the closed positive quadrant: 0 whenever u <= 0 or v <= 0."""
-    pos, u_safe, v_safe = _positive_quadrant(u, v)
-    out = np.where(pos, rate(u_safe, v_safe, kin), 0.0)
-    if np.isscalar(u) and np.isscalar(v):
-        return float(out)
-    return out
+    """Rate guarded on the closed positive quadrant: 0 whenever u <= 0 or v <= 0.
+
+    Two scalars give a float, anything else an array.
+    """
+    u_arr = np.asarray(u, dtype=float)
+    v_arr = np.asarray(v, dtype=float)
+    pos = (u_arr > 0) & (v_arr > 0)
+    if pos.all():
+        out = rate(u_arr, v_arr, kin)
+    else:
+        out = np.where(pos, rate(np.where(pos, u_arr, 1.0), np.where(pos, v_arr, 1.0), kin), 0.0)
+    return out if out.ndim else float(out)
 
 
 def safe_rate_derivatives(u, v, kin: Kinetics):
@@ -363,26 +369,28 @@ def _clamped_law(law: DiffusionLaw, u, v, window: ClampWindow, derivatives: bool
     variable the law does not read is None.
     """
     if law.role == "bulk":
-        keys = ("u",)
+        args = ((u, window.u_caps),)
     elif v is None:
         raise ValueError("surface-role law requires the surface concentration")
     elif law.kind == "surface_cross":
-        keys = ("u", "v")
+        args = ((u, window.u_caps), (v, window.v_caps))
     else:
-        keys = ("v",)
-    raw = {"u": u, "v": v}
-    caps = {"u": window.u_caps, "v": window.v_caps}
-    xs = [np.asarray(raw[key], dtype=float) for key in keys]
-    hats = [_clip(x, caps[key]) for key, x in zip(keys, xs)]
+        args = ((v, window.v_caps),)
+    args = [(np.asarray(x, dtype=float), caps) for x, caps in args]
+    hats = [_clip(x, caps) for x, caps in args]
     value, slopes = _LAWS[law.kind]
     mu = value(law, *hats)
     if not derivatives:
         return mu
-    grads = {"u": None, "v": None}
-    for key, x, slope in zip(keys, xs, slopes(law, *hats)):
-        lo, hi = caps[key]
-        grads[key] = np.where((x > lo) & (x < hi), slope, 0.0)
-    return mu, grads["u"], grads["v"]
+    grads = [
+        np.where((x > lo) & (x < hi), slope, 0.0)
+        for (x, (lo, hi)), slope in zip(args, slopes(law, *hats))
+    ]
+    if law.role == "bulk":
+        return mu, grads[0], None
+    if law.kind == "surface_cross":
+        return mu, grads[0], grads[1]
+    return mu, None, grads[0]
 
 
 def diffusion_coefficient(law: DiffusionLaw, u, v, window: ClampWindow):
@@ -390,10 +398,11 @@ def diffusion_coefficient(law: DiffusionLaw, u, v, window: ClampWindow):
 
     Bulk-role laws see the clamped bulk value; single-argument surface laws
     see the clamped surface value; surface_cross sees both.  Every
-    surface-role law needs v and raises ValueError when it is None.
+    surface-role law needs v and raises ValueError when it is None.  Scalar
+    arguments give a float, arrays an array.
     """
     mu = _clamped_law(law, u, v, window, derivatives=False)
-    return float(mu) if np.isscalar(u) and (v is None or np.isscalar(v)) else mu
+    return mu if np.ndim(mu) else float(mu)
 
 
 def coefficient_and_derivatives(law: DiffusionLaw, u, v, window: ClampWindow):

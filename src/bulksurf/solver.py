@@ -11,9 +11,12 @@ averages:
 with f the guarded mass-action rate and all diffusion coefficients evaluated
 at clamped arguments.  Faces are two-point fluxes with arithmetic (default)
 or harmonic coefficient averaging; every boundary face outside the active
-surface is no-flux by omission.  The face operator (flux, divergence and
-Jacobian block) lives in mesh.py beside FaceSet; this module evaluates the
-coefficients, adds the reaction coupling and steps in time.  The weighted mass
+surface is no-flux by omission.  Both sums over faces are one face
+divergence on mesh.faces, the one face set over the stacked state
+w = (U, V), with one coefficient per stacked cell.  The face operator (flux,
+divergence and Jacobian block) lives in mesh.py beside FaceSet; this module
+evaluates the coefficients, adds the reaction coupling and steps in time.
+The weighted mass
 
     beta * sum_i U_i |cell| + alpha * sum_j V_j |G_j|
 
@@ -114,7 +117,7 @@ class State:
             raise ValueError(f"state time must be finite, got {self.t}")
         if self.u.ndim != 1 or self.v.ndim != 1:
             raise ValueError(f"state fields must be 1-D, got shapes {self.u.shape}, {self.v.shape}")
-        if not (np.all(np.isfinite(self.u)) and np.all(np.isfinite(self.v))):
+        if not (np.isfinite(self.u).all() and np.isfinite(self.v).all()):
             raise ValueError("state fields must be finite")
 
     def copy(self) -> "State":
@@ -213,7 +216,7 @@ def _factor(matrix: sparse.csc_matrix, dtype=np.float32) -> Callable[[np.ndarray
         return factor.solve
 
     def solve(b: np.ndarray) -> np.ndarray:
-        scale = np.max(np.abs(b))
+        scale = np.abs(b).max()
         return scale * factor.solve((b / scale).astype(np.float32)).astype(float)
 
     return solve
@@ -240,22 +243,25 @@ def total_rate(
 def _rate_vector(w, mesh, kin, bulk_law, surf_law, window, face_average):
     """The total rate F(w) of the stacked state w = (u, v); callers check the law roles.
 
-    With r_j = safe_rate(u_trace, v_j), the trace bulk cell loses
-    alpha*r_j*|G_j| per unit volume and surface cell j gains beta*r_j; each
-    diffusion adds the face divergence of its face set.
+    One face divergence over mesh.faces diffuses u with the bulk law and v
+    with the surface law.  With r_j = safe_rate(u_trace, v_j), the trace
+    bulk cell then loses alpha*r_j*|G_j| per unit volume and surface cell j
+    gains beta*r_j.
     """
     nb = mesh.n_bulk
     u, v = w[:nb], w[nb:]
     tr = mesh.surf_to_bulk
-    r = np.asarray(safe_rate(u[tr], v, kin), dtype=float)
-    du = -kin.alpha / mesh.cell_volume * np.bincount(
+    u_tr = u[tr]
+    mu = np.empty_like(w)
+    mu[:nb] = diffusion_coefficient(bulk_law, u, None, window)
+    mu[nb:] = diffusion_coefficient(surf_law, u_tr, v, window)
+    f = face_divergence(mesh.faces, w, mu, face_average)
+    r = safe_rate(u_tr, v, kin)
+    f[:nb] += -kin.alpha / mesh.cell_volume * np.bincount(
         tr, weights=r * mesh.surf_length, minlength=nb
     )
-    mu = diffusion_coefficient(bulk_law, u, None, window)
-    du = du + face_divergence(mesh.bulk_faces, u, mu, face_average)
-    mu = diffusion_coefficient(surf_law, u[tr], v, window)
-    dv = kin.beta * r + face_divergence(mesh.surf_faces, v, mu, face_average)
-    return np.concatenate([du, dv])
+    f[nb:] += kin.beta * r
+    return f
 
 
 def _newton_matrix(w, c, mesh, kin, bulk_law, surf_law, window, face_average):
@@ -270,10 +276,11 @@ def _newton_matrix(w, c, mesh, kin, bulk_law, surf_law, window, face_average):
     nb, ns = mesh.n_bulk, mesh.n_surface
     u, v = w[:nb], w[nb:]
     tr = mesh.surf_to_bulk
+    bulk_faces, chain_faces = mesh.face_parts()
     mu, dmu_du, _ = coefficient_and_derivatives(bulk_law, u, None, window)
-    bulk = face_block(mesh.bulk_faces, u, 0, mu, dmu_du, face_average)
+    bulk = face_block(bulk_faces, u, 0, mu, dmu_du, face_average)
     mu, dmu_du, dmu_dv = coefficient_and_derivatives(surf_law, u[tr], v, window)
-    surf = face_block(mesh.surf_faces, v, nb, mu, dmu_dv, face_average, dmu_du, tr)
+    surf = face_block(chain_faces, v, nb, mu, dmu_dv, face_average, dmu_du, tr)
 
     # coupling: bulk trace cell tr[j] <-> surface cell nb + j
     dr_du, dr_dv = safe_rate_derivatives(u[tr], v, kin)
@@ -358,12 +365,12 @@ def step(
 
     w, f = w_old.copy(), f_old
     r = residual(w, f)
-    rn = float(np.max(np.abs(r)))
+    rn = float(np.abs(r).max())
     if not rn <= cfg.newton_tol and len(history) == PREDICTOR_DEGREE + 1:
         w_pred = sum(c * h for c, h in zip(_PREDICTOR_WEIGHTS, history))
         f_pred = fvec(w_pred)
         r_pred = residual(w_pred, f_pred)
-        rn_pred = float(np.max(np.abs(r_pred)))
+        rn_pred = float(np.abs(r_pred).max())
         if rn_pred < rn:
             w, f, r, rn = w_pred, f_pred, r_pred, rn_pred
     iters = 0
@@ -381,6 +388,7 @@ def step(
                 lu.solve = _factor(matrix, np.float64)
                 if lu.solve is None:
                     raise NonConvergence(iters, rn)
+            del matrix  # the factor holds what the iteration needs
         delta = lu.solve(-r)
         iters += 1
 
@@ -389,7 +397,7 @@ def step(
             w_trial = w + lam * delta
             f_trial = fvec(w_trial)
             r_trial = residual(w_trial, f_trial)
-            rn_trial = float(np.max(np.abs(r_trial)))
+            rn_trial = float(np.abs(r_trial).max())
             if np.isfinite(rn_trial) and rn_trial < rn:
                 break
             lam *= 0.5

@@ -2,13 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import bulksurf as bs
-from bulksurf.diagnostics import (
-    _below_upper_envelopes,
-    _diffusion_dissipation,
-    _envelope_potentials,
-)
+from bulksurf.diagnostics import _diffusion_dissipation, _envelope_potentials
+from bulksurf.mesh import face_flux
 
 
 def make_problem(nx=4, ny=3, edges=("bottom",), alpha=2.0, beta=1.0, kappa=0.5, seed=61,
@@ -317,7 +316,8 @@ class TestRecord:
             assert (rec.diffusion_dissipation_bulk, rec.diffusion_dissipation_surface) == diss
             assert rec.clamp_activations == np.sum(u_hat != st.u) + np.sum(v_hat != st.v)
             assert rec.partition_counts == (split.n_u_only, split.n_v_only, split.n_both)
-            assert _below_upper_envelopes(st, window) == healthy
+            below = np.all(st.u <= window.u_ceiling) and np.all(st.v <= window.v_ceiling)
+            assert below == healthy
         assert min(rec.partition_counts) > 0 and min(diss) < 0.0  # every breached term is live
 
     def test_clamp_activation_count(self):
@@ -354,3 +354,77 @@ class TestRecord:
         dry.u[3] = -1e-3  # negative entries are still rejected
         with pytest.raises(ValueError):
             bs.record(dry, mesh, kin, eq, window, *laws)
+
+
+def _bits(x) -> bytes:
+    return np.float64(x).tobytes()
+
+
+@pytest.mark.parametrize("face_average", bs.mesh.FACE_AVERAGES)
+@pytest.mark.parametrize("edges", [{"bottom"}, {"left", "bottom"}, set(bs.mesh.EDGE_NAMES)],
+                         ids=["open", "open-corner", "closed"])
+@settings(max_examples=20, deadline=None)
+@given(
+    nx=st.integers(1, 5),
+    ny=st.integers(1, 5),
+    alpha=st.floats(1.0, 3.0),
+    beta=st.floats(1.0, 3.0),
+    bulk_law=st.sampled_from([bs.power_law(1.0), bs.exponential_law(0.4), bs.constant_law(1.3)]),
+    cross=st.booleans(),
+    below=st.booleans(),
+    zeros=st.integers(0, 2),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_record_fields_are_the_functions_they_stand_for(
+    face_average, edges, nx, ny, alpha, beta, bulk_law, cross, below, zeros, seed
+):
+    # record reads the stacked state in one pass; each field must still equal,
+    # bit for bit, the function it stands for.  The pressures (c/star)**exponent
+    # span 0.1 to 10 around the window [0.3, 3], so entries fall below the
+    # lower clamp cap, above the upper one and above the upper envelope; with
+    # below, every entry is cut to its ceiling, which itself is no breach.
+    kin = bs.Kinetics(k=1.3, kappa=0.7, alpha=alpha, beta=beta)
+    mesh = bs.build_mesh(nx, ny, 1.0, 1.3, edges)
+    eq = bs.solve_equilibrium(kin, 3.0, mesh.total_bulk_measure, mesh.total_surface_measure)
+    window = bs.ClampWindow(lower=0.3, upper=3.0, u_star=eq.u_star, v_star=eq.v_star,
+                            alpha=alpha, beta=beta)
+    surf_law = bs.surface_cross_law(kin) if cross else bs.power_law(1.0, role="surface")
+    rng = np.random.default_rng(seed)
+    u = eq.u_star * (10.0 ** rng.uniform(-1, 1, mesh.n_bulk)) ** (1 / alpha)
+    v = eq.v_star * (10.0 ** rng.uniform(-1, 1, mesh.n_surface)) ** (1 / beta)
+    if below:
+        u, v = np.minimum(u, window.u_ceiling), np.minimum(v, window.v_ceiling)
+    u[rng.integers(mesh.n_bulk, size=zeros)] = 0.0
+    v[rng.integers(mesh.n_surface, size=zeros)] = 0.0
+    state = bs.State(t=0.25, u=u, v=v)
+    rec = bs.record(state, mesh, kin, eq, window, bulk_law, surf_law, face_average)
+
+    split = bs.reaction_dissipation_split(state, mesh, kin, window)
+    u_hat, v_hat = bs.clamp_state(u, v, window)
+    # the two dissipations face set by face set, on each part's own numbering
+    tr = mesh.surf_to_bulk
+    pots = _envelope_potentials(u, v, window)
+    mus = (bs.diffusion_coefficient(bulk_law, u, None, window),
+           bs.diffusion_coefficient(surf_law, u[tr], v, window))
+    diss = []
+    for faces, x, mu, pot in zip(mesh.face_parts(), (u, v), mus, pots):
+        flux = face_flux(faces, x, mu, face_average)
+        diss.append(-float(np.sum(flux * (pot[faces.cell_b] - pot[faces.cell_a]))) + 0.0)
+    u_pos, v_pos = np.maximum(u, 0.0), np.maximum(v, 0.0)
+    expected = {
+        "t": 0.25,
+        "mass": bs.weighted_mass(state, mesh, kin),
+        "entropy": bs.relative_entropy(state, eq, mesh),
+        "envelope_entropy": bs.envelope_entropy(state, mesh, window),
+        "u_env_max": float(np.max((u_pos / eq.u_star) ** alpha)),
+        "v_env_max": float(np.max((v_pos / eq.v_star) ** beta)),
+        "u_env_min": float(np.min(u_pos**alpha)),
+        "v_env_min": float(np.min(kin.kappa * v_pos**beta)),
+        "reaction_dissipation": -split.total + 0.0,
+        "diffusion_dissipation_bulk": diss[0],
+        "diffusion_dissipation_surface": diss[1],
+    }
+    for name, value in expected.items():
+        assert _bits(getattr(rec, name)) == _bits(value), (name, getattr(rec, name), value)
+    assert rec.clamp_activations == np.count_nonzero(u_hat != u) + np.count_nonzero(v_hat != v)
+    assert rec.partition_counts == (split.n_u_only, split.n_v_only, split.n_both)

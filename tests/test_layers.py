@@ -3,8 +3,9 @@
 mesh and model sit at the bottom, then diagnostics, then solver, then cli.
 A cycle, or an import hidden inside a function to dodge one, fails here, and
 so does a README "Python API" list that names other than the exported names.
-The smoke test runs one tiny traced benchmark sample, whose tracer wraps the
-package's layer entry points by name and fails when one is gone or unused.
+The smoke test runs one tiny traced benchmark sample of every workload, whose
+tracer wraps the package's layer entry points by name and fails when one is
+gone or unused.
 """
 
 import ast
@@ -81,19 +82,21 @@ def test_import_graph_is_acyclic_and_module_level():
 
 
 def test_traced_benchmark_sample_enters_every_layer():
+    # every workload: the blobs enter the solver through run, cli-loop through cli.main
     env = dict(os.environ, PYTHONPATH="src")
-    proc = subprocess.run(
-        [sys.executable, "perfbench/worker.py",
-         "--workload", "cli-loop", "--size", "tiny", "--trace", "1"],
-        cwd=ROOT,
-        env=env,
-        capture_output=True,
-        text=True,
-        timeout=120,
-    )
-    assert proc.returncode == 0, proc.stderr
-    result = json.loads(proc.stdout.strip().splitlines()[-1])
-    assert result["failures"] == []
+    for workload in ("blob-32", "blob-256", "cli-loop"):
+        proc = subprocess.run(
+            [sys.executable, "perfbench/worker.py",
+             "--workload", workload, "--size", "tiny", "--trace", "1"],
+            cwd=ROOT,
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, f"{workload}: {proc.stderr}"
+        result = json.loads(proc.stdout.strip().splitlines()[-1])
+        assert result["failures"] == [], workload
 
 
 def test_readme_lists_exactly_the_exported_names():

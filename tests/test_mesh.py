@@ -15,8 +15,9 @@ def test_unit_single_cell():
     assert mesh.surf_length[0] == 1.0
     assert mesh.total_bulk_measure == 1.0
     assert mesh.total_surface_measure == 1.0
-    assert len(mesh.bulk_faces) == 0
-    assert len(mesh.surf_faces) == 0
+    assert len(mesh.faces) == 0
+    assert mesh.n_bulk_faces == 0
+    np.testing.assert_array_equal(mesh.faces.measure, [1.0, 1.0])
 
 
 def test_uniform_grid_arithmetic():
@@ -37,9 +38,9 @@ def test_two_edge_surface_count():
 
 
 def test_interior_face_count():
-    assert len(build_mesh(2, 1, 1.0, 1.0, {"top"}).bulk_faces) == 1
+    assert len(build_mesh(2, 1, 1.0, 1.0, {"top"}).face_parts()[0]) == 1
     mesh = build_mesh(3, 3, 1.0, 1.0, {"bottom"})
-    faces = mesh.bulk_faces
+    faces, _ = mesh.face_parts()
     assert len(faces) == 12  # 3*2 + 3*2
     # every unordered pair appears exactly once
     pairs = {tuple(sorted(p)) for p in zip(faces.cell_a, faces.cell_b)}
@@ -49,7 +50,33 @@ def test_interior_face_count():
 @pytest.mark.parametrize("nx,ny", [(1, 1), (4, 2), (5, 7)])
 def test_face_count_formula(nx, ny):
     mesh = build_mesh(nx, ny, 1.5, 0.7, {"bottom"})
-    assert len(mesh.bulk_faces) == ny * (nx - 1) + nx * (ny - 1)
+    assert mesh.n_bulk_faces == ny * (nx - 1) + nx * (ny - 1)
+    assert len(mesh.face_parts()[0]) == mesh.n_bulk_faces
+
+
+@pytest.mark.parametrize("edges", [{"bottom"}, {"bottom", "left"}, set(EDGE_NAMES)])
+def test_one_face_set_holds_the_bulk_faces_then_the_chain(edges):
+    mesh = build_mesh(4, 3, 1.2, 0.9, edges)
+    faces, m, nb = mesh.faces, mesh.n_bulk_faces, mesh.n_bulk
+    bulk, chain = mesh.face_parts()
+    assert len(faces) == len(bulk) + len(chain) and len(bulk) == m
+    # the bulk part views the one set; the chain part sits on cells n_bulk + j
+    for name in ("cell_a", "cell_b", "trans"):
+        part = getattr(bulk, name)
+        assert np.shares_memory(part, getattr(faces, name))
+        np.testing.assert_array_equal(getattr(faces, name)[:m], part)
+    np.testing.assert_array_equal(faces.cell_a[m:], nb + chain.cell_a)
+    np.testing.assert_array_equal(faces.cell_b[m:], nb + chain.cell_b)
+    np.testing.assert_array_equal(faces.trans[m:], chain.trans)
+    # no face joins a bulk cell to a surface cell
+    assert np.all(faces.cell_a[:m] < nb) and np.all(faces.cell_b[:m] < nb)
+    assert np.all(faces.cell_a[m:] >= nb) and np.all(faces.cell_b[m:] >= nb)
+    assert faces.cell_a.dtype == faces.cell_b.dtype == np.intp
+    # one measure per stacked cell, the surface lengths a view of it
+    np.testing.assert_array_equal(faces.measure[:nb], mesh.cell_volume)
+    np.testing.assert_array_equal(bulk.measure, faces.measure[:nb])
+    np.testing.assert_array_equal(chain.measure, mesh.surf_length)
+    assert np.shares_memory(mesh.surf_length, faces.measure)
 
 
 def test_trace_map_on_active_edges():
@@ -66,7 +93,7 @@ def test_trace_map_on_active_edges():
 
 def test_single_edge_chain_is_connected_path():
     mesh = build_mesh(6, 2, 3.0, 1.0, {"bottom"})
-    faces = mesh.surf_faces
+    _, faces = mesh.face_parts()
     assert len(faces) == mesh.n_surface - 1
     np.testing.assert_array_equal(faces.cell_a, np.arange(5))
     np.testing.assert_array_equal(faces.cell_b, np.arange(1, 6))
@@ -75,7 +102,7 @@ def test_single_edge_chain_is_connected_path():
 
 def test_corner_adjacent_edges_join_into_one_chain():
     mesh = build_mesh(3, 2, 1.0, 1.0, {"bottom", "left"})
-    faces = mesh.surf_faces
+    _, faces = mesh.face_parts()
     # 5 surface cells, one connected chain => 4 faces, including the corner join
     assert mesh.n_surface == 5
     assert len(faces) == 4
@@ -90,7 +117,7 @@ def test_corner_adjacent_edges_join_into_one_chain():
 
 def test_opposite_edges_stay_disconnected():
     mesh = build_mesh(4, 3, 1.0, 1.0, {"bottom", "top"})
-    faces = mesh.surf_faces
+    _, faces = mesh.face_parts()
     assert len(faces) == 2 * 3  # two open chains of 4 cells
     for a, b in zip(faces.cell_a, faces.cell_b):
         assert mesh.surf_edge[a] == mesh.surf_edge[b]
@@ -98,7 +125,7 @@ def test_opposite_edges_stay_disconnected():
 
 def test_full_boundary_closes_into_loop():
     mesh = build_mesh(3, 3, 1.0, 1.0, {"bottom", "right", "top", "left"})
-    faces = mesh.surf_faces
+    _, faces = mesh.face_parts()
     assert mesh.n_surface == 12
     assert len(faces) == 12  # closed loop: one face per cell
     degree = np.bincount(np.concatenate([faces.cell_a, faces.cell_b]), minlength=12)
@@ -143,7 +170,7 @@ def test_rejects_bad_arguments():
 def test_chain_topology(nx, ny, edges):
     lx, ly = 1.5, 0.7
     mesh = build_mesh(nx, ny, lx, ly, edges)
-    faces = mesh.surf_faces
+    _, faces = mesh.face_parts()
     perimeter = 2 * (lx + ly)
 
     # arc length of each surface face centre along the counterclockwise

@@ -113,8 +113,12 @@ class TestBulkDiffusion:
         mesh = bs.build_mesh(7, 5, 1.3, 0.9, {"bottom", "left"})
         u = rng.uniform(0.5, 2.0, mesh.n_bulk)
         mu = bs.diffusion_coefficient(bs.exponential_law(0.4), u, None, wide_window())
-        out = face_divergence(mesh.bulk_faces, u, mu, "arithmetic")
-        assert abs(np.sum(out) * mesh.cell_volume) < 1e-13
+        # the one face set over the stacked state; a flat v carries no flux
+        w = np.concatenate([u, np.ones(mesh.n_surface)])
+        mu = np.concatenate([mu, np.ones(mesh.n_surface)])
+        out = face_divergence(mesh.faces, w, mu, "arithmetic")
+        assert abs(np.sum(out[: mesh.n_bulk]) * mesh.cell_volume) < 1e-13
+        np.testing.assert_array_equal(out[mesh.n_bulk :], 0.0)
 
 
 class TestSurfaceDiffusion:
@@ -149,8 +153,12 @@ class TestSurfaceDiffusion:
         v = rng.uniform(0.5, 2.0, mesh.n_surface)
         win = wide_window(alpha=2.0)
         mu = bs.diffusion_coefficient(bs.surface_cross_law(kin), u[mesh.surf_to_bulk], v, win)
-        out = face_divergence(mesh.surf_faces, v, mu, "arithmetic")
-        assert abs(np.sum(out * mesh.surf_length)) < 1e-13
+        # the one face set over the stacked state; a flat u carries no flux
+        w = np.concatenate([np.ones(mesh.n_bulk), v])
+        mu = np.concatenate([np.ones(mesh.n_bulk), mu])
+        out = face_divergence(mesh.faces, w, mu, "arithmetic")
+        assert abs(np.sum(out[mesh.n_bulk :] * mesh.surf_length)) < 1e-13
+        np.testing.assert_array_equal(out[: mesh.n_bulk], 0.0)
 
 
 def exchange_rate(state, mesh, kin):
@@ -438,6 +446,27 @@ class TestSingleCellOde:
             state = bs.step(state, mesh, kin, *laws, window, cfg)
             assert abs(state.u[0] - u_ref) <= 1e-9
             assert abs(state.v[0] - v_ref) <= 1e-9
+
+
+@pytest.mark.parametrize("theta,order", [(1.0, 1.0), (0.5, 2.0)], ids=["euler", "trapezoidal"])
+def test_time_order_on_the_blob(theta, order):
+    # The acceptance blob to T = 0.064 at dt = 8e-3 / 2**k, k = 0..4.  The
+    # max-norm differences of successive final (u, v) shrink by 2**order per
+    # halving: backward Euler gives 0.936, 0.957, 0.981 and the trapezoidal
+    # rule 2.829, 1.994, 2.000.  The coarsest trapezoidal ratio is not yet in
+    # its asymptotic range, so the two finest ratios are pinned.
+    p = blob_problem(32)
+    finals = []
+    for k in range(5):
+        cfg = replace(p.cfg, dt=8e-3 / 2**k, theta=theta)
+        state, lu = p.state, bs.NewtonLU()
+        for _ in range(8 * 2**k):
+            state = bs.step(state, p.mesh, p.kin, p.bulk_law, p.surf_law, p.window, cfg, lu=lu)
+        assert state.t == pytest.approx(0.064, rel=1e-12)
+        finals.append(np.concatenate([state.u, state.v]))
+    diffs = [np.max(np.abs(a - b)) for a, b in zip(finals, finals[1:])]
+    orders = [np.log2(a / b) for a, b in zip(diffs, diffs[1:])]
+    assert all(order - 0.1 <= q <= order + 0.1 for q in orders[-2:]), orders
 
 
 class TestRun:
@@ -937,17 +966,18 @@ class TestRandomProblems:
         )
 
         tr = mesh.surf_to_bulk
+        bulk_faces, chain_faces = mesh.face_parts()
         r = bs.safe_rate(u[tr], v, kin)
         exchange = -kin.alpha / mesh.cell_volume * np.bincount(
             tr, weights=r * mesh.surf_length, minlength=mesh.n_bulk
         )
         mu = bs.diffusion_coefficient(bulk_law, u, None, window)
         np.testing.assert_array_equal(
-            du, exchange + face_divergence(mesh.bulk_faces, u, mu, face_average)
+            du, exchange + face_divergence(bulk_faces, u, mu, face_average)
         )
         mu = bs.diffusion_coefficient(surf_law, u[tr], v, window)
         np.testing.assert_array_equal(
-            dv, kin.beta * r + face_divergence(mesh.surf_faces, v, mu, face_average)
+            dv, kin.beta * r + face_divergence(chain_faces, v, mu, face_average)
         )
 
 
