@@ -8,9 +8,9 @@ scalar functionals:
   with entropy density e(z) = z*log(z) - z + 1, a Lyapunov functional;
 * an envelope entropy, the relative entropy of upper-truncated fields with
   weights upper**(1/alpha), upper**(1/beta), which is zero exactly when the
-  pointwise upper envelope (u/u_star)**alpha <= upper,
-  (v/v_star)**beta <= upper holds;
-* the excess log-potentials of the truncated fields, whose pairing with the
+  pointwise upper envelope holds: every pressure p, (u/u_star)**alpha or
+  (v/v_star)**beta, is at most upper, the one envelope test of this module;
+* the excess log-potentials log(p/upper)/exponent, whose pairing with the
   reaction rate splits into three sign-definite surface integrals, and whose
   face differences give the two sign-definite diffusion dissipations;
 * the envelope extrema max (u/u_star)**alpha, max (v/v_star)**beta,
@@ -124,6 +124,12 @@ def _entropy(state, eq: Equilibrium, mesh: CoupledMesh) -> tuple[float, np.ndarr
     return float(bulk + surf), z
 
 
+def _above_upper(c, star, exponent, window: ClampWindow) -> tuple[np.ndarray, np.ndarray]:
+    """Cells above their envelope, p = (c/star)**exponent > upper, and p (0 where c <= 0)."""
+    p = (np.maximum(c, 0.0) / star) ** exponent
+    return ~(p <= window.upper), p  # a NaN counts as above, so envelope_entropy rejects it
+
+
 def envelope_entropy(state, mesh: CoupledMesh, window: ClampWindow) -> float:
     """Weighted relative entropy of the upper-truncated fields.
 
@@ -133,12 +139,12 @@ def envelope_entropy(state, mesh: CoupledMesh, window: ClampWindow) -> float:
     """
     check_sizes(state, mesh)
     total = 0.0
-    for c, star, exponent, ceiling, measure in (
-        (state.u, window.u_star, window.alpha, window.u_ceiling, mesh.cell_volume),
-        (state.v, window.v_star, window.beta, window.v_ceiling, mesh.surf_length),
+    for c, star, exponent, measure in (
+        (state.u, window.u_star, window.alpha, mesh.cell_volume),
+        (state.v, window.v_star, window.beta, mesh.surf_length),
     ):
         scale = window.upper ** (1.0 / exponent)
-        trunc = np.where(c <= ceiling, star, c / scale)
+        trunc = np.where(_above_upper(c, star, exponent, window)[0], c / scale, star)
         total += scale * star * np.sum(entropy_density(trunc / star) * measure)
     return float(total)
 
@@ -146,20 +152,15 @@ def envelope_entropy(state, mesh: CoupledMesh, window: ClampWindow) -> float:
 def _envelope_potentials(u, v, window: ClampWindow) -> tuple[np.ndarray, np.ndarray]:
     """Excess log-potentials of the truncated fields, entrywise.
 
-    bulk_pot = log(u/u_star) - log(upper)/alpha where u exceeds u_ceiling
-    and 0 otherwise (the ceiling itself belongs to the zero branch);
-    surf_pot likewise for v with exponent beta.  Both are >= 0 and vanish
-    exactly where the envelope holds.  Total in u and v: nonpositive
-    entries sit below the envelope and give 0.
+    bulk_pot = log(p/upper)/alpha with p = (u/u_star)**alpha where p > upper,
+    and 0 elsewhere; surf_pot likewise for v with exponent beta.  Both are >= 0
+    by construction and vanish exactly where the envelope holds.  Total in u
+    and v: nonpositive entries sit below the envelope and give 0.
     """
     pots = []
-    for c, star, exponent, ceiling in (
-        (u, window.u_star, window.alpha, window.u_ceiling),
-        (v, window.v_star, window.beta, window.v_ceiling),
-    ):
-        above = c > ceiling
-        c_safe = np.where(above, c, star)
-        pots.append(np.where(above, np.log(c_safe / star) - np.log(window.upper) / exponent, 0.0))
+    for c, star, exponent in ((u, window.u_star, window.alpha), (v, window.v_star, window.beta)):
+        above, p = _above_upper(c, star, exponent, window)
+        pots.append(np.log(np.where(above, p / window.upper, 1.0)) / exponent)
     return pots[0], pots[1]
 
 
@@ -256,14 +257,14 @@ def record(
     The reaction dissipation is reported with the sign it carries in the
     envelope-entropy balance (<= 0), the negated total of the split.
 
-    One pass over the stacked state w = (u, v) takes the minima and maxima
-    of u and v.  The maxima test both upper envelopes, against u_ceiling
-    and v_ceiling; only when an extremum lies outside the clamp caps are
-    the clamped entries counted.  While both envelopes hold, the envelope
-    entropy, the reaction and both diffusion dissipations are exactly 0 and
-    no cell is in a violation class, so those fields are set to zero
-    without evaluating them; otherwise they come from envelope_entropy,
-    reaction_dissipation_split and the face-sum dissipation.
+    The upper envelopes are tested on the reported pressure maxima: while
+    u_env_max <= upper and v_env_max <= upper, the envelope terms are exactly
+    0 and no cell is in a violation class, so they are set to zero unevaluated;
+    otherwise envelope_entropy, reaction_dissipation_split and the face-sum
+    dissipation test each cell by the same comparison.  Precondition: the
+    window's stars and exponents equal eq's and kin's, as in every window
+    built from them.  Clamped entries are counted only when an extremum of u
+    or v, from one pass over (u, v), lies outside the caps.
     """
     check_sizes(state, mesh)
     check_role(bulk_law, "bulk")
@@ -271,9 +272,10 @@ def record(
     nb = mesh.n_bulk
     u, v = state.u, state.v
     entropy, z = _entropy(state, eq, mesh)  # rejects negative and non-finite entries
-    w = np.concatenate((u, v))
-    (u_min, v_min), (u_max, v_max) = (f.reduceat(w, (0, nb)) for f in (np.minimum, np.maximum))
-    if u_max <= window.u_ceiling and v_max <= window.v_ceiling:
+    # + 0.0 turns a -0.0 entry's extremum into 0.0, the pressure of max(c, 0)
+    u_env_max = float((z[:nb] ** kin.alpha).max()) + 0.0
+    v_env_max = float((z[nb:] ** kin.beta).max()) + 0.0
+    if u_env_max <= window.upper and v_env_max <= window.upper:
         envelope, reaction, diss, counts = 0.0, 0.0, (0.0, 0.0), (0, 0, 0)
     else:
         envelope = envelope_entropy(state, mesh, window)
@@ -281,6 +283,8 @@ def record(
         reaction = -split.total
         diss = _diffusion_dissipation(state, mesh, window, bulk_law, surf_law, face_average)
         counts = (split.n_u_only, split.n_v_only, split.n_both)
+    w = np.concatenate((u, v))
+    (u_min, v_min), (u_max, v_max) = (f.reduceat(w, (0, nb)) for f in (np.minimum, np.maximum))
     clamp_count = 0
     for c, c_min, c_max, (lo, hi) in (
         (u, u_min, u_max, window.u_caps),
@@ -288,14 +292,13 @@ def record(
     ):
         if c_min < lo or c_max > hi:  # the clamp moves exactly the entries outside [lo, hi]
             clamp_count += int(np.count_nonzero((c < lo) | (c > hi)))
-    # + 0.0 turns a -0.0 entry's extremum into 0.0, the pressure of max(c, 0)
     return DiagnosticsRecord(
         t=float(state.t),
         mass=weighted_mass(state, mesh, kin),
         entropy=entropy,
         envelope_entropy=envelope,
-        u_env_max=float((z[:nb] ** kin.alpha).max()) + 0.0,
-        v_env_max=float((z[nb:] ** kin.beta).max()) + 0.0,
+        u_env_max=u_env_max,
+        v_env_max=v_env_max,
         u_env_min=float((u**kin.alpha).min()) + 0.0,
         v_env_min=float((kin.kappa * v**kin.beta).min()) + 0.0,
         reaction_dissipation=reaction + 0.0,

@@ -136,11 +136,9 @@ class ClampWindow:
     u is measured by the normalized pressure (u/u_star)**alpha and v by
     (v/v_star)**beta.  Concentrations fed to diffusion laws are clamped so
     that this pressure stays in [lower/2, 2*upper]; ``u_caps`` and ``v_caps``
-    hold the matching concentration bounds.  ``u_ceiling`` and ``v_ceiling``
-    are the concentrations star*upper**(1/exponent) at which each field
-    reaches its upper envelope.  On one scale the caps contain
-    [star*lower**(1/exponent), star*upper**(1/exponent)] for every alpha and
-    beta, so the clamp is inert wherever the upper envelope holds.
+    hold the matching concentration bounds.  The pressure range of the caps
+    contains [lower, upper] for every alpha and beta, so the clamp is inert
+    wherever the upper envelope (c/star)**exponent <= upper holds.
     """
 
     lower: float
@@ -152,9 +150,6 @@ class ClampWindow:
     # (lowest, highest) clamped concentration of u and of v, set at construction
     u_caps: tuple[float, float] = field(init=False, repr=False, compare=False)
     v_caps: tuple[float, float] = field(init=False, repr=False, compare=False)
-    # concentration at which u and v reach the upper envelope, set at construction
-    u_ceiling: float = field(init=False, repr=False, compare=False)
-    v_ceiling: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not (0 < self.lower <= self.upper < math.inf):
@@ -166,7 +161,6 @@ class ClampWindow:
             lo = star * (0.5 * self.lower) ** (1.0 / exponent)
             hi = star * (2.0 * self.upper) ** (1.0 / exponent)
             object.__setattr__(self, f"{name}_caps", (lo, hi))
-            object.__setattr__(self, f"{name}_ceiling", star * self.upper ** (1.0 / exponent))
 
 
 def window_from_initial_data(
@@ -177,12 +171,14 @@ def window_from_initial_data(
 ) -> ClampWindow:
     """Envelope window implied by strictly positive initial data.
 
-    With c_u = min(u0)/u_star, C_u = max(u0)/u_star and c_v, C_v likewise,
+    With c_u = min(u0)/u_star and c_v = min(v0)/v_star,
 
         lower = min(c_u**alpha, kappa * c_v**beta),
-        upper = max(C_u**alpha, C_v**beta).
+        upper = max of the pressures (u0/u_star)**alpha and (v0/v_star)**beta,
 
-    The window takes u_star, v_star from eq and alpha, beta from kin.
+    upper by the array arithmetic of record's u_env_max and v_env_max, so
+    the data lie on their own envelope to the bit.  The window takes u_star,
+    v_star from eq and alpha, beta from kin.
     """
     u0 = np.asarray(u0, dtype=float)
     v0 = np.asarray(v0, dtype=float)
@@ -191,11 +187,9 @@ def window_from_initial_data(
     if np.min(u0) <= 0 or np.min(v0) <= 0:
         raise ValueError("initial data must be strictly positive")
     c_u = float(np.min(u0)) / eq.u_star
-    C_u = float(np.max(u0)) / eq.u_star
     c_v = float(np.min(v0)) / eq.v_star
-    C_v = float(np.max(v0)) / eq.v_star
     lower = min(c_u**kin.alpha, kin.kappa * c_v**kin.beta)
-    upper = max(C_u**kin.alpha, C_v**kin.beta)
+    upper = float(max(((u0 / eq.u_star) ** kin.alpha).max(), ((v0 / eq.v_star) ** kin.beta).max()))
     return ClampWindow(
         lower=lower, upper=upper, u_star=eq.u_star, v_star=eq.v_star, alpha=kin.alpha, beta=kin.beta
     )

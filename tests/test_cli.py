@@ -308,3 +308,22 @@ class TestMainExitCodes:
         )
         assert proc.returncode == 2
         assert "alpha" in proc.stderr
+
+    def test_module_entry_point_reports_huge_data_as_solver_failure(self, tmp_path):
+        # finite but huge data: the initial record sits on its own envelope and
+        # writes no dissipation, then the overflowing rate stops Newton
+        cfg = write(tmp_path, "nx = 4\nny = 4\nalpha = 3\nbeta = 2\ninitial = constant\n"
+                              "u0 = 1e200\nv0 = 1e200\n", "huge.cfg")
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-m", "bulksurf.cli", "--config", str(cfg),
+             "--out", str(tmp_path / "out"), "--quiet"],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=120,
+        )
+        assert proc.returncode == 3, proc.stderr
+        assert "solver failed: Newton did not converge" in proc.stderr
+        assert "Traceback" not in proc.stderr

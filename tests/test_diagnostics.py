@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import bulksurf as bs
@@ -163,6 +163,19 @@ class TestEnvelopePotentials:
         _, surf_pot = _envelope_potentials(edge.u, edge.v, window)
         assert surf_pot[1] == 0.0
 
+    def test_nonpositive_entries_are_below_and_nan_is_rejected(self):
+        # a fractional exponent has no power of a negative: any warning fails here
+        mesh, kin, eq, state, window = make_problem(alpha=1.5, beta=2.5)
+        dry = state.copy()
+        dry.u[:3] = (-1.0, -0.0, 0.0)
+        dry.v[0] = -1e-3
+        pots = _envelope_potentials(dry.u, dry.v, window)
+        assert all(np.all(pot == 0.0) for pot in pots)
+        assert bs.envelope_entropy(dry, mesh, window) == 0.0
+        dry.u[3] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            bs.envelope_entropy(dry, mesh, window)
+
     def test_nondecreasing_in_concentration(self):
         _, _, _, _, window = make_problem()
         u = np.linspace(1e-3, 10 * window.u_star * window.upper, 5001)
@@ -316,7 +329,8 @@ class TestRecord:
             assert (rec.diffusion_dissipation_bulk, rec.diffusion_dissipation_surface) == diss
             assert rec.clamp_activations == np.sum(u_hat != st.u) + np.sum(v_hat != st.v)
             assert rec.partition_counts == (split.n_u_only, split.n_v_only, split.n_both)
-            below = np.all(st.u <= window.u_ceiling) and np.all(st.v <= window.v_ceiling)
+            below = (np.all((st.u / eq.u_star) ** kin.alpha <= window.upper)
+                     and np.all((st.v / eq.v_star) ** kin.beta <= window.upper))
             assert below == healthy
         assert min(rec.partition_counts) > 0 and min(diss) < 0.0  # every breached term is live
 
@@ -356,6 +370,59 @@ class TestRecord:
             bs.record(dry, mesh, kin, eq, window, *laws)
 
 
+@pytest.mark.parametrize("face_average", bs.mesh.FACE_AVERAGES)
+@pytest.mark.parametrize("edges", [{"bottom"}, {"bottom", "right"}, set(bs.mesh.EDGE_NAMES)],
+                         ids=["open", "open-corner", "closed"])
+@settings(max_examples=25, deadline=None)
+@given(
+    nx=st.integers(1, 5),
+    ny=st.integers(1, 5),
+    alpha=st.floats(1.0, 3.0),
+    beta=st.floats(1.0, 3.0),
+    kappa=st.floats(0.2, 5.0),
+    cross=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(nx=1, ny=1, alpha=1.25, beta=1.9, kappa=1.875, cross=True, seed=8)
+@example(nx=3, ny=3, alpha=2.986242556492236, beta=2.8550634947636615, kappa=2.5864247576363,
+         cross=True, seed=567)  # where numpy's SIMD power and libm's pow differ by an ulp
+def test_data_on_their_own_envelope_record_exact_zeros(
+    face_average, edges, nx, ny, alpha, beta, kappa, cross, seed
+):
+    # the window built from the data puts their largest pressure exactly on
+    # upper, so no cell is above its envelope and every envelope term is 0,
+    # not a round-off residue of either sign
+    kin = bs.Kinetics(k=1.0, kappa=kappa, alpha=alpha, beta=beta)
+    mesh = bs.build_mesh(nx, ny, 1.0, 1.0, edges)
+    rng = np.random.default_rng(seed)
+    state = bs.State(t=0.0, u=rng.uniform(0.5, 2.0, mesh.n_bulk),
+                     v=rng.uniform(0.5, 2.0, mesh.n_surface))
+    eq = bs.solve_equilibrium(kin, bs.weighted_mass(state, mesh, kin),
+                              mesh.total_bulk_measure, mesh.total_surface_measure)
+    window = bs.window_from_initial_data(state.u, state.v, eq, kin)
+    laws = (bs.power_law(1.0), bs.surface_cross_law(kin) if cross
+            else bs.power_law(1.0, role="surface"))
+    rec = bs.record(state, mesh, kin, eq, window, *laws, face_average)
+    assert max(rec.u_env_max, rec.v_env_max) == window.upper
+    assert rec.envelope_entropy == 0.0
+    assert rec.reaction_dissipation == 0.0
+    assert (rec.diffusion_dissipation_bulk, rec.diffusion_dissipation_surface) == (0.0, 0.0)
+    assert rec.partition_counts == (0, 0, 0)
+    assert bs.envelope_entropy(state, mesh, window) == 0.0
+    split = bs.reaction_dissipation_split(state, mesh, kin, window)
+    assert (split.u_only, split.v_only, split.both, split.total) == (0.0,) * 4
+    assert (split.n_u_only, split.n_v_only, split.n_both) == (0, 0, 0)
+    assert _diffusion_dissipation(state, mesh, window, *laws, face_average) == (0.0, 0.0)
+
+
+def _under_envelope(c, star, exponent, upper):
+    """c cut to star*upper**(1/exponent), then stepped down until (c/star)**exponent <= upper."""
+    c = np.minimum(c, star * upper ** (1 / exponent))
+    while (over := (c / star) ** exponent > upper).any():
+        c[over] = np.nextafter(c[over], 0.0)
+    return c
+
+
 def _bits(x) -> bytes:
     return np.float64(x).tobytes()
 
@@ -382,7 +449,8 @@ def test_record_fields_are_the_functions_they_stand_for(
     # bit for bit, the function it stands for.  The pressures (c/star)**exponent
     # span 0.1 to 10 around the window [0.3, 3], so entries fall below the
     # lower clamp cap, above the upper one and above the upper envelope; with
-    # below, every entry is cut to its ceiling, which itself is no breach.
+    # below, every entry is cut to its envelope, at or under it in pressure
+    # units, where the envelope terms must vanish.
     kin = bs.Kinetics(k=1.3, kappa=0.7, alpha=alpha, beta=beta)
     mesh = bs.build_mesh(nx, ny, 1.0, 1.3, edges)
     eq = bs.solve_equilibrium(kin, 3.0, mesh.total_bulk_measure, mesh.total_surface_measure)
@@ -393,7 +461,8 @@ def test_record_fields_are_the_functions_they_stand_for(
     u = eq.u_star * (10.0 ** rng.uniform(-1, 1, mesh.n_bulk)) ** (1 / alpha)
     v = eq.v_star * (10.0 ** rng.uniform(-1, 1, mesh.n_surface)) ** (1 / beta)
     if below:
-        u, v = np.minimum(u, window.u_ceiling), np.minimum(v, window.v_ceiling)
+        u = _under_envelope(u, eq.u_star, alpha, window.upper)
+        v = _under_envelope(v, eq.v_star, beta, window.upper)
     u[rng.integers(mesh.n_bulk, size=zeros)] = 0.0
     v[rng.integers(mesh.n_surface, size=zeros)] = 0.0
     state = bs.State(t=0.25, u=u, v=v)

@@ -5,7 +5,8 @@ A cycle, or an import hidden inside a function to dodge one, fails here, and
 so does a README "Python API" list that names other than the exported names.
 The smoke test runs one tiny traced benchmark sample of every workload, whose
 tracer wraps the package's layer entry points by name and fails when one is
-gone or unused.
+gone or unused.  The repo's pytest config, which turns warnings into errors,
+must still report a failing Hypothesis test as one failure.
 """
 
 import ast
@@ -109,3 +110,33 @@ def test_readme_lists_exactly_the_exported_names():
     listed = re.findall(r"`([A-Za-z_][A-Za-z0-9_]*)`", listing)
     assert len(listed) == len(set(listed)), "a name is listed twice"
     assert set(listed) == set(bulksurf.__all__)
+
+
+_FAILING_AND_PASSING = """
+from hypothesis import given, strategies as st
+
+
+@given(st.integers())
+def test_fails(x):
+    assert x < 0
+
+
+def test_passes():
+    pass
+"""
+
+
+def test_failing_hypothesis_test_is_a_failure_not_an_internal_error(tmp_path):
+    # Hypothesis's failure report raises a third-party DeprecationWarning in a
+    # pytest hook; under "error" alone that aborts the session with exit 3
+    (tmp_path / "test_pair.py").write_text(_FAILING_AND_PASSING)
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         "-c", str(ROOT / "pyproject.toml"), "--rootdir", str(tmp_path), "test_pair.py"],
+        cwd=tmp_path,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    assert "1 failed, 1 passed" in proc.stdout, proc.stdout

@@ -192,7 +192,7 @@ class TestClamp:
         win = self.window()
         u = win.u_star * win.upper ** (1.0 / win.alpha)  # pressure exactly at upper
         v = win.v_star * win.upper ** (1.0 / win.beta)
-        assert (win.u_ceiling, win.v_ceiling) == (u, v)
+        assert ((u / win.u_star) ** win.alpha, (v / win.v_star) ** win.beta) == (win.upper,) * 2
         assert clamp_state(u, v, win) == (u, v)
 
     def test_zero_maps_to_lower_cap(self):
