@@ -13,8 +13,10 @@ scalar functionals:
 * the excess log-potentials log(p/upper)/exponent, whose pairing with the
   reaction rate splits into three sign-definite surface integrals, and whose
   face differences give the two sign-definite diffusion dissipations;
-* the envelope extrema max (u/u_star)**alpha, max (v/v_star)**beta,
-  min u**alpha and min kappa*v**beta of every record.
+* the envelope extrema min and max of (u/u_star)**alpha and (v/v_star)**beta.
+
+Every envelope quantity is on the window's one scale, the normalized
+pressure p = (c/star)**exponent of model._pressure.
 
 record reads the stacked state (u, v) in single passes, one for each kind of
 work, and keeps the arithmetic of each public function it stands for.
@@ -34,9 +36,9 @@ from .model import (
     DiffusionLaw,
     Equilibrium,
     Kinetics,
+    _pressure,
     check_role,
     diffusion_coefficient,
-    log_mean,
 )
 
 
@@ -44,11 +46,12 @@ from .model import (
 class DiagnosticsRecord:
     """Per-step scalar diagnostics.
 
-    The three dissipation fields are the signed contributions to the envelope
-    entropy's time derivative, so each is <= 0 up to round-off on healthy
-    states, and exactly 0 while both upper envelopes hold.  partition_counts
-    holds the surface-cell counts of the three envelope-violation classes
-    (only u above, only v above, both above).
+    The envelope extrema are pressures, on the scale of the window's lower
+    and upper.  The three dissipation fields are the signed contributions to
+    the envelope entropy's time derivative, so each is <= 0 up to round-off
+    on healthy states, and exactly 0 while both upper envelopes hold.
+    partition_counts holds the surface-cell counts of the three
+    envelope-violation classes (only u above, only v above, both above).
     """
 
     t: float
@@ -126,7 +129,7 @@ def _entropy(state, eq: Equilibrium, mesh: CoupledMesh) -> tuple[float, np.ndarr
 
 def _above_upper(c, star, exponent, window: ClampWindow) -> tuple[np.ndarray, np.ndarray]:
     """Cells above their envelope, p = (c/star)**exponent > upper, and p (0 where c <= 0)."""
-    p = (np.maximum(c, 0.0) / star) ** exponent
+    p = _pressure(c, star, exponent)
     return ~(p <= window.upper), p  # a NaN counts as above, so envelope_entropy rejects it
 
 
@@ -172,46 +175,35 @@ def reaction_dissipation_split(
 ) -> ReactionDissipation:
     """Reaction contribution to the envelope-entropy production, per class.
 
-    For each surface cell with positive trace pair (u_i, v_j) the integrand
+    For each surface cell with positive trace pair (u_i, v_j), pressures
+    p_u = (u_i/u_star)**alpha, p_v = (v_j/v_star)**beta and excess potentials
+    xi, chi, the integrand is the rate k*u_star**alpha*(p_u - p_v) times
 
-        k * LogMean(u**alpha, kappa*v**beta)
-          * (alpha*log(u/u_star) - beta*log(v/v_star))
-          * (alpha*bulk_pot - beta*surf_pot) * |G_j|
+        (alpha*xi - beta*chi) * |G_j|  >= 0:
 
-    is nonnegative: with only the bulk potential active the two log factors
-    share the sign of the excess, likewise for the surface-only class, and
-    with both active the product is a perfect square thanks to the envelope
-    weights.  Cells below the envelope contribute exactly zero.
+    in the u-only class p_u > upper >= p_v, likewise for v only, and with both
+    above the second factor is log(p_u/p_v).  A cell's class comes from p_u
+    and p_v by the envelope test of record.  The class sums are scaled by
+    k*u_star**alpha last, so an overflowing unit gives inf, not an error.
     """
     check_sizes(state, mesh)
-    u_t = state.u[mesh.surf_to_bulk]
-    v = state.v
+    u_t, v = state.u[mesh.surf_to_bulk], state.v
     admissible = (u_t > 0) & (v > 0)
     u_safe = np.where(admissible, u_t, window.u_star)
     v_safe = np.where(admissible, v, window.v_star)
-
-    bulk_pot, surf_pot = _envelope_potentials(u_safe, v_safe, window)
-
-    lam = log_mean(u_safe**kin.alpha, kin.kappa * v_safe**kin.beta)
-    log_diff = kin.alpha * np.log(u_safe / window.u_star) - kin.beta * np.log(
-        v_safe / window.v_star
-    )
-    integrand = kin.k * lam * log_diff * (kin.alpha * bulk_pot - kin.beta * surf_pot)
-    contrib = np.where(admissible, integrand * mesh.surf_length, 0.0)
-
-    xi_pos = admissible & (bulk_pot > 0)
-    chi_pos = admissible & (surf_pot > 0)
-    m_u = xi_pos & ~chi_pos
-    m_v = chi_pos & ~xi_pos
-    m_b = xi_pos & chi_pos
+    u_above, p_u = _above_upper(u_safe, window.u_star, window.alpha, window)
+    v_above, p_v = _above_upper(v_safe, window.v_star, window.beta, window)
+    xi, chi = _envelope_potentials(u_safe, v_safe, window)
+    contrib = np.where(admissible, (p_u - p_v) * (kin.alpha * xi - kin.beta * chi), 0.0)
+    contrib *= mesh.surf_length
+    xi_pos, chi_pos = admissible & u_above, admissible & v_above
+    masks = (xi_pos & ~chi_pos, chi_pos & ~xi_pos, xi_pos & chi_pos)
+    with np.errstate(over="ignore"):
+        unit = float(kin.k * np.float64(window.u_star) ** kin.alpha)
+    sums = (float(np.sum(contrib[m])) for m in (*masks, xi_pos | chi_pos))
     return ReactionDissipation(
-        u_only=float(np.sum(contrib[m_u])),
-        v_only=float(np.sum(contrib[m_v])),
-        both=float(np.sum(contrib[m_b])),
-        total=float(np.sum(contrib[m_u | m_v | m_b])),
-        n_u_only=int(np.count_nonzero(m_u)),
-        n_v_only=int(np.count_nonzero(m_v)),
-        n_both=int(np.count_nonzero(m_b)),
+        *(x * unit if x else 0.0 for x in sums),  # an empty class stays 0 when the unit is inf
+        *(int(np.count_nonzero(m)) for m in masks),
     )
 
 
@@ -250,10 +242,11 @@ def record(
 ) -> DiagnosticsRecord:
     """Assemble the full diagnostics record for one nonnegative state.
 
-    Envelope extrema treat zero entries as zero pressure, so a lost strict
-    positivity shows up as u_env_min = 0 (or v_env_min = 0) rather than an
-    error.  Negative entries still raise ValueError: the relative entropy is
-    undefined there.  Each law must have the role of its slot.
+    The envelope extrema come from one pressure pass per field.  A zero
+    entry has zero pressure, so a lost strict positivity shows up as
+    u_env_min = 0 (or v_env_min = 0) rather than an error.  Negative entries
+    still raise ValueError: the relative entropy is undefined there.  Each
+    law must have the role of its slot.
     The reaction dissipation is reported with the sign it carries in the
     envelope-entropy balance (<= 0), the negated total of the split.
 
@@ -272,9 +265,9 @@ def record(
     nb = mesh.n_bulk
     u, v = state.u, state.v
     entropy, z = _entropy(state, eq, mesh)  # rejects negative and non-finite entries
-    # + 0.0 turns a -0.0 entry's extremum into 0.0, the pressure of max(c, 0)
-    u_env_max = float((z[:nb] ** kin.alpha).max()) + 0.0
-    v_env_max = float((z[nb:] ** kin.beta).max()) + 0.0
+    # z is (u/u_star, v/v_star), so p_u, p_v are _pressure's; + 0.0 turns a -0.0 extremum into 0.0
+    p_u, p_v = z[:nb] ** kin.alpha, z[nb:] ** kin.beta
+    u_env_max, v_env_max = float(p_u.max()) + 0.0, float(p_v.max()) + 0.0
     if u_env_max <= window.upper and v_env_max <= window.upper:
         envelope, reaction, diss, counts = 0.0, 0.0, (0.0, 0.0), (0, 0, 0)
     else:
@@ -299,8 +292,8 @@ def record(
         envelope_entropy=envelope,
         u_env_max=u_env_max,
         v_env_max=v_env_max,
-        u_env_min=float((u**kin.alpha).min()) + 0.0,
-        v_env_min=float((kin.kappa * v**kin.beta).min()) + 0.0,
+        u_env_min=float(p_u.min()) + 0.0,
+        v_env_min=float(p_v.min()) + 0.0,
         reaction_dissipation=reaction + 0.0,
         diffusion_dissipation_bulk=diss[0] + 0.0,
         diffusion_dissipation_surface=diss[1] + 0.0,

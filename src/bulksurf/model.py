@@ -131,14 +131,15 @@ def surface_cross_law(kin: Kinetics) -> DiffusionLaw:
 
 @dataclass(frozen=True)
 class ClampWindow:
-    """Envelope window (lower, upper), read on each field's own scale.
+    """Envelope window (lower, upper) on the normalized pressures.
 
-    u is measured by the normalized pressure (u/u_star)**alpha and v by
-    (v/v_star)**beta.  Concentrations fed to diffusion laws are clamped so
+    u is measured by (u/u_star)**alpha and v by (v/v_star)**beta, the one
+    scale of every envelope quantity (see _pressure); the envelopes are
+    lower <= p <= upper.  Concentrations fed to diffusion laws are clamped so
     that this pressure stays in [lower/2, 2*upper]; ``u_caps`` and ``v_caps``
     hold the matching concentration bounds.  The pressure range of the caps
     contains [lower, upper] for every alpha and beta, so the clamp is inert
-    wherever the upper envelope (c/star)**exponent <= upper holds.
+    wherever both envelopes hold.
     """
 
     lower: float
@@ -163,6 +164,11 @@ class ClampWindow:
             object.__setattr__(self, f"{name}_caps", (lo, hi))
 
 
+def _pressure(c, star, exponent):
+    """Normalized pressure (c/star)**exponent, 0 where c <= 0: the window's one scale."""
+    return (np.maximum(c, 0.0) / star) ** exponent
+
+
 def window_from_initial_data(
     u0: np.ndarray,
     v0: np.ndarray,
@@ -171,14 +177,11 @@ def window_from_initial_data(
 ) -> ClampWindow:
     """Envelope window implied by strictly positive initial data.
 
-    With c_u = min(u0)/u_star and c_v = min(v0)/v_star,
-
-        lower = min(c_u**alpha, kappa * c_v**beta),
-        upper = max of the pressures (u0/u_star)**alpha and (v0/v_star)**beta,
-
-    upper by the array arithmetic of record's u_env_max and v_env_max, so
-    the data lie on their own envelope to the bit.  The window takes u_star,
-    v_star from eq and alpha, beta from kin.
+    lower and upper are the least and the largest of the pressures
+    (u0/u_star)**alpha and (v0/v_star)**beta, taken by the array arithmetic
+    of record's envelope extrema, so the data lie on their own floor and
+    ceiling to the bit.  The window takes u_star, v_star from eq and alpha,
+    beta from kin.
     """
     u0 = np.asarray(u0, dtype=float)
     v0 = np.asarray(v0, dtype=float)
@@ -186,10 +189,10 @@ def window_from_initial_data(
         raise ValueError("initial data must be nonempty")
     if np.min(u0) <= 0 or np.min(v0) <= 0:
         raise ValueError("initial data must be strictly positive")
-    c_u = float(np.min(u0)) / eq.u_star
-    c_v = float(np.min(v0)) / eq.v_star
-    lower = min(c_u**kin.alpha, kin.kappa * c_v**kin.beta)
-    upper = float(max(((u0 / eq.u_star) ** kin.alpha).max(), ((v0 / eq.v_star) ** kin.beta).max()))
+    p_u0 = _pressure(u0, eq.u_star, kin.alpha)
+    p_v0 = _pressure(v0, eq.v_star, kin.beta)
+    lower = float(min(p_u0.min(), p_v0.min()))
+    upper = float(max(p_u0.max(), p_v0.max()))
     return ClampWindow(
         lower=lower, upper=upper, u_star=eq.u_star, v_star=eq.v_star, alpha=kin.alpha, beta=kin.beta
     )

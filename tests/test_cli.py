@@ -309,11 +309,15 @@ class TestMainExitCodes:
         assert proc.returncode == 2
         assert "alpha" in proc.stderr
 
-    def test_module_entry_point_reports_huge_data_as_solver_failure(self, tmp_path):
+    @pytest.mark.parametrize("window", ["", "clamp_lower = 0.5\nclamp_upper = 0.9\n"],
+                             ids=["own-envelope", "breached"])
+    def test_module_entry_point_reports_huge_data_as_solver_failure(self, tmp_path, window):
         # finite but huge data: the initial record sits on its own envelope and
-        # writes no dissipation, then the overflowing rate stops Newton
+        # writes no dissipation, or, under a tighter window, breaches it and
+        # reports the reaction dissipation in units of u*^alpha, which overflow
+        # to -inf; then the overflowing rate stops Newton
         cfg = write(tmp_path, "nx = 4\nny = 4\nalpha = 3\nbeta = 2\ninitial = constant\n"
-                              "u0 = 1e200\nv0 = 1e200\n", "huge.cfg")
+                              "u0 = 1e200\nv0 = 1e200\n" + window, "huge.cfg")
         src = str(Path(__file__).resolve().parents[1] / "src")
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
         proc = subprocess.run(
@@ -327,3 +331,6 @@ class TestMainExitCodes:
         assert proc.returncode == 3, proc.stderr
         assert "solver failed: Newton did not converge" in proc.stderr
         assert "Traceback" not in proc.stderr
+        assert "RuntimeWarning" not in proc.stderr
+        first = (tmp_path / "out" / "diagnostics.csv").read_text().splitlines()[1].split(",")
+        assert first[8] == ("-inf" if window else "0")  # reaction_diss at t = 0

@@ -301,7 +301,9 @@ class TestRecord:
         assert rec.envelope_entropy == 0.0
         assert rec.partition_counts == (0, 0, 0)
         assert rec.u_env_max <= window.upper
+        assert rec.v_env_max <= window.upper
         assert rec.u_env_min >= window.lower
+        assert rec.v_env_min >= window.lower
 
     def test_composes_individual_operations(self):
         # field by field, on a state inside both upper envelopes (where record
@@ -323,8 +325,8 @@ class TestRecord:
             assert rec.envelope_entropy == bs.envelope_entropy(st, mesh, window)
             assert rec.u_env_max == np.max((st.u / eq.u_star) ** kin.alpha)
             assert rec.v_env_max == np.max((st.v / eq.v_star) ** kin.beta)
-            assert rec.u_env_min == np.min(st.u**kin.alpha)
-            assert rec.v_env_min == np.min(kin.kappa * st.v**kin.beta)
+            assert rec.u_env_min == np.min((st.u / eq.u_star) ** kin.alpha)
+            assert rec.v_env_min == np.min((st.v / eq.v_star) ** kin.beta)
             assert rec.reaction_dissipation == -split.total
             assert (rec.diffusion_dissipation_bulk, rec.diffusion_dissipation_surface) == diss
             assert rec.clamp_activations == np.sum(u_hat != st.u) + np.sum(v_hat != st.v)
@@ -386,12 +388,15 @@ class TestRecord:
 @example(nx=1, ny=1, alpha=1.25, beta=1.9, kappa=1.875, cross=True, seed=8)
 @example(nx=3, ny=3, alpha=2.986242556492236, beta=2.8550634947636615, kappa=2.5864247576363,
          cross=True, seed=567)  # where numpy's SIMD power and libm's pow differ by an ulp
+@example(nx=2, ny=2, alpha=1.0, beta=1.0, kappa=4.0, cross=False,
+         seed=3)  # a floor with kappa in it, kappa*(min v/v*)**beta, missed its data
 def test_data_on_their_own_envelope_record_exact_zeros(
     face_average, edges, nx, ny, alpha, beta, kappa, cross, seed
 ):
     # the window built from the data puts their largest pressure exactly on
-    # upper, so no cell is above its envelope and every envelope term is 0,
-    # not a round-off residue of either sign
+    # upper and their least exactly on lower, so no cell is outside its
+    # envelopes and every envelope term is 0, not a round-off residue of
+    # either sign
     kin = bs.Kinetics(k=1.0, kappa=kappa, alpha=alpha, beta=beta)
     mesh = bs.build_mesh(nx, ny, 1.0, 1.0, edges)
     rng = np.random.default_rng(seed)
@@ -404,6 +409,8 @@ def test_data_on_their_own_envelope_record_exact_zeros(
             else bs.power_law(1.0, role="surface"))
     rec = bs.record(state, mesh, kin, eq, window, *laws, face_average)
     assert max(rec.u_env_max, rec.v_env_max) == window.upper
+    assert min(rec.u_env_min, rec.v_env_min) == window.lower
+    assert rec.u_env_min >= window.lower and rec.v_env_min >= window.lower
     assert rec.envelope_entropy == 0.0
     assert rec.reaction_dissipation == 0.0
     assert (rec.diffusion_dissipation_bulk, rec.diffusion_dissipation_surface) == (0.0, 0.0)
@@ -487,8 +494,8 @@ def test_record_fields_are_the_functions_they_stand_for(
         "envelope_entropy": bs.envelope_entropy(state, mesh, window),
         "u_env_max": float(np.max((u_pos / eq.u_star) ** alpha)),
         "v_env_max": float(np.max((v_pos / eq.v_star) ** beta)),
-        "u_env_min": float(np.min(u_pos**alpha)),
-        "v_env_min": float(np.min(kin.kappa * v_pos**beta)),
+        "u_env_min": float(np.min((u_pos / eq.u_star) ** alpha)),
+        "v_env_min": float(np.min((v_pos / eq.v_star) ** beta)),
         "reaction_dissipation": -split.total + 0.0,
         "diffusion_dissipation_bulk": diss[0],
         "diffusion_dissipation_surface": diss[1],

@@ -18,6 +18,7 @@ import sys
 from pathlib import Path
 
 import bulksurf
+from bulksurf.cli import KEYS
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "bulksurf"
@@ -110,6 +111,16 @@ def test_readme_lists_exactly_the_exported_names():
     listed = re.findall(r"`([A-Za-z_][A-Za-z0-9_]*)`", listing)
     assert len(listed) == len(set(listed)), "a name is listed twice"
     assert set(listed) == set(bulksurf.__all__)
+
+
+
+def test_readme_key_table_lists_exactly_the_config_keys():
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("\n### Configuration keys\n", 1)[1].split("\n#", 1)[0]
+    rows = [line for line in section.splitlines() if line.startswith("| `")]
+    listed = [name for row in rows for name in re.findall(r"`([^`]*)`", row.split("|")[1])]
+    assert len(listed) == len(set(listed)), "a key is listed twice"
+    assert set(listed) == set(KEYS)
 
 
 _FAILING_AND_PASSING = """

@@ -249,7 +249,7 @@ class TestClamp:
         u0 = np.array([0.8, 1.0, 1.5])
         v0 = np.array([1.6, 2.0, 2.4])
         win = window_from_initial_data(u0, v0, eq, kin)
-        assert win.lower == pytest.approx(min(0.8**2, 0.5 * 0.8))
+        assert win.lower == pytest.approx(min(0.8**2, 0.8))
         assert win.upper == pytest.approx(max(1.5**2, 1.2))
         with pytest.raises(ValueError):
             window_from_initial_data(np.array([0.0, 1.0]), v0, eq, kin)
