@@ -24,7 +24,6 @@ from .model import (
     DiffusionLaw,
     Equilibrium,
     Kinetics,
-    clamp_state,
     coefficient_bounds,
     constant_law,
     diffusion_coefficient,
@@ -66,7 +65,6 @@ __all__ = [
     "rate",
     "safe_rate",
     "potential_rate",
-    "clamp_state",
     "diffusion_coefficient",
     "coefficient_bounds",
     "solve_equilibrium",

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh import CoupledMesh, check_sizes, face_flux
+from .mesh import CoupledMesh, check_face_average, check_sizes, face_flux
 from .model import (
     ClampWindow,
     DiffusionLaw,
@@ -103,11 +103,11 @@ def entropy_density(z):
 
 
 def weighted_mass(state, mesh: CoupledMesh, kin: Kinetics) -> float:
-    """Conserved functional beta*sum(u)*|cell| + alpha*sum(v*|G_j|)."""
+    """Conserved functional beta*sum(u_i*|K_i|) + alpha*sum(v_j*|G_j|)."""
     check_sizes(state, mesh)
+    measure, nb = mesh.faces.measure, mesh.n_bulk
     return float(
-        kin.beta * state.u.sum() * mesh.cell_volume
-        + kin.alpha * (state.v * mesh.surf_length).sum()
+        kin.beta * (state.u * measure[:nb]).sum() + kin.alpha * (state.v * measure[nb:]).sum()
     )
 
 
@@ -121,10 +121,9 @@ def _entropy(state, eq: Equilibrium, mesh: CoupledMesh) -> tuple[float, np.ndarr
     """Relative entropy by one density pass over z = (u/u_star, v/v_star), and z."""
     z = np.concatenate((state.u / eq.u_star, state.v / eq.v_star))
     dens = entropy_density(z)
+    dens *= mesh.faces.measure
     nb = mesh.n_bulk
-    bulk = eq.u_star * dens[:nb].sum() * mesh.cell_volume
-    surf = eq.v_star * (dens[nb:] * mesh.surf_length).sum()
-    return float(bulk + surf), z
+    return float(eq.u_star * dens[:nb].sum() + eq.v_star * dens[nb:].sum()), z
 
 
 def _above_upper(c, star, exponent, window: ClampWindow) -> tuple[np.ndarray, np.ndarray]:
@@ -141,10 +140,11 @@ def envelope_entropy(state, mesh: CoupledMesh, window: ClampWindow) -> float:
     envelopes hold, and positive otherwise.
     """
     check_sizes(state, mesh)
+    m, nb = mesh.faces.measure, mesh.n_bulk
     total = 0.0
     for c, star, exponent, measure in (
-        (state.u, window.u_star, window.alpha, mesh.cell_volume),
-        (state.v, window.v_star, window.beta, mesh.surf_length),
+        (state.u, window.u_star, window.alpha, m[:nb]),
+        (state.v, window.v_star, window.beta, m[nb:]),
     ):
         scale = window.upper ** (1.0 / exponent)
         trunc = np.where(_above_upper(c, star, exponent, window)[0], c / scale, star)
@@ -195,7 +195,7 @@ def reaction_dissipation_split(
     v_above, p_v = _above_upper(v_safe, window.v_star, window.beta, window)
     xi, chi = _envelope_potentials(u_safe, v_safe, window)
     contrib = np.where(admissible, (p_u - p_v) * (kin.alpha * xi - kin.beta * chi), 0.0)
-    contrib *= mesh.surf_length
+    contrib *= mesh.faces.measure[mesh.n_bulk :]
     xi_pos, chi_pos = admissible & u_above, admissible & v_above
     masks = (xi_pos & ~chi_pos, chi_pos & ~xi_pos, xi_pos & chi_pos)
     with np.errstate(over="ignore"):
@@ -246,7 +246,8 @@ def record(
     entry has zero pressure, so a lost strict positivity shows up as
     u_env_min = 0 (or v_env_min = 0) rather than an error.  Negative entries
     still raise ValueError: the relative entropy is undefined there.  Each
-    law must have the role of its slot.
+    law must have the role of its slot, and face_average must name one of
+    mesh.FACE_AVERAGES, on every state.
     The reaction dissipation is reported with the sign it carries in the
     envelope-entropy balance (<= 0), the negated total of the split.
 
@@ -262,6 +263,7 @@ def record(
     check_sizes(state, mesh)
     check_role(bulk_law, "bulk")
     check_role(surf_law, "surface")
+    check_face_average(face_average)
     nb = mesh.n_bulk
     u, v = state.u, state.v
     entropy, z = _entropy(state, eq, mesh)  # rejects negative and non-finite entries

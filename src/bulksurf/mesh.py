@@ -38,6 +38,12 @@ _FACE_AVERAGES = {
 FACE_AVERAGES = tuple(_FACE_AVERAGES)
 
 
+def check_face_average(face_average) -> None:
+    """Raise ValueError unless face_average names one of FACE_AVERAGES."""
+    if face_average not in FACE_AVERAGES:
+        raise ValueError(f"unknown face average {face_average!r}")
+
+
 def is_int(x) -> bool:
     return isinstance(x, numbers.Integral) and not isinstance(x, bool)
 
@@ -66,10 +72,9 @@ class FaceSet:
 def face_flux(faces: FaceSet, x, mu, face_average: str) -> np.ndarray:
     """Two-point flux mu_f * (x_b - x_a) * trans on every face of a face set.
 
-    mu holds the cell coefficients; mu_f combines the two sides of a face.
+    mu holds the cell coefficients; mu_f combines the two sides of a face,
+    by a face_average that the caller has checked (check_face_average).
     """
-    if face_average not in _FACE_AVERAGES:
-        raise ValueError(f"unknown face average {face_average!r}")
     a, b = faces.cell_a, faces.cell_b
     mean, _ = _FACE_AVERAGES[face_average]
     return mean(mu[a], mu[b]) * (x[b] - x[a]) * faces.trans
@@ -141,7 +146,9 @@ class CoupledMesh:
     """Immutable bulk grid plus surface chain and the trace map between them.
 
     Bulk cells are indexed row-major: cell ``(ix, iy)`` has index
-    ``iy * nx + ix`` and center ``((ix + 0.5) * dx, (iy + 0.5) * dy)``.
+    ``iy * nx + ix`` and center ``((ix + 0.5) * lx / nx, (iy + 0.5) * ly / ny)``.
+    Every cell measure, bulk area and surface length alike, is
+    ``faces.measure``: bulk cell i at i, surface cell j at ``n_bulk + j``.
     ``surf_to_bulk[j]`` is the bulk cell whose boundary face hosts surface
     cell ``j``; a corner bulk cell may host two surface cells when both of
     its boundary edges are active.
@@ -152,14 +159,10 @@ class CoupledMesh:
     lx: float
     ly: float
     active_edges: tuple[str, ...]
-    dx: float
-    dy: float
-    cell_volume: float
     total_bulk_measure: float
     total_surface_measure: float
     n_bulk: int
     n_surface: int
-    surf_length: np.ndarray = field(repr=False)
     surf_to_bulk: np.ndarray = field(repr=False)
     surf_center_x: np.ndarray = field(repr=False)
     surf_center_y: np.ndarray = field(repr=False)
@@ -299,14 +302,10 @@ def build_mesh(
         lx=float(lx),
         ly=float(ly),
         active_edges=tuple(e for e in EDGE_NAMES if e in edges),
-        dx=dx,
-        dy=dy,
-        cell_volume=dx * dy,
         total_bulk_measure=float(lx) * float(ly),
         total_surface_measure=float(np.sum(surf_length)),
         n_bulk=n_bulk,
         n_surface=len(positions),
-        surf_length=faces.measure[n_bulk:],
         surf_to_bulk=surf_to_bulk,
         surf_center_x=surf_cx,
         surf_center_y=surf_cy,

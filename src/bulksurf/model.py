@@ -312,23 +312,6 @@ def _clip(c, caps):
     return np.minimum(np.maximum(np.asarray(c, dtype=float), caps[0]), caps[1])
 
 
-def clamp_state(u, v, window: ClampWindow):
-    """Clamped pair (u_hat, v_hat) used as diffusion-law arguments.
-
-    Each concentration is clamped so that its normalized pressure lies in
-    [lower/2, 2*upper].  Nonpositive input falls on the lower cap; only
-    comparisons against the precomputed caps are made, so fractional powers
-    are never evaluated at negative arguments.  v may be None when only the
-    bulk concentration is needed.
-    """
-
-    def clamp(c, caps):
-        out = _clip(c, caps)
-        return float(out) if np.isscalar(c) else out
-
-    return clamp(u, window.u_caps), None if v is None else clamp(v, window.v_caps)
-
-
 def _cross_derivatives(law, c, other):
     den = law.alpha * c + law.beta * other
     return -law.alpha * other / den**2, law.alpha * c / den**2

@@ -50,7 +50,7 @@ from scipy import sparse
 from scipy.sparse import linalg as spla
 
 from . import diagnostics
-from .mesh import FACE_AVERAGES, CoupledMesh, check_sizes, face_block, face_divergence, is_int
+from .mesh import CoupledMesh, check_face_average, check_sizes, face_block, face_divergence, is_int
 from .model import (
     ClampWindow,
     DiffusionLaw,
@@ -129,7 +129,7 @@ class StepConfig:
     """Time-step controls.
 
     theta = 1 is backward Euler; theta = 0.5 the trapezoidal rule.
-    face_average names the face coefficient mean, one of FACE_AVERAGES.
+    face_average names the face coefficient mean, one of mesh.FACE_AVERAGES.
     """
 
     dt: float
@@ -150,8 +150,7 @@ class StepConfig:
             raise ValueError(f"max_dt_halvings must be an integer >= 0, got {self.max_dt_halvings!r}")
         if not (0.5 <= self.theta <= 1.0):
             raise ValueError(f"theta must lie in [0.5, 1], got {self.theta}")
-        if self.face_average not in FACE_AVERAGES:
-            raise ValueError(f"unknown face average {self.face_average!r}")
+        check_face_average(self.face_average)
 
 
 @dataclass
@@ -235,6 +234,7 @@ def total_rate(
     check_sizes(state, mesh)
     check_role(bulk_law, "bulk")
     check_role(surf_law, "surface")
+    check_face_average(face_average)
     w = np.concatenate([state.u, state.v])
     f = _rate_vector(w, mesh, kin, bulk_law, surf_law, window, face_average)
     return f[: mesh.n_bulk], f[mesh.n_bulk :]
@@ -245,10 +245,11 @@ def _rate_vector(w, mesh, kin, bulk_law, surf_law, window, face_average):
 
     One face divergence over mesh.faces diffuses u with the bulk law and v
     with the surface law.  With r_j = safe_rate(u_trace, v_j), the trace
-    bulk cell then loses alpha*r_j*|G_j| per unit volume and surface cell j
-    gains beta*r_j.
+    bulk cell K then loses alpha*r_j*|G_j|/|K| and surface cell j gains
+    beta*r_j, every measure read from mesh.faces.measure.
     """
     nb = mesh.n_bulk
+    measure = mesh.faces.measure
     u, v = w[:nb], w[nb:]
     tr = mesh.surf_to_bulk
     u_tr = u[tr]
@@ -257,9 +258,7 @@ def _rate_vector(w, mesh, kin, bulk_law, surf_law, window, face_average):
     mu[nb:] = diffusion_coefficient(surf_law, u_tr, v, window)
     f = face_divergence(mesh.faces, w, mu, face_average)
     r = safe_rate(u_tr, v, kin)
-    f[:nb] += -kin.alpha / mesh.cell_volume * np.bincount(
-        tr, weights=r * mesh.surf_length, minlength=nb
-    )
+    f[:nb] += -kin.alpha / measure[:nb] * np.bincount(tr, weights=r * measure[nb:], minlength=nb)
     f[nb:] += kin.beta * r
     return f
 
@@ -276,6 +275,7 @@ def _newton_matrix(w, c, mesh, kin, bulk_law, surf_law, window, face_average):
     nb, ns = mesh.n_bulk, mesh.n_surface
     u, v = w[:nb], w[nb:]
     tr = mesh.surf_to_bulk
+    measure = mesh.faces.measure
     bulk_faces, chain_faces = mesh.face_parts()
     mu, dmu_du, _ = coefficient_and_derivatives(bulk_law, u, None, window)
     bulk = face_block(bulk_faces, u, 0, mu, dmu_du, face_average)
@@ -284,7 +284,7 @@ def _newton_matrix(w, c, mesh, kin, bulk_law, surf_law, window, face_average):
 
     # coupling: bulk trace cell tr[j] <-> surface cell nb + j
     dr_du, dr_dv = safe_rate_derivatives(u[tr], v, kin)
-    cpl = -kin.alpha * mesh.surf_length / mesh.cell_volume
+    cpl = -kin.alpha * measure[nb:] / measure[tr]
     diag = np.concatenate([bulk[3], surf[3]])
     diag[:nb] += np.bincount(tr, weights=cpl * dr_du, minlength=nb)
     diag[nb:] += kin.beta * dr_dv

@@ -24,6 +24,14 @@ def make_problem(nx=4, ny=3, edges=("bottom",), alpha=2.0, beta=1.0, kappa=0.5, 
     return mesh, kin, eq, state, window
 
 
+def _outside_caps(u, v, window) -> int:
+    """Entries of u and v outside the window's clamp caps, the ones the clamp moves."""
+    return sum(
+        int(np.count_nonzero((c < lo) | (c > hi)))
+        for c, (lo, hi) in ((u, window.u_caps), (v, window.v_caps))
+    )
+
+
 def test_state_sized_for_another_mesh_is_rejected():
     # too few or too many entries must raise, not give a plausible number
     mesh, kin, eq, state, window = make_problem(nx=2, ny=2)
@@ -97,10 +105,10 @@ class TestRelativeEntropy:
     def test_matches_naive_loop(self):
         mesh, kin, eq, state, _ = make_problem(nx=5, ny=4, edges=("bottom", "left"))
         total = 0.0
-        for ui in state.u:
+        for ui, ki in zip(state.u, mesh.faces.measure[: mesh.n_bulk]):
             z = ui / eq.u_star
-            total += eq.u_star * (z * math.log(z) - z + 1) * mesh.cell_volume
-        for vj, hj in zip(state.v, mesh.surf_length):
+            total += eq.u_star * (z * math.log(z) - z + 1) * ki
+        for vj, hj in zip(state.v, mesh.faces.measure[mesh.n_bulk :]):
             z = vj / eq.v_star
             total += eq.v_star * (z * math.log(z) - z + 1) * hj
         assert bs.relative_entropy(state, eq, mesh) == pytest.approx(total, rel=1e-14)
@@ -203,7 +211,7 @@ class TestReactionDissipationSplit:
         lam = bs.log_mean(hot.u[i] ** kin.alpha, kin.kappa * hot.v[j] ** kin.beta)
         pot = kin.alpha * math.log(hot.u[i] / eq.u_star) - kin.beta * math.log(hot.v[j] / eq.v_star)
         xi = math.log(hot.u[i] / eq.u_star) - math.log(window.upper) / kin.alpha
-        expected = kin.k * lam * pot * kin.alpha * xi * mesh.surf_length[j]
+        expected = kin.k * lam * pot * kin.alpha * xi * mesh.faces.measure[mesh.n_bulk + j]
         assert split.u_only == pytest.approx(expected, rel=1e-12)
 
     def test_both_class_is_square(self):
@@ -217,7 +225,7 @@ class TestReactionDissipationSplit:
         assert split.n_both == 1
         lam = bs.log_mean(hot.u[i] ** kin.alpha, kin.kappa * hot.v[j] ** kin.beta)
         diff = kin.alpha * math.log(hot.u[i] / eq.u_star) - kin.beta * math.log(hot.v[j] / eq.v_star)
-        expected = kin.k * lam * diff**2 * mesh.surf_length[j]
+        expected = kin.k * lam * diff**2 * mesh.faces.measure[mesh.n_bulk + j]
         assert split.both == pytest.approx(expected, rel=1e-12)
 
     def test_nonpositive_cells_excluded(self):
@@ -318,7 +326,6 @@ class TestRecord:
             rec = bs.record(st, mesh, kin, eq, window, *laws)
             split = bs.reaction_dissipation_split(st, mesh, kin, window)
             diss = _diffusion_dissipation(st, mesh, window, *laws, "arithmetic")
-            u_hat, v_hat = bs.clamp_state(st.u, st.v, window)
             assert rec.t == st.t
             assert rec.mass == bs.weighted_mass(st, mesh, kin)
             assert rec.entropy == bs.relative_entropy(st, eq, mesh)
@@ -329,7 +336,7 @@ class TestRecord:
             assert rec.v_env_min == np.min((st.v / eq.v_star) ** kin.beta)
             assert rec.reaction_dissipation == -split.total
             assert (rec.diffusion_dissipation_bulk, rec.diffusion_dissipation_surface) == diss
-            assert rec.clamp_activations == np.sum(u_hat != st.u) + np.sum(v_hat != st.v)
+            assert rec.clamp_activations == _outside_caps(st.u, st.v, window)
             assert rec.partition_counts == (split.n_u_only, split.n_v_only, split.n_both)
             below = (np.all((st.u / eq.u_star) ** kin.alpha <= window.upper)
                      and np.all((st.v / eq.v_star) ** kin.beta <= window.upper))
@@ -476,7 +483,6 @@ def test_record_fields_are_the_functions_they_stand_for(
     rec = bs.record(state, mesh, kin, eq, window, bulk_law, surf_law, face_average)
 
     split = bs.reaction_dissipation_split(state, mesh, kin, window)
-    u_hat, v_hat = bs.clamp_state(u, v, window)
     # the two dissipations face set by face set, on each part's own numbering
     tr = mesh.surf_to_bulk
     pots = _envelope_potentials(u, v, window)
@@ -502,5 +508,5 @@ def test_record_fields_are_the_functions_they_stand_for(
     }
     for name, value in expected.items():
         assert _bits(getattr(rec, name)) == _bits(value), (name, getattr(rec, name), value)
-    assert rec.clamp_activations == np.count_nonzero(u_hat != u) + np.count_nonzero(v_hat != v)
+    assert rec.clamp_activations == _outside_caps(u, v, window)
     assert rec.partition_counts == (split.n_u_only, split.n_v_only, split.n_both)

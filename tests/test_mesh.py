@@ -11,8 +11,6 @@ def test_unit_single_cell():
     mesh = build_mesh(1, 1, 1.0, 1.0, {"bottom"})
     assert mesh.n_bulk == 1
     assert mesh.n_surface == 1
-    assert mesh.cell_volume == 1.0
-    assert mesh.surf_length[0] == 1.0
     assert mesh.total_bulk_measure == 1.0
     assert mesh.total_surface_measure == 1.0
     assert len(mesh.faces) == 0
@@ -23,9 +21,9 @@ def test_unit_single_cell():
 def test_uniform_grid_arithmetic():
     mesh = build_mesh(4, 2, 2.0, 1.0, {"bottom"})
     assert mesh.n_bulk == 8
-    assert mesh.cell_volume == pytest.approx(0.25)
+    np.testing.assert_allclose(mesh.faces.measure[: mesh.n_bulk], 0.25)
     assert mesh.n_surface == 4
-    np.testing.assert_allclose(mesh.surf_length, 0.5)
+    np.testing.assert_allclose(mesh.faces.measure[mesh.n_bulk :], 0.5)
     assert mesh.total_surface_measure == pytest.approx(2.0)
 
 
@@ -72,11 +70,10 @@ def test_one_face_set_holds_the_bulk_faces_then_the_chain(edges):
     assert np.all(faces.cell_a[:m] < nb) and np.all(faces.cell_b[:m] < nb)
     assert np.all(faces.cell_a[m:] >= nb) and np.all(faces.cell_b[m:] >= nb)
     assert faces.cell_a.dtype == faces.cell_b.dtype == np.intp
-    # one measure per stacked cell, the surface lengths a view of it
-    np.testing.assert_array_equal(faces.measure[:nb], mesh.cell_volume)
+    # one measure per stacked cell, split between the two parts
+    np.testing.assert_array_equal(faces.measure[:nb], (mesh.lx / mesh.nx) * (mesh.ly / mesh.ny))
     np.testing.assert_array_equal(bulk.measure, faces.measure[:nb])
-    np.testing.assert_array_equal(chain.measure, mesh.surf_length)
-    assert np.shares_memory(mesh.surf_length, faces.measure)
+    np.testing.assert_array_equal(chain.measure, faces.measure[nb:])
 
 
 def test_trace_map_on_active_edges():
@@ -135,7 +132,8 @@ def test_full_boundary_closes_into_loop():
 def test_surface_measure_additivity():
     mesh = build_mesh(7, 5, 2.5, 1.25, {"bottom", "left", "top"})
     assert mesh.total_surface_measure == pytest.approx(2.5 + 1.25 + 2.5, rel=1e-15)
-    assert mesh.total_surface_measure == pytest.approx(np.sum(mesh.surf_length), rel=0, abs=0)
+    surf_measure = mesh.faces.measure[mesh.n_bulk :]
+    assert mesh.total_surface_measure == pytest.approx(np.sum(surf_measure), rel=0, abs=0)
 
 
 def test_rejects_bad_arguments():
@@ -171,6 +169,7 @@ def test_chain_topology(nx, ny, edges):
     lx, ly = 1.5, 0.7
     mesh = build_mesh(nx, ny, lx, ly, edges)
     _, faces = mesh.face_parts()
+    length = faces.measure  # the surface cells' lengths
     perimeter = 2 * (lx + ly)
 
     # arc length of each surface face centre along the counterclockwise
@@ -182,12 +181,12 @@ def test_chain_topology(nx, ny, edges):
 
     # every face joins cells that touch along the boundary, b following a
     gap = (arc[faces.cell_b] - arc[faces.cell_a]) % perimeter
-    half = 0.5 * (mesh.surf_length[faces.cell_a] + mesh.surf_length[faces.cell_b])
+    half = 0.5 * (length[faces.cell_a] + length[faces.cell_b])
     np.testing.assert_allclose(gap, half, rtol=1e-12)
     # and every such pair of surface cells has its face
     order = np.argsort(arc)
     touching = (np.roll(arc[order], -1) - arc[order]) % perimeter
-    touching_half = 0.5 * (mesh.surf_length[order] + np.roll(mesh.surf_length[order], -1))
+    touching_half = 0.5 * (length[order] + np.roll(length[order], -1))
     expected = int(np.sum(np.isclose(touching, touching_half, rtol=1e-12))) if mesh.n_surface > 1 else 0
     assert len(faces) == expected
 
@@ -200,9 +199,9 @@ def test_chain_topology(nx, ny, edges):
     for j, edge in enumerate(mesh.surf_edge):
         assert edge in edges
         assert {"bottom": iy[j] == 0, "top": iy[j] == ny - 1, "left": ix[j] == 0, "right": ix[j] == nx - 1}[edge]
-        assert abs(cx[j] - mesh.cell_center_x[mesh.surf_to_bulk[j]]) <= 0.5 * mesh.dx * (1 + 1e-12)
-        assert abs(cy[j] - mesh.cell_center_y[mesh.surf_to_bulk[j]]) <= 0.5 * mesh.dy * (1 + 1e-12)
+        assert abs(cx[j] - mesh.cell_center_x[mesh.surf_to_bulk[j]]) <= 0.5 * lx / nx * (1 + 1e-12)
+        assert abs(cy[j] - mesh.cell_center_y[mesh.surf_to_bulk[j]]) <= 0.5 * ly / ny * (1 + 1e-12)
 
-    assert mesh.total_surface_measure == pytest.approx(float(np.sum(mesh.surf_length)), rel=1e-15)
+    assert mesh.total_surface_measure == pytest.approx(float(np.sum(length)), rel=1e-15)
     edge_lengths = {"bottom": lx, "top": lx, "left": ly, "right": ly}
     assert mesh.total_surface_measure == pytest.approx(sum(edge_lengths[e] for e in edges), rel=1e-12)

@@ -9,7 +9,6 @@ from bulksurf import (
     ClampWindow,
     Equilibrium,
     Kinetics,
-    clamp_state,
     coefficient_bounds,
     constant_law,
     diffusion_coefficient,
@@ -188,27 +187,39 @@ class TestClamp:
         return ClampWindow(lower=lower, upper=upper, u_star=u_star, v_star=v_star,
                            alpha=alpha, beta=beta, **kw)
 
+    @staticmethod
+    def clamped(u, v, win):
+        """The clamped diffusion-law arguments (u_hat, v_hat), or v_hat None without v.
+
+        A power law of exponent 1 returns its clamped argument itself, in
+        the bulk slot for u and in the surface slot for v.
+        """
+        u_hat = diffusion_coefficient(power_law(1.0), u, None, win)
+        if v is None:
+            return u_hat, None
+        return u_hat, diffusion_coefficient(power_law(1.0, role="surface"), None, v, win)
+
     def test_interior_unchanged(self):
         win = self.window()
         u = win.u_star * win.upper ** (1.0 / win.alpha)  # pressure exactly at upper
         v = win.v_star * win.upper ** (1.0 / win.beta)
         assert ((u / win.u_star) ** win.alpha, (v / win.v_star) ** win.beta) == (win.upper,) * 2
-        assert clamp_state(u, v, win) == (u, v)
+        assert self.clamped(u, v, win) == (u, v)
 
     def test_zero_maps_to_lower_cap(self):
         win = self.window()
-        u_hat, _ = clamp_state(0.0, None, win)
+        u_hat, _ = self.clamped(0.0, None, win)
         assert u_hat == pytest.approx(win.u_star * (win.lower / 2) ** (1 / win.alpha), rel=1e-15)
 
     def test_far_above_maps_to_upper_cap(self):
         win = self.window()
         u = win.u_star * (4 * win.upper) ** (1.0 / win.alpha)
-        u_hat, _ = clamp_state(u, None, win)
+        u_hat, _ = self.clamped(u, None, win)
         assert u_hat == pytest.approx(win.u_star * (2 * win.upper) ** (1 / win.alpha), rel=1e-15)
 
     def test_negative_input_is_capped_without_power_evaluation(self):
         win = self.window(alpha=1.5)  # fractional exponent
-        u_hat, v_hat = clamp_state(np.array([-3.0]), np.array([-1.0]), win)
+        u_hat, v_hat = self.clamped(np.array([-3.0]), np.array([-1.0]), win)
         assert np.all(u_hat > 0) and np.all(v_hat > 0)
 
     @settings(max_examples=200, deadline=None)
@@ -233,7 +244,7 @@ class TestClamp:
             hi = star * upper ** (1.0 / exponent)
             assert caps[0] <= lo and hi <= caps[1]
             inside.append(np.array([lo, min(max(lo + t * (hi - lo), lo), hi), hi]))
-        u_hat, v_hat = clamp_state(*inside, win)
+        u_hat, v_hat = self.clamped(*inside, win)
         assert np.array_equal(u_hat, inside[0]) and np.array_equal(v_hat, inside[1])
 
     def test_rejects_bad_window(self):

@@ -118,7 +118,7 @@ class TestBulkDiffusion:
         w = np.concatenate([u, np.ones(mesh.n_surface)])
         mu = np.concatenate([mu, np.ones(mesh.n_surface)])
         out = face_divergence(mesh.faces, w, mu, "arithmetic")
-        assert abs(np.sum(out[: mesh.n_bulk]) * mesh.cell_volume) < 1e-13
+        assert abs(np.sum(out[: mesh.n_bulk] * mesh.faces.measure[: mesh.n_bulk])) < 1e-13
         np.testing.assert_array_equal(out[mesh.n_bulk :], 0.0)
 
 
@@ -158,8 +158,15 @@ class TestSurfaceDiffusion:
         w = np.concatenate([np.ones(mesh.n_bulk), v])
         mu = np.concatenate([np.ones(mesh.n_bulk), mu])
         out = face_divergence(mesh.faces, w, mu, "arithmetic")
-        assert abs(np.sum(out[mesh.n_bulk :] * mesh.surf_length)) < 1e-13
+        assert abs(np.sum(out[mesh.n_bulk :] * mesh.faces.measure[mesh.n_bulk :])) < 1e-13
         np.testing.assert_array_equal(out[: mesh.n_bulk], 0.0)
+
+
+def with_nonuniform_measures(mesh, rng):
+    """mesh with each bulk cell measure scaled by its own uniform(0.5, 2) factor."""
+    m = mesh.faces.measure.copy()
+    m[: mesh.n_bulk] *= rng.uniform(0.5, 2.0, mesh.n_bulk)
+    return replace(mesh, faces=replace(mesh.faces, measure=m))
 
 
 def exchange_rate(state, mesh, kin):
@@ -195,18 +202,25 @@ class TestCoupling:
             assert du[0] == 0.0 and dv[0] == 0.0
 
     def test_weighted_sum_is_zero(self):
-        # each flux conserves its own field: the weighted sum is the exchange's
+        # each flux conserves its own field: the weighted sum is the exchange's,
+        # on the uniform grid and on per-cell bulk measures alike
         rng = np.random.default_rng(41)
         kin = bs.Kinetics(k=2.0, kappa=0.5, alpha=2.0, beta=3.0)
-        mesh = bs.build_mesh(5, 4, 2.0, 1.5, {"bottom", "right"})
+        uniform = bs.build_mesh(5, 4, 2.0, 1.5, {"bottom", "right"})
         state = bs.State(
             t=0.0,
-            u=rng.uniform(0.5, 2.0, mesh.n_bulk),
-            v=rng.uniform(0.5, 2.0, mesh.n_surface),
+            u=rng.uniform(0.5, 2.0, uniform.n_bulk),
+            v=rng.uniform(0.5, 2.0, uniform.n_surface),
         )
-        du, dv = exchange_rate(state, mesh, kin)
-        total = kin.beta * np.sum(du) * mesh.cell_volume + kin.alpha * np.sum(dv * mesh.surf_length)
-        assert abs(total) < 1e-13
+        for mesh in (uniform, with_nonuniform_measures(uniform, rng)):
+            du, dv = exchange_rate(state, mesh, kin)
+            m, nb = mesh.faces.measure, mesh.n_bulk
+            total = kin.beta * np.sum(du * m[:nb]) + kin.alpha * np.sum(dv * m[nb:])
+            assert abs(total) < 1e-13
+            assert bs.weighted_mass(state, mesh, kin) == pytest.approx(
+                kin.beta * np.sum(state.u * m[:nb]) + kin.alpha * np.sum(state.v * m[nb:]),
+                rel=1e-15,
+            )
 
 
 JACOBIAN_LAWS = [
@@ -239,11 +253,13 @@ class TestJacobian:
         )
         surf_law = surf_law_maker(kin)
         w = rng.uniform(0.6, 1.8, mesh.n_bulk + mesh.n_surface)
-        J_fd = _fd_jacobian(w, mesh, kin, bulk_law, surf_law, win, face_average)
-        scale = max(1.0, np.abs(J_fd).max())
-        for c in NEWTON_SCALES:
-            J_an = _newton_jacobian(w, c, mesh, kin, bulk_law, surf_law, win, face_average)
-            assert np.abs(J_an - J_fd).max() / scale < 1e-5
+        # the grid's own measures, then per-cell bulk measures
+        for m in (mesh, with_nonuniform_measures(mesh, rng)):
+            J_fd = _fd_jacobian(w, m, kin, bulk_law, surf_law, win, face_average)
+            scale = max(1.0, np.abs(J_fd).max())
+            for c in NEWTON_SCALES:
+                J_an = _newton_jacobian(w, c, m, kin, bulk_law, surf_law, win, face_average)
+                assert np.abs(J_an - J_fd).max() / scale < 1e-5
 
 
 def test_newton_matrix_assembly_is_lean(monkeypatch):
@@ -382,6 +398,8 @@ class TestStep:
         laws = (bs.power_law(1.0), bs.surface_cross_law(kin))
         with pytest.raises(ValueError):
             bs.total_rate(state, mesh, kin, *laws, window, face_average="geometric")
+        with pytest.raises(ValueError, match="unknown face average"):
+            bs.record(state, mesh, kin, eq, window, *laws, face_average="geometric")
         nan, inf = float("nan"), float("inf")
         for bad in (
             dict(dt=nan),
@@ -1020,8 +1038,9 @@ class TestRandomProblems:
         tr = mesh.surf_to_bulk
         bulk_faces, chain_faces = mesh.face_parts()
         r = bs.safe_rate(u[tr], v, kin)
-        exchange = -kin.alpha / mesh.cell_volume * np.bincount(
-            tr, weights=r * mesh.surf_length, minlength=mesh.n_bulk
+        measure, nb = mesh.faces.measure, mesh.n_bulk
+        exchange = -kin.alpha / measure[:nb] * np.bincount(
+            tr, weights=r * measure[nb:], minlength=nb
         )
         mu = bs.diffusion_coefficient(bulk_law, u, None, window)
         np.testing.assert_array_equal(
