@@ -170,7 +170,6 @@ KEYS: dict[str, Key] = {
     # tolerances
     "newton_tol": Key(float, "1e-12", gt=0.0),
     "newton_max_iter": Key(int, "25", ge=1),
-    "max_dt_halvings": Key(int, "5", ge=0),
     # clamp window (empty = derive from initial data)
     "clamp_lower": Key(float, "", gt=0.0, optional=True),
     "clamp_upper": Key(float, "", gt=0.0, optional=True),

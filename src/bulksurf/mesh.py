@@ -148,10 +148,12 @@ class CoupledMesh:
     Bulk cells are indexed row-major: cell ``(ix, iy)`` has index
     ``iy * nx + ix`` and center ``((ix + 0.5) * lx / nx, (iy + 0.5) * ly / ny)``.
     Every cell measure, bulk area and surface length alike, is
-    ``faces.measure``: bulk cell i at i, surface cell j at ``n_bulk + j``.
-    ``surf_to_bulk[j]`` is the bulk cell whose boundary face hosts surface
-    cell ``j``; a corner bulk cell may host two surface cells when both of
-    its boundary edges are active.
+    ``faces.measure``: bulk cell i at i, surface cell j at ``n_bulk + j``;
+    the totals |Omega| and |Gamma| are its sums over the two parts, so a
+    mesh with other measures has its own totals.  ``surf_to_bulk[j]`` is
+    the bulk cell whose boundary face hosts surface cell ``j``; a corner
+    bulk cell may host two surface cells when both of its boundary edges
+    are active.
     """
 
     nx: int
@@ -159,8 +161,6 @@ class CoupledMesh:
     lx: float
     ly: float
     active_edges: tuple[str, ...]
-    total_bulk_measure: float
-    total_surface_measure: float
     n_bulk: int
     n_surface: int
     surf_to_bulk: np.ndarray = field(repr=False)
@@ -174,6 +174,16 @@ class CoupledMesh:
     # links between chain-adjacent surface cells
     faces: FaceSet = field(repr=False)
     n_bulk_faces: int
+
+    @property
+    def total_bulk_measure(self) -> float:
+        """|Omega|, the sum of the bulk cell measures in faces.measure."""
+        return float(np.sum(self.faces.measure[: self.n_bulk]))
+
+    @property
+    def total_surface_measure(self) -> float:
+        """|Gamma|, the sum of the surface cell measures in faces.measure."""
+        return float(np.sum(self.faces.measure[self.n_bulk :]))
 
     def face_parts(self) -> tuple[FaceSet, FaceSet]:
         """The bulk and the chain faces as face sets of their own, cells numbered from 0.
@@ -302,8 +312,6 @@ def build_mesh(
         lx=float(lx),
         ly=float(ly),
         active_edges=tuple(e for e in EDGE_NAMES if e in edges),
-        total_bulk_measure=float(lx) * float(ly),
-        total_surface_measure=float(np.sum(surf_length)),
         n_bulk=n_bulk,
         n_surface=len(positions),
         surf_to_bulk=surf_to_bulk,

@@ -83,13 +83,18 @@ _PREDICTOR_WEIGHTS = [
     (-1) ** j * comb(PREDICTOR_DEGREE + 1, j + 1) for j in range(PREDICTOR_DEGREE + 1)
 ]
 
+# run retries a step that raises NonConvergence with dt halved, up to this
+# many times, before the failure is fatal.
+MAX_DT_HALVINGS = 5
+
 
 class NonConvergence(RuntimeError):
     """Newton failed to converge in step.
 
     step raises it when the iteration cap cfg.newton_max_iter is reached, or
     when no damping of the line search lowers the residual on an LU freshly
-    factored at the current iterate.
+    factored at the current iterate; residual is in units of u* and v*.
+    run retries the step with dt halved up to MAX_DT_HALVINGS times first.
     """
 
     def __init__(self, iterations: int, residual: float):
@@ -129,6 +134,7 @@ class StepConfig:
     """Time-step controls.
 
     theta = 1 is backward Euler; theta = 0.5 the trapezoidal rule.
+    newton_tol is in units of the window's u* and v* (see step).
     face_average names the face coefficient mean, one of mesh.FACE_AVERAGES.
     """
 
@@ -137,7 +143,6 @@ class StepConfig:
     newton_max_iter: int = 25
     theta: float = 1.0
     face_average: str = "arithmetic"
-    max_dt_halvings: int = 5
 
     def __post_init__(self):
         if not (np.isfinite(self.dt) and self.dt > 0):
@@ -146,8 +151,6 @@ class StepConfig:
             raise ValueError(f"newton_tol must be positive and finite, got {self.newton_tol}")
         if not (is_int(self.newton_max_iter) and self.newton_max_iter >= 1):
             raise ValueError(f"newton_max_iter must be an integer >= 1, got {self.newton_max_iter!r}")
-        if not (is_int(self.max_dt_halvings) and self.max_dt_halvings >= 0):
-            raise ValueError(f"max_dt_halvings must be an integer >= 0, got {self.max_dt_halvings!r}")
         if not (0.5 <= self.theta <= 1.0):
             raise ValueError(f"theta must lie in [0.5, 1], got {self.theta}")
         check_face_average(self.face_average)
@@ -315,17 +318,20 @@ def step(
 ) -> State:
     """Advance one theta-implicit step with damped Newton.
 
-    Solves R(w) = w - w_old - dt*(theta*F(w) + (1-theta)*F(w_old)) = 0 to
-    max-norm tolerance cfg.newton_tol, tested once at the top of every
-    Newton iteration (a NaN residual never passes).  If the old state
-    already satisfies it (e.g. at equilibrium) no iteration runs, no
-    predictor is evaluated and the state is returned unchanged apart from
-    the time.  Otherwise Newton starts from w_old, or, when lu holds a full
-    history ending at w_old, from its extrapolant sum_j (-1)^j C(K+1, j+1)
-    w_{n-j} (K = PREDICTOR_DEGREE) if R there, evaluated once, has a
-    strictly smaller max-norm than R(w_old) = -dt*F(w_old).  Negative
-    intermediate iterates are harmless: the guarded rate and the coefficient
-    clamp keep every evaluation defined.
+    Solves R(w) = w - w_old - dt*(theta*F(w) + (1-theta)*F(w_old)) = 0 in
+    units of the equilibrium, where x has size max_i |x_i|/star_i, star_i =
+    window.u_star on bulk and window.v_star on surface entries.  Newton
+    stops at the top of an iteration when the residual's size is at most
+    cfg.newton_tol (a NaN residual never passes), or after a solve when the
+    correction delta's is: it takes w + delta and evaluates F there once,
+    for lu.f.  If the old state already passes (e.g. at equilibrium) no
+    iteration runs, no predictor is evaluated and the state is returned
+    unchanged apart from the time.  Otherwise Newton starts from w_old, or,
+    when lu holds a full history ending at w_old, from its extrapolant
+    sum_j (-1)^j C(K+1, j+1) w_{n-j} (K = PREDICTOR_DEGREE) if R there,
+    evaluated once, is smaller than R(w_old) = -dt*F(w_old).  Negative
+    intermediate iterates are harmless: the guarded rate and the
+    coefficient clamp keep every evaluation defined.
 
     lu carries the LU, the accepted rate and the accepted states from the
     step before and receives this step's; NewtonLU states when each is used
@@ -363,14 +369,20 @@ def step(
     def residual(w: np.ndarray, f: np.ndarray) -> np.ndarray:
         return w - w_old - dt * theta * f - expl
 
+    def size(x: np.ndarray) -> float:
+        """max_i |x_i|/star_i, one reduction per field; NaN if x holds a NaN."""
+        u_max, v_max = np.maximum.reduceat(np.abs(x), (0, nb)).tolist()
+        u_size, v_size = u_max / window.u_star, v_max / window.v_star
+        return u_size if u_size >= v_size or u_size != u_size else v_size  # NaN wins
+
     w, f = w_old.copy(), f_old
     r = residual(w, f)
-    rn = float(np.abs(r).max())
+    rn = size(r)
     if not rn <= cfg.newton_tol and len(history) == PREDICTOR_DEGREE + 1:
         w_pred = sum(c * h for c, h in zip(_PREDICTOR_WEIGHTS, history))
         f_pred = fvec(w_pred)
         r_pred = residual(w_pred, f_pred)
-        rn_pred = float(np.abs(r_pred).max())
+        rn_pred = size(r_pred)
         if rn_pred < rn:
             w, f, r, rn = w_pred, f_pred, r_pred, rn_pred
     iters = 0
@@ -391,13 +403,17 @@ def step(
             del matrix  # the factor holds what the iteration needs
         delta = lu.solve(-r)
         iters += 1
+        if size(delta) <= cfg.newton_tol:
+            w = w + delta
+            f = fvec(w)
+            break
 
         lam = 1.0
         for _ in range(12):
             w_trial = w + lam * delta
             f_trial = fvec(w_trial)
             r_trial = residual(w_trial, f_trial)
-            rn_trial = float(np.abs(r_trial).max())
+            rn_trial = size(r_trial)
             if np.isfinite(rn_trial) and rn_trial < rn:
                 break
             lam *= 0.5
@@ -437,7 +453,7 @@ def run(
     within round-off (t_eps) of cfg.dt is taken at cfg.dt, so summed step
     times do not cost a clipped step, and its time is set to t_final.  On
     Newton failure the step is retried with dt halved, up to
-    cfg.max_dt_halvings times; subsequent steps return to the configured dt.
+    MAX_DT_HALVINGS times; subsequent steps return to the configured dt.
     The steps share one NewtonLU (see there for what it carries across
     steps and when a halved or clipped step drops it).  A fatal failure
     propagates NonConvergence with the last good state and the records so
@@ -461,12 +477,12 @@ def run(
     while state.t < t_final - t_eps:
         remaining = t_final - state.t
         local = cfg if remaining >= cfg.dt - t_eps else replace(cfg, dt=remaining)
-        for halving in range(cfg.max_dt_halvings + 1):
+        for halving in range(MAX_DT_HALVINGS + 1):
             try:
                 state = step(state, mesh, kin, bulk_law, surf_law, window, local, lu=lu)
                 break
             except NonConvergence as exc:
-                if halving == cfg.max_dt_halvings:
+                if halving == MAX_DT_HALVINGS:
                     exc.last_state = state
                     exc.records = records
                     raise

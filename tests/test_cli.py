@@ -209,7 +209,9 @@ class TestMainExitCodes:
         err = capsys.readouterr().err
         assert "alpha" in err
 
-    @pytest.mark.parametrize("removed", ["jacobian = fd", "clamp_v_exponent = beta"])
+    @pytest.mark.parametrize(
+        "removed", ["jacobian = fd", "clamp_v_exponent = beta", "max_dt_halvings = 5"]
+    )
     def test_removed_key_is_exit_2(self, tmp_path, capsys, removed):
         cfg = write(tmp_path, removed + "\n")
         assert main(["--config", str(cfg)]) == 2

@@ -1,9 +1,11 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from test_acceptance import blob_problem
 
 import bulksurf as bs
 from bulksurf.diagnostics import _diffusion_dissipation, _envelope_potentials
@@ -510,3 +512,56 @@ def test_record_fields_are_the_functions_they_stand_for(
         assert _bits(getattr(rec, name)) == _bits(value), (name, getattr(rec, name), value)
     assert rec.clamp_activations == _outside_caps(u, v, window)
     assert rec.partition_counts == (split.n_u_only, split.n_v_only, split.n_both)
+
+
+
+# Windows the acceptance blob breaches: (window from the blob's own, steps
+# followed at most, whether the envelope must hold again by then).
+BREACHES = {
+    # the bulk lies above the halved upper envelope until the envelope holds
+    "upper halved": (lambda w: replace(w, upper=w.upper / 2), 1000, True),
+    # an envelope below the equilibrium's pressure 1: every cell, the surface
+    # included, stays above it, so all three dissipations act
+    "below equilibrium": (lambda w: replace(w, lower=0.5, upper=0.9), 200, False),
+}
+
+
+@pytest.mark.parametrize("dt_factor", [1, 10, 1000])
+@pytest.mark.parametrize("breach", BREACHES)
+def test_envelope_entropy_falls_by_its_dissipation_on_every_step(breach, dt_factor):
+    # The paper's L-infinity mechanism, step by step.  E_L is convex, and its
+    # gradient g is the excess potentials log(p/upper)/exponent weighted by
+    # the cell measures, whose pairing with the rate F is the sum D of the
+    # three dissipations the record reports.  So a backward-Euler step,
+    # w1 = w0 + dt*F(w1) + R with R its Newton residual, satisfies
+    #     E_L(w1) - E_L(w0) <= g(w1).(w1 - w0) = dt*D(w1) + g(w1).R,   D <= 0,
+    # with |g(w1).R| <= ||g(w1)||_1 ||R||_inf.  Only theta = 1 is checked:
+    # no proof covers theta < 1.
+    make_window, max_steps, recovers = BREACHES[breach]
+    p = blob_problem()
+    window = make_window(p.window)
+    cfg = replace(p.cfg, dt=p.cfg.dt * dt_factor)
+    mesh, laws = p.mesh, (p.bulk_law, p.surf_law)
+    state = p.state
+    rec = bs.record(state, mesh, p.kin, p.eq, window, *laws)
+    assert rec.envelope_entropy > 0.0
+    lu = bs.NewtonLU()
+    for _ in range(max_steps):
+        new = bs.step(state, mesh, p.kin, *laws, window, cfg, lu=lu)
+        new_rec = bs.record(new, mesh, p.kin, p.eq, window, *laws)
+        du, dv = bs.total_rate(new, mesh, p.kin, *laws, window)
+        residual = np.concatenate((new.u - state.u - cfg.dt * du, new.v - state.v - cfg.dt * dv))
+        grad = mesh.faces.measure * np.concatenate(_envelope_potentials(new.u, new.v, window))
+        parts = (
+            new_rec.reaction_dissipation,
+            new_rec.diffusion_dissipation_bulk,
+            new_rec.diffusion_dissipation_surface,
+        )
+        allowance = np.abs(grad).sum() * np.abs(residual).max()
+        rise = new_rec.envelope_entropy - rec.envelope_entropy
+        assert rise <= cfg.dt * sum(parts) + allowance, (new.t, rise, cfg.dt * sum(parts))
+        assert max(parts) <= 0.0, (new.t, parts)
+        state, rec = new, new_rec
+        if rec.envelope_entropy == 0.0:
+            break
+    assert (rec.envelope_entropy == 0.0) == recovers
