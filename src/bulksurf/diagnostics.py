@@ -36,6 +36,7 @@ from .model import (
     DiffusionLaw,
     Equilibrium,
     Kinetics,
+    _float_if_0d,
     _pressure,
     check_role,
     diffusion_coefficient,
@@ -96,10 +97,7 @@ def entropy_density(z):
     if not ((z_arr >= 0) & (z_arr < np.inf)).all():
         raise ValueError("entropy density requires a finite nonnegative argument")
     pos = z_arr > 0
-    out = np.where(pos, z_arr * np.log(np.where(pos, z_arr, 1.0)) - z_arr + 1.0, 1.0)
-    if np.isscalar(z):
-        return float(out)
-    return out
+    return _float_if_0d(np.where(pos, z_arr * np.log(np.where(pos, z_arr, 1.0)) - z_arr + 1.0, 1.0))
 
 
 def weighted_mass(state, mesh: CoupledMesh, kin: Kinetics) -> float:
@@ -185,6 +183,7 @@ def reaction_dissipation_split(
     above the second factor is log(p_u/p_v).  A cell's class comes from p_u
     and p_v by the envelope test of record.  The class sums are scaled by
     k*u_star**alpha last, so an overflowing unit gives inf, not an error.
+    The stars and exponents are the window's; kin gives only k.
     """
     check_sizes(state, mesh)
     u_t, v = state.u[mesh.surf_to_bulk], state.v
@@ -194,7 +193,7 @@ def reaction_dissipation_split(
     u_above, p_u = _above_upper(u_safe, window.u_star, window.alpha, window)
     v_above, p_v = _above_upper(v_safe, window.v_star, window.beta, window)
     xi, chi = _envelope_potentials(u_safe, v_safe, window)
-    contrib = np.where(admissible, (p_u - p_v) * (kin.alpha * xi - kin.beta * chi), 0.0)
+    contrib = np.where(admissible, (p_u - p_v) * (window.alpha * xi - window.beta * chi), 0.0)
     contrib *= mesh.faces.measure[mesh.n_bulk :]
     xi_pos, chi_pos = admissible & u_above, admissible & v_above
     masks = (xi_pos & ~chi_pos, chi_pos & ~xi_pos, xi_pos & chi_pos)
@@ -255,15 +254,21 @@ def record(
     u_env_max <= upper and v_env_max <= upper, the envelope terms are exactly
     0 and no cell is in a violation class, so they are set to zero unevaluated;
     otherwise envelope_entropy, reaction_dissipation_split and the face-sum
-    dissipation test each cell by the same comparison.  Precondition: the
-    window's stars and exponents equal eq's and kin's, as in every window
-    built from them.  Clamped entries are counted only when an extremum of u
-    or v, from one pass over (u, v), lies outside the caps.
+    dissipation test each cell by the same comparison.  The maxima read
+    eq's stars and kin's exponents and the breach path the window's, so a
+    window whose u_star, v_star, alpha, beta are not eq's and kin's raises
+    ValueError.  Clamped entries are counted only when an extremum of u or
+    v, from one pass over (u, v), lies outside the caps.
     """
     check_sizes(state, mesh)
     check_role(bulk_law, "bulk")
     check_role(surf_law, "surface")
     check_face_average(face_average)
+    refs = (window.u_star, window.v_star, window.alpha, window.beta)
+    if refs != (eq.u_star, eq.v_star, kin.alpha, kin.beta):
+        raise ValueError(
+            f"window (u_star, v_star, alpha, beta) = {refs} are not those of eq and kin"
+        )
     nb = mesh.n_bulk
     u, v = state.u, state.v
     entropy, z = _entropy(state, eq, mesh)  # rejects negative and non-finite entries

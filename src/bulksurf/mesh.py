@@ -160,9 +160,6 @@ class CoupledMesh:
     ny: int
     lx: float
     ly: float
-    active_edges: tuple[str, ...]
-    n_bulk: int
-    n_surface: int
     surf_to_bulk: np.ndarray = field(repr=False)
     surf_center_x: np.ndarray = field(repr=False)
     surf_center_y: np.ndarray = field(repr=False)
@@ -174,6 +171,16 @@ class CoupledMesh:
     # links between chain-adjacent surface cells
     faces: FaceSet = field(repr=False)
     n_bulk_faces: int
+
+    @property
+    def n_bulk(self) -> int:
+        """Bulk cell count, nx * ny."""
+        return self.nx * self.ny
+
+    @property
+    def n_surface(self) -> int:
+        """Surface cell count, one per entry of surf_to_bulk."""
+        return self.surf_to_bulk.size
 
     @property
     def total_bulk_measure(self) -> float:
@@ -209,35 +216,6 @@ def check_sizes(state, mesh: CoupledMesh) -> None:
         )
 
 
-def _boundary_cycle(nx: int, ny: int) -> list[tuple[str, int]]:
-    """All boundary faces in counterclockwise cycle order as (edge, along-index)."""
-    cycle: list[tuple[str, int]] = []
-    cycle += [("bottom", ix) for ix in range(nx)]
-    cycle += [("right", iy) for iy in range(ny)]
-    cycle += [("top", t) for t in range(nx)]   # traversed right-to-left
-    cycle += [("left", t) for t in range(ny)]  # traversed top-to-bottom
-    return cycle
-
-
-def _face_geometry(edge: str, t: int, nx: int, ny: int, dx: float, dy: float):
-    """Bulk cell index, face length and face-center coordinates of one boundary face."""
-    if edge == "bottom":
-        ix, iy = t, 0
-        length, cx, cy = dx, (ix + 0.5) * dx, 0.0
-    elif edge == "right":
-        ix, iy = nx - 1, t
-        length, cx, cy = dy, nx * dx, (iy + 0.5) * dy
-    elif edge == "top":
-        ix, iy = nx - 1 - t, ny - 1
-        length, cx, cy = dx, (ix + 0.5) * dx, ny * dy
-    elif edge == "left":
-        ix, iy = 0, ny - 1 - t
-        length, cx, cy = dy, 0.0, (iy + 0.5) * dy
-    else:  # pragma: no cover - guarded by build_mesh validation
-        raise ValueError(f"unknown edge {edge!r}")
-    return iy * nx + ix, length, cx, cy
-
-
 def build_mesh(
     nx: int,
     ny: int,
@@ -271,20 +249,33 @@ def build_mesh(
     dx = lx / nx
     dy = ly / ny
     n_bulk = nx * ny
+    ix, iy = np.arange(nx), np.arange(ny)
+    xs, ys = (ix + 0.5) * dx, (iy + 0.5) * dy
+
+    # The boundary faces side by side in counterclockwise cycle order, one
+    # row per side of EDGE_NAMES: the bulk cells under its faces, their
+    # length and their centres' x and y.  The top runs right to left, the
+    # left side top to bottom.
+    sides = (
+        (ix, np.full(nx, dx), xs, np.zeros(nx)),
+        (iy * nx + nx - 1, np.full(ny, dy), np.full(ny, nx * dx), ys),
+        (n_bulk - 1 - ix, np.full(nx, dx), xs[::-1], np.full(nx, ny * dy)),
+        ((ny - 1 - iy) * nx, np.full(ny, dy), np.zeros(ny), ys[::-1]),
+    )
+    sizes = [nx, ny, nx, ny]
 
     # Surface cells in boundary-cycle order; chain faces join cycle-adjacent
     # active positions, wrapping only when the whole boundary is active.
-    cycle = _boundary_cycle(nx, ny)
-    active = np.array([edge in edges for edge, _ in cycle])
+    active = np.repeat([edge in edges for edge in EDGE_NAMES], sizes)
+    surf_to_bulk, surf_length, surf_cx, surf_cy = (
+        np.concatenate(column)[active] for column in zip(*sides)
+    )
     positions = np.flatnonzero(active)
     surf_index = np.cumsum(active) - 1  # surface cell of each active cycle position
 
-    geometry = [_face_geometry(*cycle[p], nx, ny, dx, dy) for p in positions]
-    surf_to_bulk, surf_length, surf_cx, surf_cy = (np.array(column) for column in zip(*geometry))
-
     # Cyclic adjacency: position p borders (p + 1) mod n_cycle, so edges that
     # meet at a corner (including across the cycle seam at the origin) chain up.
-    following = (positions + 1) % len(cycle)
+    following = (positions + 1) % active.size
     linked = active[following]
     chain_a = surf_index[positions[linked]]
     chain_b = surf_index[following[linked]]
@@ -302,8 +293,6 @@ def build_mesh(
         measure=np.concatenate([np.full(n_bulk, dx * dy), surf_length]),
     )
 
-    xs = (np.arange(nx) + 0.5) * dx
-    ys = (np.arange(ny) + 0.5) * dy
     cgx, cgy = np.meshgrid(xs, ys)
 
     return CoupledMesh(
@@ -311,13 +300,10 @@ def build_mesh(
         ny=ny,
         lx=float(lx),
         ly=float(ly),
-        active_edges=tuple(e for e in EDGE_NAMES if e in edges),
-        n_bulk=n_bulk,
-        n_surface=len(positions),
         surf_to_bulk=surf_to_bulk,
         surf_center_x=surf_cx,
         surf_center_y=surf_cy,
-        surf_edge=tuple(cycle[p][0] for p in positions),
+        surf_edge=tuple(np.repeat(EDGE_NAMES, sizes)[active].tolist()),
         cell_center_x=cgx.ravel(),
         cell_center_y=cgy.ravel(),
         faces=faces,

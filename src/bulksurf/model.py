@@ -20,6 +20,9 @@ Diffusion coefficients are always evaluated at concentrations clamped to a
 window around the equilibrium, which keeps them uniformly bounded and elliptic
 no matter what a nonlinear solver iterate looks like; in a healthy run the
 clamp never activates.
+
+Every public function of one or more concentrations returns a 0-d result as
+a Python float and anything else as an array.
 """
 
 from __future__ import annotations
@@ -29,7 +32,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-_LOG_MEAN_RIDGE = 1e-8  # switch to the series expansion when |a-b| <= ridge*max(a,b)
 _BISECTION_TOL = 1e-15  # equilibrium bisection stops at this relative bracket width
 
 BULK_KINDS = ("power", "exponential", "constant")
@@ -198,16 +200,19 @@ def window_from_initial_data(
     )
 
 
+def _float_if_0d(out):
+    """out, or a Python float when out is 0-d: the one return rule of the public functions."""
+    return out if np.ndim(out) else float(out)
+
+
 def log_mean(a, b):
     """Logarithmic mean: (a-b)/(log a - log b), 0 if either argument is 0, a if a=b.
 
-    Evaluated branchwise for uniform accuracy (a few ulps everywhere):
+    With hi = max(a, b) and lo = min(a, b), evaluated branchwise for a few
+    ulps everywhere:
 
-    * ridge, |a-b| <= 1e-8*max(a,b): the quotient cancels catastrophically,
-      so use the expansion around the midpoint mbar = (a+b)/2 with
-      r = (a-b)/(a+b):  LogMean = mbar * (1 - r**2/3 - 4*r**4/45 + O(r**6));
     * ratio at most 2: hi - lo is exact there, so (hi-lo)/log1p((hi-lo)/lo)
-      carries no cancellation;
+      carries no cancellation, down to neighbouring floats;
     * far apart: the plain quotient (hi-lo)/(log hi - log lo) is benign.
 
     Accepts scalars or arrays; negative, infinite or NaN input is rejected.
@@ -219,30 +224,15 @@ def log_mean(a, b):
     hi = np.maximum(a_arr, b_arr)
     lo = np.minimum(a_arr, b_arr)
     zero = lo == 0
-    diff = hi - lo
-    near = diff <= _LOG_MEAN_RIDGE * hi
+    equal = hi == lo
 
-    s = a_arr + b_arr
-    r = np.where(s > 0, diff / np.where(s > 0, s, 1.0), 0.0)
-    r2 = r * r
-    series = 0.5 * s * (1.0 - r2 / 3.0 - 4.0 * r2 * r2 / 45.0)
-
-    lo_safe = np.where(zero | near, 1.0, lo)
-    hi_safe = np.where(zero | near, 2.0, hi)
-    diff_safe = hi_safe - lo_safe
-    close = hi_safe <= 2.0 * lo_safe
-    ratio = diff_safe / np.where(close, lo_safe, 1.0)  # guarded against overflow
-    denom = np.where(
-        close,
-        np.log1p(ratio),
-        np.log(hi_safe) - np.log(lo_safe),
-    )
-    quot = diff_safe / denom
-
-    out = np.where(zero, 0.0, np.where(near, series, quot))
-    if np.isscalar(a) and np.isscalar(b):
-        return float(out)
-    return out
+    lo_safe = np.where(zero | equal, 1.0, lo)
+    hi_safe = np.where(zero | equal, 2.0, hi)
+    diff = hi_safe - lo_safe
+    close = 0.5 * hi_safe <= lo_safe  # hi <= 2*lo, without overflow near the largest float
+    ratio = diff / np.where(close, lo_safe, 1.0)  # guarded against overflow
+    denom = np.where(close, np.log1p(ratio), np.log(hi_safe) - np.log(lo_safe))
+    return _float_if_0d(np.where(zero, 0.0, np.where(equal, hi, diff / denom)))
 
 
 def rate(u, v, kin: Kinetics):
@@ -251,30 +241,28 @@ def rate(u, v, kin: Kinetics):
     Negative arguments with fractional exponents are undefined here; use
     safe_rate for a total function.
     """
-    return kin.k * (u**kin.alpha - kin.kappa * v**kin.beta)
+    return _float_if_0d(kin.k * (u**kin.alpha - kin.kappa * v**kin.beta))
 
 
 def _positive_quadrant(u, v):
-    """Mask of u > 0 and v > 0, and u, v with 1 outside it, where any power is defined."""
-    u_arr = np.asarray(u, dtype=float)
-    v_arr = np.asarray(v, dtype=float)
-    pos = (u_arr > 0) & (v_arr > 0)
-    return pos, np.where(pos, u_arr, 1.0), np.where(pos, v_arr, 1.0)
+    """Mask of u > 0 and v > 0, and u, v with 1 outside it, where any power is defined.
 
-
-def safe_rate(u, v, kin: Kinetics):
-    """Rate guarded on the closed positive quadrant: 0 whenever u <= 0 or v <= 0.
-
-    Two scalars give a float, anything else an array.
+    When every entry is positive, u and v come back as the float arrays
+    they are, uncopied.
     """
     u_arr = np.asarray(u, dtype=float)
     v_arr = np.asarray(v, dtype=float)
     pos = (u_arr > 0) & (v_arr > 0)
     if pos.all():
-        out = rate(u_arr, v_arr, kin)
-    else:
-        out = np.where(pos, rate(np.where(pos, u_arr, 1.0), np.where(pos, v_arr, 1.0), kin), 0.0)
-    return out if out.ndim else float(out)
+        return pos, u_arr, v_arr
+    return pos, np.where(pos, u_arr, 1.0), np.where(pos, v_arr, 1.0)
+
+
+def safe_rate(u, v, kin: Kinetics):
+    """Rate guarded on the closed positive quadrant: 0 whenever u <= 0 or v <= 0."""
+    pos, u_safe, v_safe = _positive_quadrant(u, v)
+    out = rate(u_safe, v_safe, kin)
+    return out if pos.all() else _float_if_0d(np.where(pos, out, 0.0))
 
 
 def safe_rate_derivatives(u, v, kin: Kinetics):
@@ -301,10 +289,7 @@ def potential_rate(u, v, kin: Kinetics, eq: Equilibrium):
         raise ValueError("potential_rate requires finite strictly positive concentrations")
     lam = log_mean(u_arr**kin.alpha, kin.kappa * v_arr**kin.beta)
     pot = kin.alpha * np.log(u_arr / eq.u_star) - kin.beta * np.log(v_arr / eq.v_star)
-    out = kin.k * lam * pot
-    if np.isscalar(u) and np.isscalar(v):
-        return float(out)
-    return out
+    return _float_if_0d(kin.k * lam * pot)
 
 
 def _clip(c, caps):
@@ -378,11 +363,9 @@ def diffusion_coefficient(law: DiffusionLaw, u, v, window: ClampWindow):
 
     Bulk-role laws see the clamped bulk value; single-argument surface laws
     see the clamped surface value; surface_cross sees both.  Every
-    surface-role law needs v and raises ValueError when it is None.  Scalar
-    arguments give a float, arrays an array.
+    surface-role law needs v and raises ValueError when it is None.
     """
-    mu = _clamped_law(law, u, v, window, derivatives=False)
-    return mu if np.ndim(mu) else float(mu)
+    return _float_if_0d(_clamped_law(law, u, v, window, derivatives=False))
 
 
 def coefficient_and_derivatives(law: DiffusionLaw, u, v, window: ClampWindow):

@@ -380,6 +380,28 @@ class TestRecord:
         with pytest.raises(ValueError):
             bs.record(dry, mesh, kin, eq, window, *laws)
 
+    def test_window_of_other_stars_is_rejected(self):
+        # The envelope maxima read eq's stars and kin's exponents, the breach
+        # path the window's.  With u_star doubled, u[0] has u_env_max 2.25
+        # above the window's upper 2.025, while the window's own pressures
+        # lie under it: a record would report no breach.  record refuses.
+        kin = bs.Kinetics(k=1.0, kappa=0.5, alpha=2.0, beta=1.0)
+        mesh = bs.build_mesh(4, 4, 1.0, 1.0, {"bottom"})
+        eq = bs.solve_equilibrium(kin, 5.0, mesh.total_bulk_measure, mesh.total_surface_measure)
+        u = np.full(mesh.n_bulk, eq.u_star)
+        u[0] *= 1.5
+        state = bs.State(t=0.0, u=u, v=np.full(mesh.n_surface, eq.v_star))
+        window = bs.window_from_initial_data(state.u, state.v, eq, kin)
+        laws = (bs.power_law(1.0), bs.surface_cross_law(kin))
+        assert bs.record(state, mesh, kin, eq, window, *laws).u_env_max == window.upper
+        other = replace(window, upper=0.9 * window.upper, u_star=2 * window.u_star)
+        with pytest.raises(ValueError, match="not those of eq and kin"):
+            bs.record(state, mesh, kin, eq, other, *laws)
+        for name in ("u_star", "v_star", "alpha", "beta"):
+            off = replace(window, **{name: 1.5 * getattr(window, name)})
+            with pytest.raises(ValueError, match="not those of eq and kin"):
+                bs.record(state, mesh, kin, eq, off, *laws)
+
 
 @pytest.mark.parametrize("face_average", bs.mesh.FACE_AVERAGES)
 @pytest.mark.parametrize("edges", [{"bottom"}, {"bottom", "right"}, set(bs.mesh.EDGE_NAMES)],

@@ -129,6 +129,24 @@ def test_full_boundary_closes_into_loop():
     assert set(degree) == {2}
 
 
+def test_surface_numbering_runs_counterclockwise_from_the_origin():
+    # the start and direction of the numbering set the row order of
+    # final_state.csv: bottom left to right, right upwards, top right to
+    # left, left downwards, and each cell links to the next, closing the loop
+    mesh = build_mesh(3, 2, 1.5, 1.0, set(EDGE_NAMES))
+    np.testing.assert_array_equal(mesh.surf_to_bulk, [0, 1, 2, 2, 5, 5, 4, 3, 3, 0])
+    assert mesh.surf_edge == ("bottom",) * 3 + ("right",) * 2 + ("top",) * 3 + ("left",) * 2
+    np.testing.assert_array_equal(
+        mesh.surf_center_x, [0.25, 0.75, 1.25, 1.5, 1.5, 1.25, 0.75, 0.25, 0.0, 0.0]
+    )
+    np.testing.assert_array_equal(
+        mesh.surf_center_y, [0.0, 0.0, 0.0, 0.25, 0.75, 1.0, 1.0, 1.0, 0.75, 0.25]
+    )
+    _, chain = mesh.face_parts()
+    np.testing.assert_array_equal(chain.cell_a, np.arange(10))
+    np.testing.assert_array_equal(chain.cell_b, (np.arange(10) + 1) % 10)
+
+
 def test_surface_measure_additivity():
     mesh = build_mesh(7, 5, 2.5, 1.25, {"bottom", "left", "top"})
     assert mesh.total_surface_measure == pytest.approx(2.5 + 1.25 + 2.5, rel=1e-15)

@@ -12,6 +12,7 @@ from bulksurf import (
     coefficient_bounds,
     constant_law,
     diffusion_coefficient,
+    entropy_density,
     exponential_law,
     log_mean,
     potential_rate,
@@ -53,6 +54,12 @@ def bisect_equilibrium(kin, mass, omega, gamma, lo=0.0, hi=None):
 class TestLogMean:
     def test_equal_arguments(self):
         assert log_mean(4.0, 4.0) == 4.0
+
+    def test_near_the_largest_float(self):
+        # no branch may overflow where a + b or 2 * lo would
+        big = 1e308
+        assert log_mean(big, big) == big
+        assert log_mean(big, big * (1 - 1e-12)) == pytest.approx(big * (1 - 5e-13), rel=1e-15)
 
     def test_zero_argument(self):
         assert log_mean(1.0, 0.0) == 0.0
@@ -264,6 +271,32 @@ class TestClamp:
         assert win.upper == pytest.approx(max(1.5**2, 1.2))
         with pytest.raises(ValueError):
             window_from_initial_data(np.array([0.0, 1.0]), v0, eq, kin)
+
+
+_KIN = Kinetics(k=1.5, kappa=0.5, alpha=2.0, beta=1.0)
+_WINDOW = ClampWindow(lower=0.5, upper=50.0, u_star=1.0, v_star=1.0, alpha=2.0, beta=1.0)
+_PUBLIC_OF_ONE_ARRAY = {
+    "log_mean": lambda x: log_mean(x, 2.0),
+    "entropy_density": entropy_density,
+    "safe_rate": lambda x: safe_rate(x, x, _KIN),
+    "diffusion_coefficient": lambda x: diffusion_coefficient(power_law(1.0), x, None, _WINDOW),
+    "rate": lambda x: rate(x, x, _KIN),
+    "potential_rate": lambda x: potential_rate(x, x, _KIN, Equilibrium(1.0, 2.0, 3.0)),
+}
+
+
+@pytest.mark.parametrize("name", list(_PUBLIC_OF_ONE_ARRAY))
+@pytest.mark.parametrize(
+    "make", [float, np.float64, np.array, lambda x: np.array([x])],
+    ids=["float", "float64", "0d", "1d"],
+)
+def test_a_0d_result_is_a_python_float(name, make):
+    out = _PUBLIC_OF_ONE_ARRAY[name](make(1.3))
+    if np.ndim(make(1.3)):
+        assert isinstance(out, np.ndarray) and out.shape == (1,)
+        assert out[0] == pytest.approx(_PUBLIC_OF_ONE_ARRAY[name](1.3), rel=1e-15)
+    else:
+        assert type(out) is float
 
 
 class TestDiffusionLaws:

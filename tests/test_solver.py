@@ -600,9 +600,13 @@ class TestRun:
         hot = state.copy()
         hot.u *= 5.0
         kin2 = bs.Kinetics(k=50.0, kappa=1.0, alpha=4.0, beta=4.0)
+        mass2 = bs.weighted_mass(hot, mesh, kin2)
+        eq2 = bs.solve_equilibrium(kin2, mass2, mesh.total_bulk_measure, mesh.total_surface_measure)
+        window2 = bs.window_from_initial_data(hot.u, hot.v, eq2, kin2)
         cfg = bs.StepConfig(dt=1e6, newton_max_iter=1, newton_tol=1e-16)
         with pytest.raises(bs.NonConvergence) as info:
-            bs.run(hot, 2e6, mesh, kin2, eq, *laws, window, cfg)
+            bs.run(hot, 2e6, mesh, kin2, eq2, *laws, window2, cfg)
+        assert info.value.iterations == 1
         assert info.value.last_state is not None
         assert info.value.records is not None
         assert len(info.value.records) >= 1
