@@ -279,7 +279,13 @@ def initial_state(cfg: RunConfig, mesh) -> solver.State:
         v = np.full(mesh.n_surface, cfg.v0)
     elif cfg.initial == "two-blob":
         base_u = cfg.blob_base_u
-        base_v = (base_u**cfg.alpha / cfg.kappa) ** (1.0 / cfg.beta)
+        try:
+            base_v = (base_u**cfg.alpha / cfg.kappa) ** (1.0 / cfg.beta)
+        except OverflowError:
+            base_v = math.inf
+        if base_v == math.inf:
+            reason = "the balanced v = (blob_base_u**alpha / kappa)**(1/beta) overflows in floats"
+            raise ConfigError([BadValue("blob_base_u", reason)])
         width = cfg.blob_width * min(cfg.lx, cfg.ly)
         u = base_u + cfg.blob_amplitude_1 * _gaussian(
             mesh.cell_center_x, mesh.cell_center_y, cfg.blob_x1 * cfg.lx, cfg.blob_y1 * cfg.ly, width

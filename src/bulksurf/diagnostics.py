@@ -124,10 +124,18 @@ def _entropy(state, eq: Equilibrium, mesh: CoupledMesh) -> tuple[float, np.ndarr
     return float(eq.u_star * dens[:nb].sum() + eq.v_star * dens[nb:].sum()), z
 
 
-def _above_upper(c, star, exponent, window: ClampWindow) -> tuple[np.ndarray, np.ndarray]:
-    """Cells above their envelope, p = (c/star)**exponent > upper, and p (0 where c <= 0)."""
+def _envelope(c, star, exponent, window: ClampWindow):
+    """The envelope test of one field: (above, p, pot), entrywise.
+
+    p = (c/star)**exponent is the pressure (0 where c <= 0) and above the
+    mask p > upper; a NaN counts as above, so envelope_entropy rejects it.
+    pot is the excess log-potential of the truncated field, log(p/upper) /
+    exponent where above and 0 elsewhere: >= 0 by construction, and 0
+    exactly where the envelope holds.
+    """
     p = _pressure(c, star, exponent)
-    return ~(p <= window.upper), p  # a NaN counts as above, so envelope_entropy rejects it
+    above = ~(p <= window.upper)
+    return above, p, np.log(np.where(above, p / window.upper, 1.0)) / exponent
 
 
 def envelope_entropy(state, mesh: CoupledMesh, window: ClampWindow) -> float:
@@ -145,24 +153,9 @@ def envelope_entropy(state, mesh: CoupledMesh, window: ClampWindow) -> float:
         (state.v, window.v_star, window.beta, m[nb:]),
     ):
         scale = window.upper ** (1.0 / exponent)
-        trunc = np.where(_above_upper(c, star, exponent, window)[0], c / scale, star)
+        trunc = np.where(_envelope(c, star, exponent, window)[0], c / scale, star)
         total += scale * star * np.sum(entropy_density(trunc / star) * measure)
     return float(total)
-
-
-def _envelope_potentials(u, v, window: ClampWindow) -> tuple[np.ndarray, np.ndarray]:
-    """Excess log-potentials of the truncated fields, entrywise.
-
-    bulk_pot = log(p/upper)/alpha with p = (u/u_star)**alpha where p > upper,
-    and 0 elsewhere; surf_pot likewise for v with exponent beta.  Both are >= 0
-    by construction and vanish exactly where the envelope holds.  Total in u
-    and v: nonpositive entries sit below the envelope and give 0.
-    """
-    pots = []
-    for c, star, exponent in ((u, window.u_star, window.alpha), (v, window.v_star, window.beta)):
-        above, p = _above_upper(c, star, exponent, window)
-        pots.append(np.log(np.where(above, p / window.upper, 1.0)) / exponent)
-    return pots[0], pots[1]
 
 
 def reaction_dissipation_split(
@@ -190,9 +183,8 @@ def reaction_dissipation_split(
     admissible = (u_t > 0) & (v > 0)
     u_safe = np.where(admissible, u_t, window.u_star)
     v_safe = np.where(admissible, v, window.v_star)
-    u_above, p_u = _above_upper(u_safe, window.u_star, window.alpha, window)
-    v_above, p_v = _above_upper(v_safe, window.v_star, window.beta, window)
-    xi, chi = _envelope_potentials(u_safe, v_safe, window)
+    u_above, p_u, xi = _envelope(u_safe, window.u_star, window.alpha, window)
+    v_above, p_v, chi = _envelope(v_safe, window.v_star, window.beta, window)
     contrib = np.where(admissible, (p_u - p_v) * (window.alpha * xi - window.beta * chi), 0.0)
     contrib *= mesh.faces.measure[mesh.n_bulk :]
     xi_pos, chi_pos = admissible & u_above, admissible & v_above
@@ -210,7 +202,7 @@ def _diffusion_dissipation(state, mesh, window, bulk_law, surf_law, face_average
     """Face-sum analogues of the two gradient terms of the entropy production.
 
     bulk = -sum_faces mu_f * (du)(d bulk_pot) * |face|/dist and likewise on
-    the surface chain, with the potentials of _envelope_potentials; both are
+    the surface chain, with the excess potentials of _envelope; both are
     <= 0 because the excess potential is a nondecreasing function of its own
     concentration, making each face term a product of like-signed
     differences.  One pass over mesh.faces and the stacked state gives every
@@ -222,7 +214,10 @@ def _diffusion_dissipation(state, mesh, window, bulk_law, surf_law, face_average
         diffusion_coefficient(bulk_law, u, None, window),
         diffusion_coefficient(surf_law, u[mesh.surf_to_bulk], v, window),
     ))
-    pot = np.concatenate(_envelope_potentials(u, v, window))
+    pot = np.concatenate((
+        _envelope(u, window.u_star, window.alpha, window)[2],
+        _envelope(v, window.v_star, window.beta, window)[2],
+    ))
     faces, m = mesh.faces, mesh.n_bulk_faces
     flux = face_flux(faces, np.concatenate((u, v)), mu, face_average)
     terms = flux * (pot[faces.cell_b] - pot[faces.cell_a])

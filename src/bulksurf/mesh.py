@@ -88,21 +88,21 @@ def face_divergence(faces: FaceSet, x, mu, face_average: str) -> np.ndarray:
     return div / faces.measure
 
 
-def face_block(faces: FaceSet, x, offset: int, mu, dmu_x, face_average, dmu_y=None, y_cols=None):
+def face_block(faces: FaceSet, x, mu, dmu_x, face_average, dmu_y, y_cols):
     """Jacobian of one face divergence: off-diagonal COO triplets plus its diagonal.
 
     The flux phi = trans * mu_f * (x_b - x_a) of a face enters the rate of
     cell a as +phi/|a| and that of cell b as -phi/|b|.  x is the diffused
-    field, stored at state index offset + cell; mu and dmu_x are the cell
-    coefficients and their derivatives along x.  A cross coefficient also
-    depends on a second field y, with derivatives dmu_y and state indices
+    field, one entry per cell; mu and dmu_x are the cell coefficients and
+    their derivatives along x.  A coefficient may also depend on a second
+    field y, with derivatives dmu_y (0 where it does not) and state indices
     y_cols[cell].
 
     Returns (rows, cols, vals, diag).  The triplets hold two entries per
     face, a -> b and then b -> a, followed by the four y entries of every
-    face of a cross coefficient; their indices are np.intc, SuperLU's index
-    type.  diag[cell] is the derivative of the rate of cell along its own x,
-    summed over the faces of the cell.
+    face with a nonzero dmu_y at either end; their indices are np.intc,
+    SuperLU's index type.  diag[cell] is the derivative of the rate of cell
+    along its own x, summed over the faces of the cell.
     """
     a, b = faces.cell_a, faces.cell_b
     mu_a, mu_b = mu[a], mu[b]
@@ -114,7 +114,7 @@ def face_block(faces: FaceSet, x, offset: int, mu, dmu_x, face_average, dmu_y=No
     dlt = x[b] - x[a]
     dphi_a = g * (w_a * dmu_x[a] * dlt - mu_f)
     dphi_b = g * (w_b * dmu_x[b] * dlt + mu_f)
-    del mu_f
+    del mu_f, w_a, w_b
     inv_a, inv_b = 1.0 / faces.measure[a], 1.0 / faces.measure[b]
     n = faces.measure.size
     # without faces bincount returns integers
@@ -122,17 +122,19 @@ def face_block(faces: FaceSet, x, offset: int, mu, dmu_x, face_average, dmu_y=No
     diag -= np.bincount(b, weights=dphi_b * inv_b, minlength=n)
 
     ends = np.concatenate([a, b], dtype=np.intc)  # rows a, b; the columns swap them
-    ends += offset
     rows, cols = [ends], [np.concatenate([ends[a.size :], ends[: a.size]])]
     dphi_b *= inv_a
     dphi_a *= inv_b
     vals = [dphi_b, np.negative(dphi_a, out=dphi_a)]
-    if dmu_y is not None:
-        dphi_ya, dphi_yb = g * w_a * dmu_y[a] * dlt, g * w_b * dmu_y[b] * dlt
-        ya, yb = y_cols[a], y_cols[b]
-        rows += [ends, ends]
-        cols += [ya, ya, yb, yb]
-        vals += [dphi_ya * inv_a, -dphi_ya * inv_b, dphi_yb * inv_a, -dphi_yb * inv_b]
+    cross = dmu_y != 0
+    f = np.flatnonzero(cross[a] | cross[b])
+    a, b, g, dlt, inv_a, inv_b = a[f], b[f], g[f], dlt[f], inv_a[f], inv_b[f]
+    w_a, w_b = weights(mu[a], mu[b])
+    dphi_ya, dphi_yb = g * w_a * dmu_y[a] * dlt, g * w_b * dmu_y[b] * dlt
+    ya, yb = y_cols[a], y_cols[b]
+    rows += [np.concatenate([a, b], dtype=np.intc)] * 2
+    cols += [ya, ya, yb, yb]
+    vals += [dphi_ya * inv_a, -dphi_ya * inv_b, dphi_yb * inv_a, -dphi_yb * inv_b]
     return (
         np.concatenate(rows, dtype=np.intc),
         np.concatenate(cols, dtype=np.intc),
@@ -191,20 +193,6 @@ class CoupledMesh:
     def total_surface_measure(self) -> float:
         """|Gamma|, the sum of the surface cell measures in faces.measure."""
         return float(np.sum(self.faces.measure[self.n_bulk :]))
-
-    def face_parts(self) -> tuple[FaceSet, FaceSet]:
-        """The bulk and the chain faces as face sets of their own, cells numbered from 0.
-
-        The bulk part views the arrays of faces; the chain part shifts its
-        cell indices back by n_bulk, into new arrays of one entry per chain
-        face.
-        """
-        faces, m, nb = self.faces, self.n_bulk_faces, self.n_bulk
-        bulk = FaceSet(faces.cell_a[:m], faces.cell_b[:m], faces.trans[:m], faces.measure[:nb])
-        chain = FaceSet(
-            faces.cell_a[m:] - nb, faces.cell_b[m:] - nb, faces.trans[m:], faces.measure[nb:]
-        )
-        return bulk, chain
 
 
 def check_sizes(state, mesh: CoupledMesh) -> None:

@@ -28,11 +28,15 @@ a Python float and anything else as an array.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 
 _BISECTION_TOL = 1e-15  # equilibrium bisection stops at this relative bracket width
+# Halvings enough to walk the bracket from the largest float down to the
+# smallest normal one (2046), and then to resolve it to _BISECTION_TOL.
+_BISECTION_STEPS = 2200
 
 BULK_KINDS = ("power", "exponential", "constant")
 SURFACE_KINDS = BULK_KINDS + ("surface_cross",)
@@ -401,7 +405,10 @@ def solve_equilibrium(
                   + alpha*|Gamma|*v - m = 0,
     which is strictly increasing from -m at v=0, by bisection on
     (0, m/(alpha*|Gamma|)] followed by a Newton polish, then recovers
-    u_star = kappa**(1/alpha) * v_star**(beta/alpha).
+    u_star = kappa**(1/alpha) * v_star**(beta/alpha).  g counts as positive
+    where v**(beta/alpha) overflows, and the bisection runs long enough to
+    cross the float range.  Raises ValueError when v_star or u_star is not
+    a positive normal float.
     """
     if not (math.isfinite(mass) and mass > 0):
         raise ValueError(f"equilibrium requires positive finite mass, got {mass}")
@@ -414,14 +421,17 @@ def solve_equilibrium(
     cg = kin.alpha * gamma_measure
 
     def g(v: float) -> float:
-        return cb * v**expo + cg * v - mass
+        try:
+            return cb * v**expo + cg * v - mass
+        except OverflowError:  # v**expo beyond the float range: g is positive there
+            return math.inf
 
     def gprime(v: float) -> float:
         return cb * expo * v ** (expo - 1.0) + cg
 
     v_hi = mass / cg
     v_lo = 0.0  # g -> -mass as v -> 0+
-    for _ in range(200):
+    for _ in range(_BISECTION_STEPS):
         v_mid = 0.5 * (v_lo + v_hi)
         if g(v_mid) > 0:
             v_hi = v_mid
@@ -430,6 +440,7 @@ def solve_equilibrium(
         if v_hi - v_lo <= _BISECTION_TOL * v_hi:
             break
     v_star = 0.5 * (v_lo + v_hi)
+    _check_normal("v_star", v_star)  # before the polish raises it to expo - 1, maybe < 0
     for _ in range(8):
         dv = g(v_star) / gprime(v_star)
         v_new = v_star - dv
@@ -439,5 +450,15 @@ def solve_equilibrium(
         if abs(dv) <= 1e-16 * v_star:
             break
 
-    u_star = kroot * v_star**expo
+    try:
+        u_star = kroot * v_star**expo
+    except OverflowError:
+        u_star = math.inf
+    _check_normal("u_star", u_star)
     return Equilibrium(u_star=float(u_star), v_star=float(v_star), mass=float(mass))
+
+
+def _check_normal(name: str, x: float) -> None:
+    """Raise ValueError unless x is a positive normal float."""
+    if not sys.float_info.min <= x < math.inf:
+        raise ValueError(f"equilibrium {name} = {x} is not a positive normal float")

@@ -115,6 +115,16 @@ class TestInitialData:
         assert np.min(state.u) >= cfg.blob_base_u  # positive bumps only add
         np.testing.assert_allclose(state.v, base_v)
 
+    @pytest.mark.parametrize("overrides", [["blob_base_u=1e200"], ["blob_base_u=1e150", "kappa=1e-10"]])
+    def test_two_blob_background_beyond_the_floats_is_a_config_error(self, tmp_path, capsys, overrides):
+        # base_u**alpha overflows, or its quotient by kappa does
+        cfg = write(tmp_path, BLOB_RUN)
+        args = ["--config", str(cfg), "--out", str(tmp_path / "out"), "--quiet"]
+        assert main(args + [f"--override={o}" for o in overrides]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: bad value for blob_base_u: the balanced v")
+        assert "Traceback" not in err
+
     def test_file_initial_round_trip(self, tmp_path):
         mesh = build_mesh(3, 2, 1.0, 1.0, {"bottom"})
         u = np.linspace(1.0, 2.0, mesh.n_bulk)
@@ -311,14 +321,20 @@ class TestMainExitCodes:
         assert proc.returncode == 2
         assert "alpha" in proc.stderr
 
-    @pytest.mark.parametrize("window", ["", "clamp_lower = 0.5\nclamp_upper = 0.9\n"],
-                             ids=["own-envelope", "breached"])
-    def test_module_entry_point_reports_huge_data_as_solver_failure(self, tmp_path, window):
+    @pytest.mark.parametrize(
+        "exponents,window",
+        [(s, w) for s in ("alpha = 3\nbeta = 2\n", "alpha = 1\nbeta = 2\n")
+         for w in ("", "clamp_lower = 0.5\nclamp_upper = 0.9\n")],
+        ids=["own-envelope", "breached", "own-envelope-alpha1", "breached-alpha1"],
+    )
+    def test_module_entry_point_reports_huge_data_as_solver_failure(self, tmp_path, exponents, window):
         # finite but huge data: the initial record sits on its own envelope and
         # writes no dissipation, or, under a tighter window, breaches it and
         # reports the reaction dissipation in units of u*^alpha, which overflow
-        # to -inf; then the overflowing rate stops Newton
-        cfg = write(tmp_path, "nx = 4\nny = 4\nalpha = 3\nbeta = 2\ninitial = constant\n"
+        # to -inf; then the overflowing rate stops Newton.  With alpha 1 and
+        # beta 2 the equilibrium's u* is near 1e200 and v* near 1e100, which
+        # solve_equilibrium must reach without overflowing on the way
+        cfg = write(tmp_path, "nx = 4\nny = 4\n" + exponents + "initial = constant\n"
                               "u0 = 1e200\nv0 = 1e200\n" + window, "huge.cfg")
         src = str(Path(__file__).resolve().parents[1] / "src")
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))

@@ -6,9 +6,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from test_acceptance import blob_problem
+from test_mesh import split_faces
 
 import bulksurf as bs
-from bulksurf.diagnostics import _diffusion_dissipation, _envelope_potentials
+from bulksurf.diagnostics import _diffusion_dissipation, _envelope
 from bulksurf.mesh import face_flux
 
 
@@ -24,6 +25,12 @@ def make_problem(nx=4, ny=3, edges=("bottom",), alpha=2.0, beta=1.0, kappa=0.5, 
     eq = bs.solve_equilibrium(kin, mass, mesh.total_bulk_measure, mesh.total_surface_measure)
     window = bs.window_from_initial_data(u0, v0, eq, kin)
     return mesh, kin, eq, state, window
+
+
+def envelope_potentials(u, v, window):
+    """The excess log-potentials of u and of v, from the envelope test of each field."""
+    return (_envelope(u, window.u_star, window.alpha, window)[2],
+            _envelope(v, window.v_star, window.beta, window)[2])
 
 
 def _outside_caps(u, v, window) -> int:
@@ -147,14 +154,14 @@ class TestEnvelopeEntropy:
         hot.u[2] = eq.u_star * (3.0 * window.upper) ** (1 / kin.alpha)
         for st in (state, hot):
             e_l = bs.envelope_entropy(st, mesh, window)
-            pots = np.concatenate(_envelope_potentials(st.u, st.v, window))
+            pots = np.concatenate(envelope_potentials(st.u, st.v, window))
             assert (e_l == 0.0) == bool(np.all(pots == 0.0))
 
 
 class TestEnvelopePotentials:
     def test_zero_within_envelope(self):
         mesh, kin, eq, state, window = make_problem()
-        bulk_pot, surf_pot = _envelope_potentials(state.u, state.v, window)
+        bulk_pot, surf_pot = envelope_potentials(state.u, state.v, window)
         assert np.all(bulk_pot == 0.0)
         assert np.all(surf_pot == 0.0)
 
@@ -163,14 +170,14 @@ class TestEnvelopePotentials:
         mesh, kin, eq, state, window = make_problem(alpha=2.0)
         hot = state.copy()
         hot.u[0] = window.u_star * (math.e**2 * window.upper) ** (1 / 2)
-        bulk_pot, _ = _envelope_potentials(hot.u, hot.v, window)
+        bulk_pot, _ = envelope_potentials(hot.u, hot.v, window)
         assert bulk_pot[0] == pytest.approx(1.0, rel=1e-12)
 
     def test_threshold_belongs_to_zero_branch(self):
         mesh, kin, eq, state, window = make_problem(beta=2.0)
         edge = state.copy()
         edge.v[1] = window.v_star * window.upper ** (1 / window.beta)
-        _, surf_pot = _envelope_potentials(edge.u, edge.v, window)
+        _, surf_pot = envelope_potentials(edge.u, edge.v, window)
         assert surf_pot[1] == 0.0
 
     def test_nonpositive_entries_are_below_and_nan_is_rejected(self):
@@ -179,7 +186,7 @@ class TestEnvelopePotentials:
         dry = state.copy()
         dry.u[:3] = (-1.0, -0.0, 0.0)
         dry.v[0] = -1e-3
-        pots = _envelope_potentials(dry.u, dry.v, window)
+        pots = envelope_potentials(dry.u, dry.v, window)
         assert all(np.all(pot == 0.0) for pot in pots)
         assert bs.envelope_entropy(dry, mesh, window) == 0.0
         dry.u[3] = np.nan
@@ -190,7 +197,7 @@ class TestEnvelopePotentials:
         _, _, _, _, window = make_problem()
         u = np.linspace(1e-3, 10 * window.u_star * window.upper, 5001)
         state = bs.State(t=0.0, u=u, v=np.full(3, window.v_star))
-        bulk_pot, _ = _envelope_potentials(state.u, state.v, window)
+        bulk_pot, _ = envelope_potentials(state.u, state.v, window)
         assert np.all(np.diff(bulk_pot) >= 0)
 
 
@@ -509,11 +516,11 @@ def test_record_fields_are_the_functions_they_stand_for(
     split = bs.reaction_dissipation_split(state, mesh, kin, window)
     # the two dissipations face set by face set, on each part's own numbering
     tr = mesh.surf_to_bulk
-    pots = _envelope_potentials(u, v, window)
+    pots = envelope_potentials(u, v, window)
     mus = (bs.diffusion_coefficient(bulk_law, u, None, window),
            bs.diffusion_coefficient(surf_law, u[tr], v, window))
     diss = []
-    for faces, x, mu, pot in zip(mesh.face_parts(), (u, v), mus, pots):
+    for faces, x, mu, pot in zip(split_faces(mesh), (u, v), mus, pots):
         flux = face_flux(faces, x, mu, face_average)
         diss.append(-float(np.sum(flux * (pot[faces.cell_b] - pot[faces.cell_a]))) + 0.0)
     u_pos, v_pos = np.maximum(u, 0.0), np.maximum(v, 0.0)
@@ -573,7 +580,7 @@ def test_envelope_entropy_falls_by_its_dissipation_on_every_step(breach, dt_fact
         new_rec = bs.record(new, mesh, p.kin, p.eq, window, *laws)
         du, dv = bs.total_rate(new, mesh, p.kin, *laws, window)
         residual = np.concatenate((new.u - state.u - cfg.dt * du, new.v - state.v - cfg.dt * dv))
-        grad = mesh.faces.measure * np.concatenate(_envelope_potentials(new.u, new.v, window))
+        grad = mesh.faces.measure * np.concatenate(envelope_potentials(new.u, new.v, window))
         parts = (
             new_rec.reaction_dissipation,
             new_rec.diffusion_dissipation_bulk,

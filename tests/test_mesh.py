@@ -4,7 +4,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bulksurf import build_mesh
-from bulksurf.mesh import EDGE_NAMES
+from bulksurf.mesh import EDGE_NAMES, FaceSet
+
+
+def split_faces(mesh):
+    """The bulk and the chain faces of mesh.faces, sliced at n_bulk_faces, as face sets of their own.
+
+    The chain's cells are numbered from 0, as surface cells j; each part
+    carries its own cells' measures.
+    """
+    f, m, nb = mesh.faces, mesh.n_bulk_faces, mesh.n_bulk
+    bulk = FaceSet(f.cell_a[:m], f.cell_b[:m], f.trans[:m], f.measure[:nb])
+    chain = FaceSet(f.cell_a[m:] - nb, f.cell_b[m:] - nb, f.trans[m:], f.measure[nb:])
+    return bulk, chain
 
 
 def test_unit_single_cell():
@@ -36,12 +48,13 @@ def test_two_edge_surface_count():
 
 
 def test_interior_face_count():
-    assert len(build_mesh(2, 1, 1.0, 1.0, {"top"}).face_parts()[0]) == 1
+    assert build_mesh(2, 1, 1.0, 1.0, {"top"}).n_bulk_faces == 1
     mesh = build_mesh(3, 3, 1.0, 1.0, {"bottom"})
-    faces, _ = mesh.face_parts()
-    assert len(faces) == 12  # 3*2 + 3*2
+    m = mesh.n_bulk_faces
+    cell_a, cell_b = mesh.faces.cell_a[:m], mesh.faces.cell_b[:m]
+    assert m == 12  # 3*2 + 3*2
     # every unordered pair appears exactly once
-    pairs = {tuple(sorted(p)) for p in zip(faces.cell_a, faces.cell_b)}
+    pairs = {tuple(sorted(p)) for p in zip(cell_a, cell_b)}
     assert len(pairs) == 12
 
 
@@ -49,31 +62,30 @@ def test_interior_face_count():
 def test_face_count_formula(nx, ny):
     mesh = build_mesh(nx, ny, 1.5, 0.7, {"bottom"})
     assert mesh.n_bulk_faces == ny * (nx - 1) + nx * (ny - 1)
-    assert len(mesh.face_parts()[0]) == mesh.n_bulk_faces
+    # exactly the first n_bulk_faces faces join bulk cells
+    m, nb = mesh.n_bulk_faces, mesh.n_bulk
+    assert np.all(mesh.faces.cell_b[:m] < nb) and np.all(mesh.faces.cell_a[m:] >= nb)
 
 
 @pytest.mark.parametrize("edges", [{"bottom"}, {"bottom", "left"}, set(EDGE_NAMES)])
 def test_one_face_set_holds_the_bulk_faces_then_the_chain(edges):
     mesh = build_mesh(4, 3, 1.2, 0.9, edges)
     faces, m, nb = mesh.faces, mesh.n_bulk_faces, mesh.n_bulk
-    bulk, chain = mesh.face_parts()
-    assert len(faces) == len(bulk) + len(chain) and len(bulk) == m
-    # the bulk part views the one set; the chain part sits on cells n_bulk + j
-    for name in ("cell_a", "cell_b", "trans"):
-        part = getattr(bulk, name)
-        assert np.shares_memory(part, getattr(faces, name))
-        np.testing.assert_array_equal(getattr(faces, name)[:m], part)
-    np.testing.assert_array_equal(faces.cell_a[m:], nb + chain.cell_a)
-    np.testing.assert_array_equal(faces.cell_b[m:], nb + chain.cell_b)
-    np.testing.assert_array_equal(faces.trans[m:], chain.trans)
-    # no face joins a bulk cell to a surface cell
+    # the interior faces of the grid, then one link per pair of chain-adjacent
+    # surface cells: the chain here is connected, and closes only with all
+    # four edges
+    assert m == 3 * 3 + 4 * 2
+    assert len(faces) == m + mesh.n_surface - (edges != set(EDGE_NAMES))
+    # no face joins a bulk cell to a surface cell; the chain sits on cells n_bulk + j
     assert np.all(faces.cell_a[:m] < nb) and np.all(faces.cell_b[:m] < nb)
     assert np.all(faces.cell_a[m:] >= nb) and np.all(faces.cell_b[m:] >= nb)
+    assert np.all(faces.cell_a < nb + mesh.n_surface) and np.all(faces.cell_b < nb + mesh.n_surface)
     assert faces.cell_a.dtype == faces.cell_b.dtype == np.intp
-    # one measure per stacked cell, split between the two parts
+    # one measure per stacked cell: the bulk areas, then the surface lengths
+    assert faces.measure.size == nb + mesh.n_surface
     np.testing.assert_array_equal(faces.measure[:nb], (mesh.lx / mesh.nx) * (mesh.ly / mesh.ny))
-    np.testing.assert_array_equal(bulk.measure, faces.measure[:nb])
-    np.testing.assert_array_equal(chain.measure, faces.measure[nb:])
+    edge_length = {"bottom": 1.2 / 4, "top": 1.2 / 4, "left": 0.9 / 3, "right": 0.9 / 3}
+    np.testing.assert_allclose(faces.measure[nb:], [edge_length[e] for e in mesh.surf_edge], rtol=1e-15)
 
 
 def test_trace_map_on_active_edges():
@@ -90,7 +102,7 @@ def test_trace_map_on_active_edges():
 
 def test_single_edge_chain_is_connected_path():
     mesh = build_mesh(6, 2, 3.0, 1.0, {"bottom"})
-    _, faces = mesh.face_parts()
+    _, faces = split_faces(mesh)
     assert len(faces) == mesh.n_surface - 1
     np.testing.assert_array_equal(faces.cell_a, np.arange(5))
     np.testing.assert_array_equal(faces.cell_b, np.arange(1, 6))
@@ -99,7 +111,7 @@ def test_single_edge_chain_is_connected_path():
 
 def test_corner_adjacent_edges_join_into_one_chain():
     mesh = build_mesh(3, 2, 1.0, 1.0, {"bottom", "left"})
-    _, faces = mesh.face_parts()
+    _, faces = split_faces(mesh)
     # 5 surface cells, one connected chain => 4 faces, including the corner join
     assert mesh.n_surface == 5
     assert len(faces) == 4
@@ -114,7 +126,7 @@ def test_corner_adjacent_edges_join_into_one_chain():
 
 def test_opposite_edges_stay_disconnected():
     mesh = build_mesh(4, 3, 1.0, 1.0, {"bottom", "top"})
-    _, faces = mesh.face_parts()
+    _, faces = split_faces(mesh)
     assert len(faces) == 2 * 3  # two open chains of 4 cells
     for a, b in zip(faces.cell_a, faces.cell_b):
         assert mesh.surf_edge[a] == mesh.surf_edge[b]
@@ -122,7 +134,7 @@ def test_opposite_edges_stay_disconnected():
 
 def test_full_boundary_closes_into_loop():
     mesh = build_mesh(3, 3, 1.0, 1.0, {"bottom", "right", "top", "left"})
-    _, faces = mesh.face_parts()
+    _, faces = split_faces(mesh)
     assert mesh.n_surface == 12
     assert len(faces) == 12  # closed loop: one face per cell
     degree = np.bincount(np.concatenate([faces.cell_a, faces.cell_b]), minlength=12)
@@ -142,7 +154,7 @@ def test_surface_numbering_runs_counterclockwise_from_the_origin():
     np.testing.assert_array_equal(
         mesh.surf_center_y, [0.0, 0.0, 0.0, 0.25, 0.75, 1.0, 1.0, 1.0, 0.75, 0.25]
     )
-    _, chain = mesh.face_parts()
+    _, chain = split_faces(mesh)
     np.testing.assert_array_equal(chain.cell_a, np.arange(10))
     np.testing.assert_array_equal(chain.cell_b, (np.arange(10) + 1) % 10)
 
@@ -186,7 +198,7 @@ def test_rejects_bad_arguments():
 def test_chain_topology(nx, ny, edges):
     lx, ly = 1.5, 0.7
     mesh = build_mesh(nx, ny, lx, ly, edges)
-    _, faces = mesh.face_parts()
+    _, faces = split_faces(mesh)
     length = faces.measure  # the surface cells' lengths
     perimeter = 2 * (lx + ly)
 

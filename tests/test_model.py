@@ -421,6 +421,25 @@ class TestEquilibrium:
             p, q = eq.u_star**kin.alpha, kin.kappa * eq.v_star**kin.beta
             assert abs(p - q) <= 1e-12 * max(p, q)
 
+    @pytest.mark.parametrize("alpha,beta,mass", [(1, 2, 1e150), (1, 3, 1e100), (1, 2, 1e200)])
+    def test_extreme_mass_meets_both_relations(self, alpha, beta, mass):
+        # v* ~ mass**(alpha/beta) lies hundreds of halvings below the first
+        # bracket (0, mass/(alpha*|Gamma|)], and at 1e200 v**(beta/alpha)
+        # overflows on the way down
+        kin = Kinetics(k=1.0, kappa=1.0, alpha=alpha, beta=beta)
+        eq = solve_equilibrium(kin, mass, 1.0, 1.0)
+        assert abs(beta * eq.u_star + alpha * eq.v_star - mass) <= 1e-14 * mass
+        p, q = eq.u_star**alpha, kin.kappa * eq.v_star**beta
+        assert abs(p - q) <= 1e-14 * max(p, q)
+
+    @pytest.mark.parametrize("alpha,beta,name", [(2, 1, "v_star"), (1, 2, "u_star")])
+    def test_equilibrium_below_the_normal_floats_is_rejected(self, alpha, beta, name):
+        # at mass 1e-300, v* ~ 1e-600 for alpha 2, beta 1, and u* ~ 1e-600 for
+        # alpha 1, beta 2: neither is a float
+        kin = Kinetics(k=1.0, kappa=1.0, alpha=alpha, beta=beta)
+        with pytest.raises(ValueError, match=f"{name} = 0.0 is not a positive normal float"):
+            solve_equilibrium(kin, 1e-300, 1.0, 1.0)
+
     def test_uniqueness_from_different_brackets(self):
         kin = Kinetics(k=1.0, kappa=3.0, alpha=2.5, beta=1.5)
         mass, omega, gamma = 7.0, 2.0, 0.5

@@ -16,6 +16,7 @@ import bulksurf as bs
 from bulksurf.mesh import face_divergence
 from bulksurf.solver import _newton_matrix, _rate_vector
 from test_acceptance import blob_problem
+from test_mesh import split_faces
 
 
 def wide_window(u_star=1.0, v_star=1.0, alpha=1.0, beta=1.0):
@@ -267,19 +268,31 @@ class TestJacobian:
         )
         surf_law = surf_law_maker(kin)
         w = rng.uniform(0.6, 1.8, mesh.n_bulk + mesh.n_surface)
+        # A second state puts bulk cells 0 (a corner) and 2, and the surface
+        # cells they host, well outside the caps.  A cross coefficient's
+        # derivative along the trace is then 0 at one end of the chain faces
+        # next to those cells, and at both ends of the corner link, whose two
+        # cells share the trace 0.
+        w_out = w.copy()
+        w_out[[0, 2]] = 6.0, 0.15
+        v_out = w_out[mesh.n_bulk :]
+        v_out[mesh.surf_to_bulk == 0], v_out[mesh.surf_to_bulk == 2] = 9.0, 0.12
+        assert w_out[0] > 1.5 * win.u_caps[1] and w_out[2] < 0.5 * win.u_caps[0]
+        assert 9.0 > 1.5 * win.v_caps[1] and 0.12 < 0.5 * win.v_caps[0]
         # the grid's own measures, then per-cell bulk measures
         for m in (mesh, with_nonuniform_measures(mesh, rng)):
-            J_fd = _fd_jacobian(w, m, kin, bulk_law, surf_law, win, face_average)
-            scale = max(1.0, np.abs(J_fd).max())
-            for c in NEWTON_SCALES:
-                J_an = _newton_jacobian(w, c, m, kin, bulk_law, surf_law, win, face_average)
-                assert np.abs(J_an - J_fd).max() / scale < 1e-5
+            for x in (w, w_out):
+                J_fd = _fd_jacobian(x, m, kin, bulk_law, surf_law, win, face_average)
+                scale = max(1.0, np.abs(J_fd).max())
+                for c in NEWTON_SCALES:
+                    J_an = _newton_jacobian(x, c, m, kin, bulk_law, surf_law, win, face_average)
+                    assert np.abs(J_an - J_fd).max() / scale < 1e-5
 
 
 def test_newton_matrix_assembly_is_lean(monkeypatch):
-    # One assembly of the 128x128 blob matrix peaks at about 200 bytes per
+    # One assembly of the 128x128 blob matrix peaks at about 170 bytes per
     # unknown: the COO triplets, two per face plus the diagonal, and the CSC
-    # they become.  int64 indices alone would take it to 260.
+    # they become.  int64 indices alone would take it past 230.
     p = blob_problem(128)
     w = np.concatenate([p.state.u, p.state.v])
     args = (p.mesh, p.kin, p.bulk_law, p.surf_law, p.window, p.cfg.face_average)
@@ -291,7 +304,7 @@ def test_newton_matrix_assembly_is_lean(monkeypatch):
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert peak <= 250 * w.size
+    assert peak <= 200 * w.size
     assert matrix.indices.dtype == matrix.indptr.dtype == np.intc
     # the uniform surface start makes the cross-diffusion entries exactly 0:
     # they must be dropped, not stored
@@ -1075,7 +1088,7 @@ class TestRandomProblems:
         )
 
         tr = mesh.surf_to_bulk
-        bulk_faces, chain_faces = mesh.face_parts()
+        bulk_faces, chain_faces = split_faces(mesh)
         r = bs.safe_rate(u[tr], v, kin)
         measure, nb = mesh.faces.measure, mesh.n_bulk
         exchange = -kin.alpha / measure[:nb] * np.bincount(
