@@ -317,14 +317,11 @@ def build_problem(cfg: RunConfig):
     """Assemble mesh, kinetics, laws, initial state, equilibrium and window."""
     mesh = build_mesh(cfg.nx, cfg.ny, cfg.lx, cfg.ly, cfg.active_edges)
     kin = model.Kinetics(k=cfg.k, kappa=cfg.kappa, alpha=cfg.alpha, beta=cfg.beta)
-    makers = {
-        "power": model.power_law,
-        "exponential": model.exponential_law,
-        "constant": model.constant_law,
-        "surface_cross": lambda _param, role: model.surface_cross_law(kin),
-    }
-    bulk_law = makers[cfg.bulk_law](cfg.bulk_law_param)
-    surf_law = makers[cfg.surface_law](cfg.surface_law_param, role="surface")
+    bulk_law = model.DiffusionLaw(cfg.bulk_law, cfg.bulk_law_param)
+    if cfg.surface_law == "surface_cross":
+        surf_law = model.surface_cross_law(kin)
+    else:
+        surf_law = model.DiffusionLaw(cfg.surface_law, cfg.surface_law_param, role="surface")
 
     state = initial_state(cfg, mesh)
     mass = diagnostics.weighted_mass(state, mesh, kin)

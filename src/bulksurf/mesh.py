@@ -172,12 +172,16 @@ class CoupledMesh:
     # at n_bulk + j): the n_bulk_faces interior faces of the grid, then the
     # links between chain-adjacent surface cells
     faces: FaceSet = field(repr=False)
-    n_bulk_faces: int
 
     @property
     def n_bulk(self) -> int:
         """Bulk cell count, nx * ny."""
         return self.nx * self.ny
+
+    @property
+    def n_bulk_faces(self) -> int:
+        """Interior face count of the grid, the first entries of faces."""
+        return self.nx * (self.ny - 1) + self.ny * (self.nx - 1)
 
     @property
     def n_surface(self) -> int:
@@ -295,6 +299,5 @@ def build_mesh(
         cell_center_x=cgx.ravel(),
         cell_center_y=cgy.ravel(),
         faces=faces,
-        n_bulk_faces=h + v,
     )
 

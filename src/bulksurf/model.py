@@ -405,10 +405,11 @@ def solve_equilibrium(
                   + alpha*|Gamma|*v - m = 0,
     which is strictly increasing from -m at v=0, by bisection on
     (0, m/(alpha*|Gamma|)] followed by a Newton polish, then recovers
-    u_star = kappa**(1/alpha) * v_star**(beta/alpha).  g counts as positive
-    where v**(beta/alpha) overflows, and the bisection runs long enough to
-    cross the float range.  Raises ValueError when v_star or u_star is not
-    a positive normal float.
+    u_star = kappa**(1/alpha) * v_star**(beta/alpha).  A bracket end that
+    overflows is the largest float.  g counts as positive where
+    v**(beta/alpha) overflows, and the bisection runs long enough to cross
+    the float range.  Raises ValueError when v_star or u_star is not a
+    positive normal float.
     """
     if not (math.isfinite(mass) and mass > 0):
         raise ValueError(f"equilibrium requires positive finite mass, got {mass}")
@@ -430,16 +431,20 @@ def solve_equilibrium(
         return cb * expo * v ** (expo - 1.0) + cg
 
     v_hi = mass / cg
+    if v_hi == math.inf:  # |Gamma| so small that the bracket overflows
+        v_hi = sys.float_info.max
+        if g(v_hi) < 0:
+            raise ValueError("equilibrium v_star lies above the largest float")
     v_lo = 0.0  # g -> -mass as v -> 0+
     for _ in range(_BISECTION_STEPS):
-        v_mid = 0.5 * (v_lo + v_hi)
+        v_mid = 0.5 * v_lo + 0.5 * v_hi  # 0.5 * (v_lo + v_hi) may overflow
         if g(v_mid) > 0:
             v_hi = v_mid
         else:
             v_lo = v_mid
         if v_hi - v_lo <= _BISECTION_TOL * v_hi:
             break
-    v_star = 0.5 * (v_lo + v_hi)
+    v_star = 0.5 * v_lo + 0.5 * v_hi
     _check_normal("v_star", v_star)  # before the polish raises it to expo - 1, maybe < 0
     for _ in range(8):
         dv = g(v_star) / gprime(v_star)

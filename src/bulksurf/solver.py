@@ -87,13 +87,16 @@ _PREDICTOR_WEIGHTS = [
 # many times, before the failure is fatal.
 MAX_DT_HALVINGS = 5
 
+_Solve = Callable[[np.ndarray], np.ndarray]  # the solve of a Newton LU
+
 
 class NonConvergence(RuntimeError):
     """Newton failed to converge in step.
 
-    step raises it when the iteration cap cfg.newton_max_iter is reached, or
-    when no damping of the line search lowers the residual on an LU freshly
-    factored at the current iterate; residual is in units of u* and v*.
+    step raises it when the iteration cap cfg.newton_max_iter is reached,
+    when SuperLU cannot factor the Newton matrix in double precision, or
+    when no damping of the line search lowers the residual on a fresh
+    double-precision LU; residual is in units of u* and v*.
     run retries the step with dt halved up to MAX_DT_HALVINGS times first.
     """
 
@@ -174,54 +177,56 @@ class NewtonLU:
     history's extrapolation once it is full; any other step evaluates
     F(w_old) and restarts the history as (accepted state, old state).  So
     the predictor only extrapolates an unbroken equally spaced sequence.
-    The LU is also dropped, and refactored at the current iterate, after an
-    iteration that leaves more than CONTRACTION times the previous residual
-    and when the line search fails on it.
+    One rule drops the LU, to be refactored at the current iterate: an
+    iteration whose line search fails, or whose accepted residual is above
+    newton_tol and more than CONTRACTION times the previous one.
 
-    Factors are single precision until double is set.  step sets it when
-    the Newton matrix is not finite in float32, when SuperLU cannot factor
-    it, or when an iteration on a fresh single-precision factor fails the
-    line search or leaves more than CONTRACTION times the residual; the
-    next factor, at the current iterate, is then double precision, and so
-    is every later one until another problem empties the holder.
+    Factors are single precision until double is set.  _factor sets it when
+    the Newton matrix is not finite in float32 or SuperLU cannot factor the
+    float32 copy, and step when the rule drops a fresh single-precision LU;
+    every later factor is then double precision until another problem
+    empties the holder.
     """
 
     problem: tuple | None = None
-    solve: Callable[[np.ndarray], np.ndarray] | None = None
+    solve: _Solve | None = None
     f: np.ndarray | None = None
     history: tuple[np.ndarray, ...] = ()
     double: bool = False
 
 
-def _factor(matrix: sparse.csc_matrix, dtype=np.float32) -> Callable[[np.ndarray], np.ndarray] | None:
-    """The solve of a SuperLU factor of matrix in dtype, or None if it cannot be made.
+def _factor(matrix: sparse.csc_matrix, double: bool) -> tuple[_Solve | None, bool]:
+    """The solve of a SuperLU factor of matrix and whether it is double precision.
 
     Panel size 1 gives the same factor as SuperLU's default panel size, bit
     for bit, in less time and memory (the panel workspace scales with panel
-    size times n).  A float32 factor is made from a float32 copy of the
-    values on the matrix's own index arrays; it solves the right-hand side
-    scaled by its max-norm, so its range fits single precision, and returns
-    float64.  It is None when the matrix is not finite in float32.  Either
-    precision is None when SuperLU raises (an exactly singular factor).
+    size times n).  Unless double is set the factor is single precision,
+    made from a float32 copy of the values on the matrix's own index arrays;
+    it solves the right-hand side scaled by its max-norm, so its range fits
+    single precision, and returns float64.  When the matrix is not finite in
+    float32, or SuperLU raises on the copy (an exactly singular factor), the
+    factor is double precision instead.  solve is None only when SuperLU
+    raises on the double-precision matrix.
     """
-    if dtype == np.float32:
+    a = matrix
+    if not double:
         with np.errstate(over="ignore"):
             data = matrix.data.astype(np.float32)
-        if not np.all(np.isfinite(data)):
-            return None
-        matrix = sparse.csc_matrix((data, matrix.indices, matrix.indptr), shape=matrix.shape)
+        double = not np.all(np.isfinite(data))
+        if not double:
+            a = sparse.csc_matrix((data, matrix.indices, matrix.indptr), shape=matrix.shape)
     try:
-        factor = spla.splu(matrix, permc_spec="MMD_AT_PLUS_A", panel_size=1)
+        factor = spla.splu(a, permc_spec="MMD_AT_PLUS_A", panel_size=1)
     except RuntimeError:
-        return None
-    if dtype != np.float32:
-        return factor.solve
+        return (None, True) if double else _factor(matrix, True)
+    if double:
+        return factor.solve, True
 
     def solve(b: np.ndarray) -> np.ndarray:
         scale = np.abs(b).max()
         return scale * factor.solve((b / scale).astype(np.float32)).astype(float)
 
-    return solve
+    return solve, False
 
 
 def total_rate(
@@ -333,15 +338,19 @@ def step(
     unchanged apart from the time.  Otherwise Newton starts from w_old, or,
     when lu holds a full history ending at w_old, from its extrapolant
     sum_j (-1)^j C(K+1, j+1) w_{n-j} (K = PREDICTOR_DEGREE) if R there,
-    evaluated once, is smaller than R(w_old) = -dt*F(w_old).  Negative
+    evaluated once, is smaller than R(w_old) = -dt*F(w_old).  The line
+    search takes the first of w + 2**-k * delta, k = 0..11, whose residual
+    is smaller.  Each candidate (w_old, the extrapolant, a trial) is
+    evaluated by one helper: F once, then R and its size.  Negative
     intermediate iterates are harmless: the guarded rate and the
     coefficient clamp keep every evaluation defined.
 
     lu carries the LU, the accepted rate and the accepted states from the
     step before and receives this step's; NewtonLU states when each is used
-    and when it is dropped, and when its factors switch from single to
-    double precision.  Without lu the step starts from a new empty holder
-    and factors at the old state.  Every factor comes from _factor.
+    and the one rule that drops the LU, and when its factors switch from
+    single to double precision.  Without lu the step starts from a new
+    empty holder and factors at the old state.  Every factor comes from
+    _factor(matrix, lu.double), which returns its solve and precision.
 
     Raises NonConvergence when the iteration cap is reached, or when SuperLU
     cannot factor the matrix or the line search fails on a fresh
@@ -354,24 +363,19 @@ def step(
     dt = cfg.dt
     theta = cfg.theta
     w_old = np.concatenate([state.u, state.v])
-
-    def fvec(w: np.ndarray) -> np.ndarray:
-        return _rate_vector(w, mesh, kin, bulk_law, surf_law, window, cfg.face_average)
+    operator = (mesh, kin, bulk_law, surf_law, window, cfg.face_average)  # F and J read these
 
     if lu is None:
         lu = NewtonLU()
-    problem = (mesh, kin, bulk_law, surf_law, window, cfg.face_average, dt * theta)
+    problem = operator + (dt * theta,)
     if lu.problem is not None and lu.problem != problem:
         lu.solve, lu.f, lu.history, lu.double = None, None, (), False
     lu.problem = problem
 
     chained = bool(lu.history) and np.array_equal(lu.history[0], w_old)
     history = lu.history if chained else (w_old,)
-    f_old = lu.f if chained and lu.f is not None else fvec(w_old)
+    f_old = lu.f if chained and lu.f is not None else _rate_vector(w_old, *operator)
     expl = np.zeros_like(w_old) if theta == 1.0 else dt * (1.0 - theta) * f_old
-
-    def residual(w: np.ndarray, f: np.ndarray) -> np.ndarray:
-        return w - w_old - dt * theta * f - expl
 
     def size(x: np.ndarray) -> float:
         """max_i |x_i|/star_i, one reduction per field; NaN if x holds a NaN."""
@@ -379,60 +383,46 @@ def step(
         u_size, v_size = u_max / window.u_star, v_max / window.v_star
         return u_size if u_size >= v_size or u_size != u_size else v_size  # NaN wins
 
-    w, f = w_old.copy(), f_old
-    r = residual(w, f)
-    rn = size(r)
+    def candidate(w: np.ndarray, f: np.ndarray | None = None) -> tuple:
+        """(w, F(w), R(w), size(R(w))), evaluating F unless it is given."""
+        if f is None:
+            f = _rate_vector(w, *operator)
+        r = w - w_old - dt * theta * f - expl
+        return w, f, r, size(r)
+
+    w, f, r, rn = candidate(w_old, f_old)
     if not rn <= cfg.newton_tol and len(history) == PREDICTOR_DEGREE + 1:
-        w_pred = sum(c * h for c, h in zip(_PREDICTOR_WEIGHTS, history))
-        f_pred = fvec(w_pred)
-        r_pred = residual(w_pred, f_pred)
-        rn_pred = size(r_pred)
-        if rn_pred < rn:
-            w, f, r, rn = w_pred, f_pred, r_pred, rn_pred
+        predicted = candidate(sum(c * h for c, h in zip(_PREDICTOR_WEIGHTS, history)))
+        if predicted[3] < rn:
+            w, f, r, rn = predicted
     iters = 0
     while not rn <= cfg.newton_tol:
         if iters >= cfg.newton_max_iter:
             raise NonConvergence(iters, rn)
         fresh = lu.solve is None  # factored at the current iterate
-        if fresh:
-            matrix = _newton_matrix(
-                w, dt * theta, mesh, kin, bulk_law, surf_law, window, cfg.face_average
-            )
-            lu.solve = None if lu.double else _factor(matrix)
+        if fresh:  # the matrix is freed once factored: the factor holds what Newton needs
+            lu.solve, lu.double = _factor(_newton_matrix(w, dt * theta, *operator), lu.double)
             if lu.solve is None:
-                lu.double = True
-                lu.solve = _factor(matrix, np.float64)
-                if lu.solve is None:
-                    raise NonConvergence(iters, rn)
-            del matrix  # the factor holds what the iteration needs
+                raise NonConvergence(iters, rn)
         delta = lu.solve(-r)
         iters += 1
         if size(delta) <= cfg.newton_tol:
             w = w + delta
-            f = fvec(w)
+            f = _rate_vector(w, *operator)  # for lu.f; the residual is not needed
             break
 
-        lam = 1.0
-        for _ in range(12):
-            w_trial = w + lam * delta
-            f_trial = fvec(w_trial)
-            r_trial = residual(w_trial, f_trial)
-            rn_trial = size(r_trial)
-            if np.isfinite(rn_trial) and rn_trial < rn:
+        for k in range(12):  # damping 1, 1/2, ..., 1/2**11
+            trial = candidate(w + 0.5**k * delta)
+            if trial[3] < rn:
                 break
-            lam *= 0.5
-        else:  # no trial reduced the residual
-            if fresh and lu.double:
+        reduced = trial[3] < rn  # false for a NaN or inf residual
+        if not reduced or trial[3] > cfg.newton_tol and trial[3] / rn > CONTRACTION:
+            if fresh and lu.double and not reduced:
                 raise NonConvergence(iters, rn)
-            lu.double |= fresh  # a fresh single-precision factor failed
-            lu.solve = None  # retry this iteration with a fresh Jacobian
-            continue
-
-        contraction = rn_trial / rn
-        w, f, r, rn = w_trial, f_trial, r_trial, rn_trial
-        if rn > cfg.newton_tol and contraction > CONTRACTION:
-            lu.double |= fresh
-            lu.solve = None
+            lu.double |= fresh  # after a fresh factor, every next one is double precision
+            lu.solve = None  # refactor at the current iterate
+        if reduced:
+            w, f, r, rn = trial
 
     lu.f = f
     lu.history = (w,) + history[:PREDICTOR_DEGREE]
@@ -454,8 +444,10 @@ def run(
 
     The first record is the initial state; one more follows each accepted
     step.  The final step is clipped to land on t_final exactly; a remainder
-    within round-off (t_eps) of cfg.dt is taken at cfg.dt, so summed step
-    times do not cost a clipped step, and its time is set to t_final.  On
+    within round-off of cfg.dt (t_eps, 1e-12 times the larger of |initial.t|
+    and |t_final|, so any time scale steps alike) is taken at cfg.dt, so
+    summed step times do not cost a clipped step, and its time is set to
+    t_final.  On
     Newton failure the step is retried with dt halved, up to
     MAX_DT_HALVINGS times; subsequent steps return to the configured dt.
     The steps share one NewtonLU (see there for what it carries across
@@ -477,7 +469,7 @@ def run(
     state = initial
     records = [recorded(state)]
     lu = NewtonLU()
-    t_eps = 1e-12 * max(1.0, abs(t_final))
+    t_eps = 1e-12 * max(abs(initial.t), abs(t_final))
     while state.t < t_final - t_eps:
         remaining = t_final - state.t
         local = cfg if remaining >= cfg.dt - t_eps else replace(cfg, dt=remaining)

@@ -432,6 +432,19 @@ class TestEquilibrium:
         p, q = eq.u_star**alpha, kin.kappa * eq.v_star**beta
         assert abs(p - q) <= 1e-14 * max(p, q)
 
+    def test_tiny_surface_meets_both_relations(self):
+        # mass/(alpha*|Gamma|) overflows, so the bracket starts at the largest
+        # float; v* ~ 1e300 lies inside it
+        kin = Kinetics(k=1.0, kappa=1.0, alpha=1.0, beta=1.0)
+        mass, gamma = 1e300, 1e-10
+        eq = solve_equilibrium(kin, mass, 1.0, gamma)
+        assert abs(eq.u_star + gamma * eq.v_star - mass) <= 1e-14 * mass
+        assert abs(eq.u_star - eq.v_star) <= 1e-14 * eq.u_star
+        # for alpha 2 at |Gamma| 1e-300, v* ~ 5e599 lies above it
+        kin = Kinetics(k=1.0, kappa=1.0, alpha=2.0, beta=1.0)
+        with pytest.raises(ValueError, match="v_star lies above the largest float"):
+            solve_equilibrium(kin, mass, 1.0, 1e-300)
+
     @pytest.mark.parametrize("alpha,beta,name", [(2, 1, "v_star"), (1, 2, "u_star")])
     def test_equilibrium_below_the_normal_floats_is_rejected(self, alpha, beta, name):
         # at mass 1e-300, v* ~ 1e-600 for alpha 2, beta 1, and u* ~ 1e-600 for

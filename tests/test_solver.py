@@ -314,7 +314,7 @@ def test_newton_matrix_assembly_is_lean(monkeypatch):
     seen = []
     splu = bs.solver.spla.splu
     monkeypatch.setattr(bs.solver.spla, "splu", lambda a, **kw: seen.append(a) or splu(a, **kw))
-    bs.solver._factor(matrix)
+    bs.solver._factor(matrix, False)
     assert seen[0].dtype == np.float32
     assert np.shares_memory(seen[0].indices, matrix.indices)
     assert np.shares_memory(seen[0].indptr, matrix.indptr)
@@ -659,6 +659,27 @@ def test_newton_stops_in_units_of_the_equilibrium():
     for scaled in finals[1:]:
         np.testing.assert_allclose(scaled, finals[0], rtol=1e-14, atol=0)
 
+    # Time scaled by s: rate constant and coefficients 1/s, dt 0.01*s.  run's
+    # round-off allowance on the times is relative to them, so every scale
+    # takes the same 10 steps to the same state.
+    u0, v0 = 1.0 + 0.5 * np.sin(3.0 * mesh.cell_center_x), np.full(mesh.n_surface, 0.7)
+    state = bs.State(t=0.0, u=u0, v=v0)
+    eq = bs.solve_equilibrium(
+        kin, bs.weighted_mass(state, mesh, kin), mesh.total_bulk_measure, mesh.total_surface_measure
+    )
+    window = bs.window_from_initial_data(u0, v0, eq, kin)
+    finals = []
+    for s in (1.0, 1e-6, 1e-11, 1e-13, 1e-200):
+        kin_s = bs.Kinetics(k=1.0 / s, kappa=1.0, alpha=1.0, beta=1.0)
+        laws_s = (bs.constant_law(1.0 / s), bs.constant_law(1.0 / s, role="surface"))
+        cfg = bs.StepConfig(dt=0.01 * s)
+        final, records = bs.run(state, 0.1 * s, mesh, kin_s, eq, *laws_s, window, cfg)
+        times = [r.t / s for r in records]
+        np.testing.assert_allclose(times, 0.01 * np.arange(11), rtol=0, atol=1e-15, err_msg=str(s))
+        finals.append(np.concatenate([final.u, final.v]))
+    for scaled in finals[1:]:
+        np.testing.assert_allclose(scaled, finals[0], rtol=1e-14, atol=0)
+
 
 class TestLUReuse:
     """run keeps one Newton LU across steps and refactors when theta*dt changes."""
@@ -707,7 +728,7 @@ class TestLUReuse:
         factor = bs.solver._factor
         monkeypatch.setattr(
             bs.solver, "_factor",
-            lambda matrix, dtype=np.float32: None if dtype == np.float32 else factor(matrix, dtype),
+            lambda matrix, double: factor(matrix, True),
         )
 
     def primed(self):
@@ -862,7 +883,7 @@ class TestLUReuse:
         factor = bs.solver._factor
         monkeypatch.setattr(
             bs.solver, "_factor",
-            lambda matrix, dtype=np.float32: (lambda b: -b) if dtype == np.float32 else factor(matrix, dtype),
+            lambda matrix, double: factor(matrix, True) if double else ((lambda b: -b), False),
         )
         lu = bs.NewtonLU()
         out = bs.step(state, mesh, kin, *laws, window, cfg, lu=lu)
@@ -996,6 +1017,21 @@ class TestLUReuse:
         plain = bs.step(state, mesh, kin, *laws, window, cfg, lu=twin)
         np.testing.assert_array_equal(out.u, plain.u)
         np.testing.assert_array_equal(out.v, plain.v)
+
+    def test_acceptance_blob_work_is_pinned(self, monkeypatch):
+        # 300 steps of the acceptance blob take 4 LUs, 545 solves and 841
+        # rate evaluations: a change to the Newton loop, the LU reuse or the
+        # predictor that changes the work shows here
+        p = blob_problem()
+        calls, solves = self.count_splu(monkeypatch)
+        rates = []
+        rate = bs.solver.safe_rate
+        monkeypatch.setattr(bs.solver, "safe_rate", lambda *args: rates.append(1) or rate(*args))
+        _, records = bs.run(
+            p.state, 300 * p.cfg.dt, p.mesh, p.kin, p.eq, p.bulk_law, p.surf_law, p.window, p.cfg
+        )
+        assert len(records) == 301
+        assert (len(calls), len(solves), len(rates)) == (4, 545, 841)
 
 
 # every law kind in each slot; the surface makers take the kinetics because
@@ -1134,7 +1170,7 @@ for nx, ny, edges in ((1, 1, {"bottom"}), (3, 2, set(bs.mesh.EDGE_NAMES)),
 for _ in range(12):
     for w, matrix in problems:
         for dtype in (np.float32, np.float64):
-            x = _factor(matrix, dtype)(w)
+            x = _factor(matrix, dtype == np.float64)[0](w)
             # normwise backward error within a few hundred units of round-off
             norm = abs(matrix).sum(axis=1).max() * np.abs(x).max()
             assert np.abs(matrix @ x - w).max() <= 1e3 * np.finfo(dtype).eps * norm
