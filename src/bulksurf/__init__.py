@@ -1,6 +1,6 @@
 """Structure-preserving finite-volume simulation of bulk-surface reaction-diffusion.
 
-A species u diffuses nonlinearly in a rectangle and exchanges mass through a
+A species u diffuses nonlinearly in a bulk domain and exchanges mass through a
 reversible mass-action reaction with a species v living on an active part of
 the boundary, where v also diffuses (possibly with cross diffusion).  The
 scheme conserves the weighted mass exactly and the diagnostics layer tracks

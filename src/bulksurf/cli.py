@@ -281,8 +281,11 @@ def initial_state(cfg: RunConfig, mesh) -> solver.State:
         base_u = cfg.blob_base_u
         try:
             base_v = (base_u**cfg.alpha / cfg.kappa) ** (1.0 / cfg.beta)
-        except OverflowError:
-            base_v = math.inf
+        except OverflowError:  # base_u**alpha may overflow where the balanced v does not
+            try:
+                base_v = base_u ** (cfg.alpha / cfg.beta) * cfg.kappa ** (-1.0 / cfg.beta)
+            except OverflowError:
+                base_v = math.inf
         if base_v == math.inf:
             reason = "the balanced v = (blob_base_u**alpha / kappa)**(1/beta) overflows in floats"
             raise ConfigError([BadValue("blob_base_u", reason)])

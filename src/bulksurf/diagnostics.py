@@ -206,8 +206,8 @@ def _diffusion_dissipation(state, mesh, window, bulk_law, surf_law, face_average
     <= 0 because the excess potential is a nondecreasing function of its own
     concentration, making each face term a product of like-signed
     differences.  One pass over mesh.faces and the stacked state gives every
-    face term; the sum splits at the first chain face.  The laws' roles are
-    checked by record, the only caller.
+    face term; the sum splits by whether a face joins bulk cells.  The laws'
+    roles are checked by record, the only caller.
     """
     u, v = state.u, state.v
     mu = np.concatenate((
@@ -218,10 +218,10 @@ def _diffusion_dissipation(state, mesh, window, bulk_law, surf_law, face_average
         _envelope(u, window.u_star, window.alpha, window)[2],
         _envelope(v, window.v_star, window.beta, window)[2],
     ))
-    faces, m = mesh.faces, mesh.n_bulk_faces
+    faces, bulk = mesh.faces, mesh.faces.cell_a < mesh.n_bulk
     flux = face_flux(faces, np.concatenate((u, v)), mu, face_average)
     terms = flux * (pot[faces.cell_b] - pot[faces.cell_a])
-    return -float(np.sum(terms[:m])), -float(np.sum(terms[m:]))
+    return -float(np.sum(terms[bulk])), -float(np.sum(terms[~bulk]))
 
 
 def record(

@@ -1,20 +1,19 @@
-"""Finite-volume grid for a rectangle coupled to a surface mesh on part of its boundary.
+"""The coupled bulk/surface mesh: one face set over stacked cells, and a trace map.
 
-The bulk domain is an axis-aligned rectangle split into ``nx * ny`` uniform
-control volumes.  The active surface is a union of whole rectangle edges; each
-boundary face of a bulk cell lying on an active edge becomes one surface
-control volume.  Surface cells are ordered along the counterclockwise boundary
-cycle (bottom, right, top, left), so that cells on adjacent active edges form
-a single connected 1D chain joined at the shared corner.  Chain endpoints have
-no neighbor, which realizes the zero-flux condition there; with all four edges
-active the chain closes into a loop.
-
-Both diffusions are one two-point flux on one face set over the stacked
-state w = (u, v): the interior faces of the grid first, then the chain faces,
-whose cells are numbered after the n_bulk bulk cells.  The face operator
-(face flux, net inflow per unit cell measure and its Jacobian block) lives
-here beside FaceSet, below both the time stepper and the entropy
+The time stepper and the diagnostics read a CoupledMesh through its face set,
+its trace map and its cell measures alone, so any mesh on which a two-point
+flux is consistent serves them, whatever the shape of its domain.  The face
+operator (flux, net inflow per unit cell measure and its Jacobian block)
+lives here beside FaceSet, below both the time stepper and the entropy
 diagnostics, which pair the flux with potential differences.
+
+build_mesh makes the mesh of a rectangle of ``nx * ny`` uniform control
+volumes.  Each boundary face of a bulk cell on an active edge becomes one
+surface control volume, ordered along the counterclockwise boundary cycle
+(bottom, right, top, left), so that cells on adjacent active edges form one
+1D chain joined at the shared corner.  Chain endpoints have no neighbor,
+which realizes the zero-flux condition there; with all four edges active
+the chain closes into a loop.
 """
 
 from __future__ import annotations
@@ -55,9 +54,7 @@ class FaceSet:
     Face f joins cells ``cell_a[f]`` and ``cell_b[f]``; its transmissibility
     ``trans[f]`` is |face| over the distance of their centers (one over it
     on the 1D surface chain).  ``measure[i]`` is the measure of cell i (area
-    in the bulk, length on the chain).  The face set of a CoupledMesh holds
-    bulk and surface cells alike, but no face joins a bulk cell to a surface
-    cell.
+    in the bulk, length on the chain).
     """
 
     cell_a: np.ndarray
@@ -145,43 +142,43 @@ def face_block(faces: FaceSet, x, mu, dmu_x, face_average, dmu_y, y_cols):
 
 @dataclass(frozen=True, eq=False)
 class CoupledMesh:
-    """Immutable bulk grid plus surface chain and the trace map between them.
+    """Immutable face set over bulk and surface cells, plus the trace map between them.
 
-    Bulk cells are indexed row-major: cell ``(ix, iy)`` has index
-    ``iy * nx + ix`` and center ``((ix + 0.5) * lx / nx, (iy + 0.5) * ly / ny)``.
+    Cells are stacked, the n_bulk bulk cells first and then surface cell j at
+    ``n_bulk + j``; no face of ``faces`` joins a bulk cell to a surface cell.
     Every cell measure, bulk area and surface length alike, is
-    ``faces.measure``: bulk cell i at i, surface cell j at ``n_bulk + j``;
-    the totals |Omega| and |Gamma| are its sums over the two parts, so a
-    mesh with other measures has its own totals.  ``surf_to_bulk[j]`` is
-    the bulk cell whose boundary face hosts surface cell ``j``; a corner
-    bulk cell may host two surface cells when both of its boundary edges
-    are active.
+    ``faces.measure``, and the totals |Omega| and |Gamma| are its sums over
+    the two parts.  ``surf_to_bulk[j]`` is the bulk cell whose boundary face
+    hosts surface cell j; one bulk cell may host several.  The centres place
+    the cells for initial data and output, and ``lx``, ``ly`` are the extents
+    of the bulk domain.  A mesh that breaks this contract raises ValueError.
     """
 
-    nx: int
-    ny: int
     lx: float
     ly: float
     surf_to_bulk: np.ndarray = field(repr=False)
     surf_center_x: np.ndarray = field(repr=False)
     surf_center_y: np.ndarray = field(repr=False)
-    surf_edge: tuple[str, ...] = field(repr=False)
     cell_center_x: np.ndarray = field(repr=False)
     cell_center_y: np.ndarray = field(repr=False)
-    # the faces of both diffusions on the stacked cells (bulk, then surface
-    # at n_bulk + j): the n_bulk_faces interior faces of the grid, then the
-    # links between chain-adjacent surface cells
     faces: FaceSet = field(repr=False)
+
+    def __post_init__(self):
+        f, nb, tr = self.faces, self.n_bulk, self.surf_to_bulk
+        if not f.cell_a.size == f.cell_b.size == f.trans.size:
+            raise ValueError("the face arrays cell_a, cell_b and trans differ in length")
+        cells = np.concatenate((f.cell_a, f.cell_b))
+        if not 0 <= cells.min(initial=0) <= cells.max(initial=0) < f.measure.size:
+            raise ValueError(f"a face cell index lies outside the {f.measure.size} cells")
+        if np.any((f.cell_a < nb) != (f.cell_b < nb)):
+            raise ValueError("a face joins a bulk cell to a surface cell")
+        if not 0 <= tr.min(initial=0) <= tr.max(initial=0) < nb:  # so n_bulk >= 1 too
+            raise ValueError(f"surf_to_bulk must index the n_bulk = {nb} >= 1 bulk cells")
 
     @property
     def n_bulk(self) -> int:
-        """Bulk cell count, nx * ny."""
-        return self.nx * self.ny
-
-    @property
-    def n_bulk_faces(self) -> int:
-        """Interior face count of the grid, the first entries of faces."""
-        return self.nx * (self.ny - 1) + self.ny * (self.nx - 1)
+        """Bulk cell count: the cells of faces.measure that are not surface cells."""
+        return self.faces.measure.size - self.surf_to_bulk.size
 
     @property
     def n_surface(self) -> int:
@@ -215,7 +212,11 @@ def build_mesh(
     ly: float,
     active_edges,
 ) -> CoupledMesh:
-    """Build the coupled bulk/surface mesh.
+    """Build the coupled bulk/surface mesh of a rectangle.
+
+    Bulk cells are indexed row-major: cell ``(ix, iy)`` has index
+    ``iy * nx + ix`` and center ``((ix + 0.5) * lx / nx, (iy + 0.5) * ly / ny)``.
+    The faces are the interior faces of the grid, then the chain's.
 
     Parameters
     ----------
@@ -254,11 +255,10 @@ def build_mesh(
         (n_bulk - 1 - ix, np.full(nx, dx), xs[::-1], np.full(nx, ny * dy)),
         ((ny - 1 - iy) * nx, np.full(ny, dy), np.zeros(ny), ys[::-1]),
     )
-    sizes = [nx, ny, nx, ny]
 
     # Surface cells in boundary-cycle order; chain faces join cycle-adjacent
     # active positions, wrapping only when the whole boundary is active.
-    active = np.repeat([edge in edges for edge in EDGE_NAMES], sizes)
+    active = np.repeat([edge in edges for edge in EDGE_NAMES], [nx, ny, nx, ny])
     surf_to_bulk, surf_length, surf_cx, surf_cy = (
         np.concatenate(column)[active] for column in zip(*sides)
     )
@@ -285,19 +285,14 @@ def build_mesh(
         measure=np.concatenate([np.full(n_bulk, dx * dy), surf_length]),
     )
 
-    cgx, cgy = np.meshgrid(xs, ys)
-
     return CoupledMesh(
-        nx=nx,
-        ny=ny,
         lx=float(lx),
         ly=float(ly),
         surf_to_bulk=surf_to_bulk,
         surf_center_x=surf_cx,
         surf_center_y=surf_cy,
-        surf_edge=tuple(np.repeat(EDGE_NAMES, sizes)[active].tolist()),
-        cell_center_x=cgx.ravel(),
-        cell_center_y=cgy.ravel(),
+        cell_center_x=np.tile(xs, ny),
+        cell_center_y=np.repeat(ys, nx),
         faces=faces,
     )
 

@@ -447,19 +447,22 @@ def run(
     within round-off of cfg.dt (t_eps, 1e-12 times the larger of |initial.t|
     and |t_final|, so any time scale steps alike) is taken at cfg.dt, so
     summed step times do not cost a clipped step, and its time is set to
-    t_final.  On
-    Newton failure the step is retried with dt halved, up to
-    MAX_DT_HALVINGS times; subsequent steps return to the configured dt.
-    The steps share one NewtonLU (see there for what it carries across
-    steps and when a halved or clipped step drops it).  A fatal failure
-    propagates NonConvergence with the last good state and the records so
-    far attached to the exception.
+    t_final.  A positive span within t_eps, or a cfg.dt of at most 2*t_eps,
+    raises ValueError: the clock cannot resolve it.  On Newton failure the
+    step is retried with dt halved, up to MAX_DT_HALVINGS times; later steps
+    return to the configured dt.  The steps share one NewtonLU (see there
+    for what it carries across steps and when a halved or clipped step
+    drops it).  A fatal failure propagates NonConvergence with the last
+    good state and the records so far attached to the exception.
     """
     if not np.isfinite(t_final):
         raise ValueError(f"t_final must be finite, got {t_final}")
     if t_final < initial.t:
         raise ValueError(f"t_final={t_final} lies before the initial time {initial.t}")
     check_sizes(initial, mesh)
+    t_eps = 1e-12 * max(abs(initial.t), abs(t_final))
+    if t_final > initial.t and min(t_final - initial.t, 0.5 * cfg.dt) <= t_eps:
+        raise ValueError(f"span {t_final - initial.t} or dt {cfg.dt} is within round-off {t_eps}")
 
     def recorded(st: State):
         return diagnostics.record(
@@ -469,7 +472,6 @@ def run(
     state = initial
     records = [recorded(state)]
     lu = NewtonLU()
-    t_eps = 1e-12 * max(abs(initial.t), abs(t_final))
     while state.t < t_final - t_eps:
         remaining = t_final - state.t
         local = cfg if remaining >= cfg.dt - t_eps else replace(cfg, dt=remaining)

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 import bulksurf as bs
+from test_mesh import disk_mesh
 
 RNG_SEED = 20240817
 
@@ -377,3 +378,34 @@ def test_criterion_11_equilibrium_fixed_point(label, bulk_law_maker, surf_law_ma
         assert worst <= 1e-13
     print(f"[criterion 11] PASS fixed point ({label}): worst drift {worst:.2e} "
           f"over 100 steps, clamp never active")
+
+
+def test_disk_blob_keeps_the_structure():
+    # The nonlinear blob on a polar mesh of the unit disk, with Gamma the
+    # whole boundary circle, through run and record unchanged: the core reads
+    # only the mesh's face set, trace map and measures.
+    n = 8
+    mesh = disk_mesh(np.arange(1, n + 1) / n, 4 * n)
+    assert (mesh.n_bulk, mesh.n_surface) == (225, 32)
+    assert mesh.total_bulk_measure == pytest.approx(math.pi, rel=1e-15, abs=0)
+    assert mesh.total_surface_measure == pytest.approx(2 * math.pi, rel=1e-15, abs=0)
+    kin = bs.Kinetics(k=1.0, kappa=1.0, alpha=2.0, beta=1.0)
+    x, y, width = mesh.cell_center_x, mesh.cell_center_y, 0.24
+    u0 = (1.2 + 0.6 * np.exp(-((x + 0.3) ** 2 + (y - 0.2) ** 2) / (2 * width**2))
+          + 0.45 * np.exp(-((x - 0.3) ** 2 + (y + 0.25) ** 2) / (2 * width**2)))
+    state = bs.State(t=0.0, u=u0, v=np.full(mesh.n_surface, 1.2**kin.alpha / kin.kappa))
+    mass = bs.weighted_mass(state, mesh, kin)
+    eq = bs.solve_equilibrium(kin, mass, mesh.total_bulk_measure, mesh.total_surface_measure)
+    window = bs.window_from_initial_data(state.u, state.v, eq, kin)
+    cfg = bs.StepConfig(dt=1e-3, newton_tol=1e-13, newton_max_iter=40)
+    final, records = bs.run(
+        state, 0.3, mesh, kin, eq, bs.power_law(1.0), bs.surface_cross_law(kin), window, cfg
+    )
+    assert len(records) == 301 and final.t == 0.3
+    drift = max(abs(r.mass - mass) / mass for r in records)
+    assert drift <= 1e-14
+    entropies = [r.entropy for r in records]
+    assert all(b <= a for a, b in zip(entropies, entropies[1:]))
+    assert all(r.envelope_entropy == 0.0 and r.clamp_activations == 0 for r in records)
+    print(f"[disk] PASS blob on {mesh.n_bulk} + {mesh.n_surface} polar cells: mass drift "
+          f"{drift:.1e}, entropy {entropies[0]:.4f} -> {entropies[-1]:.4f}, envelopes held")

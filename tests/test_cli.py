@@ -115,6 +115,13 @@ class TestInitialData:
         assert np.min(state.u) >= cfg.blob_base_u  # positive bumps only add
         np.testing.assert_allclose(state.v, base_v)
 
+    def test_two_blob_background_whose_power_overflows_is_balanced(self, tmp_path):
+        # blob_base_u**alpha = 1e400 overflows, yet the balanced v is 1e200
+        overrides = ["alpha=2", "beta=2", "kappa=1", "blob_base_u=1e200"]
+        cfg = parse_config(write(tmp_path, BLOB_RUN), overrides)
+        state = build_problem(cfg)[4]
+        assert np.all(state.v == 1e200)
+
     @pytest.mark.parametrize("overrides", [["blob_base_u=1e200"], ["blob_base_u=1e150", "kappa=1e-10"]])
     def test_two_blob_background_beyond_the_floats_is_a_config_error(self, tmp_path, capsys, overrides):
         # base_u**alpha overflows, or its quotient by kappa does

@@ -2,7 +2,8 @@
 
 mesh and model sit at the bottom, then diagnostics, then solver, then cli.
 A cycle, or an import hidden inside a function to dodge one, fails here, and
-so does a README "Python API" list that names other than the exported names.
+so does a README "Python API" list that names other than the exported names,
+or a README count of the CoupledMesh fields that does not name them exactly.
 The smoke test runs one tiny traced benchmark sample of every workload, whose
 tracer wraps the package's layer entry points by name and fails when one is
 gone or unused.  The repo's pytest config, which turns warnings into errors,
@@ -10,6 +11,7 @@ must still report a failing Hypothesis test as one failure.
 """
 
 import ast
+import dataclasses
 import json
 import os
 import re
@@ -112,6 +114,17 @@ def test_readme_lists_exactly_the_exported_names():
     assert len(listed) == len(set(listed)), "a name is listed twice"
     assert set(listed) == set(bulksurf.__all__)
 
+
+def test_readme_lists_exactly_the_mesh_fields():
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("\n## Python API\n", 1)[1].split("\n## ", 1)[0]
+    found = re.search(r"A `CoupledMesh` has (\d+) fields: (.*?)\.\s", section, re.S)
+    assert found, "README Python API names no `CoupledMesh` field count"
+    listed = re.findall(r"`([A-Za-z_][A-Za-z0-9_]*)`", found[2])
+    assert len(listed) == len(set(listed)), "a field is listed twice"
+    fields = [f.name for f in dataclasses.fields(bulksurf.CoupledMesh)]
+    assert set(listed) == set(fields)
+    assert int(found[1]) == len(fields)
 
 
 def test_readme_key_table_lists_exactly_the_config_keys():

@@ -16,7 +16,7 @@ import bulksurf as bs
 from bulksurf.mesh import face_divergence
 from bulksurf.solver import _newton_matrix, _rate_vector
 from test_acceptance import blob_problem
-from test_mesh import split_faces
+from test_mesh import disk_mesh, split_faces
 
 
 def wide_window(u_star=1.0, v_star=1.0, alpha=1.0, beta=1.0):
@@ -624,6 +624,32 @@ class TestRun:
         assert info.value.records is not None
         assert len(info.value.records) >= 1
 
+    def test_a_span_the_clock_cannot_resolve_raises(self, monkeypatch):
+        # At t = 1e6 the round-off allowance t_eps is 1e-6.  A span within it,
+        # or a dt within 2*t_eps, would be cut short, and a dt below half an
+        # ulp of 1e6 would never move the clock, so run raises on each.  step
+        # is capped so that a loop that does not end fails instead of hanging.
+        mesh, kin, eq, state, window, laws = self.setup_problem()
+        step, calls = bs.solver.step, []
+
+        def capped(*args, **kwargs):
+            calls.append(1)
+            assert len(calls) <= 200, "run does not end"
+            return step(*args, **kwargs)
+
+        monkeypatch.setattr(bs.solver, "step", capped)
+        late = bs.State(t=1e6, u=state.u, v=state.v)
+        for span, dt in ((1e-7, 1e-8), (1e-5, 1e-6), (1e-5, 1e-11)):
+            with pytest.raises(ValueError):
+                bs.run(late, 1e6 + span, mesh, kin, eq, *laws, window, bs.StepConfig(dt=dt))
+        assert not calls
+        cfg = bs.StepConfig(dt=1e-3)
+        final, records = bs.run(late, 1e6 + 1e-2, mesh, kin, eq, *laws, window, cfg)
+        assert len(calls) == len(records) - 1 == 10
+        assert final.t == 1e6 + 1e-2
+        final, records = bs.run(late, 1e6, mesh, kin, eq, *laws, window, bs.StepConfig(dt=1e-11))
+        assert final is late and len(records) == 1
+
     def test_rejects_backward_horizon(self):
         mesh, kin, eq, state, window, laws = self.setup_problem()
         with pytest.raises(ValueError):
@@ -1045,14 +1071,35 @@ SURFACE_LAW_MAKERS = (
 )
 
 
+# Mesh draws: (nx, ny, active edges) of a rectangle, or (widths, sectors) of
+# a polar disk with 1-4 rings around its centre cell.
+MESH_SPECS = st.one_of(
+    st.tuples(st.integers(1, 6), st.integers(1, 6),
+              st.sets(st.sampled_from(bs.mesh.EDGE_NAMES), min_size=1)),
+    st.tuples(st.lists(st.floats(0.2, 1.0), min_size=2, max_size=5), st.integers(3, 12)),
+)
+
+
+def mesh_from(spec):
+    """The 1.0 x 1.3 rectangle of build_mesh, or a disk_mesh of the unit disk.
+
+    A disk's widths are the centre cell's radius and then the ring widths,
+    scaled so that the outer radius is 1.
+    """
+    if len(spec) == 3:
+        nx, ny, edges = spec
+        return bs.build_mesh(nx, ny, 1.0, 1.3, edges)
+    widths, sectors = spec
+    radii = np.cumsum(widths)
+    return disk_mesh(radii / radii[-1], sectors)
+
+
 class TestRandomProblems:
     """Structure checks on randomly drawn meshes, laws, exponents and face averages."""
 
     @settings(max_examples=40, deadline=None)
     @given(
-        nx=st.integers(1, 6),
-        ny=st.integers(1, 6),
-        edges=st.sets(st.sampled_from(bs.mesh.EDGE_NAMES), min_size=1),
+        mesh_spec=MESH_SPECS,
         bulk_law=st.sampled_from(BULK_LAWS),
         surf_law_maker=st.sampled_from(SURFACE_LAW_MAKERS),
         alpha=st.floats(1.0, 3.0),
@@ -1062,10 +1109,10 @@ class TestRandomProblems:
         seed=st.integers(0, 2**32 - 1),
     )
     def test_jacobian_mass_and_fixed_point(
-        self, nx, ny, edges, bulk_law, surf_law_maker, alpha, beta, face_average, c, seed
+        self, mesh_spec, bulk_law, surf_law_maker, alpha, beta, face_average, c, seed
     ):
         kin = bs.Kinetics(k=1.2, kappa=0.6, alpha=alpha, beta=beta)
-        mesh = bs.build_mesh(nx, ny, 1.0, 1.3, edges)
+        mesh = mesh_from(mesh_spec)
         rng = np.random.default_rng(seed)
         state = bs.State(
             t=0.0, u=rng.uniform(0.6, 1.8, mesh.n_bulk), v=rng.uniform(0.6, 1.8, mesh.n_surface)
