@@ -279,13 +279,10 @@ def initial_state(cfg: RunConfig, mesh) -> solver.State:
         v = np.full(mesh.n_surface, cfg.v0)
     elif cfg.initial == "two-blob":
         base_u = cfg.blob_base_u
-        try:
-            base_v = (base_u**cfg.alpha / cfg.kappa) ** (1.0 / cfg.beta)
-        except OverflowError:  # base_u**alpha may overflow where the balanced v does not
-            try:
-                base_v = base_u ** (cfg.alpha / cfg.beta) * cfg.kappa ** (-1.0 / cfg.beta)
-            except OverflowError:
-                base_v = math.inf
+        try:  # not (base_u**alpha / kappa)**(1/beta), whose base_u**alpha may overflow
+            base_v = base_u ** (cfg.alpha / cfg.beta) * cfg.kappa ** (-1.0 / cfg.beta)
+        except OverflowError:
+            base_v = math.inf
         if base_v == math.inf:
             reason = "the balanced v = (blob_base_u**alpha / kappa)**(1/beta) overflows in floats"
             raise ConfigError([BadValue("blob_base_u", reason)])
@@ -430,6 +427,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = parse_config(args.config, args.override)
         mesh, kin, bulk_law, surf_law, state, eq, window, step_cfg = build_problem(cfg)
+        solver.check_clock(state.t, cfg.t_final, step_cfg.dt)  # run's own check, before the loop
     except ValueError as exc:  # ConfigError included
         for problem in exc.problems if isinstance(exc, ConfigError) else [exc]:
             print(f"config error: {problem}", file=sys.stderr)

@@ -28,15 +28,11 @@ a Python float and anything else as an array.
 from __future__ import annotations
 
 import math
+import struct
 import sys
 from dataclasses import dataclass, field
 
 import numpy as np
-
-_BISECTION_TOL = 1e-15  # equilibrium bisection stops at this relative bracket width
-# Halvings enough to walk the bracket from the largest float down to the
-# smallest normal one (2046), and then to resolve it to _BISECTION_TOL.
-_BISECTION_STEPS = 2200
 
 BULK_KINDS = ("power", "exponential", "constant")
 SURFACE_KINDS = BULK_KINDS + ("surface_cross",)
@@ -403,23 +399,26 @@ def solve_equilibrium(
 
     Solves g(v) = beta*|Omega|*kappa**(1/alpha)*v**(beta/alpha)
                   + alpha*|Gamma|*v - m = 0,
-    which is strictly increasing from -m at v=0, by bisection on
-    (0, m/(alpha*|Gamma|)] followed by a Newton polish, then recovers
-    u_star = kappa**(1/alpha) * v_star**(beta/alpha).  A bracket end that
-    overflows is the largest float.  g counts as positive where
-    v**(beta/alpha) overflows, and the bisection runs long enough to cross
-    the float range.  Raises ValueError when v_star or u_star is not a
-    positive normal float.
+    which is strictly increasing from -m at v=0, then recovers
+    u_star = kappa**(1/alpha) * v_star**(beta/alpha).  Positive floats sort
+    like their int64 bit patterns, so a bisection over the bits between 0.0
+    and the largest float ends, after at most 63 halvings, at two adjacent
+    floats with g(lo) <= 0 < g(hi); v_star is the one with the smaller |g|.
+    g counts as positive where v**(beta/alpha) overflows.  Raises ValueError
+    when v_star lies above the largest float, or when v_star or u_star is
+    not a positive normal float.
     """
     if not (math.isfinite(mass) and mass > 0):
         raise ValueError(f"equilibrium requires positive finite mass, got {mass}")
     if not (_finite(omega_measure, gamma_measure) and omega_measure > 0 and gamma_measure > 0):
         raise ValueError("domain measures must be positive and finite")
 
-    kroot = kin.kappa ** (1.0 / kin.alpha)
-    expo = kin.beta / kin.alpha
-    cb = kin.beta * omega_measure * kroot
-    cg = kin.alpha * gamma_measure
+    # Python floats, whose ** raises the OverflowError g catches where numpy's would warn
+    alpha, beta, kappa, mass = (float(x) for x in (kin.alpha, kin.beta, kin.kappa, mass))
+    kroot = kappa ** (1.0 / alpha)
+    expo = beta / alpha
+    cb = beta * float(omega_measure) * kroot
+    cg = alpha * float(gamma_measure)
 
     def g(v: float) -> float:
         try:
@@ -427,40 +426,27 @@ def solve_equilibrium(
         except OverflowError:  # v**expo beyond the float range: g is positive there
             return math.inf
 
-    def gprime(v: float) -> float:
-        return cb * expo * v ** (expo - 1.0) + cg
+    def as_float(bits: int) -> float:
+        return struct.unpack("<d", struct.pack("<q", bits))[0]
 
-    v_hi = mass / cg
-    if v_hi == math.inf:  # |Gamma| so small that the bracket overflows
-        v_hi = sys.float_info.max
-        if g(v_hi) < 0:
-            raise ValueError("equilibrium v_star lies above the largest float")
-    v_lo = 0.0  # g -> -mass as v -> 0+
-    for _ in range(_BISECTION_STEPS):
-        v_mid = 0.5 * v_lo + 0.5 * v_hi  # 0.5 * (v_lo + v_hi) may overflow
-        if g(v_mid) > 0:
-            v_hi = v_mid
+    if g(sys.float_info.max) < 0:
+        raise ValueError("equilibrium v_star lies above the largest float")
+    lo, hi = 0, struct.unpack("<q", struct.pack("<d", sys.float_info.max))[0]  # g(0.0) = -m
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if g(as_float(mid)) > 0:
+            hi = mid
         else:
-            v_lo = v_mid
-        if v_hi - v_lo <= _BISECTION_TOL * v_hi:
-            break
-    v_star = 0.5 * v_lo + 0.5 * v_hi
-    _check_normal("v_star", v_star)  # before the polish raises it to expo - 1, maybe < 0
-    for _ in range(8):
-        dv = g(v_star) / gprime(v_star)
-        v_new = v_star - dv
-        if v_new <= 0:
-            break
-        v_star = v_new
-        if abs(dv) <= 1e-16 * v_star:
-            break
+            lo = mid
+    v_star = min(as_float(lo), as_float(hi), key=lambda v: abs(g(v)))
+    _check_normal("v_star", v_star)
 
     try:
         u_star = kroot * v_star**expo
     except OverflowError:
         u_star = math.inf
     _check_normal("u_star", u_star)
-    return Equilibrium(u_star=float(u_star), v_star=float(v_star), mass=float(mass))
+    return Equilibrium(u_star=u_star, v_star=v_star, mass=mass)
 
 
 def _check_normal(name: str, x: float) -> None:

@@ -429,6 +429,24 @@ def step(
     return State(t=state.t + dt, u=w[:nb].copy(), v=w[nb:].copy())
 
 
+def check_clock(t0: float, t_final: float, dt: float) -> float:
+    """Round-off t_eps of a run from t0 to t_final in steps of dt.
+
+    t_eps is 1e-12 times the larger of |t0| and |t_final|.  Raises
+    ValueError when t_final is not finite or lies before t0, and when a
+    positive span lies within t_eps or dt is at most 2*t_eps, which the
+    clock cannot resolve.
+    """
+    if not np.isfinite(t_final):
+        raise ValueError(f"t_final must be finite, got {t_final}")
+    if t_final < t0:
+        raise ValueError(f"t_final={t_final} lies before the initial time {t0}")
+    t_eps = 1e-12 * max(abs(t0), abs(t_final))
+    if t_final > t0 and min(t_final - t0, 0.5 * dt) <= t_eps:
+        raise ValueError(f"span {t_final - t0} or dt {dt} is within round-off {t_eps}")
+    return t_eps
+
+
 def run(
     initial: State,
     t_final: float,
@@ -447,22 +465,16 @@ def run(
     within round-off of cfg.dt (t_eps, 1e-12 times the larger of |initial.t|
     and |t_final|, so any time scale steps alike) is taken at cfg.dt, so
     summed step times do not cost a clipped step, and its time is set to
-    t_final.  A positive span within t_eps, or a cfg.dt of at most 2*t_eps,
-    raises ValueError: the clock cannot resolve it.  On Newton failure the
+    t_final.  A clock that cannot resolve the span or cfg.dt raises
+    ValueError (see check_clock).  On Newton failure the
     step is retried with dt halved, up to MAX_DT_HALVINGS times; later steps
     return to the configured dt.  The steps share one NewtonLU (see there
     for what it carries across steps and when a halved or clipped step
     drops it).  A fatal failure propagates NonConvergence with the last
     good state and the records so far attached to the exception.
     """
-    if not np.isfinite(t_final):
-        raise ValueError(f"t_final must be finite, got {t_final}")
-    if t_final < initial.t:
-        raise ValueError(f"t_final={t_final} lies before the initial time {initial.t}")
+    t_eps = check_clock(initial.t, t_final, cfg.dt)
     check_sizes(initial, mesh)
-    t_eps = 1e-12 * max(abs(initial.t), abs(t_final))
-    if t_final > initial.t and min(t_final - initial.t, 0.5 * cfg.dt) <= t_eps:
-        raise ValueError(f"span {t_final - initial.t} or dt {cfg.dt} is within round-off {t_eps}")
 
     def recorded(st: State):
         return diagnostics.record(

@@ -235,6 +235,14 @@ class TestMainExitCodes:
         err = capsys.readouterr().err
         assert f"{removed.split()[0]}: unrecognized key" in err
 
+    def test_dt_within_the_clocks_round_off_is_exit_2(self, tmp_path, capsys):
+        # dt 1e-15 is below 2e-12 * t_final: run's clock check, reached before the loop
+        cfg = write(tmp_path, "nx = 4\nny = 4\ndt = 1e-15\nt_final = 0.05\n")
+        assert main(["--config", str(cfg), "--out", str(tmp_path / "out"), "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert err == "config error: span 0.05 or dt 1e-15 is within round-off 5e-14\n"
+        assert not (tmp_path / "out").exists()
+
     def test_solver_failure_is_exit_3_with_partial_outputs(self, tmp_path, capsys):
         # deliberately impossible: one Newton iteration, huge dt, stiff law
         text = BLOB_RUN + (

@@ -3,7 +3,8 @@
 mesh and model sit at the bottom, then diagnostics, then solver, then cli.
 A cycle, or an import hidden inside a function to dodge one, fails here, and
 so does a README "Python API" list that names other than the exported names,
-or a README count of the CoupledMesh fields that does not name them exactly.
+or a README count of the CoupledMesh fields that does not name them exactly,
+or a module-level constant or table that nothing in the package reads.
 The smoke test runs one tiny traced benchmark sample of every workload, whose
 tracer wraps the package's layer entry points by name and fails when one is
 gone or unused.  The repo's pytest config, which turns warnings into errors,
@@ -83,6 +84,24 @@ def test_import_graph_is_acyclic_and_module_level():
     assert not graph["bulksurf.mesh"] and not graph["bulksurf.model"]
     assert "bulksurf.solver" not in graph["bulksurf.diagnostics"]
     assert "bulksurf.diagnostics" in graph["bulksurf.solver"]
+
+
+def test_every_module_level_name_is_read_in_the_package():
+    # a constant or table that a rewrite left without a reader fails here;
+    # dunders such as __all__ and __version__ are read by Python and by users
+    assigned, read = set(), set()
+    for tree in _modules().values():
+        for node in tree.body:
+            if isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                assigned |= {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    orphans = {name for name in assigned - read if not (name.startswith("__") and name.endswith("__"))}
+    assert not orphans, f"module-level names nothing in the package reads: {sorted(orphans)}"
 
 
 def test_traced_benchmark_sample_enters_every_layer():

@@ -25,10 +25,8 @@ from bulksurf import (
 )
 
 
-def bisect_equilibrium(kin, mass, omega, gamma, lo=0.0, hi=None):
-    """Independent oracle: plain bisection on the monotone mass function."""
-    if hi is None:
-        hi = mass / (kin.alpha * gamma)
+def mass_function(kin, mass, omega, gamma):
+    """The monotone mass function g(v), whose root is v*."""
 
     def g(v):
         return (
@@ -37,6 +35,14 @@ def bisect_equilibrium(kin, mass, omega, gamma, lo=0.0, hi=None):
             - mass
         )
 
+    return g
+
+
+def bisect_equilibrium(kin, mass, omega, gamma, lo=0.0, hi=None):
+    """Independent oracle: plain bisection on the monotone mass function."""
+    if hi is None:
+        hi = mass / (kin.alpha * gamma)
+    g = mass_function(kin, mass, omega, gamma)
     while g(hi) < 0:
         hi *= 2.0
     # 1e-14 bracket width, stopping once the midpoint is no longer representable
@@ -378,6 +384,26 @@ class TestDiffusionLaws:
         assert np.all(mu <= hi * (1 + 1e-12))
 
 
+def equilibrium_draws():
+    """200 seeded (kin, mass, |Omega|, |Gamma|) draws."""
+    rng = np.random.default_rng(23)
+    for _ in range(200):
+        kin = Kinetics(
+            k=1.0,
+            kappa=10.0 ** rng.uniform(-1, 1),
+            alpha=rng.uniform(1, 4),
+            beta=rng.uniform(1, 4),
+        )
+        mass = rng.uniform(0.01, 100.0)
+        omega = rng.uniform(0.1, 10.0)
+        gamma = rng.uniform(0.1, 10.0)
+        yield kin, mass, omega, gamma
+
+
+# (alpha, beta, mass) whose v* lies far from mass/(alpha*|Gamma|)
+EXTREME_MASSES = [(1, 2, 1e150), (1, 3, 1e100), (1, 2, 1e200)]
+
+
 class TestEquilibrium:
     def test_symmetric_linear_case(self):
         kin = Kinetics(k=1.0, kappa=1.0, alpha=1.0, beta=1.0)
@@ -402,17 +428,7 @@ class TestEquilibrium:
                 solve_equilibrium(kin, mass, 1.0, 1.0)
 
     def test_matches_bisection_oracle(self):
-        rng = np.random.default_rng(23)
-        for _ in range(200):
-            kin = Kinetics(
-                k=1.0,
-                kappa=10.0 ** rng.uniform(-1, 1),
-                alpha=rng.uniform(1, 4),
-                beta=rng.uniform(1, 4),
-            )
-            mass = rng.uniform(0.01, 100.0)
-            omega = rng.uniform(0.1, 10.0)
-            gamma = rng.uniform(0.1, 10.0)
+        for kin, mass, omega, gamma in equilibrium_draws():
             eq = solve_equilibrium(kin, mass, omega, gamma)
             v_ref = bisect_equilibrium(kin, mass, omega, gamma)
             assert abs(eq.v_star - v_ref) <= 1e-10 * max(1.0, v_ref)
@@ -421,11 +437,25 @@ class TestEquilibrium:
             p, q = eq.u_star**kin.alpha, kin.kappa * eq.v_star**kin.beta
             assert abs(p - q) <= 1e-12 * max(p, q)
 
-    @pytest.mark.parametrize("alpha,beta,mass", [(1, 2, 1e150), (1, 3, 1e100), (1, 2, 1e200)])
+    def test_lands_on_the_sign_change_of_g(self):
+        # v* is a float next to the root: g(v* - 1 ulp) <= 0 < g(v* + 1 ulp)
+        extreme = [(Kinetics(1.0, 1.0, a, b), mass, 1.0, 1.0) for a, b, mass in EXTREME_MASSES]
+        for args in [*equilibrium_draws(), *extreme]:
+            v_star = solve_equilibrium(*args).v_star
+            g = mass_function(*args)
+            assert g(math.nextafter(v_star, 0.0)) <= 0 < g(math.nextafter(v_star, math.inf)), args
+
+    def test_numpy_scalar_inputs_give_the_same_equilibrium_without_warnings(self):
+        # g is evaluated at the largest float, where numpy's ** would warn of overflow
+        values = (1.0, 2.0, 1.0, 2.0, 7.0, 2.0, 0.5)  # k, kappa, alpha, beta, mass, |Omega|, |Gamma|
+        eq = solve_equilibrium(Kinetics(*values[:4]), *values[4:])
+        numpy_values = [np.float64(x) for x in values]
+        assert solve_equilibrium(Kinetics(*numpy_values[:4]), *numpy_values[4:]) == eq
+
+    @pytest.mark.parametrize("alpha,beta,mass", EXTREME_MASSES)
     def test_extreme_mass_meets_both_relations(self, alpha, beta, mass):
-        # v* ~ mass**(alpha/beta) lies hundreds of halvings below the first
-        # bracket (0, mass/(alpha*|Gamma|)], and at 1e200 v**(beta/alpha)
-        # overflows on the way down
+        # v* ~ mass**(alpha/beta) lies far below mass/(alpha*|Gamma|), and at
+        # 1e200 v**(beta/alpha) overflows on much of the float range
         kin = Kinetics(k=1.0, kappa=1.0, alpha=alpha, beta=beta)
         eq = solve_equilibrium(kin, mass, 1.0, 1.0)
         assert abs(beta * eq.u_star + alpha * eq.v_star - mass) <= 1e-14 * mass
@@ -433,14 +463,13 @@ class TestEquilibrium:
         assert abs(p - q) <= 1e-14 * max(p, q)
 
     def test_tiny_surface_meets_both_relations(self):
-        # mass/(alpha*|Gamma|) overflows, so the bracket starts at the largest
-        # float; v* ~ 1e300 lies inside it
+        # mass/(alpha*|Gamma|) overflows, yet v* ~ 1e300 is a float
         kin = Kinetics(k=1.0, kappa=1.0, alpha=1.0, beta=1.0)
         mass, gamma = 1e300, 1e-10
         eq = solve_equilibrium(kin, mass, 1.0, gamma)
         assert abs(eq.u_star + gamma * eq.v_star - mass) <= 1e-14 * mass
         assert abs(eq.u_star - eq.v_star) <= 1e-14 * eq.u_star
-        # for alpha 2 at |Gamma| 1e-300, v* ~ 5e599 lies above it
+        # for alpha 2 at |Gamma| 1e-300, v* ~ 5e599 lies above the largest float
         kin = Kinetics(k=1.0, kappa=1.0, alpha=2.0, beta=1.0)
         with pytest.raises(ValueError, match="v_star lies above the largest float"):
             solve_equilibrium(kin, mass, 1.0, 1e-300)
