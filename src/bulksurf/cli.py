@@ -315,7 +315,7 @@ def initial_state(cfg: RunConfig, mesh) -> solver.State:
 
 def build_problem(cfg: RunConfig):
     """Assemble mesh, kinetics, laws, initial state, equilibrium and window."""
-    mesh = build_mesh(cfg.nx, cfg.ny, cfg.lx, cfg.ly, cfg.active_edges)
+    mesh = build_mesh(cfg.nx, cfg.ny, cfg.lx, cfg.ly, cfg.active_edges, cfg.face_average)
     kin = model.Kinetics(k=cfg.k, kappa=cfg.kappa, alpha=cfg.alpha, beta=cfg.beta)
     bulk_law = model.DiffusionLaw(cfg.bulk_law, cfg.bulk_law_param)
     if cfg.surface_law == "surface_cross":

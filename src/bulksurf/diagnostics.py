@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh import CoupledMesh, check_face_average, check_sizes, face_flux
+from .mesh import CoupledMesh, check_sizes, face_flux
 from .model import (
     ClampWindow,
     DiffusionLaw,
@@ -198,16 +198,17 @@ def reaction_dissipation_split(
     )
 
 
-def _diffusion_dissipation(state, mesh, window, bulk_law, surf_law, face_average):
+def _diffusion_dissipation(state, mesh, window, bulk_law, surf_law):
     """Face-sum analogues of the two gradient terms of the entropy production.
 
     bulk = -sum_faces mu_f * (du)(d bulk_pot) * |face|/dist and likewise on
     the surface chain, with the excess potentials of _envelope; both are
     <= 0 because the excess potential is a nondecreasing function of its own
     concentration, making each face term a product of like-signed
-    differences.  One pass over mesh.faces and the stacked state gives every
-    face term; the sum splits by whether a face joins bulk cells.  The laws'
-    roles are checked by record, the only caller.
+    differences.  One pass over mesh.faces and the stacked state, with the
+    solver's flux by the face set's own average, gives every face term; the
+    sum splits by whether a face joins bulk cells.  The laws' roles are
+    checked by record, the only caller.
     """
     u, v = state.u, state.v
     mu = np.concatenate((
@@ -219,7 +220,7 @@ def _diffusion_dissipation(state, mesh, window, bulk_law, surf_law, face_average
         _envelope(v, window.v_star, window.beta, window)[2],
     ))
     faces, bulk = mesh.faces, mesh.faces.cell_a < mesh.n_bulk
-    flux = face_flux(faces, np.concatenate((u, v)), mu, face_average)
+    flux = face_flux(faces, np.concatenate((u, v)), mu)
     terms = flux * (pot[faces.cell_b] - pot[faces.cell_a])
     return -float(np.sum(terms[bulk])), -float(np.sum(terms[~bulk]))
 
@@ -232,7 +233,6 @@ def record(
     window: ClampWindow,
     bulk_law: DiffusionLaw,
     surf_law: DiffusionLaw,
-    face_average: str = "arithmetic",
 ) -> DiagnosticsRecord:
     """Assemble the full diagnostics record for one nonnegative state.
 
@@ -240,8 +240,8 @@ def record(
     entry has zero pressure, so a lost strict positivity shows up as
     u_env_min = 0 (or v_env_min = 0) rather than an error.  Negative entries
     still raise ValueError: the relative entropy is undefined there.  Each
-    law must have the role of its slot, and face_average must name one of
-    mesh.FACE_AVERAGES, on every state.
+    law must have the role of its slot, on every state.  The diffusion
+    dissipations take the flux by mesh.faces.average, as the solver does.
     The reaction dissipation is reported with the sign it carries in the
     envelope-entropy balance (<= 0), the negated total of the split.
 
@@ -258,7 +258,6 @@ def record(
     check_sizes(state, mesh)
     check_role(bulk_law, "bulk")
     check_role(surf_law, "surface")
-    check_face_average(face_average)
     refs = (window.u_star, window.v_star, window.alpha, window.beta)
     if refs != (eq.u_star, eq.v_star, kin.alpha, kin.beta):
         raise ValueError(
@@ -276,7 +275,7 @@ def record(
         envelope = envelope_entropy(state, mesh, window)
         split = reaction_dissipation_split(state, mesh, kin, window)
         reaction = -split.total
-        diss = _diffusion_dissipation(state, mesh, window, bulk_law, surf_law, face_average)
+        diss = _diffusion_dissipation(state, mesh, window, bulk_law, surf_law)
         counts = (split.n_u_only, split.n_v_only, split.n_both)
     w = np.concatenate((u, v))
     (u_min, v_min), (u_max, v_max) = (f.reduceat(w, (0, nb)) for f in (np.minimum, np.maximum))

@@ -1,11 +1,11 @@
 """The coupled bulk/surface mesh: one face set over stacked cells, and a trace map.
 
-The time stepper and the diagnostics read a CoupledMesh through its face set,
-its trace map and its cell measures alone, so any mesh on which a two-point
-flux is consistent serves them, whatever the shape of its domain.  The face
-operator (flux, net inflow per unit cell measure and its Jacobian block)
-lives here beside FaceSet, below both the time stepper and the entropy
-diagnostics, which pair the flux with potential differences.
+The time stepper and the diagnostics read a CoupledMesh through its face set
+(cell measures and face average included) and its trace map alone, so any
+mesh on which a two-point flux is consistent serves them.  The face operator
+(flux, net inflow per unit cell measure and its Jacobian block) lives here
+beside FaceSet, below both the time stepper and the entropy diagnostics,
+which pair the same flux, by the same face average, with potentials.
 
 build_mesh makes the mesh of a rectangle of ``nx * ny`` uniform control
 volumes.  Each boundary face of a bulk cell on an active edge becomes one
@@ -37,12 +37,6 @@ _FACE_AVERAGES = {
 FACE_AVERAGES = tuple(_FACE_AVERAGES)
 
 
-def check_face_average(face_average) -> None:
-    """Raise ValueError unless face_average names one of FACE_AVERAGES."""
-    if face_average not in FACE_AVERAGES:
-        raise ValueError(f"unknown face average {face_average!r}")
-
-
 def is_int(x) -> bool:
     return isinstance(x, numbers.Integral) and not isinstance(x, bool)
 
@@ -54,38 +48,45 @@ class FaceSet:
     Face f joins cells ``cell_a[f]`` and ``cell_b[f]``; its transmissibility
     ``trans[f]`` is |face| over the distance of their centers (one over it
     on the 1D surface chain).  ``measure[i]`` is the measure of cell i (area
-    in the bulk, length on the chain).
+    in the bulk, length on the chain).  ``average`` names the mean of the
+    two cell coefficients on a face, one of FACE_AVERAGES; every flux, its
+    Jacobian and the dissipation read it here, so they cannot disagree.
     """
 
     cell_a: np.ndarray
     cell_b: np.ndarray
     trans: np.ndarray
     measure: np.ndarray
+    average: str = "arithmetic"
+
+    def __post_init__(self):
+        if self.average not in FACE_AVERAGES:
+            raise ValueError(f"unknown face average {self.average!r}")
 
     def __len__(self) -> int:
         return int(self.cell_a.size)
 
 
-def face_flux(faces: FaceSet, x, mu, face_average: str) -> np.ndarray:
+def face_flux(faces: FaceSet, x, mu) -> np.ndarray:
     """Two-point flux mu_f * (x_b - x_a) * trans on every face of a face set.
 
-    mu holds the cell coefficients; mu_f combines the two sides of a face,
-    by a face_average that the caller has checked (check_face_average).
+    mu holds the cell coefficients; mu_f combines the two sides of a face
+    by the face set's average.
     """
     a, b = faces.cell_a, faces.cell_b
-    mean, _ = _FACE_AVERAGES[face_average]
+    mean, _ = _FACE_AVERAGES[faces.average]
     return mean(mu[a], mu[b]) * (x[b] - x[a]) * faces.trans
 
 
-def face_divergence(faces: FaceSet, x, mu, face_average: str) -> np.ndarray:
+def face_divergence(faces: FaceSet, x, mu) -> np.ndarray:
     """Net two-point-flux inflow per unit cell measure; its measure-weighted sum is zero."""
-    flux = face_flux(faces, x, mu, face_average)
+    flux = face_flux(faces, x, mu)
     div = np.bincount(faces.cell_a, weights=flux, minlength=faces.measure.size)
     div -= np.bincount(faces.cell_b, weights=flux, minlength=faces.measure.size)
     return div / faces.measure
 
 
-def face_block(faces: FaceSet, x, mu, dmu_x, face_average, dmu_y, y_cols):
+def face_block(faces: FaceSet, x, mu, dmu_x, dmu_y, y_cols):
     """Jacobian of one face divergence: off-diagonal COO triplets plus its diagonal.
 
     The flux phi = trans * mu_f * (x_b - x_a) of a face enters the rate of
@@ -103,7 +104,7 @@ def face_block(faces: FaceSet, x, mu, dmu_x, face_average, dmu_y, y_cols):
     """
     a, b = faces.cell_a, faces.cell_b
     mu_a, mu_b = mu[a], mu[b]
-    mean, weights = _FACE_AVERAGES[face_average]
+    mean, weights = _FACE_AVERAGES[faces.average]
     mu_f = mean(mu_a, mu_b)
     w_a, w_b = weights(mu_a, mu_b)
     del mu_a, mu_b  # per-face arrays go once spent: they set the assembly's peak memory
@@ -211,6 +212,7 @@ def build_mesh(
     lx: float,
     ly: float,
     active_edges,
+    face_average: str = "arithmetic",
 ) -> CoupledMesh:
     """Build the coupled bulk/surface mesh of a rectangle.
 
@@ -227,6 +229,8 @@ def build_mesh(
     active_edges : iterable of str
         Nonempty subset of {"bottom", "right", "top", "left"} forming the
         active surface.
+    face_average : str
+        The face set's coefficient mean, one of FACE_AVERAGES.
     """
     if not (is_int(nx) and is_int(ny) and nx >= 1 and ny >= 1):
         raise ValueError(f"cell counts must be integers >= 1, got nx={nx!r}, ny={ny!r}")
@@ -283,6 +287,7 @@ def build_mesh(
         cell_b=np.concatenate([ii[:, 1:].ravel(), ii[1:, :].ravel(), n_bulk + chain_b]),
         trans=np.concatenate([np.full(h, dy / dx), np.full(v, dx / dy), 1.0 / chain_dist]),
         measure=np.concatenate([np.full(n_bulk, dx * dy), surf_length]),
+        average=face_average,
     )
 
     return CoupledMesh(

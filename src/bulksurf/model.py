@@ -441,10 +441,7 @@ def solve_equilibrium(
     v_star = min(as_float(lo), as_float(hi), key=lambda v: abs(g(v)))
     _check_normal("v_star", v_star)
 
-    try:
-        u_star = kroot * v_star**expo
-    except OverflowError:
-        u_star = math.inf
+    u_star = kroot * v_star**expo  # g evaluated v_star**expo already; a product may be inf
     _check_normal("u_star", u_star)
     return Equilibrium(u_star=u_star, v_star=v_star, mass=mass)
 

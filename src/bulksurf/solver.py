@@ -9,11 +9,11 @@ averages:
               + beta * f(U_i(j), V_j),
 
 with f the guarded mass-action rate and all diffusion coefficients evaluated
-at clamped arguments.  Faces are two-point fluxes with arithmetic (default)
-or harmonic coefficient averaging; every boundary face outside the active
-surface is no-flux by omission.  Both sums over faces are one face
-divergence on mesh.faces, the one face set over the stacked state
-w = (U, V), with one coefficient per stacked cell.  The face operator (flux,
+at clamped arguments.  Faces are two-point fluxes whose coefficient mean,
+arithmetic or harmonic, is the face set's own (mesh.faces.average); every
+boundary face outside the active surface is no-flux by omission.  Both
+sums over faces are one face divergence on mesh.faces, the one face set
+over the stacked state w = (U, V), with one coefficient per stacked cell.  The face operator (flux,
 divergence and Jacobian block) lives in mesh.py beside FaceSet; this module
 evaluates the coefficients, adds the reaction coupling and steps in time.
 The weighted mass
@@ -50,7 +50,7 @@ from scipy import sparse
 from scipy.sparse import linalg as spla
 
 from . import diagnostics
-from .mesh import CoupledMesh, check_face_average, check_sizes, face_block, face_divergence, is_int
+from .mesh import CoupledMesh, check_sizes, face_block, face_divergence, is_int
 from .model import (
     ClampWindow,
     DiffusionLaw,
@@ -83,8 +83,8 @@ _PREDICTOR_WEIGHTS = [
     (-1) ** j * comb(PREDICTOR_DEGREE + 1, j + 1) for j in range(PREDICTOR_DEGREE + 1)
 ]
 
-# run retries a step that raises NonConvergence with dt halved, up to this
-# many times, before the failure is fatal.
+# run retries a step that raises NonConvergence, or that leaves a negative
+# entry, with dt halved, up to this many times, before the failure is fatal.
 MAX_DT_HALVINGS = 5
 
 _Solve = Callable[[np.ndarray], np.ndarray]  # the solve of a Newton LU
@@ -96,13 +96,15 @@ class NonConvergence(RuntimeError):
     step raises it when the iteration cap cfg.newton_max_iter is reached,
     when SuperLU cannot factor the Newton matrix in double precision, or
     when no damping of the line search lowers the residual on a fresh
-    double-precision LU; residual is in units of u* and v*.
-    run retries the step with dt halved up to MAX_DT_HALVINGS times first.
+    double-precision LU; residual is in units of u* and v*.  run raises it,
+    with iterations and residual None and a message of its own, when a step
+    leaves a state with a negative entry, whose entropy is undefined.  run
+    retries the step with dt halved up to MAX_DT_HALVINGS times first.
     """
 
-    def __init__(self, iterations: int, residual: float):
+    def __init__(self, iterations: int | None, residual: float | None, message: str = ""):
         super().__init__(
-            f"Newton did not converge: residual {residual:.3e} after {iterations} iterations"
+            message or f"Newton did not converge: residual {residual:.3e} after {iterations} iterations"
         )
         self.iterations = iterations
         self.residual = residual
@@ -137,15 +139,14 @@ class StepConfig:
     """Time-step controls.
 
     theta = 1 is backward Euler; theta = 0.5 the trapezoidal rule.
-    newton_tol is in units of the window's u* and v* (see step).
-    face_average names the face coefficient mean, one of mesh.FACE_AVERAGES.
+    newton_tol is in units of the window's u* and v* (see step).  The face
+    coefficient mean is the mesh's (mesh.faces.average), not a step control.
     """
 
     dt: float
     newton_tol: float = 1e-12
     newton_max_iter: int = 25
     theta: float = 1.0
-    face_average: str = "arithmetic"
 
     def __post_init__(self):
         if not (np.isfinite(self.dt) and self.dt > 0):
@@ -156,7 +157,6 @@ class StepConfig:
             raise ValueError(f"newton_max_iter must be an integer >= 1, got {self.newton_max_iter!r}")
         if not (0.5 <= self.theta <= 1.0):
             raise ValueError(f"theta must lie in [0.5, 1], got {self.theta}")
-        check_face_average(self.face_average)
 
 
 @dataclass
@@ -164,10 +164,11 @@ class NewtonLU:
     """The Newton LU, the last accepted rate and states, kept from one step to the next.
 
     problem is what the holder serves: (mesh, kinetics, bulk law, surface
-    law, window, face average, theta*dt).  solve is the solve of the LU of
-    I - theta*dt*J, f the total rate F at the state the last step accepted,
-    and history up to PREDICTOR_DEGREE + 1 consecutive accepted stacked
-    states, newest first, so history[0] is the accepted state.  A holder
+    law, window, theta*dt); the mesh carries the face average.  solve is the
+    solve of the LU of I - theta*dt*J, f the total rate F at the state the
+    last step accepted, and history up to PREDICTOR_DEGREE + 1 consecutive
+    accepted stacked states, newest first, so history[0] is the accepted
+    state.  A holder
     with no recorded problem adopts the first one step uses it with.
 
     step keeps two rules.  A step with another problem (the mesh compared
@@ -236,19 +237,17 @@ def total_rate(
     bulk_law: DiffusionLaw,
     surf_law: DiffusionLaw,
     window: ClampWindow,
-    face_average: str = "arithmetic",
 ) -> tuple[np.ndarray, np.ndarray]:
     """Sum of the three spatial operators, (du/dt, dv/dt); each law fills its own slot."""
     check_sizes(state, mesh)
     check_role(bulk_law, "bulk")
     check_role(surf_law, "surface")
-    check_face_average(face_average)
     w = np.concatenate([state.u, state.v])
-    f = _rate_vector(w, mesh, kin, bulk_law, surf_law, window, face_average)
+    f = _rate_vector(w, mesh, kin, bulk_law, surf_law, window)
     return f[: mesh.n_bulk], f[mesh.n_bulk :]
 
 
-def _rate_vector(w, mesh, kin, bulk_law, surf_law, window, face_average):
+def _rate_vector(w, mesh, kin, bulk_law, surf_law, window):
     """The total rate F(w) of the stacked state w = (u, v); callers check the law roles.
 
     One face divergence over mesh.faces diffuses u with the bulk law and v
@@ -264,14 +263,14 @@ def _rate_vector(w, mesh, kin, bulk_law, surf_law, window, face_average):
     mu = np.empty_like(w)
     mu[:nb] = diffusion_coefficient(bulk_law, u, None, window)
     mu[nb:] = diffusion_coefficient(surf_law, u_tr, v, window)
-    f = face_divergence(mesh.faces, w, mu, face_average)
+    f = face_divergence(mesh.faces, w, mu)
     r = safe_rate(u_tr, v, kin)
     f[:nb] += -kin.alpha / measure[:nb] * np.bincount(tr, weights=r * measure[nb:], minlength=nb)
     f[nb:] += kin.beta * r
     return f
 
 
-def _newton_matrix(w, c, mesh, kin, bulk_law, surf_law, window, face_average):
+def _newton_matrix(w, c, mesh, kin, bulk_law, surf_law, window):
     """The Newton matrix I - c*J in CSC, J the Jacobian of the total rate at w.
 
     One face_block call over mesh.faces gives two off-diagonal entries per
@@ -290,7 +289,7 @@ def _newton_matrix(w, c, mesh, kin, bulk_law, surf_law, window, face_average):
     mu[nb:], dmu_du, dmu[nb:] = coefficient_and_derivatives(surf_law, u_tr, v, window)
     dmu_tr[nb:] = 0.0 if dmu_du is None else dmu_du
     trace_cols = np.concatenate([np.arange(nb), tr])  # a bulk cell is its own trace
-    rows, cols, vals, diag = face_block(mesh.faces, w, mu, dmu, face_average, dmu_tr, trace_cols)
+    rows, cols, vals, diag = face_block(mesh.faces, w, mu, dmu, dmu_tr, trace_cols)
     del mu, dmu, dmu_du, dmu_tr, trace_cols
 
     # coupling: bulk trace cell tr[j] <-> surface cell nb + j
@@ -363,7 +362,7 @@ def step(
     dt = cfg.dt
     theta = cfg.theta
     w_old = np.concatenate([state.u, state.v])
-    operator = (mesh, kin, bulk_law, surf_law, window, cfg.face_average)  # F and J read these
+    operator = (mesh, kin, bulk_law, surf_law, window)  # F and J read these
 
     if lu is None:
         lu = NewtonLU()
@@ -466,30 +465,29 @@ def run(
     and |t_final|, so any time scale steps alike) is taken at cfg.dt, so
     summed step times do not cost a clipped step, and its time is set to
     t_final.  A clock that cannot resolve the span or cfg.dt raises
-    ValueError (see check_clock).  On Newton failure the
-    step is retried with dt halved, up to MAX_DT_HALVINGS times; later steps
-    return to the configured dt.  The steps share one NewtonLU (see there
-    for what it carries across steps and when a halved or clipped step
-    drops it).  A fatal failure propagates NonConvergence with the last
-    good state and the records so far attached to the exception.
+    ValueError (see check_clock).  A step that fails Newton or leaves a
+    negative entry is retried with dt halved, up to MAX_DT_HALVINGS times;
+    later steps return to the configured dt.  The steps share one NewtonLU
+    (see there for what it carries across steps and when a halved or
+    clipped step drops it).  A fatal failure propagates NonConvergence with
+    the last good state and the records so far attached to the exception.
     """
     t_eps = check_clock(initial.t, t_final, cfg.dt)
     check_sizes(initial, mesh)
-
-    def recorded(st: State):
-        return diagnostics.record(
-            st, mesh, kin, eq, window, bulk_law, surf_law, face_average=cfg.face_average
-        )
-
+    record_args = (mesh, kin, eq, window, bulk_law, surf_law)  # after the state
     state = initial
-    records = [recorded(state)]
+    records = [diagnostics.record(state, *record_args)]
     lu = NewtonLU()
     while state.t < t_final - t_eps:
         remaining = t_final - state.t
         local = cfg if remaining >= cfg.dt - t_eps else replace(cfg, dt=remaining)
         for halving in range(MAX_DT_HALVINGS + 1):
             try:
-                state = step(state, mesh, kin, bulk_law, surf_law, window, local, lu=lu)
+                new = step(state, mesh, kin, bulk_law, surf_law, window, local, lu=lu)
+                low = min(new.u.min(), new.v.min())
+                if low < 0:
+                    raise NonConvergence(None, None, f"a negative state at t = {new.t:.6g}: min {low:.3e}")
+                state = new
                 break
             except NonConvergence as exc:
                 if halving == MAX_DT_HALVINGS:
@@ -499,5 +497,5 @@ def run(
                 local = replace(local, dt=0.5 * local.dt)
         if abs(state.t - t_final) <= t_eps:
             state.t = t_final
-        records.append(recorded(state))
+        records.append(diagnostics.record(state, *record_args))
     return state, records

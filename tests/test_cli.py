@@ -42,6 +42,19 @@ def write(tmp_path, text, name="run.cfg"):
     return p
 
 
+def run_module(*args):
+    """``python -m bulksurf.cli`` with args in a process of its own, on this checkout's src."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run(
+        [sys.executable, "-m", "bulksurf.cli", *args],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+
+
 class TestParseConfig:
     def test_minimal_config_gets_defaults(self, tmp_path):
         cfg = parse_config(write(tmp_path, MINIMAL))
@@ -243,6 +256,69 @@ class TestMainExitCodes:
         assert err == "config error: span 0.05 or dt 1e-15 is within round-off 5e-14\n"
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "text,key",
+        [
+            ("active_edges =\n", "active_edges"),
+            ("outputs = diagnostics,plots\n", "outputs"),
+            ("nx = abc\n", "nx"),
+            ("dt = inf\n", "dt"),
+            ("theta = 1.5\n", "theta"),
+            ("bulk_law = constant\nbulk_law_param = 0\n", "bulk_law_param"),
+            ("initial = two-blob\nblob_base_u = 0\n", "blob_base_u"),
+            ("initial = two-blob\nblob_width = -0.1\n", "blob_width"),
+            ("clamp_lower = 2\nclamp_upper = 1\n", "clamp_upper"),
+            ("nx = 2\nny = 1\ninitial = file\ninitial_u_file = {u}\ninitial_v_file = {v}\n",
+             "initial_u_file"),
+        ],
+        ids=["no-edge", "unknown-output", "not-a-number", "not-finite", "theta-above-1",
+             "zero-constant-law", "blob-base-u", "blob-width", "clamp-order", "file-size"],
+    )
+    def test_each_config_problem_names_its_key_and_is_exit_2(self, tmp_path, capsys, text, key):
+        # the u file holds 3 values for the 2 bulk cells of a 2x1 mesh
+        np.savetxt(tmp_path / "u.txt", [1.0, 2.0, 3.0])
+        np.savetxt(tmp_path / "v.txt", [1.0, 1.0])
+        cfg = write(tmp_path, text.format(u=tmp_path / "u.txt", v=tmp_path / "v.txt"))
+        with pytest.raises(ConfigError) as info:
+            build_problem(parse_config(cfg))
+        assert [key in str(p) for p in info.value.problems] == [True]
+        assert main(["--config", str(cfg), "--out", str(tmp_path / "out"), "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and key in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    def test_argument_errors_and_help(self, capsys):
+        assert main([]) == 2  # --config is required
+        assert "--config" in capsys.readouterr().err
+        assert main(["--help"]) == 0
+        assert capsys.readouterr().out.startswith("usage: bulksurf")
+
+    def test_a_run_without_quiet_prints_its_progress(self, tmp_path, capsys):
+        cfg = write(tmp_path, BLOB_RUN)
+        out = tmp_path / "results"
+        assert main(["--config", str(cfg), "--out", str(out)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].startswith("mesh 8x8, 8 surface cells on bottom; equilibrium (u*, v*) = (")
+        assert lines[1:4] == [f"wrote {out / name}" for name in
+                              ("diagnostics.csv", "final_state.csv", "summary.json")]
+        assert lines[4].startswith("completed 5 steps to t = 0.01 in ")
+        assert len(lines) == 5
+
+    def test_a_step_that_goes_negative_is_retried_not_a_traceback(self, tmp_path):
+        # at the configured dt the first trapezoidal step leaves min u = -40;
+        # run retries it with dt halved instead of recording a negative state
+        cfg = write(tmp_path, "nx = 16\nny = 16\ninitial = two-blob\nblob_amplitude_1 = 50\n"
+                              "blob_width = 0.03\nblob_base_u = 0.01\ntheta = 0.5\ndt = 0.05\n"
+                              "t_final = 0.1\n")
+        out = tmp_path / "out"
+        proc = run_module("--config", str(cfg), "--out", str(out), "--quiet")
+        assert proc.returncode in (0, 3), proc.stderr
+        assert "Traceback" not in proc.stderr
+        for name in ("diagnostics.csv", "final_state.csv", "summary.json"):
+            assert (out / name).is_file()
+        rows = (out / "diagnostics.csv").read_text().splitlines()[1:]
+        assert all(float(r.split(",")[6]) >= 0 and float(r.split(",")[7]) >= 0 for r in rows)
+
     def test_solver_failure_is_exit_3_with_partial_outputs(self, tmp_path, capsys):
         # deliberately impossible: one Newton iteration, huge dt, stiff law
         text = BLOB_RUN + (
@@ -324,15 +400,7 @@ class TestMainExitCodes:
 
     def test_module_entry_point_reports_config_error(self, tmp_path):
         cfg = write(tmp_path, "alpha = 0.5\n", "bad.cfg")
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-        proc = subprocess.run(
-            [sys.executable, "-m", "bulksurf.cli", "--config", str(cfg)],
-            capture_output=True,
-            text=True,
-            env=env,
-            timeout=120,
-        )
+        proc = run_module("--config", str(cfg))
         assert proc.returncode == 2
         assert "alpha" in proc.stderr
 
@@ -351,16 +419,7 @@ class TestMainExitCodes:
         # solve_equilibrium must reach without overflowing on the way
         cfg = write(tmp_path, "nx = 4\nny = 4\n" + exponents + "initial = constant\n"
                               "u0 = 1e200\nv0 = 1e200\n" + window, "huge.cfg")
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-        proc = subprocess.run(
-            [sys.executable, "-m", "bulksurf.cli", "--config", str(cfg),
-             "--out", str(tmp_path / "out"), "--quiet"],
-            capture_output=True,
-            text=True,
-            env=env,
-            timeout=120,
-        )
+        proc = run_module("--config", str(cfg), "--out", str(tmp_path / "out"), "--quiet")
         assert proc.returncode == 3, proc.stderr
         assert "solver failed: Newton did not converge" in proc.stderr
         assert "Traceback" not in proc.stderr

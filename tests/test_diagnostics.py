@@ -288,7 +288,7 @@ class TestDiffusionDissipationSign:
                 v=10.0 ** rng.uniform(-1, 1, mesh.n_surface),
             )
             db, ds = _diffusion_dissipation(
-                st, mesh, window, bs.power_law(1.0), bs.surface_cross_law(kin), "arithmetic"
+                st, mesh, window, bs.power_law(1.0), bs.surface_cross_law(kin)
             )
             assert db <= 1e-14
             assert ds <= 1e-14
@@ -334,7 +334,7 @@ class TestRecord:
         for st, healthy in ((state, True), (hot, False)):
             rec = bs.record(st, mesh, kin, eq, window, *laws)
             split = bs.reaction_dissipation_split(st, mesh, kin, window)
-            diss = _diffusion_dissipation(st, mesh, window, *laws, "arithmetic")
+            diss = _diffusion_dissipation(st, mesh, window, *laws)
             assert rec.t == st.t
             assert rec.mass == bs.weighted_mass(st, mesh, kin)
             assert rec.entropy == bs.relative_entropy(st, eq, mesh)
@@ -436,7 +436,7 @@ def test_data_on_their_own_envelope_record_exact_zeros(
     # envelopes and every envelope term is 0, not a round-off residue of
     # either sign
     kin = bs.Kinetics(k=1.0, kappa=kappa, alpha=alpha, beta=beta)
-    mesh = bs.build_mesh(nx, ny, 1.0, 1.0, edges)
+    mesh = bs.build_mesh(nx, ny, 1.0, 1.0, edges, face_average)
     rng = np.random.default_rng(seed)
     state = bs.State(t=0.0, u=rng.uniform(0.5, 2.0, mesh.n_bulk),
                      v=rng.uniform(0.5, 2.0, mesh.n_surface))
@@ -445,7 +445,7 @@ def test_data_on_their_own_envelope_record_exact_zeros(
     window = bs.window_from_initial_data(state.u, state.v, eq, kin)
     laws = (bs.power_law(1.0), bs.surface_cross_law(kin) if cross
             else bs.power_law(1.0, role="surface"))
-    rec = bs.record(state, mesh, kin, eq, window, *laws, face_average)
+    rec = bs.record(state, mesh, kin, eq, window, *laws)
     assert max(rec.u_env_max, rec.v_env_max) == window.upper
     assert min(rec.u_env_min, rec.v_env_min) == window.lower
     assert rec.u_env_min >= window.lower and rec.v_env_min >= window.lower
@@ -457,7 +457,7 @@ def test_data_on_their_own_envelope_record_exact_zeros(
     split = bs.reaction_dissipation_split(state, mesh, kin, window)
     assert (split.u_only, split.v_only, split.both, split.total) == (0.0,) * 4
     assert (split.n_u_only, split.n_v_only, split.n_both) == (0, 0, 0)
-    assert _diffusion_dissipation(state, mesh, window, *laws, face_average) == (0.0, 0.0)
+    assert _diffusion_dissipation(state, mesh, window, *laws) == (0.0, 0.0)
 
 
 def _under_envelope(c, star, exponent, upper):
@@ -497,7 +497,7 @@ def test_record_fields_are_the_functions_they_stand_for(
     # below, every entry is cut to its envelope, at or under it in pressure
     # units, where the envelope terms must vanish.
     kin = bs.Kinetics(k=1.3, kappa=0.7, alpha=alpha, beta=beta)
-    mesh = bs.build_mesh(nx, ny, 1.0, 1.3, edges)
+    mesh = bs.build_mesh(nx, ny, 1.0, 1.3, edges, face_average)
     eq = bs.solve_equilibrium(kin, 3.0, mesh.total_bulk_measure, mesh.total_surface_measure)
     window = bs.ClampWindow(lower=0.3, upper=3.0, u_star=eq.u_star, v_star=eq.v_star,
                             alpha=alpha, beta=beta)
@@ -511,7 +511,7 @@ def test_record_fields_are_the_functions_they_stand_for(
     u[rng.integers(mesh.n_bulk, size=zeros)] = 0.0
     v[rng.integers(mesh.n_surface, size=zeros)] = 0.0
     state = bs.State(t=0.25, u=u, v=v)
-    rec = bs.record(state, mesh, kin, eq, window, bulk_law, surf_law, face_average)
+    rec = bs.record(state, mesh, kin, eq, window, bulk_law, surf_law)
 
     split = bs.reaction_dissipation_split(state, mesh, kin, window)
     # the two dissipations face set by face set, on each part's own numbering
@@ -521,7 +521,7 @@ def test_record_fields_are_the_functions_they_stand_for(
            bs.diffusion_coefficient(surf_law, u[tr], v, window))
     diss = []
     for faces, x, mu, pot in zip(split_faces(mesh), (u, v), mus, pots):
-        flux = face_flux(faces, x, mu, face_average)
+        flux = face_flux(faces, x, mu)
         diss.append(-float(np.sum(flux * (pot[faces.cell_b] - pot[faces.cell_a]))) + 0.0)
     u_pos, v_pos = np.maximum(u, 0.0), np.maximum(v, 0.0)
     expected = {

@@ -3,8 +3,9 @@
 mesh and model sit at the bottom, then diagnostics, then solver, then cli.
 A cycle, or an import hidden inside a function to dodge one, fails here, and
 so does a README "Python API" list that names other than the exported names,
-or a README count of the CoupledMesh fields that does not name them exactly,
-or a module-level constant or table that nothing in the package reads.
+or a README count of the CoupledMesh, FaceSet or StepConfig fields that does
+not name them exactly, or a module-level constant or table that nothing in
+the package reads.
 The smoke test runs one tiny traced benchmark sample of every workload, whose
 tracer wraps the package's layer entry points by name and fails when one is
 gone or unused.  The repo's pytest config, which turns warnings into errors,
@@ -134,16 +135,29 @@ def test_readme_lists_exactly_the_exported_names():
     assert set(listed) == set(bulksurf.__all__)
 
 
-def test_readme_lists_exactly_the_mesh_fields():
+def _check_readme_fields(cls):
+    """The README sentence "A `cls` has N fields: ..." names exactly the dataclass's fields."""
     readme = (ROOT / "README.md").read_text()
     section = readme.split("\n## Python API\n", 1)[1].split("\n## ", 1)[0]
-    found = re.search(r"A `CoupledMesh` has (\d+) fields: (.*?)\.\s", section, re.S)
-    assert found, "README Python API names no `CoupledMesh` field count"
+    found = re.search(rf"A `{cls.__name__}` has (\d+) fields: (.*?)\.\s", section, re.S)
+    assert found, f"README Python API names no `{cls.__name__}` field count"
     listed = re.findall(r"`([A-Za-z_][A-Za-z0-9_]*)`", found[2])
     assert len(listed) == len(set(listed)), "a field is listed twice"
-    fields = [f.name for f in dataclasses.fields(bulksurf.CoupledMesh)]
+    fields = [f.name for f in dataclasses.fields(cls)]
     assert set(listed) == set(fields)
     assert int(found[1]) == len(fields)
+
+
+def test_readme_lists_exactly_the_mesh_fields():
+    _check_readme_fields(bulksurf.CoupledMesh)
+
+
+def test_readme_lists_exactly_the_face_set_fields():
+    _check_readme_fields(bulksurf.FaceSet)
+
+
+def test_readme_lists_exactly_the_step_config_fields():
+    _check_readme_fields(bulksurf.StepConfig)
 
 
 def test_readme_key_table_lists_exactly_the_config_keys():

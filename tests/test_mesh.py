@@ -20,11 +20,11 @@ def split_faces(mesh):
 
     The bulk faces come first, as build_mesh and disk_mesh put them.  The
     chain's cells are numbered from 0, as surface cells j; each part carries
-    its own cells' measures.
+    its own cells' measures and the mesh's face average.
     """
     f, m, nb = mesh.faces, bulk_face_count(mesh), mesh.n_bulk
-    bulk = FaceSet(f.cell_a[:m], f.cell_b[:m], f.trans[:m], f.measure[:nb])
-    chain = FaceSet(f.cell_a[m:] - nb, f.cell_b[m:] - nb, f.trans[m:], f.measure[nb:])
+    bulk = FaceSet(f.cell_a[:m], f.cell_b[:m], f.trans[:m], f.measure[:nb], f.average)
+    chain = FaceSet(f.cell_a[m:] - nb, f.cell_b[m:] - nb, f.trans[m:], f.measure[nb:], f.average)
     return bulk, chain
 
 

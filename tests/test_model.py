@@ -482,6 +482,12 @@ class TestEquilibrium:
         with pytest.raises(ValueError, match=f"{name} = 0.0 is not a positive normal float"):
             solve_equilibrium(kin, 1e-300, 1.0, 1.0)
 
+    def test_equilibrium_u_star_above_the_floats_is_rejected(self):
+        # v* ~ 1e290 is a float, and u* = kappa * v* ~ 1e310 is not
+        kin = Kinetics(k=1.0, kappa=1e20, alpha=1.0, beta=1.0)
+        with pytest.raises(ValueError, match="u_star = inf is not a positive normal float"):
+            solve_equilibrium(kin, 1e300, 1e-10, 1.0)
+
     def test_uniqueness_from_different_brackets(self):
         kin = Kinetics(k=1.0, kappa=3.0, alpha=2.5, beta=1.5)
         mass, omega, gamma = 7.0, 2.0, 0.5

@@ -13,7 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bulksurf as bs
-from bulksurf.mesh import face_divergence
+from bulksurf import cli
+from bulksurf.mesh import face_divergence, face_flux
 from bulksurf.solver import _newton_matrix, _rate_vector
 from test_acceptance import blob_problem
 from test_mesh import disk_mesh, split_faces
@@ -35,34 +36,34 @@ def linear_kinetics(k=1.0, kappa=1.0):
 NEWTON_SCALES = (1e-3, 1.0, 1e3)
 
 
-def _newton_jacobian(w, c, mesh, kin, bulk_law, surf_law, window, face_average):
+def _newton_jacobian(w, c, mesh, kin, bulk_law, surf_law, window):
     """Dense Jacobian of the total rate recovered from the Newton matrix as (I - M)/c."""
-    matrix = _newton_matrix(w, c, mesh, kin, bulk_law, surf_law, window, face_average)
+    matrix = _newton_matrix(w, c, mesh, kin, bulk_law, surf_law, window)
     return (np.eye(w.size) - matrix.toarray()) / c
 
 
-def _fd_jacobian(w, mesh, kin, bulk_law, surf_law, window, face_average):
+def _fd_jacobian(w, mesh, kin, bulk_law, surf_law, window):
     """Dense finite-difference Jacobian of the total rate (column perturbations)."""
     n = w.size
-    f0 = _rate_vector(w, mesh, kin, bulk_law, surf_law, window, face_average)
+    f0 = _rate_vector(w, mesh, kin, bulk_law, surf_law, window)
     jac = np.empty((n, n))
     for i in range(n):
         h = 1e-7 * (1.0 + abs(w[i]))
         wp = w.copy()
         wp[i] += h
-        fp = _rate_vector(wp, mesh, kin, bulk_law, surf_law, window, face_average)
+        fp = _rate_vector(wp, mesh, kin, bulk_law, surf_law, window)
         jac[:, i] = (fp - f0) / h
     return jac
 
 
-def bulk_only_rate(state, mesh, law, window, face_average="arithmetic"):
+def bulk_only_rate(state, mesh, law, window):
     """du of total_rate on a state with a constant v and no exchange.
 
     There dv == 0 checks that the surface flux and the exchange vanish bit
     for bit, so du is the bulk diffusion alone.
     """
     surf_law = bs.constant_law(1.0, role="surface")
-    du, dv = bs.total_rate(state, mesh, linear_kinetics(), law, surf_law, window, face_average)
+    du, dv = bs.total_rate(state, mesh, linear_kinetics(), law, surf_law, window)
     np.testing.assert_array_equal(dv, 0.0)
     return du
 
@@ -103,11 +104,9 @@ class TestBulkDiffusion:
         np.testing.assert_allclose(out, [4.0, -4.0])
 
     def test_harmonic_average_option(self):
-        mesh = bs.build_mesh(2, 1, 2.0, 1.0, {"bottom"})
+        mesh = bs.build_mesh(2, 1, 2.0, 1.0, {"bottom"}, face_average="harmonic")
         state = bs.State(t=0.0, u=np.array([1.0, 3.0]), v=np.zeros(2))
-        out = bulk_only_rate(
-            state, mesh, bs.power_law(1.0), wide_window(), face_average="harmonic"
-        )
+        out = bulk_only_rate(state, mesh, bs.power_law(1.0), wide_window())
         np.testing.assert_allclose(out, [3.0, -3.0])  # harmonic mean 1.5, flux 3
 
     def test_volume_weighted_sum_is_zero(self):
@@ -118,7 +117,7 @@ class TestBulkDiffusion:
         # the one face set over the stacked state; a flat v carries no flux
         w = np.concatenate([u, np.ones(mesh.n_surface)])
         mu = np.concatenate([mu, np.ones(mesh.n_surface)])
-        out = face_divergence(mesh.faces, w, mu, "arithmetic")
+        out = face_divergence(mesh.faces, w, mu)
         assert abs(np.sum(out[: mesh.n_bulk] * mesh.faces.measure[: mesh.n_bulk])) < 1e-13
         np.testing.assert_array_equal(out[mesh.n_bulk :], 0.0)
 
@@ -158,7 +157,7 @@ class TestSurfaceDiffusion:
         # the one face set over the stacked state; a flat u carries no flux
         w = np.concatenate([np.ones(mesh.n_bulk), v])
         mu = np.concatenate([np.ones(mesh.n_bulk), mu])
-        out = face_divergence(mesh.faces, w, mu, "arithmetic")
+        out = face_divergence(mesh.faces, w, mu)
         assert abs(np.sum(out[mesh.n_bulk :] * mesh.faces.measure[mesh.n_bulk :])) < 1e-13
         np.testing.assert_array_equal(out[: mesh.n_bulk], 0.0)
 
@@ -249,18 +248,18 @@ class TestJacobian:
     @pytest.mark.parametrize("face_average", ["arithmetic", "harmonic"])
     @pytest.mark.parametrize("bulk_law,surf_law_maker", JACOBIAN_LAWS)
     def test_analytic_matches_finite_differences(self, face_average, bulk_law, surf_law_maker):
-        mesh = bs.build_mesh(4, 3, 1.0, 1.5, {"bottom", "left"})
-        self.check(mesh, face_average, bulk_law, surf_law_maker)
+        mesh = bs.build_mesh(4, 3, 1.0, 1.5, {"bottom", "left"}, face_average)
+        self.check(mesh, bulk_law, surf_law_maker)
 
     @pytest.mark.parametrize("face_average", ["arithmetic", "harmonic"])
     @pytest.mark.parametrize("bulk_law,surf_law_maker", JACOBIAN_LAWS)
     def test_closed_chain_matches_finite_differences(self, face_average, bulk_law, surf_law_maker):
         # all four edges: the surface chain closes into a loop, as in the CLI benchmark run
-        mesh = bs.build_mesh(4, 3, 1.0, 1.5, {"bottom", "right", "top", "left"})
-        self.check(mesh, face_average, bulk_law, surf_law_maker)
+        mesh = bs.build_mesh(4, 3, 1.0, 1.5, {"bottom", "right", "top", "left"}, face_average)
+        self.check(mesh, bulk_law, surf_law_maker)
 
     @staticmethod
-    def check(mesh, face_average, bulk_law, surf_law_maker):
+    def check(mesh, bulk_law, surf_law_maker):
         rng = np.random.default_rng(43)
         kin = bs.Kinetics(k=1.2, kappa=0.6, alpha=2.0, beta=1.5)
         win = bs.ClampWindow(
@@ -282,11 +281,74 @@ class TestJacobian:
         # the grid's own measures, then per-cell bulk measures
         for m in (mesh, with_nonuniform_measures(mesh, rng)):
             for x in (w, w_out):
-                J_fd = _fd_jacobian(x, m, kin, bulk_law, surf_law, win, face_average)
+                J_fd = _fd_jacobian(x, m, kin, bulk_law, surf_law, win)
                 scale = max(1.0, np.abs(J_fd).max())
                 for c in NEWTON_SCALES:
-                    J_an = _newton_jacobian(x, c, m, kin, bulk_law, surf_law, win, face_average)
+                    J_an = _newton_jacobian(x, c, m, kin, bulk_law, surf_law, win)
                     assert np.abs(J_an - J_fd).max() / scale < 1e-5
+
+
+def test_the_mesh_face_average_reaches_step_total_rate_and_record():
+    # a mesh built harmonic is rated, stepped and recorded harmonic with
+    # nothing else passed: each is checked against face_flux on that mesh,
+    # and the same mesh made arithmetic misses every check
+    kin = bs.Kinetics(k=1.0, kappa=0.5, alpha=2.0, beta=1.0)
+    mesh = bs.build_mesh(5, 4, 1.0, 1.0, {"bottom", "right"}, face_average="harmonic")
+    assert bs.build_mesh(2, 2, 1.0, 1.0, {"top"}).faces.average == "arithmetic"
+    arithmetic = replace(mesh, faces=replace(mesh.faces, average="arithmetic"))
+    rng = np.random.default_rng(23)
+    u, v = rng.uniform(0.5, 3.0, mesh.n_bulk), rng.uniform(0.5, 3.0, mesh.n_surface)
+    state = bs.State(t=0.0, u=u, v=v)
+    eq = bs.solve_equilibrium(kin, bs.weighted_mass(state, mesh, kin),
+                              mesh.total_bulk_measure, mesh.total_surface_measure)
+    window = bs.window_from_initial_data(u, v, eq, kin)
+    window = replace(window, upper=1.0)  # both envelopes breached, so record has dissipations
+    laws = (bs.power_law(1.0), bs.surface_cross_law(kin))
+    faces, nb, tr = mesh.faces, mesh.n_bulk, mesh.surf_to_bulk
+    measure = faces.measure
+
+    def flux(st):
+        mu = np.concatenate((bs.diffusion_coefficient(laws[0], st.u, None, window),
+                             bs.diffusion_coefficient(laws[1], st.u[tr], st.v, window)))
+        return face_flux(faces, np.concatenate((st.u, st.v)), mu)
+
+    def rate(st):
+        phi = flux(st)
+        f = np.bincount(faces.cell_a, weights=phi, minlength=measure.size)
+        f -= np.bincount(faces.cell_b, weights=phi, minlength=measure.size)
+        f /= measure
+        r = bs.safe_rate(st.u[tr], st.v, kin)
+        f[:nb] -= kin.alpha * np.bincount(tr, weights=r * measure[nb:], minlength=nb) / measure[:nb]
+        f[nb:] += kin.beta * r
+        return f
+
+    pot = np.concatenate([
+        np.log(np.maximum((c / star) ** exponent / window.upper, 1.0)) / exponent
+        for c, star, exponent in ((u, eq.u_star, kin.alpha), (v, eq.v_star, kin.beta))
+    ])
+    terms = flux(state) * (pot[faces.cell_b] - pot[faces.cell_a])
+    bulk = faces.cell_a < nb
+    dissipation = (-np.sum(terms[bulk]), -np.sum(terms[~bulk]))
+    assert max(dissipation) < 0
+    expected = rate(state)
+    cfg = bs.StepConfig(dt=1e-2, newton_tol=1e-13)
+    w0 = np.concatenate((u, v))
+    for m, agrees in ((mesh, True), (arithmetic, False)):
+        got = np.concatenate(bs.total_rate(state, m, kin, *laws, window))
+        assert np.allclose(got, expected, rtol=1e-13, atol=0) is agrees
+        st = bs.step(state, m, kin, *laws, window, cfg)
+        residual = np.abs(np.concatenate((st.u, st.v)) - w0 - cfg.dt * rate(st)).max()
+        assert bool(residual <= 1e-12 * max(eq.u_star, eq.v_star)) is agrees
+        rec = bs.record(state, m, kin, eq, window, *laws)
+        got = (rec.diffusion_dissipation_bulk, rec.diffusion_dissipation_surface)
+        assert np.allclose(got, dissipation, rtol=1e-12, atol=0) is agrees
+
+    # the mesh is the holder's problem: a mesh of another average empties it
+    lu = bs.NewtonLU()
+    bs.step(state, arithmetic, kin, *laws, window, cfg, lu=lu)
+    held = bs.step(state, mesh, kin, *laws, window, cfg, lu=lu)
+    bare = bs.step(state, mesh, kin, *laws, window, cfg)
+    np.testing.assert_array_equal(np.concatenate((held.u, held.v)), np.concatenate((bare.u, bare.v)))
 
 
 def test_newton_matrix_assembly_is_lean(monkeypatch):
@@ -295,7 +357,7 @@ def test_newton_matrix_assembly_is_lean(monkeypatch):
     # they become.  int64 indices alone would take it past 230.
     p = blob_problem(128)
     w = np.concatenate([p.state.u, p.state.v])
-    args = (p.mesh, p.kin, p.bulk_law, p.surf_law, p.window, p.cfg.face_average)
+    args = (p.mesh, p.kin, p.bulk_law, p.surf_law, p.window)
     _newton_matrix(w, p.cfg.dt, *args)  # first-call allocations are not the assembly's
     tracemalloc.start()
     try:
@@ -419,14 +481,14 @@ class TestStep:
             bs.StepConfig(dt=0.0)
         with pytest.raises(ValueError):
             bs.StepConfig(dt=1e-3, theta=0.3)
-        with pytest.raises(ValueError):
-            bs.StepConfig(dt=1e-3, face_average="geometric")
-        mesh, kin, eq, state, window = self.setup_problem()
-        laws = (bs.power_law(1.0), bs.surface_cross_law(kin))
-        with pytest.raises(ValueError):
-            bs.total_rate(state, mesh, kin, *laws, window, face_average="geometric")
+        # the face average is the mesh's: one check, where the face set is made
+        with pytest.raises(TypeError):
+            bs.StepConfig(dt=1e-3, face_average="harmonic")
         with pytest.raises(ValueError, match="unknown face average"):
-            bs.record(state, mesh, kin, eq, window, *laws, face_average="geometric")
+            bs.build_mesh(4, 4, 1.0, 1.0, {"bottom"}, face_average="geometric")
+        mesh, kin, eq, state, window = self.setup_problem()
+        with pytest.raises(ValueError, match="unknown face average"):
+            replace(mesh.faces, average="geometric")
         nan, inf = float("nan"), float("inf")
         for bad in (
             dict(dt=nan),
@@ -623,6 +685,40 @@ class TestRun:
         assert info.value.last_state is not None
         assert info.value.records is not None
         assert len(info.value.records) >= 1
+
+    def test_a_step_that_goes_negative_is_retried_with_dt_halved(self, tmp_path):
+        # a README-valid two-blob config whose first trapezoidal step at the
+        # configured dt accepts min u = -40; at dt/32 the step stays positive
+        path = tmp_path / "neg.cfg"
+        path.write_text("nx = 16\nny = 16\ninitial = two-blob\nblob_amplitude_1 = 50\n"
+                        "blob_width = 0.03\nblob_base_u = 0.01\ntheta = 0.5\ndt = 0.05\n"
+                        "t_final = 0.1\n")
+        mesh, kin, bulk_law, surf_law, state, eq, window, cfg = cli.build_problem(
+            cli.parse_config(path)
+        )
+        laws = (bulk_law, surf_law)
+        assert bs.step(state, mesh, kin, *laws, window, cfg).u.min() < -40
+        final, records = bs.run(state, 0.1, mesh, kin, eq, *laws, window, cfg)
+        assert records[1].t == 0.05 / 2**bs.solver.MAX_DT_HALVINGS
+        assert final.t == 0.1
+        assert min(final.u.min(), final.v.min()) >= 0
+        assert all(min(r.u_env_min, r.v_env_min) >= 0 for r in records)
+        assert max(abs(r.mass - eq.mass) for r in records) <= 1e-12 * eq.mass
+
+    def test_a_step_negative_after_the_last_halving_is_fatal(self, monkeypatch):
+        mesh, kin, eq, state, window, laws = self.setup_problem()
+        dts = []
+
+        def negative(st, *args, **kwargs):  # the step run takes, with a negative u
+            dts.append(args[-1].dt)
+            return bs.State(t=st.t + args[-1].dt, u=-st.u, v=st.v)
+
+        monkeypatch.setattr(bs.solver, "step", negative)
+        with pytest.raises(bs.NonConvergence, match="a negative state at t = ") as info:
+            bs.run(state, 0.05, mesh, kin, eq, *laws, window, bs.StepConfig(dt=1e-2))
+        assert dts == [1e-2 / 2**k for k in range(bs.solver.MAX_DT_HALVINGS + 1)]
+        assert info.value.last_state is state and len(info.value.records) == 1
+        assert info.value.iterations is None and info.value.residual is None
 
     def test_a_span_the_clock_cannot_resolve_raises(self, monkeypatch):
         # At t = 1e6 the round-off allowance t_eps is 1e-6.  A span within it,
@@ -1113,6 +1209,7 @@ class TestRandomProblems:
     ):
         kin = bs.Kinetics(k=1.2, kappa=0.6, alpha=alpha, beta=beta)
         mesh = mesh_from(mesh_spec)
+        mesh = replace(mesh, faces=replace(mesh.faces, average=face_average))
         rng = np.random.default_rng(seed)
         state = bs.State(
             t=0.0, u=rng.uniform(0.6, 1.8, mesh.n_bulk), v=rng.uniform(0.6, 1.8, mesh.n_surface)
@@ -1121,11 +1218,11 @@ class TestRandomProblems:
         eq = bs.solve_equilibrium(kin, m0, mesh.total_bulk_measure, mesh.total_surface_measure)
         window = bs.window_from_initial_data(state.u, state.v, eq, kin)
         laws = (bulk_law, surf_law_maker(kin))
-        cfg = bs.StepConfig(dt=1e-3, newton_tol=1e-13, newton_max_iter=40, face_average=face_average)
+        cfg = bs.StepConfig(dt=1e-3, newton_tol=1e-13, newton_max_iter=40)
 
         w = np.concatenate([state.u, state.v])
-        J_an = _newton_jacobian(w, c, mesh, kin, *laws, window, face_average)
-        J_fd = _fd_jacobian(w, mesh, kin, *laws, window, face_average)
+        J_an = _newton_jacobian(w, c, mesh, kin, *laws, window)
+        J_fd = _fd_jacobian(w, mesh, kin, *laws, window)
         assert np.abs(J_an - J_fd).max() <= 1e-5 * max(1.0, np.abs(J_fd).max())
 
         # the weighted mass moves by at most the weighted Newton residual
@@ -1160,15 +1257,13 @@ class TestRandomProblems:
         # exchange + bulk divergence + surface divergence, bit for bit; some
         # entries are nonpositive, where the guarded rate is 0
         kin = bs.Kinetics(k=1.2, kappa=0.6, alpha=alpha, beta=beta)
-        mesh = bs.build_mesh(nx, ny, 1.0, 1.3, edges)
+        mesh = bs.build_mesh(nx, ny, 1.0, 1.3, edges, face_average)
         rng = np.random.default_rng(seed)
         u = rng.uniform(-0.2, 1.8, mesh.n_bulk)
         v = rng.uniform(-0.2, 1.8, mesh.n_surface)
         window = wide_window(alpha=alpha, beta=beta)
         surf_law = bs.surface_cross_law(kin)
-        du, dv = bs.total_rate(
-            bs.State(t=0.0, u=u, v=v), mesh, kin, bulk_law, surf_law, window, face_average
-        )
+        du, dv = bs.total_rate(bs.State(t=0.0, u=u, v=v), mesh, kin, bulk_law, surf_law, window)
 
         tr = mesh.surf_to_bulk
         bulk_faces, chain_faces = split_faces(mesh)
@@ -1179,11 +1274,11 @@ class TestRandomProblems:
         )
         mu = bs.diffusion_coefficient(bulk_law, u, None, window)
         np.testing.assert_array_equal(
-            du, exchange + face_divergence(bulk_faces, u, mu, face_average)
+            du, exchange + face_divergence(bulk_faces, u, mu)
         )
         mu = bs.diffusion_coefficient(surf_law, u[tr], v, window)
         np.testing.assert_array_equal(
-            dv, kin.beta * r + face_divergence(chain_faces, v, mu, face_average)
+            dv, kin.beta * r + face_divergence(chain_faces, v, mu)
         )
 
 
@@ -1213,7 +1308,7 @@ for nx, ny, edges in ((1, 1, {"bottom"}), (3, 2, set(bs.mesh.EDGE_NAMES)),
     window = bs.window_from_initial_data(u, v, eq, kin)
     w = np.concatenate([u, v])
     for dt in (1e-3, 1.0, 1e3):
-        problems.append((w, _newton_matrix(w, dt, mesh, kin, *laws, window, "arithmetic")))
+        problems.append((w, _newton_matrix(w, dt, mesh, kin, *laws, window)))
 for _ in range(12):
     for w, matrix in problems:
         for dtype in (np.float32, np.float64):
