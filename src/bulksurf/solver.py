@@ -32,11 +32,14 @@ since the matrix is structurally symmetric, and panel size 1.  The factor
 is single precision: it only steers the iteration, while residuals,
 iterates, the line search and the stopping test stay in double precision
 (mixed-precision iterative refinement, Carson & Higham, SIAM J. Sci.
-Comput. 40, 2018).  A problem on which a single-precision factor fails
-falls back to double precision.  A NewtonLU holder carries the LU, the last
-accepted rate and the last accepted states from one step to the next
-(simplified Newton with a predictor, Hairer & Wanner, Solving ODEs II, IV.8);
-its docstring states when each is used and when it is dropped.
+Comput. 40, 2018).  The matrix is assembled inside the factor helper, and
+its float32 values replace the float64 ones before SuperLU runs, so the
+factor holds the only copy of the Newton values.  A problem on which a
+single-precision factor fails falls back to double precision.  A NewtonLU
+holder carries the LU, the last accepted rate and the last accepted states
+from one step to the next (simplified Newton with a predictor, Hairer &
+Wanner, Solving ODEs II, IV.8); its docstring states when each is used and
+when it is dropped.
 """
 
 from __future__ import annotations
@@ -183,8 +186,8 @@ class NewtonLU:
     newton_tol and more than CONTRACTION times the previous one.
 
     Factors are single precision until double is set.  _factor sets it when
-    the Newton matrix is not finite in float32 or SuperLU cannot factor the
-    float32 copy, and step when the rule drops a fresh single-precision LU;
+    the Newton matrix is not finite in float32 or SuperLU cannot factor its
+    float32 values, and step when the rule drops a fresh single-precision LU;
     every later factor is then double precision until another problem
     empties the holder.
     """
@@ -196,30 +199,35 @@ class NewtonLU:
     double: bool = False
 
 
-def _factor(matrix: sparse.csc_matrix, double: bool) -> tuple[_Solve | None, bool]:
-    """The solve of a SuperLU factor of matrix and whether it is double precision.
+def _factor(w: np.ndarray, c: float, operator: tuple, double: bool) -> tuple[_Solve | None, bool]:
+    """The solve of a SuperLU factor of I - c*J at w and whether it is double precision.
 
-    Panel size 1 gives the same factor as SuperLU's default panel size, bit
-    for bit, in less time and memory (the panel workspace scales with panel
-    size times n).  Unless double is set the factor is single precision,
-    made from a float32 copy of the values on the matrix's own index arrays;
-    it solves the right-hand side scaled by its max-norm, so its range fits
-    single precision, and returns float64.  When the matrix is not finite in
-    float32, or SuperLU raises on the copy (an exactly singular factor), the
-    factor is double precision instead.  solve is None only when SuperLU
-    raises on the double-precision matrix.
+    operator is (mesh, kinetics, bulk law, surface law, window).  The
+    Newton matrix is assembled here and never leaves the helper.  Panel size
+    1 gives the same factor as SuperLU's default panel size, bit for bit, in
+    less time and memory (the panel workspace scales with panel size times
+    n).  Unless double is set the factor is single precision: the summed
+    float64 values are cast to float32 and replace them in the matrix, so
+    they are freed before SuperLU runs.  Its solve scales the right-hand side
+    by its max-norm, so its range fits single precision, and returns
+    float64.  A matrix that is not finite in float32 is factored in double
+    precision; when SuperLU raises on the float32 values (an exactly
+    singular factor), the matrix is assembled again at w in double
+    precision.  solve is None only when SuperLU raises on the
+    double-precision matrix.
     """
-    a = matrix
+    matrix = _newton_matrix(w, c, *operator)
     if not double:
         with np.errstate(over="ignore"):
             data = matrix.data.astype(np.float32)
         double = not np.all(np.isfinite(data))
         if not double:
-            a = sparse.csc_matrix((data, matrix.indices, matrix.indptr), shape=matrix.shape)
+            matrix.data = data
+        del data  # a non-finite copy is not kept through a double factor
     try:
-        factor = spla.splu(a, permc_spec="MMD_AT_PLUS_A", panel_size=1)
+        factor = spla.splu(matrix, permc_spec="MMD_AT_PLUS_A", panel_size=1)
     except RuntimeError:
-        return (None, True) if double else _factor(matrix, True)
+        return (None, True) if double else _factor(w, c, operator, True)
     if double:
         return factor.solve, True
 
@@ -349,7 +357,8 @@ def step(
     and the one rule that drops the LU, and when its factors switch from
     single to double precision.  Without lu the step starts from a new
     empty holder and factors at the old state.  Every factor comes from
-    _factor(matrix, lu.double), which returns its solve and precision.
+    _factor(w, theta*dt, operator, lu.double), which assembles the Newton
+    matrix at the iterate w, factors it and returns its solve and precision.
 
     Raises NonConvergence when the iteration cap is reached, or when SuperLU
     cannot factor the matrix or the line search fails on a fresh
@@ -374,7 +383,7 @@ def step(
     chained = bool(lu.history) and np.array_equal(lu.history[0], w_old)
     history = lu.history if chained else (w_old,)
     f_old = lu.f if chained and lu.f is not None else _rate_vector(w_old, *operator)
-    expl = np.zeros_like(w_old) if theta == 1.0 else dt * (1.0 - theta) * f_old
+    expl = None if theta == 1.0 else dt * (1.0 - theta) * f_old  # the explicit part of R
 
     def size(x: np.ndarray) -> float:
         """max_i |x_i|/star_i, one reduction per field; NaN if x holds a NaN."""
@@ -386,7 +395,9 @@ def step(
         """(w, F(w), R(w), size(R(w))), evaluating F unless it is given."""
         if f is None:
             f = _rate_vector(w, *operator)
-        r = w - w_old - dt * theta * f - expl
+        r = w - w_old - dt * theta * f
+        if expl is not None:
+            r -= expl
         return w, f, r, size(r)
 
     w, f, r, rn = candidate(w_old, f_old)
@@ -399,8 +410,8 @@ def step(
         if iters >= cfg.newton_max_iter:
             raise NonConvergence(iters, rn)
         fresh = lu.solve is None  # factored at the current iterate
-        if fresh:  # the matrix is freed once factored: the factor holds what Newton needs
-            lu.solve, lu.double = _factor(_newton_matrix(w, dt * theta, *operator), lu.double)
+        if fresh:
+            lu.solve, lu.double = _factor(w, dt * theta, operator, lu.double)
             if lu.solve is None:
                 raise NonConvergence(iters, rn)
         delta = lu.solve(-r)

@@ -372,14 +372,27 @@ def test_newton_matrix_assembly_is_lean(monkeypatch):
     # they must be dropped, not stored
     assert np.all(matrix.data != 0)
 
-    # the single-precision factor copies the values only
+    # the single-precision factor holds the only copy of the values: when
+    # SuperLU is entered, what _factor has added since it was entered is the
+    # float32 matrix, 4 bytes of value and 4 of row index per nonzero and 4
+    # of column pointer per column; the float64 values are freed
     seen = []
     splu = bs.solver.spla.splu
-    monkeypatch.setattr(bs.solver.spla, "splu", lambda a, **kw: seen.append(a) or splu(a, **kw))
-    bs.solver._factor(matrix, False)
-    assert seen[0].dtype == np.float32
-    assert np.shares_memory(seen[0].indices, matrix.indices)
-    assert np.shares_memory(seen[0].indptr, matrix.indptr)
+
+    def traced(a, **kw):
+        seen.append((a.dtype, a.indices.dtype, tracemalloc.get_traced_memory()[0] - base))
+        return splu(a, **kw)
+
+    monkeypatch.setattr(bs.solver.spla, "splu", traced)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        bs.solver._factor(w, p.cfg.dt, args, False)
+    finally:
+        tracemalloc.stop()
+    [(dtype, index_dtype, held)] = seen
+    assert dtype == np.float32 and index_dtype == np.intc
+    assert held <= 9 * matrix.nnz + 4 * w.size + 4096, (held, matrix.nnz, w.size)
 
 
 class TestStep:
@@ -850,7 +863,7 @@ class TestLUReuse:
         factor = bs.solver._factor
         monkeypatch.setattr(
             bs.solver, "_factor",
-            lambda matrix, double: factor(matrix, True),
+            lambda w, c, operator, double: factor(w, c, operator, True),
         )
 
     def primed(self):
@@ -1005,7 +1018,9 @@ class TestLUReuse:
         factor = bs.solver._factor
         monkeypatch.setattr(
             bs.solver, "_factor",
-            lambda matrix, double: factor(matrix, True) if double else ((lambda b: -b), False),
+            lambda w, c, operator, double: (
+                factor(w, c, operator, True) if double else ((lambda b: -b), False)
+            ),
         )
         lu = bs.NewtonLU()
         out = bs.step(state, mesh, kin, *laws, window, cfg, lu=lu)
@@ -1020,6 +1035,72 @@ class TestLUReuse:
         assert lu.double
         bs.step(out, mesh, replace(kin, k=3.0), *laws, window, cfg, lu=lu)
         assert not lu.double
+
+    @staticmethod
+    def count_assemblies(monkeypatch, edit=None):
+        """A list of the iterates at which a Newton matrix is assembled; edit changes each matrix."""
+        assembled = []
+        newton_matrix = bs.solver._newton_matrix
+
+        def counted(w, *args):
+            assembled.append(w.copy())
+            matrix = newton_matrix(w, *args)
+            if edit is not None:
+                edit(matrix)
+            return matrix
+
+        monkeypatch.setattr(bs.solver, "_newton_matrix", counted)
+        return assembled
+
+    def test_single_factor_superlu_rejects_is_assembled_again_in_double(self, monkeypatch):
+        # SuperLU raises on the float32 matrix once (as on an exactly singular
+        # factor): _factor assembles the matrix again at the same iterate and
+        # factors it in double precision, so the step is a step whose
+        # factors are all double precision, bit for bit
+        mesh, kin, eq, state, window, laws, cfg = self.setup_problem()
+        assembled = self.count_assemblies(monkeypatch)
+        splu = bs.solver.spla.splu
+        raised = []
+
+        def rejects_single_once(a, **kwargs):
+            if a.dtype == np.float32 and not raised:
+                raised.append(a.dtype)
+                raise RuntimeError("Factor is exactly singular")
+            return splu(a, **kwargs)
+
+        monkeypatch.setattr(bs.solver.spla, "splu", rejects_single_once)
+        lu = bs.NewtonLU()
+        out = bs.step(state, mesh, kin, *laws, window, cfg, lu=lu)
+        assert raised and lu.double
+        assert len(assembled) == 2
+        np.testing.assert_array_equal(assembled[0], assembled[1])
+        self.force_double(monkeypatch)
+        bare = bs.step(state, mesh, kin, *laws, window, cfg)
+        np.testing.assert_array_equal(out.u, bare.u)
+        np.testing.assert_array_equal(out.v, bare.v)
+
+    def test_matrix_beyond_single_range_is_factored_in_double(self, monkeypatch):
+        # an entry beyond the float32 range: the one assembly is factored in
+        # double precision, and its solve is a double-precision solve
+        mesh, kin, eq, state, window, laws, cfg = self.setup_problem()
+        huge = 1e3 * float(np.finfo(np.float32).max)
+
+        def widen(matrix):
+            matrix[0, 0] = huge
+
+        assembled = self.count_assemblies(monkeypatch, widen)
+        seen = []
+        splu = bs.solver.spla.splu
+        monkeypatch.setattr(bs.solver.spla, "splu", lambda a, **kw: seen.append(a.dtype) or splu(a, **kw))
+        w = np.concatenate([state.u, state.v])
+        operator = (mesh, kin, *laws, window)
+        solve, double = bs.solver._factor(w, cfg.dt, operator, False)
+        assert double and seen == [np.float64] and len(assembled) == 1
+        matrix = bs.solver._newton_matrix(w, cfg.dt, *operator)
+        assert matrix[0, 0] == huge
+        x = solve(w)
+        norm = abs(matrix).sum(axis=1).max() * np.abs(x).max()
+        assert np.abs(matrix @ x - w).max() <= 1e3 * np.finfo(float).eps * norm
 
     def test_ill_conditioned_steps_fall_back_to_double(self, monkeypatch):
         # the acceptance blob at 1e8 times its dt: cond(I - dt*J) is about
@@ -1282,10 +1363,11 @@ class TestRandomProblems:
         )
 
 
-# Factors and solves Newton matrices of 1x1, 3x2 all-edge, 16x16 and 64x64
-# meshes at three time steps, built by the solver's assembly, in both
-# precisions through the solver's factor helper (a single-precision factor
-# shares the index arrays of its matrix), in 12 passes.  Under
+# Assembles, factors and solves the Newton matrices of 1x1, 3x2 all-edge,
+# 16x16 and 64x64 meshes at three time steps, in both precisions, through
+# the solver's factor helper (a single-precision factor puts float32 values
+# on the index arrays of the assembly), in 12 passes; each solve is checked
+# against a float64 assembly at the same iterate.  Under
 # MALLOC_CHECK_=3 glibc aborts the interpreter when SuperLU corrupts its
 # heap.  relax=100 corrupts it, but not on every pass: this test caught it
 # in one to two of every four runs.
@@ -1308,11 +1390,12 @@ for nx, ny, edges in ((1, 1, {"bottom"}), (3, 2, set(bs.mesh.EDGE_NAMES)),
     window = bs.window_from_initial_data(u, v, eq, kin)
     w = np.concatenate([u, v])
     for dt in (1e-3, 1.0, 1e3):
-        problems.append((w, _newton_matrix(w, dt, mesh, kin, *laws, window)))
+        operator = (mesh, kin, *laws, window)
+        problems.append((w, dt, operator, _newton_matrix(w, dt, *operator)))
 for _ in range(12):
-    for w, matrix in problems:
+    for w, dt, operator, matrix in problems:
         for dtype in (np.float32, np.float64):
-            x = _factor(matrix, dtype == np.float64)[0](w)
+            x = _factor(w, dt, operator, dtype == np.float64)[0](w)
             # normwise backward error within a few hundred units of round-off
             norm = abs(matrix).sum(axis=1).max() * np.abs(x).max()
             assert np.abs(matrix @ x - w).max() <= 1e3 * np.finfo(dtype).eps * norm
