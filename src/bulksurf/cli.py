@@ -321,7 +321,7 @@ def build_problem(cfg: RunConfig):
     if cfg.surface_law == "surface_cross":
         surf_law = model.surface_cross_law(kin)
     else:
-        surf_law = model.DiffusionLaw(cfg.surface_law, cfg.surface_law_param, role="surface")
+        surf_law = model.DiffusionLaw(cfg.surface_law, cfg.surface_law_param)
 
     state = initial_state(cfg, mesh)
     mass = diagnostics.weighted_mass(state, mesh, kin)
@@ -384,7 +384,6 @@ def write_summary_json(path: Path, eq, state, records, wall_time: float, complet
 
 
 def _write_outputs(cfg, out_dir, mesh, eq, state, records, wall_time, completed, quiet):
-    out_dir.mkdir(parents=True, exist_ok=True)
     written = []
     if "diagnostics" in cfg.outputs:
         p = out_dir / "diagnostics.csv"
@@ -428,12 +427,16 @@ def main(argv: list[str] | None = None) -> int:
         cfg = parse_config(args.config, args.override)
         mesh, kin, bulk_law, surf_law, state, eq, window, step_cfg = build_problem(cfg)
         solver.check_clock(state.t, cfg.t_final, step_cfg.dt)  # run's own check, before the loop
+        out_dir = Path(args.out) if args.out else Path(cfg.out_dir)
+        try:  # before the run, so that an unusable directory loses no solve
+            out_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError([BadValue("out_dir", str(exc))]) from exc
     except ValueError as exc:  # ConfigError included
         for problem in exc.problems if isinstance(exc, ConfigError) else [exc]:
             print(f"config error: {problem}", file=sys.stderr)
         return 2
 
-    out_dir = Path(args.out) if args.out else Path(cfg.out_dir)
     if not args.quiet:
         print(
             f"mesh {cfg.nx}x{cfg.ny}, {mesh.n_surface} surface cells on "

@@ -38,7 +38,7 @@ from .model import (
     Kinetics,
     _float_if_0d,
     _pressure,
-    check_role,
+    check_bulk_law,
     diffusion_coefficient,
 )
 
@@ -207,8 +207,7 @@ def _diffusion_dissipation(state, mesh, window, bulk_law, surf_law):
     concentration, making each face term a product of like-signed
     differences.  One pass over mesh.faces and the stacked state, with the
     solver's flux by the face set's own average, gives every face term; the
-    sum splits by whether a face joins bulk cells.  The laws' roles are
-    checked by record, the only caller.
+    sum splits by whether a face joins bulk cells.
     """
     u, v = state.u, state.v
     mu = np.concatenate((
@@ -239,8 +238,8 @@ def record(
     The envelope extrema come from one pressure pass per field.  A zero
     entry has zero pressure, so a lost strict positivity shows up as
     u_env_min = 0 (or v_env_min = 0) rather than an error.  Negative entries
-    still raise ValueError: the relative entropy is undefined there.  Each
-    law must have the role of its slot, on every state.  The diffusion
+    still raise ValueError: the relative entropy is undefined there.
+    surface_cross as bulk_law raises ValueError on every state.  The diffusion
     dissipations take the flux by mesh.faces.average, as the solver does.
     The reaction dissipation is reported with the sign it carries in the
     envelope-entropy balance (<= 0), the negated total of the split.
@@ -256,8 +255,7 @@ def record(
     v, from one pass over (u, v), lies outside the caps.
     """
     check_sizes(state, mesh)
-    check_role(bulk_law, "bulk")
-    check_role(surf_law, "surface")
+    check_bulk_law(bulk_law)
     refs = (window.u_star, window.v_star, window.alpha, window.beta)
     if refs != (eq.u_star, eq.v_star, kin.alpha, kin.beta):
         raise ValueError(

@@ -149,10 +149,12 @@ class CoupledMesh:
     ``n_bulk + j``; no face of ``faces`` joins a bulk cell to a surface cell.
     Every cell measure, bulk area and surface length alike, is
     ``faces.measure``, and the totals |Omega| and |Gamma| are its sums over
-    the two parts.  ``surf_to_bulk[j]`` is the bulk cell whose boundary face
-    hosts surface cell j; one bulk cell may host several.  The centres place
-    the cells for initial data and output, and ``lx``, ``ly`` are the extents
-    of the bulk domain.  A mesh that breaks this contract raises ValueError.
+    the two parts; every measure and ``faces.trans`` entry is finite and > 0.
+    ``surf_to_bulk[j]`` is the bulk cell whose boundary face hosts surface
+    cell j, of which there is at least one; one bulk cell may host several.
+    The centres place the cells for initial data and output, and ``lx``,
+    ``ly`` are the extents of the bulk domain.  A mesh that breaks this
+    contract raises ValueError.
     """
 
     lx: float
@@ -173,8 +175,10 @@ class CoupledMesh:
             raise ValueError(f"a face cell index lies outside the {f.measure.size} cells")
         if np.any((f.cell_a < nb) != (f.cell_b < nb)):
             raise ValueError("a face joins a bulk cell to a surface cell")
-        if not 0 <= tr.min(initial=0) <= tr.max(initial=0) < nb:  # so n_bulk >= 1 too
-            raise ValueError(f"surf_to_bulk must index the n_bulk = {nb} >= 1 bulk cells")
+        if not (tr.size and 0 <= tr.min() <= tr.max() < nb):  # so n_bulk >= 1 too
+            raise ValueError(f"surf_to_bulk must be nonempty and index the n_bulk = {nb} bulk cells")
+        if not all(np.all((x > 0) & (x < np.inf)) for x in (f.measure, f.trans)):
+            raise ValueError("every faces.measure and faces.trans entry must be finite and > 0")
 
     @property
     def n_bulk(self) -> int:

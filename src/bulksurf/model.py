@@ -34,8 +34,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-BULK_KINDS = ("power", "exponential", "constant")
-SURFACE_KINDS = BULK_KINDS + ("surface_cross",)
+BULK_KINDS = ("power", "exponential", "constant")  # the laws the bulk slot takes
+SURFACE_KINDS = BULK_KINDS + ("surface_cross",)  # every law: the surface slot takes them all
 
 
 def _finite(*values) -> bool:
@@ -82,24 +82,18 @@ class DiffusionLaw:
     kind : "power" (c -> c**param), "exponential" (c -> exp(param*c)),
            "constant" (-> param), or "surface_cross"
            ((u, v) -> v / (alpha*u + beta*v)).
-    role : "bulk" (argument is the bulk concentration) or "surface".
-           Single-argument surface laws act on the surface concentration;
-           "surface_cross" uses the bulk trace and the surface value and is
-           only meaningful in the surface role.
+    The slot decides what a law reads: c is u in the bulk slot and v in the
+    surface slot; surface_cross reads the bulk trace and v, surface slot only.
     """
 
     kind: str
     param: float = 0.0
-    role: str = "bulk"
     alpha: float = 1.0
     beta: float = 1.0
 
     def __post_init__(self):
-        if self.role not in ("bulk", "surface"):
-            raise ValueError(f"role must be 'bulk' or 'surface', got {self.role!r}")
-        allowed = SURFACE_KINDS if self.role == "surface" else BULK_KINDS
-        if self.kind not in allowed:
-            raise ValueError(f"{self.kind!r} is not a valid {self.role} diffusion law")
+        if self.kind not in SURFACE_KINDS:
+            raise ValueError(f"{self.kind!r} is not a diffusion law")
         if not _finite(self.param, self.alpha, self.beta):
             raise ValueError(f"diffusion law parameters must be finite, got {self}")
         if self.kind == "constant" and self.param <= 0:
@@ -108,27 +102,27 @@ class DiffusionLaw:
             raise ValueError("surface_cross requires positive alpha and beta")
 
 
-def check_role(law: DiffusionLaw, role: str) -> None:
-    """Raise ValueError unless law has the role ("bulk" or "surface") of the slot it fills."""
-    if law.role != role:
-        raise ValueError(f"the {role} law slot needs a {role}-role law, got {law}")
+def check_bulk_law(law: DiffusionLaw) -> None:
+    """Raise ValueError if law cannot fill the bulk law slot: surface_cross, which needs v."""
+    if law.kind == "surface_cross":
+        raise ValueError(f"the bulk law slot has no surface concentration for {law}")
 
 
-def power_law(gamma: float, role: str = "bulk") -> DiffusionLaw:
-    return DiffusionLaw(kind="power", param=gamma, role=role)
+def power_law(gamma: float) -> DiffusionLaw:
+    return DiffusionLaw(kind="power", param=gamma)
 
 
-def exponential_law(delta: float, role: str = "bulk") -> DiffusionLaw:
-    return DiffusionLaw(kind="exponential", param=delta, role=role)
+def exponential_law(delta: float) -> DiffusionLaw:
+    return DiffusionLaw(kind="exponential", param=delta)
 
 
-def constant_law(value: float, role: str = "bulk") -> DiffusionLaw:
-    return DiffusionLaw(kind="constant", param=value, role=role)
+def constant_law(value: float) -> DiffusionLaw:
+    return DiffusionLaw(kind="constant", param=value)
 
 
 def surface_cross_law(kin: Kinetics) -> DiffusionLaw:
     """Cross-diffusion coefficient v / (alpha*u + beta*v) on the surface."""
-    return DiffusionLaw(kind="surface_cross", role="surface", alpha=kin.alpha, beta=kin.beta)
+    return DiffusionLaw(kind="surface_cross", alpha=kin.alpha, beta=kin.beta)
 
 
 @dataclass(frozen=True)
@@ -303,9 +297,9 @@ def _cross_derivatives(law, c, other):
 
 
 # Raw laws at already-clamped arguments, by kind: (value, derivatives).  The
-# arguments are the bulk value c for bulk laws, the surface value c for
-# single-argument surface laws, and the bulk trace c plus the surface value
-# other for surface_cross; derivatives come in the same order.
+# argument c is the value the slot gives a single-argument law; surface_cross
+# takes the bulk trace c and the surface value other.  Derivatives come in
+# the same order.
 _LAWS = {
     "power": (
         lambda law, c: c**law.param,
@@ -329,14 +323,15 @@ _LAWS = {
 def _clamped_law(law: DiffusionLaw, u, v, window: ClampWindow, derivatives: bool):
     """Evaluate a law at clamped arguments: mu, or (mu, dmu_du, dmu_dv).
 
-    The derivatives are taken w.r.t. the raw values and carry the clamp chain
+    v None is the bulk slot, where the law reads u.  Otherwise, the surface
+    slot, a single-argument law reads v and surface_cross reads (u, v).  The
+    derivatives are taken w.r.t. the raw values and carry the clamp chain
     rule, so they vanish wherever the clamp caps the argument; the one for a
     variable the law does not read is None.
     """
-    if law.role == "bulk":
+    if v is None:
+        check_bulk_law(law)
         args = ((u, window.u_caps),)
-    elif v is None:
-        raise ValueError("surface-role law requires the surface concentration")
     elif law.kind == "surface_cross":
         args = ((u, window.u_caps), (v, window.v_caps))
     else:
@@ -351,19 +346,17 @@ def _clamped_law(law: DiffusionLaw, u, v, window: ClampWindow, derivatives: bool
         np.where((x > lo) & (x < hi), slope, 0.0)
         for (x, (lo, hi)), slope in zip(args, slopes(law, *hats))
     ]
-    if law.role == "bulk":
-        return mu, grads[0], None
-    if law.kind == "surface_cross":
+    if len(grads) == 2:
         return mu, grads[0], grads[1]
-    return mu, None, grads[0]
+    return (mu, grads[0], None) if v is None else (mu, None, grads[0])
 
 
 def diffusion_coefficient(law: DiffusionLaw, u, v, window: ClampWindow):
     """Coefficient evaluated at clamped arguments, total in (u, v).
 
-    Bulk-role laws see the clamped bulk value; single-argument surface laws
-    see the clamped surface value; surface_cross sees both.  Every
-    surface-role law needs v and raises ValueError when it is None.
+    With v None (the bulk slot) the law sees the clamped u; with v given
+    (the surface slot) a single-argument law sees the clamped v and
+    surface_cross both.  surface_cross with v None raises ValueError.
     """
     return _float_if_0d(_clamped_law(law, u, v, window, derivatives=False))
 
@@ -371,9 +364,10 @@ def diffusion_coefficient(law: DiffusionLaw, u, v, window: ClampWindow):
 def coefficient_and_derivatives(law: DiffusionLaw, u, v, window: ClampWindow):
     """Clamped coefficient plus its derivatives w.r.t. the raw cell values.
 
-    Returns (mu, dmu_du, dmu_dv); the derivatives carry the clamp chain rule,
-    i.e. they vanish wherever the clamp caps the argument.  dmu_dv is None
-    for bulk-role laws; dmu_du is None for single-argument surface laws.
+    Returns (mu, dmu_du, dmu_dv), read as diffusion_coefficient reads; the
+    derivatives carry the clamp chain rule, i.e. they vanish wherever the
+    clamp caps the argument, and the one of a variable the law does not
+    read is None.
     """
     return _clamped_law(law, u, v, window, derivatives=True)
 
@@ -382,10 +376,12 @@ def coefficient_bounds(law: DiffusionLaw, window: ClampWindow) -> tuple[float, f
     """Extrema of the clamped coefficient over the whole window.
 
     Every supported law is monotone in each argument on the positive axis, so
-    the extrema sit at the corners of the cap box.
+    the extrema sit at the caps: a single-argument law's over u_caps, in the
+    bulk slot, and surface_cross's at the corners of the cap box.
     """
     u, v = np.meshgrid(window.u_caps, window.v_caps)
-    mu = _clamped_law(law, u.ravel(), v.ravel(), window, derivatives=False)
+    v = v.ravel() if law.kind == "surface_cross" else None  # else the bulk slot
+    mu = _clamped_law(law, u.ravel(), v, window, derivatives=False)
     return float(np.min(mu)), float(np.max(mu))
 
 

@@ -59,7 +59,6 @@ from .model import (
     DiffusionLaw,
     Equilibrium,
     Kinetics,
-    check_role,
     coefficient_and_derivatives,
     diffusion_coefficient,
     safe_rate,
@@ -246,17 +245,15 @@ def total_rate(
     surf_law: DiffusionLaw,
     window: ClampWindow,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Sum of the three spatial operators, (du/dt, dv/dt); each law fills its own slot."""
+    """Sum of the three spatial operators, (du/dt, dv/dt); each law reads what its slot gives."""
     check_sizes(state, mesh)
-    check_role(bulk_law, "bulk")
-    check_role(surf_law, "surface")
     w = np.concatenate([state.u, state.v])
     f = _rate_vector(w, mesh, kin, bulk_law, surf_law, window)
     return f[: mesh.n_bulk], f[mesh.n_bulk :]
 
 
 def _rate_vector(w, mesh, kin, bulk_law, surf_law, window):
-    """The total rate F(w) of the stacked state w = (u, v); callers check the law roles.
+    """The total rate F(w) of the stacked state w = (u, v).
 
     One face divergence over mesh.faces diffuses u with the bulk law and v
     with the surface law.  With r_j = safe_rate(u_trace, v_j), the trace
@@ -365,8 +362,6 @@ def step(
     double-precision LU; the caller may halve dt and retry.
     """
     check_sizes(state, mesh)
-    check_role(bulk_law, "bulk")
-    check_role(surf_law, "surface")
     nb = mesh.n_bulk
     dt = cfg.dt
     theta = cfg.theta

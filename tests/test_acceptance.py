@@ -313,7 +313,7 @@ def test_criterion_10_single_cell_ode_oracle():
     state = bs.State(t=0.0, u=np.array([u]), v=np.array([v]))
     dt = 0.05
     cfg = bs.StepConfig(dt=dt, newton_tol=1e-14, newton_max_iter=60)
-    laws = (bs.constant_law(1.0), bs.constant_law(1.0, role="surface"))
+    laws = (bs.constant_law(1.0), bs.constant_law(1.0))
     area_ratio = mesh.total_surface_measure / mesh.total_bulk_measure
     worst = 0.0
     for _ in range(100):
@@ -348,8 +348,8 @@ def test_criterion_10_single_cell_ode_oracle():
     "label,bulk_law_maker,surf_law_maker",
     [
         ("power+cross", lambda kin: bs.power_law(1.0), lambda kin: bs.surface_cross_law(kin)),
-        ("exp+power", lambda kin: bs.exponential_law(0.4), lambda kin: bs.power_law(0.7, role="surface")),
-        ("const+const", lambda kin: bs.constant_law(1.2), lambda kin: bs.constant_law(0.8, role="surface")),
+        ("exp+power", lambda kin: bs.exponential_law(0.4), lambda kin: bs.power_law(0.7)),
+        ("const+const", lambda kin: bs.constant_law(1.2), lambda kin: bs.constant_law(0.8)),
     ],
 )
 def test_criterion_11_equilibrium_fixed_point(label, bulk_law_maker, surf_law_maker):

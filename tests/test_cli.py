@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bulksurf import build_mesh
+from bulksurf import build_mesh, solver
 from bulksurf.cli import (
     BadValue,
     ConfigError,
@@ -255,6 +255,20 @@ class TestMainExitCodes:
         err = capsys.readouterr().err
         assert err == "config error: span 0.05 or dt 1e-15 is within round-off 5e-14\n"
         assert not (tmp_path / "out").exists()
+
+    def test_an_unusable_out_directory_is_exit_2_before_the_run(self, tmp_path, capsys, monkeypatch):
+        # --out names a file: a config error before the time loop, not a traceback after it
+        cfg = write(tmp_path, BLOB_RUN)
+        taken = write(tmp_path, "not a directory\n", name="taken")
+
+        def entered(*args, **kwargs):
+            raise AssertionError("solver.run was entered")
+
+        monkeypatch.setattr(solver, "run", entered)
+        assert main(["--config", str(cfg), "--out", str(taken), "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: bad value for out_dir: ") and "Traceback" not in err, err
+        assert taken.read_text() == "not a directory\n"
 
     @pytest.mark.parametrize(
         "text,key",

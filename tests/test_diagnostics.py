@@ -371,7 +371,7 @@ class TestRecord:
                                 alpha=2.0, beta=1.0)
         state = bs.State(t=0.0, u=np.ones(mesh.n_bulk), v=np.full(mesh.n_surface, 6.0))
         rec = bs.record(state, mesh, kin, eq, window, bs.constant_law(1.0),
-                        bs.constant_law(1.0, role="surface"))
+                        bs.constant_law(1.0))
         assert rec.envelope_entropy == 0.0
         assert rec.clamp_activations == 0
 
@@ -444,7 +444,7 @@ def test_data_on_their_own_envelope_record_exact_zeros(
                               mesh.total_bulk_measure, mesh.total_surface_measure)
     window = bs.window_from_initial_data(state.u, state.v, eq, kin)
     laws = (bs.power_law(1.0), bs.surface_cross_law(kin) if cross
-            else bs.power_law(1.0, role="surface"))
+            else bs.power_law(1.0))
     rec = bs.record(state, mesh, kin, eq, window, *laws)
     assert max(rec.u_env_max, rec.v_env_max) == window.upper
     assert min(rec.u_env_min, rec.v_env_min) == window.lower
@@ -501,7 +501,7 @@ def test_record_fields_are_the_functions_they_stand_for(
     eq = bs.solve_equilibrium(kin, 3.0, mesh.total_bulk_measure, mesh.total_surface_measure)
     window = bs.ClampWindow(lower=0.3, upper=3.0, u_star=eq.u_star, v_star=eq.v_star,
                             alpha=alpha, beta=beta)
-    surf_law = bs.surface_cross_law(kin) if cross else bs.power_law(1.0, role="surface")
+    surf_law = bs.surface_cross_law(kin) if cross else bs.power_law(1.0)
     rng = np.random.default_rng(seed)
     u = eq.u_star * (10.0 ** rng.uniform(-1, 1, mesh.n_bulk)) ** (1 / alpha)
     v = eq.v_star * (10.0 ** rng.uniform(-1, 1, mesh.n_surface)) ** (1 / beta)

@@ -3,9 +3,10 @@
 mesh and model sit at the bottom, then diagnostics, then solver, then cli.
 A cycle, or an import hidden inside a function to dodge one, fails here, and
 so does a README "Python API" list that names other than the exported names,
-or a README count of the CoupledMesh, FaceSet or StepConfig fields that does
-not name them exactly, or a module-level constant or table that nothing in
-the package reads.
+or a README count of the CoupledMesh, FaceSet, StepConfig or DiffusionLaw
+fields that does not name them exactly, or a module-level constant or table
+that nothing in the package reads.  README's Python API example runs as
+written and must conserve mass and keep its envelope entropy at 0.
 The smoke test runs one tiny traced benchmark sample of every workload, whose
 tracer wraps the package's layer entry points by name and fails when one is
 gone or unused.  The repo's pytest config, which turns warnings into errors,
@@ -158,6 +159,26 @@ def test_readme_lists_exactly_the_face_set_fields():
 
 def test_readme_lists_exactly_the_step_config_fields():
     _check_readme_fields(bulksurf.StepConfig)
+
+
+def test_readme_lists_exactly_the_diffusion_law_fields():
+    _check_readme_fields(bulksurf.DiffusionLaw)
+
+
+def test_readme_python_api_example_runs_and_conserves_mass(capsys):
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("\n## Python API\n", 1)[1].split("\n## ", 1)[0]
+    example = re.search(r"```python\n(.*?)```", section, re.S)
+    assert example, "README Python API has no python example"
+    namespace = {}
+    exec(compile(example[1], "README.md", "exec"), namespace)
+    records = namespace["records"]
+    assert len(records) > 1
+    assert capsys.readouterr().out.split() == [repr(x) for x in (
+        records[-1].mass, records[-1].entropy, records[-1].envelope_entropy)]
+    for rec in records:
+        assert abs(rec.mass - records[0].mass) <= 1e-13 * records[0].mass
+        assert rec.envelope_entropy == 0.0
 
 
 def test_readme_key_table_lists_exactly_the_config_keys():

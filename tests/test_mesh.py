@@ -263,6 +263,11 @@ _BROKEN = {
     "negative trace": lambda m: dataclasses.replace(m, surf_to_bulk=_changed(m.surf_to_bulk, 0, -1)),
     "no bulk cell": lambda m: dataclasses.replace(
         m, surf_to_bulk=np.zeros(m.faces.measure.size, dtype=np.intp)),
+    "no surface cell": lambda m: dataclasses.replace(m, surf_to_bulk=np.zeros(0, dtype=np.intp)),
+    "zero cell measure": lambda m: _with_faces(m, measure=_changed(m.faces.measure, 0, 0.0)),
+    "negative transmissibility": lambda m: _with_faces(m, trans=_changed(m.faces.trans, 0, -1.0)),
+    "infinite transmissibility": lambda m: _with_faces(m, trans=_changed(m.faces.trans, -1, np.inf)),
+    "NaN cell measure": lambda m: _with_faces(m, measure=_changed(m.faces.measure, -1, np.nan)),
 }
 
 

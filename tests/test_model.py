@@ -210,7 +210,7 @@ class TestClamp:
         u_hat = diffusion_coefficient(power_law(1.0), u, None, win)
         if v is None:
             return u_hat, None
-        return u_hat, diffusion_coefficient(power_law(1.0, role="surface"), None, v, win)
+        return u_hat, diffusion_coefficient(power_law(1.0), None, v, win)
 
     def test_interior_unchanged(self):
         win = self.window()
@@ -325,22 +325,31 @@ class TestDiffusionLaws:
 
     def test_single_argument_surface_law_uses_surface_value(self):
         win = self.window()
-        law = power_law(1.0, role="surface")
+        law = power_law(1.0)
         assert diffusion_coefficient(law, 100.0, 3.0, win) == pytest.approx(3.0)
 
-    def test_surface_cross_requires_surface_role(self):
-        from bulksurf import DiffusionLaw
+    def test_surface_cross_in_the_bulk_slot_raises(self):
+        # v None is the bulk slot, where surface_cross has no surface value to read
+        from bulksurf.model import coefficient_and_derivatives
 
-        with pytest.raises(ValueError):
-            DiffusionLaw(kind="surface_cross", role="bulk")
+        kin = Kinetics(k=1.0, kappa=1.0, alpha=1.0, beta=1.0)
+        u = np.array([1.0, 2.0])
+        for evaluate in (diffusion_coefficient, coefficient_and_derivatives):
+            with pytest.raises(ValueError, match="bulk law slot"):
+                evaluate(surface_cross_law(kin), u, None, self.window())
 
     def test_surface_law_without_surface_value_raises(self):
         kin = Kinetics(k=1.0, kappa=1.0, alpha=1.0, beta=1.0)
         win = self.window()
         u = np.array([1.0, 2.0])
-        for law in (surface_cross_law(kin), power_law(1.0, role="surface")):
-            with pytest.raises(ValueError, match="surface concentration"):
-                diffusion_coefficient(law, u, None, win)
+        with pytest.raises(ValueError, match="surface concentration"):
+            diffusion_coefficient(surface_cross_law(kin), u, None, win)
+
+    def test_single_argument_law_bounds_are_the_bulk_slot_extrema(self):
+        win = ClampWindow(lower=0.3, upper=6.0, u_star=1.2, v_star=0.8, alpha=2.0, beta=1.5)
+        assert win.u_caps != win.v_caps
+        assert coefficient_bounds(power_law(1.0), win) == win.u_caps
+        assert coefficient_bounds(power_law(-1.0), win) == (1 / win.u_caps[1], 1 / win.u_caps[0])
 
     def test_constant_law_positive(self):
         with pytest.raises(ValueError):

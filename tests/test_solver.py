@@ -62,7 +62,7 @@ def bulk_only_rate(state, mesh, law, window):
     There dv == 0 checks that the surface flux and the exchange vanish bit
     for bit, so du is the bulk diffusion alone.
     """
-    surf_law = bs.constant_law(1.0, role="surface")
+    surf_law = bs.constant_law(1.0)
     du, dv = bs.total_rate(state, mesh, linear_kinetics(), law, surf_law, window)
     np.testing.assert_array_equal(dv, 0.0)
     return du
@@ -128,14 +128,14 @@ class TestSurfaceDiffusion:
     def test_constant_state_gives_zero(self):
         mesh = bs.build_mesh(4, 2, 1.0, 1.0, {"bottom"})
         state = bs.State(t=0.0, u=np.zeros(8), v=np.full(4, 2.2))
-        out = surface_only_rate(state, mesh, bs.constant_law(1.0, role="surface"), wide_window())
+        out = surface_only_rate(state, mesh, bs.constant_law(1.0), wide_window())
         np.testing.assert_array_equal(out, 0.0)
 
     def test_two_cell_chain_hand_flux(self):
         # lx=2 with nx=2 -> two surface cells of length 1, distance 1
         mesh = bs.build_mesh(2, 1, 2.0, 1.0, {"bottom"})
         state = bs.State(t=0.0, u=np.zeros(2), v=np.array([1.0, 3.0]))
-        out = surface_only_rate(state, mesh, bs.constant_law(1.0, role="surface"), wide_window())
+        out = surface_only_rate(state, mesh, bs.constant_law(1.0), wide_window())
         np.testing.assert_allclose(out, [2.0, -2.0])
 
     def test_cross_law_constant_surface_field(self):
@@ -162,6 +162,34 @@ class TestSurfaceDiffusion:
         np.testing.assert_array_equal(out[: mesh.n_bulk], 0.0)
 
 
+def test_one_law_fills_both_slots():
+    # the slot decides what a law reads: power_law(1.0) is u in the bulk slot
+    # and v in the surface slot, so under a window that never clamps the
+    # coefficient of every stacked cell is the state itself
+    kin = bs.Kinetics(k=1.3, kappa=0.7, alpha=2.0, beta=1.0)
+    mesh = bs.build_mesh(4, 3, 1.0, 1.0, {"bottom", "right"})
+    nb, tr, m = mesh.n_bulk, mesh.surf_to_bulk, mesh.faces.measure
+    rng = np.random.default_rng(43)
+    state = bs.State(t=0.0, u=rng.uniform(0.5, 1.5, nb), v=rng.uniform(3.0, 5.0, mesh.n_surface))
+    law, window = bs.power_law(1.0), wide_window(alpha=2.0)
+
+    def hand_rate(w):
+        f = face_divergence(mesh.faces, w, w)
+        r = kin.k * (w[tr] ** kin.alpha - kin.kappa * w[nb:] ** kin.beta)
+        f[:nb] -= kin.alpha * np.bincount(tr, weights=r * m[nb:], minlength=nb) / m[:nb]
+        f[nb:] += kin.beta * r
+        return f
+
+    w_old = np.concatenate([state.u, state.v])
+    du, dv = bs.total_rate(state, mesh, kin, law, law, window)
+    np.testing.assert_allclose(np.concatenate([du, dv]), hand_rate(w_old), rtol=1e-13, atol=1e-13)
+    dt = 1e-2
+    new = bs.step(state, mesh, kin, law, law, window, bs.StepConfig(dt=dt, newton_tol=1e-13))
+    w = np.concatenate([new.u, new.v])
+    assert np.max(np.abs(w - w_old)) > 1e-3  # the step moved the state
+    np.testing.assert_allclose(w - w_old - dt * hand_rate(w), 0.0, atol=1e-12)
+
+
 def with_nonuniform_measures(mesh, rng):
     """mesh with each bulk cell measure scaled by its own uniform(0.5, 2) factor."""
     m = mesh.faces.measure.copy()
@@ -171,7 +199,7 @@ def with_nonuniform_measures(mesh, rng):
 
 def exchange_rate(state, mesh, kin):
     """total_rate under constant laws: the exchange alone where both fields are constant."""
-    laws = (bs.constant_law(1.0), bs.constant_law(1.0, role="surface"))
+    laws = (bs.constant_law(1.0), bs.constant_law(1.0))
     return bs.total_rate(state, mesh, kin, *laws, wide_window())
 
 
@@ -239,8 +267,8 @@ class TestCoupling:
 
 JACOBIAN_LAWS = [
     (bs.power_law(1.0), lambda kin: bs.surface_cross_law(kin)),
-    (bs.exponential_law(0.5), lambda kin: bs.power_law(0.8, role="surface")),
-    (bs.constant_law(1.5), lambda kin: bs.constant_law(0.7, role="surface")),
+    (bs.exponential_law(0.5), lambda kin: bs.power_law(0.8)),
+    (bs.constant_law(1.5), lambda kin: bs.constant_law(0.7)),
 ]
 
 
@@ -469,24 +497,25 @@ class TestStep:
             kin2 = bs.Kinetics(k=1.0, kappa=1.0, alpha=alpha, beta=2.0)
             lu = bs.NewtonLU()
             with np.errstate(all="ignore"), pytest.raises(bs.NonConvergence):
-                bs.step(huge, m, kin2, bs.constant_law(1.0), bs.constant_law(1.0, role="surface"),
+                bs.step(huge, m, kin2, bs.constant_law(1.0), bs.constant_law(1.0),
                         wide_window(alpha=alpha, beta=2.0), bs.StepConfig(dt=1e-3), lu=lu)
             assert lu.double
 
     def test_law_in_wrong_slot_raises(self):
-        # a bulk law in the surface slot would read the bulk trace as v, and
-        # surface_cross in the bulk slot has no surface value to read
-        mesh, kin, eq, state, window = self.setup_problem()
+        # surface_cross in the bulk slot has no surface value to read, on
+        # the initial state and at equilibrium, where Newton takes no iteration
+        mesh, kin, eq, initial, window = self.setup_problem()
+        at_eq = bs.State(t=0.0, u=np.full(mesh.n_bulk, eq.u_star), v=np.full(mesh.n_surface, eq.v_star))
         cfg = bs.StepConfig(dt=1e-3)
-        bulk, cross = bs.power_law(1.0), bs.surface_cross_law(kin)
-        for slot, laws in (("surface", (bulk, bulk)), ("bulk", (cross, cross))):
+        laws = (bs.surface_cross_law(kin),) * 2
+        for state in (initial, at_eq):
             for call in (
                 lambda: bs.total_rate(state, mesh, kin, *laws, window),
                 lambda: bs.record(state, mesh, kin, eq, window, *laws),
                 lambda: bs.step(state, mesh, kin, *laws, window, cfg),
                 lambda: bs.run(state, 2e-3, mesh, kin, eq, *laws, window, cfg),
             ):
-                with pytest.raises(ValueError, match=f"{slot} law slot"):
+                with pytest.raises(ValueError, match="bulk law slot"):
                     call()
 
     def test_config_validation(self):
@@ -558,7 +587,7 @@ class TestSingleCellOde:
         window = bs.window_from_initial_data(np.array([u0]), np.array([v0]), eq, kin)
         state = bs.State(t=0.0, u=np.array([u0]), v=np.array([v0]))
         cfg = bs.StepConfig(dt=0.05, newton_tol=1e-14, newton_max_iter=60)
-        laws = (bs.constant_law(1.0), bs.constant_law(1.0, role="surface"))
+        laws = (bs.constant_law(1.0), bs.constant_law(1.0))
         oracle = self.oracle_backward_euler(u0, v0, kin, 1.0, 0.05, 100)
         for u_ref, v_ref in oracle:
             state = bs.step(state, mesh, kin, *laws, window, cfg)
@@ -595,7 +624,7 @@ def _linear_problem(n):
     state = bs.State(t=0.0, u=u0, v=np.ones(mesh.n_surface))
     eq = bs.solve_equilibrium(kin, bs.weighted_mass(state, mesh, kin),
                               mesh.total_bulk_measure, mesh.total_surface_measure)
-    laws = (bs.constant_law(1.0), bs.constant_law(1.0, role="surface"))
+    laws = (bs.constant_law(1.0), bs.constant_law(1.0))
     cfg = bs.StepConfig(dt=1e-3, newton_tol=1e-13, newton_max_iter=40)
     return SimpleNamespace(kin=kin, mesh=mesh, state=state, bulk_law=laws[0], surf_law=laws[1],
                            window=bs.window_from_initial_data(u0, state.v, eq, kin), cfg=cfg)
@@ -649,7 +678,7 @@ class TestRun:
         mass = bs.weighted_mass(state, mesh, kin)
         eq = bs.solve_equilibrium(kin, mass, mesh.total_bulk_measure, mesh.total_surface_measure)
         window = bs.window_from_initial_data(u0, v0, eq, kin)
-        laws = (bs.constant_law(1.0), bs.constant_law(1.0, role="surface"))
+        laws = (bs.constant_law(1.0), bs.constant_law(1.0))
         return mesh, kin, eq, state, window, laws
 
     def test_zero_horizon_returns_initial(self):
@@ -778,7 +807,7 @@ def test_newton_stops_in_units_of_the_equilibrium():
     # to round-off, and lands on the same (u, v)/s.
     kin = bs.Kinetics(k=1.0, kappa=1.0, alpha=1.0, beta=1.0)
     mesh = bs.build_mesh(8, 8, 1.0, 1.0, {"bottom"})
-    laws = (bs.constant_law(1.0), bs.constant_law(1.0, role="surface"))
+    laws = (bs.constant_law(1.0), bs.constant_law(1.0))
     finals = []
     for s in (1e-8, 1e-4, 1.0, 1e4, 1e8):
         u0 = s * (1.0 + 0.5 * np.sin(3.0 * mesh.cell_center_x))
@@ -806,7 +835,7 @@ def test_newton_stops_in_units_of_the_equilibrium():
     finals = []
     for s in (1.0, 1e-6, 1e-11, 1e-13, 1e-200):
         kin_s = bs.Kinetics(k=1.0 / s, kappa=1.0, alpha=1.0, beta=1.0)
-        laws_s = (bs.constant_law(1.0 / s), bs.constant_law(1.0 / s, role="surface"))
+        laws_s = (bs.constant_law(1.0 / s), bs.constant_law(1.0 / s))
         cfg = bs.StepConfig(dt=0.01 * s)
         final, records = bs.run(state, 0.1 * s, mesh, kin_s, eq, *laws_s, window, cfg)
         times = [r.t / s for r in records]
@@ -1242,9 +1271,9 @@ class TestLUReuse:
 BULK_LAWS = (bs.power_law(1.0), bs.exponential_law(0.5), bs.constant_law(1.5))
 SURFACE_LAW_MAKERS = (
     bs.surface_cross_law,
-    lambda kin: bs.power_law(0.8, role="surface"),
-    lambda kin: bs.exponential_law(0.3, role="surface"),
-    lambda kin: bs.constant_law(0.7, role="surface"),
+    lambda kin: bs.power_law(0.8),
+    lambda kin: bs.exponential_law(0.3),
+    lambda kin: bs.constant_law(0.7),
 )
 
 
