@@ -314,14 +314,11 @@ def initial_state(cfg: RunConfig, mesh) -> solver.State:
 
 
 def build_problem(cfg: RunConfig):
-    """Assemble mesh, kinetics, laws, initial state, equilibrium and window."""
+    """Assemble mesh, kinetics, laws, initial state, equilibrium and window; check the laws."""
     mesh = build_mesh(cfg.nx, cfg.ny, cfg.lx, cfg.ly, cfg.active_edges, cfg.face_average)
     kin = model.Kinetics(k=cfg.k, kappa=cfg.kappa, alpha=cfg.alpha, beta=cfg.beta)
     bulk_law = model.DiffusionLaw(cfg.bulk_law, cfg.bulk_law_param)
-    if cfg.surface_law == "surface_cross":
-        surf_law = model.surface_cross_law(kin)
-    else:
-        surf_law = model.DiffusionLaw(cfg.surface_law, cfg.surface_law_param)
+    surf_law = model.DiffusionLaw(cfg.surface_law, cfg.surface_law_param)
 
     state = initial_state(cfg, mesh)
     mass = diagnostics.weighted_mass(state, mesh, kin)
@@ -329,6 +326,7 @@ def build_problem(cfg: RunConfig):
     window = model.window_from_initial_data(state.u, state.v, eq, kin)
     if cfg.clamp_lower is not None:
         window = replace(window, lower=cfg.clamp_lower, upper=cfg.clamp_upper)
+    model.check_laws(bulk_law, surf_law, window)
     # every StepConfig field is the configuration key of the same name
     step_fields = fields(solver.StepConfig)
     step_cfg = solver.StepConfig(**{f.name: getattr(cfg, f.name) for f in step_fields})
@@ -452,9 +450,7 @@ def main(argv: list[str] | None = None) -> int:
         completed = True
     except solver.NonConvergence as exc:
         print(f"solver failed: {exc}", file=sys.stderr)
-        final = exc.last_state if exc.last_state is not None else state
-        records = exc.records if exc.records is not None else []
-        completed = False
+        final, records, completed = exc.last_state, exc.records, False
     wall = time.perf_counter() - started
     _write_outputs(cfg, out_dir, mesh, eq, final, records, wall, completed, args.quiet)
     if not completed:

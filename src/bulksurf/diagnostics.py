@@ -110,18 +110,12 @@ def weighted_mass(state, mesh: CoupledMesh, kin: Kinetics) -> float:
 
 
 def relative_entropy(state, eq: Equilibrium, mesh: CoupledMesh) -> float:
-    """Discrete relative entropy against the equilibrium pair; zero iff at it."""
+    """Discrete relative entropy against the equilibrium pair, in one pass; zero iff at it."""
     check_sizes(state, mesh)
-    return _entropy(state, eq, mesh)[0]
-
-
-def _entropy(state, eq: Equilibrium, mesh: CoupledMesh) -> tuple[float, np.ndarray]:
-    """Relative entropy by one density pass over z = (u/u_star, v/v_star), and z."""
-    z = np.concatenate((state.u / eq.u_star, state.v / eq.v_star))
-    dens = entropy_density(z)
+    dens = entropy_density(np.concatenate((state.u / eq.u_star, state.v / eq.v_star)))
     dens *= mesh.faces.measure
     nb = mesh.n_bulk
-    return float(eq.u_star * dens[:nb].sum() + eq.v_star * dens[nb:].sum()), z
+    return float(eq.u_star * dens[:nb].sum() + eq.v_star * dens[nb:].sum())
 
 
 def _envelope(c, star, exponent, window: ClampWindow):
@@ -176,21 +170,20 @@ def reaction_dissipation_split(
     above the second factor is log(p_u/p_v).  A cell's class comes from p_u
     and p_v by the envelope test of record.  The class sums are scaled by
     k*u_star**alpha last, so an overflowing unit gives inf, not an error.
-    The stars and exponents are the window's; kin gives only k.
+    The stars and exponents, the unit's included, are the window's; kin
+    gives only k.
     """
     check_sizes(state, mesh)
     u_t, v = state.u[mesh.surf_to_bulk], state.v
     admissible = (u_t > 0) & (v > 0)
-    u_safe = np.where(admissible, u_t, window.u_star)
-    v_safe = np.where(admissible, v, window.v_star)
-    u_above, p_u, xi = _envelope(u_safe, window.u_star, window.alpha, window)
-    v_above, p_v, chi = _envelope(v_safe, window.v_star, window.beta, window)
+    u_above, p_u, xi = _envelope(u_t, window.u_star, window.alpha, window)
+    v_above, p_v, chi = _envelope(v, window.v_star, window.beta, window)
     contrib = np.where(admissible, (p_u - p_v) * (window.alpha * xi - window.beta * chi), 0.0)
     contrib *= mesh.faces.measure[mesh.n_bulk :]
     xi_pos, chi_pos = admissible & u_above, admissible & v_above
     masks = (xi_pos & ~chi_pos, chi_pos & ~xi_pos, xi_pos & chi_pos)
     with np.errstate(over="ignore"):
-        unit = float(kin.k * np.float64(window.u_star) ** kin.alpha)
+        unit = float(kin.k * np.float64(window.u_star) ** window.alpha)
     sums = (float(np.sum(contrib[m])) for m in (*masks, xi_pos | chi_pos))
     return ReactionDissipation(
         *(x * unit if x else 0.0 for x in sums),  # an empty class stays 0 when the unit is inf
@@ -235,38 +228,34 @@ def record(
 ) -> DiagnosticsRecord:
     """Assemble the full diagnostics record for one nonnegative state.
 
-    The envelope extrema come from one pressure pass per field.  A zero
-    entry has zero pressure, so a lost strict positivity shows up as
-    u_env_min = 0 (or v_env_min = 0) rather than an error.  Negative entries
-    still raise ValueError: the relative entropy is undefined there.
-    surface_cross as bulk_law raises ValueError on every state.  The diffusion
-    dissipations take the flux by mesh.faces.average, as the solver does.
-    The reaction dissipation is reported with the sign it carries in the
-    envelope-entropy balance (<= 0), the negated total of the split.
+    The window supplies the stars and exponents of every envelope quantity,
+    eq those of the relative entropy and kin those of the mass, so a window
+    whose u_star, v_star, alpha, beta are not eq's and kin's raises
+    ValueError.  The envelope extrema take window_from_initial_data's
+    _pressure call, one pass per field: a zero entry has zero pressure, so a
+    lost strict positivity shows up as u_env_min = 0 (or v_env_min = 0),
+    while a negative entry raises ValueError from the relative entropy.
+    surface_cross as bulk_law raises ValueError on every state.  The reaction
+    dissipation carries its sign in the envelope-entropy balance (<= 0), the
+    negated total of the split.
 
-    The upper envelopes are tested on the reported pressure maxima: while
-    u_env_max <= upper and v_env_max <= upper, the envelope terms are exactly
-    0 and no cell is in a violation class, so they are set to zero unevaluated;
-    otherwise envelope_entropy, reaction_dissipation_split and the face-sum
-    dissipation test each cell by the same comparison.  The maxima read
-    eq's stars and kin's exponents and the breach path the window's, so a
-    window whose u_star, v_star, alpha, beta are not eq's and kin's raises
-    ValueError.  Clamped entries are counted only when an extremum of u or
-    v, from one pass over (u, v), lies outside the caps.
+    While u_env_max <= upper and v_env_max <= upper, the envelope terms are
+    exactly 0 and no cell is in a violation class, so they are set to zero
+    unevaluated; otherwise envelope_entropy, reaction_dissipation_split and
+    the face-sum dissipation, by mesh.faces.average as the solver's flux,
+    test each cell by the same comparison.  Clamped entries are counted only
+    when an extremum of u or v, from one pass over (u, v), lies outside the
+    caps.
     """
-    check_sizes(state, mesh)
     check_bulk_law(bulk_law)
     refs = (window.u_star, window.v_star, window.alpha, window.beta)
     if refs != (eq.u_star, eq.v_star, kin.alpha, kin.beta):
-        raise ValueError(
-            f"window (u_star, v_star, alpha, beta) = {refs} are not those of eq and kin"
-        )
+        raise ValueError(f"window stars and exponents {refs} are not those of eq and kin")
     nb = mesh.n_bulk
     u, v = state.u, state.v
-    entropy, z = _entropy(state, eq, mesh)  # rejects negative and non-finite entries
-    # z is (u/u_star, v/v_star), so p_u, p_v are _pressure's; + 0.0 turns a -0.0 extremum into 0.0
-    p_u, p_v = z[:nb] ** kin.alpha, z[nb:] ** kin.beta
-    u_env_max, v_env_max = float(p_u.max()) + 0.0, float(p_v.max()) + 0.0
+    entropy = relative_entropy(state, eq, mesh)  # rejects negative and non-finite entries
+    p_u, p_v = _pressure(u, window.u_star, window.alpha), _pressure(v, window.v_star, window.beta)
+    u_env_max, v_env_max = float(p_u.max()) + 0.0, float(p_v.max()) + 0.0  # 0.0, not -0.0
     if u_env_max <= window.upper and v_env_max <= window.upper:
         envelope, reaction, diss, counts = 0.0, 0.0, (0.0, 0.0), (0, 0, 0)
     else:
@@ -276,14 +265,12 @@ def record(
         diss = _diffusion_dissipation(state, mesh, window, bulk_law, surf_law)
         counts = (split.n_u_only, split.n_v_only, split.n_both)
     w = np.concatenate((u, v))
-    (u_min, v_min), (u_max, v_max) = (f.reduceat(w, (0, nb)) for f in (np.minimum, np.maximum))
-    clamp_count = 0
-    for c, c_min, c_max, (lo, hi) in (
-        (u, u_min, u_max, window.u_caps),
-        (v, v_min, v_max, window.v_caps),
-    ):
-        if c_min < lo or c_max > hi:  # the clamp moves exactly the entries outside [lo, hi]
-            clamp_count += int(np.count_nonzero((c < lo) | (c > hi)))
+    lows, highs = (f.reduceat(w, (0, nb)) for f in (np.minimum, np.maximum))
+    clamp_count = sum(  # the clamp moves exactly the entries outside [lo, hi]
+        int(np.count_nonzero((c < lo) | (c > hi)))
+        for c, c_min, c_max, (lo, hi) in zip((u, v), lows, highs, (window.u_caps, window.v_caps))
+        if c_min < lo or c_max > hi
+    )
     return DiagnosticsRecord(
         t=float(state.t),
         mass=weighted_mass(state, mesh, kin),

@@ -81,25 +81,22 @@ class DiffusionLaw:
 
     kind : "power" (c -> c**param), "exponential" (c -> exp(param*c)),
            "constant" (-> param), or "surface_cross"
-           ((u, v) -> v / (alpha*u + beta*v)).
+           ((u, v) -> v / (alpha*u + beta*v), param unused).
     The slot decides what a law reads: c is u in the bulk slot and v in the
-    surface slot; surface_cross reads the bulk trace and v, surface slot only.
+    surface slot; surface_cross reads the bulk trace and v, surface slot
+    only, with alpha and beta from the window (see _clamped_law).
     """
 
     kind: str
     param: float = 0.0
-    alpha: float = 1.0
-    beta: float = 1.0
 
     def __post_init__(self):
         if self.kind not in SURFACE_KINDS:
             raise ValueError(f"{self.kind!r} is not a diffusion law")
-        if not _finite(self.param, self.alpha, self.beta):
-            raise ValueError(f"diffusion law parameters must be finite, got {self}")
+        if not _finite(self.param):
+            raise ValueError(f"diffusion law parameter must be finite, got {self}")
         if self.kind == "constant" and self.param <= 0:
             raise ValueError(f"constant diffusion coefficient must be positive, got {self.param}")
-        if self.kind == "surface_cross" and (self.alpha <= 0 or self.beta <= 0):
-            raise ValueError("surface_cross requires positive alpha and beta")
 
 
 def check_bulk_law(law: DiffusionLaw) -> None:
@@ -121,8 +118,8 @@ def constant_law(value: float) -> DiffusionLaw:
 
 
 def surface_cross_law(kin: Kinetics) -> DiffusionLaw:
-    """Cross-diffusion coefficient v / (alpha*u + beta*v) on the surface."""
-    return DiffusionLaw(kind="surface_cross", alpha=kin.alpha, beta=kin.beta)
+    """Cross-diffusion law v / (alpha*u + beta*v), alpha and beta read from the window."""
+    return DiffusionLaw(kind="surface_cross")
 
 
 @dataclass(frozen=True)
@@ -173,22 +170,19 @@ def window_from_initial_data(
 ) -> ClampWindow:
     """Envelope window implied by strictly positive initial data.
 
-    lower and upper are the least and the largest of the pressures
-    (u0/u_star)**alpha and (v0/v_star)**beta, taken by the array arithmetic
-    of record's envelope extrema, so the data lie on their own floor and
-    ceiling to the bit.  The window takes u_star, v_star from eq and alpha,
-    beta from kin.
+    lower and upper are the least and the largest pressure of the data, by
+    the _pressure call of record's envelope extrema, so the data lie on
+    their own floor and ceiling to the bit.  u_star, v_star come from eq and
+    alpha, beta from kin: the window is the copy of them that the clamp, the
+    cross law and the envelope diagnostics read.
     """
-    u0 = np.asarray(u0, dtype=float)
-    v0 = np.asarray(v0, dtype=float)
+    u0, v0 = np.asarray(u0, dtype=float), np.asarray(v0, dtype=float)
     if u0.size == 0 or v0.size == 0:
         raise ValueError("initial data must be nonempty")
     if np.min(u0) <= 0 or np.min(v0) <= 0:
         raise ValueError("initial data must be strictly positive")
-    p_u0 = _pressure(u0, eq.u_star, kin.alpha)
-    p_v0 = _pressure(v0, eq.v_star, kin.beta)
-    lower = float(min(p_u0.min(), p_v0.min()))
-    upper = float(max(p_u0.max(), p_v0.max()))
+    p = (_pressure(u0, eq.u_star, kin.alpha), _pressure(v0, eq.v_star, kin.beta))
+    lower, upper = float(min(x.min() for x in p)), float(max(x.max() for x in p))
     return ClampWindow(
         lower=lower, upper=upper, u_star=eq.u_star, v_star=eq.v_star, alpha=kin.alpha, beta=kin.beta
     )
@@ -291,30 +285,30 @@ def _clip(c, caps):
     return np.minimum(np.maximum(np.asarray(c, dtype=float), caps[0]), caps[1])
 
 
-def _cross_derivatives(law, c, other):
-    den = law.alpha * c + law.beta * other
-    return -law.alpha * other / den**2, law.alpha * c / den**2
+def _cross_derivatives(p, c, other):
+    den = p[0] * c + p[1] * other
+    return -p[0] * other / den**2, p[0] * c / den**2
 
 
-# Raw laws at already-clamped arguments, by kind: (value, derivatives).  The
-# argument c is the value the slot gives a single-argument law; surface_cross
-# takes the bulk trace c and the surface value other.  Derivatives come in
-# the same order.
+# Raw laws at already-clamped arguments, by kind: (value, derivatives).  p is
+# a single-argument law's param, read at the value c its slot gives it, or
+# the window's (alpha, beta) for surface_cross, which reads the bulk trace c
+# and the surface value other.  Derivatives come in the same order.
 _LAWS = {
     "power": (
-        lambda law, c: c**law.param,
-        lambda law, c: (law.param * c ** (law.param - 1.0),),
+        lambda p, c: c**p,
+        lambda p, c: (p * c ** (p - 1.0),),
     ),
     "exponential": (
-        lambda law, c: np.exp(law.param * c),
-        lambda law, c: (law.param * np.exp(law.param * c),),
+        lambda p, c: np.exp(p * c),
+        lambda p, c: (p * np.exp(p * c),),
     ),
     "constant": (
-        lambda law, c: np.full_like(c, law.param),
-        lambda law, c: (np.zeros_like(c),),
+        lambda p, c: np.full_like(c, p),
+        lambda p, c: (np.zeros_like(c),),
     ),
     "surface_cross": (
-        lambda law, c, other: other / (law.alpha * c + law.beta * other),
+        lambda p, c, other: other / (p[0] * c + p[1] * other),
         _cross_derivatives,
     ),
 }
@@ -324,27 +318,29 @@ def _clamped_law(law: DiffusionLaw, u, v, window: ClampWindow, derivatives: bool
     """Evaluate a law at clamped arguments: mu, or (mu, dmu_du, dmu_dv).
 
     v None is the bulk slot, where the law reads u.  Otherwise, the surface
-    slot, a single-argument law reads v and surface_cross reads (u, v).  The
-    derivatives are taken w.r.t. the raw values and carry the clamp chain
-    rule, so they vanish wherever the clamp caps the argument; the one for a
-    variable the law does not read is None.
+    slot, a single-argument law reads v and surface_cross reads (u, v) with
+    the window's alpha and beta.  The derivatives are taken w.r.t. the raw
+    values and carry the clamp chain rule, so they vanish wherever the clamp
+    caps the argument; the one for a variable the law does not read is None.
     """
+    p = law.param
     if v is None:
         check_bulk_law(law)
         args = ((u, window.u_caps),)
     elif law.kind == "surface_cross":
         args = ((u, window.u_caps), (v, window.v_caps))
+        p = (window.alpha, window.beta)
     else:
         args = ((v, window.v_caps),)
     args = [(np.asarray(x, dtype=float), caps) for x, caps in args]
     hats = [_clip(x, caps) for x, caps in args]
     value, slopes = _LAWS[law.kind]
-    mu = value(law, *hats)
+    mu = value(p, *hats)
     if not derivatives:
         return mu
     grads = [
         np.where((x > lo) & (x < hi), slope, 0.0)
-        for (x, (lo, hi)), slope in zip(args, slopes(law, *hats))
+        for (x, (lo, hi)), slope in zip(args, slopes(p, *hats))
     ]
     if len(grads) == 2:
         return mu, grads[0], grads[1]
@@ -379,10 +375,28 @@ def coefficient_bounds(law: DiffusionLaw, window: ClampWindow) -> tuple[float, f
     the extrema sit at the caps: a single-argument law's over u_caps, in the
     bulk slot, and surface_cross's at the corners of the cap box.
     """
+    return _slot_bounds(law, window, law.kind == "surface_cross")
+
+
+def _slot_bounds(law: DiffusionLaw, window: ClampWindow, surface: bool) -> tuple[float, float]:
+    """Extrema of the clamped law at the cap box corners, in the surface or the bulk slot."""
     u, v = np.meshgrid(window.u_caps, window.v_caps)
-    v = v.ravel() if law.kind == "surface_cross" else None  # else the bulk slot
-    mu = _clamped_law(law, u.ravel(), v, window, derivatives=False)
+    mu = _clamped_law(law, u.ravel(), v.ravel() if surface else None, window, derivatives=False)
     return float(np.min(mu)), float(np.max(mu))
+
+
+def check_laws(bulk_law: DiffusionLaw, surf_law: DiffusionLaw, window: ClampWindow) -> None:
+    """Raise ValueError naming the slot of a law not finite and > 0 over its slot's caps.
+
+    The caps are u_caps for the bulk law, v_caps for a single-argument surface
+    law and their box for surface_cross.  An exp or power that overflows or
+    underflows there makes the clamp bound nothing.
+    """
+    for slot, law, surface in (("bulk_law", bulk_law, False), ("surface_law", surf_law, True)):
+        with np.errstate(all="ignore"):  # the test below rejects what would warn
+            lo, hi = _slot_bounds(law, window, surface)
+        if not 0 < lo <= hi < math.inf:
+            raise ValueError(f"bad value for {slot}: {law} spans [{lo:g}, {hi:g}] on the caps")
 
 
 def solve_equilibrium(

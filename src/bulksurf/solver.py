@@ -59,6 +59,7 @@ from .model import (
     DiffusionLaw,
     Equilibrium,
     Kinetics,
+    check_laws,
     coefficient_and_derivatives,
     diffusion_coefficient,
     safe_rate,
@@ -471,15 +472,16 @@ def run(
     and |t_final|, so any time scale steps alike) is taken at cfg.dt, so
     summed step times do not cost a clipped step, and its time is set to
     t_final.  A clock that cannot resolve the span or cfg.dt raises
-    ValueError (see check_clock).  A step that fails Newton or leaves a
-    negative entry is retried with dt halved, up to MAX_DT_HALVINGS times;
-    later steps return to the configured dt.  The steps share one NewtonLU
-    (see there for what it carries across steps and when a halved or
-    clipped step drops it).  A fatal failure propagates NonConvergence with
+    ValueError (see check_clock), and so does a law that check_laws
+    rejects.  A step that fails Newton or leaves a negative entry is retried
+    with dt halved, up to MAX_DT_HALVINGS times; later steps return to the
+    configured dt.  The steps share one NewtonLU (see there for what it
+    carries across steps and when a halved or clipped step drops it).  A fatal failure propagates NonConvergence with
     the last good state and the records so far attached to the exception.
     """
     t_eps = check_clock(initial.t, t_final, cfg.dt)
     check_sizes(initial, mesh)
+    check_laws(bulk_law, surf_law, window)
     record_args = (mesh, kin, eq, window, bulk_law, surf_law)  # after the state
     state = initial
     records = [diagnostics.record(state, *record_args)]

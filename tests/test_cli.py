@@ -273,6 +273,32 @@ class TestMainExitCodes:
     @pytest.mark.parametrize(
         "text,key",
         [
+            ("bulk_law = exponential\nbulk_law_param = 1000\n", "bulk_law"),
+            ("surface_law = exponential\nsurface_law_param = 1000\n", "surface_law"),
+            ("bulk_law = exponential\nbulk_law_param = -1000\nface_average = harmonic\n", "bulk_law"),
+        ],
+        ids=["bulk-overflow", "surface-overflow", "bulk-underflow-harmonic"],
+    )
+    def test_a_law_the_clamp_cannot_bound_is_exit_2_before_the_run(
+        self, tmp_path, capsys, monkeypatch, text, key
+    ):
+        # on the default equilibrium data exp(1000 c) is inf on the caps, and
+        # exp(-1000 c) is 0, whose harmonic face mean is 0/0: either would make
+        # the first residual NaN, so the law is a config error, found before the run
+        cfg = write(tmp_path, "nx = 4\nny = 4\ndt = 1e-3\nt_final = 0.003\n" + text)
+
+        def entered(*args, **kwargs):
+            raise AssertionError("solver.run was entered")
+
+        monkeypatch.setattr(solver, "run", entered)
+        assert main(["--config", str(cfg), "--out", str(tmp_path / "out"), "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: bad value for {key}: DiffusionLaw"), err
+        assert err.count("\n") == 1 and not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "text,key",
+        [
             ("active_edges =\n", "active_edges"),
             ("outputs = diagnostics,plots\n", "outputs"),
             ("nx = abc\n", "nx"),

@@ -11,6 +11,7 @@ from test_mesh import split_faces
 import bulksurf as bs
 from bulksurf.diagnostics import _diffusion_dissipation, _envelope
 from bulksurf.mesh import face_flux
+from bulksurf.model import _pressure
 
 
 def make_problem(nx=4, ny=3, edges=("bottom",), alpha=2.0, beta=1.0, kappa=0.5, seed=61,
@@ -343,6 +344,10 @@ class TestRecord:
             assert rec.v_env_max == np.max((st.v / eq.v_star) ** kin.beta)
             assert rec.u_env_min == np.min((st.u / eq.u_star) ** kin.alpha)
             assert rec.v_env_min == np.min((st.v / eq.v_star) ** kin.beta)
+            p_u = _pressure(st.u, window.u_star, window.alpha)
+            p_v = _pressure(st.v, window.v_star, window.beta)
+            extrema = (rec.u_env_max, rec.v_env_max, rec.u_env_min, rec.v_env_min)
+            assert extrema == (p_u.max(), p_v.max(), p_u.min(), p_v.min())  # the window's one scale
             assert rec.reaction_dissipation == -split.total
             assert (rec.diffusion_dissipation_bulk, rec.diffusion_dissipation_surface) == diss
             assert rec.clamp_activations == _outside_caps(st.u, st.v, window)
@@ -388,10 +393,11 @@ class TestRecord:
             bs.record(dry, mesh, kin, eq, window, *laws)
 
     def test_window_of_other_stars_is_rejected(self):
-        # The envelope maxima read eq's stars and kin's exponents, the breach
-        # path the window's.  With u_star doubled, u[0] has u_env_max 2.25
-        # above the window's upper 2.025, while the window's own pressures
-        # lie under it: a record would report no breach.  record refuses.
+        # The envelope quantities read the window's stars and exponents, the
+        # entropy eq's stars.  With u_star doubled, u[0] has pressure 2.25 on
+        # eq's scale, above the window's upper 2.025, while on the window's
+        # own scale it lies under it: a record would report no breach of the
+        # data's envelope.  record refuses a window that is not eq's and kin's.
         kin = bs.Kinetics(k=1.0, kappa=0.5, alpha=2.0, beta=1.0)
         mesh = bs.build_mesh(4, 4, 1.0, 1.0, {"bottom"})
         eq = bs.solve_equilibrium(kin, 5.0, mesh.total_bulk_measure, mesh.total_surface_measure)

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from bulksurf import (
     ClampWindow,
+    DiffusionLaw,
     Equilibrium,
     Kinetics,
     coefficient_bounds,
@@ -23,6 +25,7 @@ from bulksurf import (
     surface_cross_law,
     window_from_initial_data,
 )
+from bulksurf.model import check_laws, coefficient_and_derivatives
 
 
 def mass_function(kin, mass, omega, gamma):
@@ -322,6 +325,15 @@ class TestDiffusionLaws:
         win = self.window()
         law = surface_cross_law(kin)
         assert diffusion_coefficient(law, 1.0, 1.0, win) == pytest.approx(0.5)
+        # the law holds no exponent: two windows that differ only in alpha
+        # give v / (alpha*u + beta*v), and its derivatives, with their own alpha
+        u, v = 0.9, 1.2
+        for alpha in (1.0, 3.0):
+            mu, dmu_du, dmu_dv = coefficient_and_derivatives(law, u, v, replace(win, alpha=alpha))
+            den = alpha * u + 1.0 * v
+            assert (mu, dmu_du, dmu_dv) == (v / den, -alpha * v / den**2, alpha * u / den**2)
+        with pytest.raises(TypeError):
+            DiffusionLaw("surface_cross", alpha=2.0)
 
     def test_single_argument_surface_law_uses_surface_value(self):
         win = self.window()
@@ -350,6 +362,20 @@ class TestDiffusionLaws:
         assert win.u_caps != win.v_caps
         assert coefficient_bounds(power_law(1.0), win) == win.u_caps
         assert coefficient_bounds(power_law(-1.0), win) == (1 / win.u_caps[1], 1 / win.u_caps[0])
+
+    def test_check_laws_reads_the_caps_of_each_slot(self):
+        # exp(c) is bounded on u_caps = (0.25, 4) and overflows on v_caps = (250, 4000)
+        win = ClampWindow(lower=0.5, upper=2.0, u_star=1.0, v_star=1e3, alpha=1.0, beta=1.0)
+        law = exponential_law(1.0)
+        check_laws(law, constant_law(1.0), win)
+        assert coefficient_bounds(law, win) == pytest.approx((math.exp(0.25), math.exp(4.0)))
+        with pytest.raises(ValueError, match="bad value for surface_law: DiffusionLaw"):
+            check_laws(constant_law(1.0), law, win)
+        # the same law in both slots, and surface_cross on the cap box, pass when bounded
+        check_laws(power_law(1.0), power_law(1.0), win)
+        check_laws(power_law(1.0), surface_cross_law(Kinetics(1.0, 1.0, 1.0, 1.0)), win)
+        with pytest.raises(ValueError, match="bad value for bulk_law"):
+            check_laws(exponential_law(-1000.0), power_law(1.0), win)  # underflows to 0
 
     def test_constant_law_positive(self):
         with pytest.raises(ValueError):

@@ -518,6 +518,22 @@ class TestStep:
                 with pytest.raises(ValueError, match="bulk law slot"):
                     call()
 
+    @pytest.mark.parametrize(
+        "bulk_law,surf_law,slot",
+        [
+            (bs.exponential_law(1000.0), bs.constant_law(1.0), "bulk_law"),
+            (bs.constant_law(1.0), bs.exponential_law(1000.0), "surface_law"),
+            (bs.exponential_law(-1000.0), bs.constant_law(1.0), "bulk_law"),
+        ],
+        ids=["bulk-overflow", "surface-overflow", "bulk-underflow"],
+    )
+    def test_a_law_the_clamp_cannot_bound_raises_before_the_first_step(self, bulk_law, surf_law, slot):
+        # exp(1000 c) is inf on the caps and exp(-1000 c) is 0 there, so no
+        # clamp bounds the coefficient; run names the slot instead of stepping
+        mesh, kin, eq, state, window = self.setup_problem()
+        with pytest.raises(ValueError, match=f"bad value for {slot}"):
+            bs.run(state, 2e-3, mesh, kin, eq, bulk_law, surf_law, window, bs.StepConfig(dt=1e-3))
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             bs.StepConfig(dt=0.0)
