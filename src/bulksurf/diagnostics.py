@@ -6,9 +6,9 @@ scalar functionals:
 * the conserved weighted mass `beta*int(u) + alpha*int(v)`;
 * the relative entropy `int u_star*e(u/u_star) + int v_star*e(v/v_star)`
   with entropy density e(z) = z*log(z) - z + 1, a Lyapunov functional;
-* an envelope entropy, the relative entropy of upper-truncated fields with
-  weights upper**(1/alpha), upper**(1/beta), which is zero exactly when the
-  pointwise upper envelope holds: every pressure p, (u/u_star)**alpha or
+* an envelope entropy, the same functional of the upper-truncated fields
+  against the envelope values u_star*upper**(1/alpha), v_star*upper**(1/beta),
+  zero exactly when the upper envelope holds: every pressure p, (u/u_star)**alpha or
   (v/v_star)**beta, is at most upper, the one envelope test of this module;
 * the excess log-potentials log(p/upper)/exponent, whose pairing with the
   reaction rate splits into three sign-definite surface integrals, and whose
@@ -109,13 +109,17 @@ def weighted_mass(state, mesh: CoupledMesh, kin: Kinetics) -> float:
     )
 
 
-def relative_entropy(state, eq: Equilibrium, mesh: CoupledMesh) -> float:
-    """Discrete relative entropy against the equilibrium pair, in one pass; zero iff at it."""
-    check_sizes(state, mesh)
-    dens = entropy_density(np.concatenate((state.u / eq.u_star, state.v / eq.v_star)))
+def _entropy(u, v, u_star, v_star, mesh: CoupledMesh) -> float:
+    """int u_star*e(u/u_star) + int v_star*e(v/v_star), in one pass over the stacked state."""
+    dens = entropy_density(np.concatenate((u / u_star, v / v_star)))
     dens *= mesh.faces.measure
-    nb = mesh.n_bulk
-    return float(eq.u_star * dens[:nb].sum() + eq.v_star * dens[nb:].sum())
+    return float(u_star * dens[: mesh.n_bulk].sum() + v_star * dens[mesh.n_bulk :].sum())
+
+
+def relative_entropy(state, eq: Equilibrium, mesh: CoupledMesh) -> float:
+    """Discrete relative entropy against the equilibrium pair; zero iff at it."""
+    check_sizes(state, mesh)
+    return _entropy(state.u, state.v, eq.u_star, eq.v_star, mesh)
 
 
 def _envelope(c, star, exponent, window: ClampWindow):
@@ -133,23 +137,19 @@ def _envelope(c, star, exponent, window: ClampWindow):
 
 
 def envelope_entropy(state, mesh: CoupledMesh, window: ClampWindow) -> float:
-    """Weighted relative entropy of the upper-truncated fields.
+    """Relative entropy of the upper-truncated fields against the envelope.
 
-    The truncation maps everything at or below the envelope to the
-    equilibrium value, so the result is zero exactly when both upper
-    envelopes hold, and positive otherwise.
+    A field of star c* and exponent a is truncated at its envelope value
+    s = c* * upper**(1/a): a cell at or below the envelope is set to s, where
+    e(1) = 0, so the result is zero exactly when both upper envelopes hold.
     """
     check_sizes(state, mesh)
-    m, nb = mesh.faces.measure, mesh.n_bulk
-    total = 0.0
-    for c, star, exponent, measure in (
-        (state.u, window.u_star, window.alpha, m[:nb]),
-        (state.v, window.v_star, window.beta, m[nb:]),
-    ):
-        scale = window.upper ** (1.0 / exponent)
-        trunc = np.where(_envelope(c, star, exponent, window)[0], c / scale, star)
-        total += scale * star * np.sum(entropy_density(trunc / star) * measure)
-    return float(total)
+    fields = (state.u, window.u_star, window.alpha), (state.v, window.v_star, window.beta)
+    truncated, stars = [], []
+    for c, star, exponent in fields:
+        stars.append(star * window.upper ** (1.0 / exponent))
+        truncated.append(np.where(_envelope(c, star, exponent, window)[0], c, stars[-1]))
+    return _entropy(*truncated, *stars, mesh)
 
 
 def reaction_dissipation_split(

@@ -179,8 +179,8 @@ def window_from_initial_data(
     u0, v0 = np.asarray(u0, dtype=float), np.asarray(v0, dtype=float)
     if u0.size == 0 or v0.size == 0:
         raise ValueError("initial data must be nonempty")
-    if np.min(u0) <= 0 or np.min(v0) <= 0:
-        raise ValueError("initial data must be strictly positive")
+    if not all(((x > 0) & (x < np.inf)).all() for x in (u0, v0)):  # NaN fails both tests
+        raise ValueError("initial data must be finite and strictly positive")
     p = (_pressure(u0, eq.u_star, kin.alpha), _pressure(v0, eq.v_star, kin.beta))
     lower, upper = float(min(x.min() for x in p)), float(max(x.max() for x in p))
     return ClampWindow(

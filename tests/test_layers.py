@@ -165,6 +165,10 @@ def test_readme_lists_exactly_the_diffusion_law_fields():
     _check_readme_fields(bulksurf.DiffusionLaw)
 
 
+def test_readme_lists_exactly_the_newton_lu_fields():
+    _check_readme_fields(bulksurf.NewtonLU)
+
+
 def test_readme_python_api_example_runs_and_conserves_mass(capsys):
     readme = (ROOT / "README.md").read_text()
     section = readme.split("\n## Python API\n", 1)[1].split("\n## ", 1)[0]

@@ -281,6 +281,19 @@ class TestClamp:
         with pytest.raises(ValueError):
             window_from_initial_data(np.array([0.0, 1.0]), v0, eq, kin)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("field", ["u0", "v0"])
+    def test_window_from_initial_data_rejects_non_finite_entries(self, field, bad):
+        # a NaN passes a test written as min <= 0, and Python's min and max over
+        # the two fields' extrema keep the other operand, so a NaN in v0 would
+        # leave a window of u0's pressure alone, lower = upper = (1.3/1.2)**2
+        kin = Kinetics(k=1.0, kappa=0.5, alpha=2.0, beta=1.0)
+        eq = Equilibrium(u_star=1.2, v_star=2.88, mass=10.0)
+        data = {"u0": np.full(4, 1.3), "v0": np.array([2.9, 3.0, 3.1])}
+        data[field][1] = bad
+        with pytest.raises(ValueError, match="initial data must be finite and strictly positive"):
+            window_from_initial_data(data["u0"], data["v0"], eq, kin)
+
 
 _KIN = Kinetics(k=1.5, kappa=0.5, alpha=2.0, beta=1.0)
 _WINDOW = ClampWindow(lower=0.5, upper=50.0, u_star=1.0, v_star=1.0, alpha=2.0, beta=1.0)

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 import bulksurf as bs
@@ -1302,6 +1302,11 @@ MESH_SPECS = st.one_of(
 )
 
 
+def log_uniform(lo, hi):
+    """Floats whose logarithm is uniform on [log lo, log hi]."""
+    return st.floats(np.log(lo), np.log(hi)).map(np.exp)
+
+
 def mesh_from(spec):
     """The 1.0 x 1.3 rectangle of build_mesh, or a disk_mesh of the unit disk.
 
@@ -1364,6 +1369,52 @@ class TestRandomProblems:
         out = bs.step(star, mesh, kin, *laws, window, cfg)
         np.testing.assert_allclose(out.u, eq.u_star, rtol=1e-13, atol=0)
         np.testing.assert_allclose(out.v, eq.v_star, rtol=1e-13, atol=0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        mesh_spec=MESH_SPECS,
+        bulk_law=st.sampled_from(BULK_LAWS),
+        surf_law_maker=st.sampled_from(SURFACE_LAW_MAKERS),
+        alpha=st.floats(1.0, 3.0),
+        beta=st.floats(1.0, 3.0),
+        k=log_uniform(0.1, 10.0),
+        kappa=log_uniform(0.1, 10.0),
+        spread=log_uniform(0.1, 10.0),
+        dt=log_uniform(1e-3, 1e3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_backward_euler_keeps_the_upper_envelope_at_any_dt(
+        self, mesh_spec, bulk_law, surf_law_maker, alpha, beta, k, kappa, spread, dt, seed
+    ):
+        # the discrete form of the paper's upper bound: every state a run at
+        # theta = 1 accepts has both pressure maxima within the window's upper,
+        # with the clamp inert.  Newton may stall at large dt with any law once
+        # an iterate leaves the positive quadrant (ROADMAP item 19); an
+        # exponential law may also fail the law check or overflow near its caps
+        kin = bs.Kinetics(k=k, kappa=kappa, alpha=alpha, beta=beta)
+        mesh = mesh_from(mesh_spec)
+        rng = np.random.default_rng(seed)
+        u0, v0 = (np.exp(spread * rng.uniform(-1.0, 1.0, n)) for n in (mesh.n_bulk, mesh.n_surface))
+        state = bs.State(t=0.0, u=u0, v=v0)
+        m0 = bs.weighted_mass(state, mesh, kin)
+        eq = bs.solve_equilibrium(kin, m0, mesh.total_bulk_measure, mesh.total_surface_measure)
+        window = bs.window_from_initial_data(u0, v0, eq, kin)
+        laws = (bulk_law, surf_law_maker(kin))
+        cfg = bs.StepConfig(dt=dt, newton_tol=1e-10, newton_max_iter=40, theta=1.0)
+        try:
+            _, records = bs.run(state, 5 * dt, mesh, kin, eq, *laws, window, cfg)
+        except bs.NonConvergence:
+            event("NonConvergence")
+            return
+        except (ValueError, RuntimeWarning) as exc:
+            if not any(law.kind == "exponential" for law in laws):
+                raise
+            event(type(exc).__name__)
+            return
+        assert records[-1].t == 5 * dt
+        for rec in records:
+            assert max(rec.u_env_max, rec.v_env_max) <= window.upper * (1.0 + 1e-12)
+            assert rec.clamp_activations == 0
 
     @pytest.mark.parametrize("face_average", bs.mesh.FACE_AVERAGES)
     @pytest.mark.parametrize("edges", [{"bottom"}, {"left", "bottom"}, set(bs.mesh.EDGE_NAMES)],
