@@ -16,7 +16,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass, fields, make_dataclass, replace
+from dataclasses import dataclass, fields, make_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -40,7 +40,6 @@ DIAGNOSTICS_COLUMNS = (
     ("clamp_activations", "clamp_activations"),
 )
 DIAGNOSTICS_HEADER = ",".join(column for column, _ in DIAGNOSTICS_COLUMNS)
-OUTPUTS = ("diagnostics", "final_state", "summary")
 
 
 @dataclass(frozen=True)
@@ -80,10 +79,9 @@ class ConfigError(ValueError):
 class Key:
     """One configuration key: value type, default text and the bounds it must meet.
 
-    type is int, float, str or tuple (a comma list).  gt, ge and le bound
-    numbers; choices restricts a str, or every entry of a tuple, whose
-    entries are called ``item`` in messages.  An optional key may be left
-    empty, which means None.
+    type is int, float, str or tuple (a comma list of at least one entry).
+    gt, ge and le bound numbers; choices restricts a str, or every entry of
+    a tuple, whose entries are called ``item`` in messages.
     """
 
     type: type
@@ -93,8 +91,6 @@ class Key:
     le: float | None = None
     choices: tuple[str, ...] | None = None
     item: str = ""
-    nonempty: bool = False
-    optional: bool = False
 
     def parse(self, name: str, text: str, problems: list):
         """The typed value of text; each violated bound appends a BadValue."""
@@ -102,11 +98,9 @@ class Key:
         def bad(reason):
             problems.append(BadValue(name, reason))
 
-        if self.optional and text == "":
-            return None
         if self.type is tuple:
             items = tuple(s.strip() for s in text.split(",") if s.strip())
-            if self.nonempty and not items:
+            if not items:
                 bad(f"must name at least one {self.item}")
             for item in items:
                 if item not in self.choices:
@@ -138,7 +132,7 @@ KEYS: dict[str, Key] = {
     "ny": Key(int, "16", ge=1),
     "lx": Key(float, "1.0", gt=0.0),
     "ly": Key(float, "1.0", gt=0.0),
-    "active_edges": Key(tuple, "bottom", choices=EDGE_NAMES, item="edge", nonempty=True),
+    "active_edges": Key(tuple, "bottom", choices=EDGE_NAMES, item="edge"),
     # kinetics
     "k": Key(float, "1.0", gt=0.0),
     "kappa": Key(float, "1.0", gt=0.0),
@@ -170,20 +164,13 @@ KEYS: dict[str, Key] = {
     # tolerances
     "newton_tol": Key(float, "1e-12", gt=0.0),
     "newton_max_iter": Key(int, "25", ge=1),
-    # clamp window (empty = derive from initial data)
-    "clamp_lower": Key(float, "", gt=0.0, optional=True),
-    "clamp_upper": Key(float, "", gt=0.0, optional=True),
     # scheme switches
     "face_average": Key(str, FACE_AVERAGES[0], choices=FACE_AVERAGES),
-    # outputs
-    "out_dir": Key(str, "out"),
-    "output_every": Key(int, "1", ge=1),
-    "outputs": Key(tuple, ",".join(OUTPUTS), choices=OUTPUTS, item="output"),
 }
 
 RunConfig = make_dataclass(
     "RunConfig",
-    [(name, key.type | None if key.optional else key.type) for name, key in KEYS.items()],
+    [(name, key.type) for name, key in KEYS.items()],
     namespace={
         "__doc__": "Fully validated run description: one field per entry of KEYS.",
         "__module__": __name__,
@@ -228,10 +215,6 @@ def _cross_key_problems(cfg) -> list:
             problems.append(MissingKey("initial_u_file"))
         if not cfg.initial_v_file:
             problems.append(MissingKey("initial_v_file"))
-    if (cfg.clamp_lower is None) != (cfg.clamp_upper is None):
-        problems.append(BadValue("clamp_lower", "clamp_lower and clamp_upper must be given together"))
-    elif cfg.clamp_lower is not None and cfg.clamp_lower > cfg.clamp_upper:
-        problems.append(BadValue("clamp_upper", "must be >= clamp_lower"))
     return problems
 
 
@@ -314,7 +297,11 @@ def initial_state(cfg: RunConfig, mesh) -> solver.State:
 
 
 def build_problem(cfg: RunConfig):
-    """Assemble mesh, kinetics, laws, initial state, equilibrium and window; check the laws."""
+    """Assemble mesh, kinetics, laws, initial state, equilibrium and window; check the laws.
+
+    The window is always the envelope of the initial data, the one the
+    paper's L-infinity bound keeps the solution inside.
+    """
     mesh = build_mesh(cfg.nx, cfg.ny, cfg.lx, cfg.ly, cfg.active_edges, cfg.face_average)
     kin = model.Kinetics(k=cfg.k, kappa=cfg.kappa, alpha=cfg.alpha, beta=cfg.beta)
     bulk_law = model.DiffusionLaw(cfg.bulk_law, cfg.bulk_law_param)
@@ -324,8 +311,6 @@ def build_problem(cfg: RunConfig):
     mass = diagnostics.weighted_mass(state, mesh, kin)
     eq = model.solve_equilibrium(kin, mass, mesh.total_bulk_measure, mesh.total_surface_measure)
     window = model.window_from_initial_data(state.u, state.v, eq, kin)
-    if cfg.clamp_lower is not None:
-        window = replace(window, lower=cfg.clamp_lower, upper=cfg.clamp_upper)
     model.check_laws(bulk_law, surf_law, window)
     # every StepConfig field is the configuration key of the same name
     step_fields = fields(solver.StepConfig)
@@ -338,13 +323,10 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
-def write_diagnostics_csv(records, path: Path, output_every: int = 1) -> None:
-    """Diagnostics series, one row per retained record (the last is always kept)."""
-    keep = list(records[::output_every])
-    if records and records[-1] is not keep[-1]:
-        keep.append(records[-1])
+def write_diagnostics_csv(records, path: Path) -> None:
+    """Diagnostics series, one row per record."""
     lines = [DIAGNOSTICS_HEADER]
-    for rec in keep:
+    for rec in records:
         lines.append(",".join(_fmt(getattr(rec, attr)) for _, attr in DIAGNOSTICS_COLUMNS))
     path.write_text("\n".join(lines) + "\n")
 
@@ -381,20 +363,11 @@ def write_summary_json(path: Path, eq, state, records, wall_time: float, complet
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _write_outputs(cfg, out_dir, mesh, eq, state, records, wall_time, completed, quiet):
-    written = []
-    if "diagnostics" in cfg.outputs:
-        p = out_dir / "diagnostics.csv"
-        write_diagnostics_csv(records, p, cfg.output_every)
-        written.append(p)
-    if "final_state" in cfg.outputs:
-        p = out_dir / "final_state.csv"
-        write_final_state_csv(state, mesh, p)
-        written.append(p)
-    if "summary" in cfg.outputs:
-        p = out_dir / "summary.json"
-        write_summary_json(p, eq, state, records, wall_time, completed)
-        written.append(p)
+def _write_outputs(out_dir, mesh, eq, state, records, wall_time, completed, quiet):
+    written = [out_dir / name for name in ("diagnostics.csv", "final_state.csv", "summary.json")]
+    write_diagnostics_csv(records, written[0])
+    write_final_state_csv(state, mesh, written[1])
+    write_summary_json(written[2], eq, state, records, wall_time, completed)
     if not quiet:
         for p in written:
             print(f"wrote {p}")
@@ -407,7 +380,7 @@ def main(argv: list[str] | None = None) -> int:
         description="Finite-volume simulation of coupled bulk-surface reaction-diffusion.",
     )
     parser.add_argument("--config", required=True, help="path to a key = value run configuration")
-    parser.add_argument("--out", default=None, help="output directory (overrides out_dir)")
+    parser.add_argument("--out", default="out", help="output directory (default: out)")
     parser.add_argument(
         "--override",
         action="append",
@@ -425,11 +398,11 @@ def main(argv: list[str] | None = None) -> int:
         cfg = parse_config(args.config, args.override)
         mesh, kin, bulk_law, surf_law, state, eq, window, step_cfg = build_problem(cfg)
         solver.check_clock(state.t, cfg.t_final, step_cfg.dt)  # run's own check, before the loop
-        out_dir = Path(args.out) if args.out else Path(cfg.out_dir)
+        out_dir = Path(args.out)
         try:  # before the run, so that an unusable directory loses no solve
             out_dir.mkdir(parents=True, exist_ok=True)
         except OSError as exc:
-            raise ConfigError([BadValue("out_dir", str(exc))]) from exc
+            raise ConfigError([BadValue("--out", str(exc))]) from exc
     except ValueError as exc:  # ConfigError included
         for problem in exc.problems if isinstance(exc, ConfigError) else [exc]:
             print(f"config error: {problem}", file=sys.stderr)
@@ -452,7 +425,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"solver failed: {exc}", file=sys.stderr)
         final, records, completed = exc.last_state, exc.records, False
     wall = time.perf_counter() - started
-    _write_outputs(cfg, out_dir, mesh, eq, final, records, wall, completed, args.quiet)
+    _write_outputs(out_dir, mesh, eq, final, records, wall, completed, args.quiet)
     if not completed:
         return 3
     if not args.quiet:

@@ -388,12 +388,17 @@ def step(
         return u_size if u_size >= v_size or u_size != u_size else v_size  # NaN wins
 
     def candidate(w: np.ndarray, f: np.ndarray | None = None) -> tuple:
-        """(w, F(w), R(w), size(R(w))), evaluating F unless it is given."""
-        if f is None:
-            f = _rate_vector(w, *operator)
-        r = w - w_old - dt * theta * f
-        if expl is not None:
-            r -= expl
+        """(w, F(w), R(w), size(R(w))), evaluating F unless it is given.
+
+        A trial far from the solution may overflow F: its residual is then
+        inf or NaN, which the line search rejects, so numpy need not warn.
+        """
+        with np.errstate(over="ignore", invalid="ignore"):
+            if f is None:
+                f = _rate_vector(w, *operator)
+            r = w - w_old - dt * theta * f
+            if expl is not None:
+                r -= expl
         return w, f, r, size(r)
 
     w, f, r, rn = candidate(w_old, f_old)

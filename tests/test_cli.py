@@ -64,7 +64,6 @@ class TestParseConfig:
         assert cfg.bulk_law == "constant" and cfg.bulk_law_param == 1.0
         assert cfg.initial == "constant" and cfg.u0 == 1.0 and cfg.v0 == 1.0
         assert cfg.dt == 1e-3 and cfg.theta == 1.0
-        assert cfg.outputs == ("diagnostics", "final_state", "summary")
 
     def test_comments_and_spacing(self, tmp_path):
         cfg = parse_config(write(tmp_path, "nx = 4  # coarse\n\n  ny=5\n"))
@@ -111,12 +110,6 @@ class TestParseConfig:
         cfg = parse_config(path, overrides=["nx=9", "kappa = 2.5"])
         assert cfg.nx == 9
         assert cfg.kappa == 2.5
-
-    def test_clamp_bounds_must_come_together(self, tmp_path):
-        with pytest.raises(ConfigError):
-            parse_config(write(tmp_path, "clamp_lower = 0.1\n"))
-        cfg = parse_config(write(tmp_path, "clamp_lower = 0.1\nclamp_upper = 5\n", "ok.cfg"))
-        assert cfg.clamp_lower == 0.1 and cfg.clamp_upper == 5.0
 
 
 class TestInitialData:
@@ -228,6 +221,8 @@ class TestMainExitCodes:
         assert summary["completed"] is True
         assert summary["steps"] == 5
         assert summary["u_star"] > 0
+        # one row per record: the initial state and each of the 5 steps
+        assert len((out / "diagnostics.csv").read_text().splitlines()) == 1 + 6
 
     def test_missing_config_path_is_exit_2(self, tmp_path, capsys):
         assert main(["--config", str(tmp_path / "absent.cfg")]) == 2
@@ -240,10 +235,15 @@ class TestMainExitCodes:
         assert "alpha" in err
 
     @pytest.mark.parametrize(
-        "removed", ["jacobian = fd", "clamp_v_exponent = beta", "max_dt_halvings = 5"]
+        "removed",
+        ["jacobian = fd", "clamp_v_exponent = beta", "max_dt_halvings = 5",
+         "clamp_lower = 0.5", "clamp_upper = 0.5", "out_dir = {taken}", "output_every = 0",
+         "outputs = plots"],
     )
     def test_removed_key_is_exit_2(self, tmp_path, capsys, removed):
-        cfg = write(tmp_path, removed + "\n")
+        # each value is invalid for the key too, so no run starts either way: out_dir names a file
+        taken = write(tmp_path, "not a directory\n", name="taken")
+        cfg = write(tmp_path, removed.format(taken=taken) + "\n")
         assert main(["--config", str(cfg)]) == 2
         err = capsys.readouterr().err
         assert f"{removed.split()[0]}: unrecognized key" in err
@@ -267,7 +267,7 @@ class TestMainExitCodes:
         monkeypatch.setattr(solver, "run", entered)
         assert main(["--config", str(cfg), "--out", str(taken), "--quiet"]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("config error: bad value for out_dir: ") and "Traceback" not in err, err
+        assert err.startswith("config error: bad value for --out: ") and "Traceback" not in err, err
         assert taken.read_text() == "not a directory\n"
 
     @pytest.mark.parametrize(
@@ -300,19 +300,17 @@ class TestMainExitCodes:
         "text,key",
         [
             ("active_edges =\n", "active_edges"),
-            ("outputs = diagnostics,plots\n", "outputs"),
             ("nx = abc\n", "nx"),
             ("dt = inf\n", "dt"),
             ("theta = 1.5\n", "theta"),
             ("bulk_law = constant\nbulk_law_param = 0\n", "bulk_law_param"),
             ("initial = two-blob\nblob_base_u = 0\n", "blob_base_u"),
             ("initial = two-blob\nblob_width = -0.1\n", "blob_width"),
-            ("clamp_lower = 2\nclamp_upper = 1\n", "clamp_upper"),
             ("nx = 2\nny = 1\ninitial = file\ninitial_u_file = {u}\ninitial_v_file = {v}\n",
              "initial_u_file"),
         ],
-        ids=["no-edge", "unknown-output", "not-a-number", "not-finite", "theta-above-1",
-             "zero-constant-law", "blob-base-u", "blob-width", "clamp-order", "file-size"],
+        ids=["no-edge", "not-a-number", "not-finite", "theta-above-1",
+             "zero-constant-law", "blob-base-u", "blob-width", "file-size"],
     )
     def test_each_config_problem_names_its_key_and_is_exit_2(self, tmp_path, capsys, text, key):
         # the u file holds 3 values for the 2 bulk cells of a 2x1 mesh
@@ -417,14 +415,6 @@ class TestMainExitCodes:
         rows = (out / "diagnostics.csv").read_text().splitlines()[1:]
         assert float(rows[-1].split(",")[0]) == pytest.approx(0.004)
 
-    def test_output_cadence(self, tmp_path):
-        cfg = write(tmp_path, BLOB_RUN + "output_every = 2\n")
-        out = tmp_path / "results"
-        assert main(["--config", str(cfg), "--out", str(out), "--quiet"]) == 0
-        rows = (out / "diagnostics.csv").read_text().splitlines()[1:]
-        # records at steps 0,2,4 plus the final one
-        assert len(rows) == 4
-
     def test_equilibrium_initial_data_stays_constant(self, tmp_path):
         # constant data that is already the equilibrium of its own mass
         text = (
@@ -445,24 +435,21 @@ class TestMainExitCodes:
         assert "alpha" in proc.stderr
 
     @pytest.mark.parametrize(
-        "exponents,window",
-        [(s, w) for s in ("alpha = 3\nbeta = 2\n", "alpha = 1\nbeta = 2\n")
-         for w in ("", "clamp_lower = 0.5\nclamp_upper = 0.9\n")],
-        ids=["own-envelope", "breached", "own-envelope-alpha1", "breached-alpha1"],
+        "exponents", ["alpha = 3\nbeta = 2\n", "alpha = 1\nbeta = 2\n"],
+        ids=["own-envelope", "own-envelope-alpha1"],
     )
-    def test_module_entry_point_reports_huge_data_as_solver_failure(self, tmp_path, exponents, window):
+    def test_module_entry_point_reports_huge_data_as_solver_failure(self, tmp_path, exponents):
         # finite but huge data: the initial record sits on its own envelope and
-        # writes no dissipation, or, under a tighter window, breaches it and
-        # reports the reaction dissipation in units of u*^alpha, which overflow
-        # to -inf; then the overflowing rate stops Newton.  With alpha 1 and
-        # beta 2 the equilibrium's u* is near 1e200 and v* near 1e100, which
-        # solve_equilibrium must reach without overflowing on the way
+        # writes no dissipation; then the overflowing rate stops Newton.  With
+        # alpha 1 and beta 2 the equilibrium's u* is near 1e200 and v* near
+        # 1e100, which solve_equilibrium must reach without overflowing on the
+        # way.  A window the data breach: TestRecord in test_diagnostics.py
         cfg = write(tmp_path, "nx = 4\nny = 4\n" + exponents + "initial = constant\n"
-                              "u0 = 1e200\nv0 = 1e200\n" + window, "huge.cfg")
+                              "u0 = 1e200\nv0 = 1e200\n", "huge.cfg")
         proc = run_module("--config", str(cfg), "--out", str(tmp_path / "out"), "--quiet")
         assert proc.returncode == 3, proc.stderr
         assert "solver failed: Newton did not converge" in proc.stderr
         assert "Traceback" not in proc.stderr
         assert "RuntimeWarning" not in proc.stderr
         first = (tmp_path / "out" / "diagnostics.csv").read_text().splitlines()[1].split(",")
-        assert first[8] == ("-inf" if window else "0")  # reaction_diss at t = 0
+        assert first[8] == "0"  # reaction_diss at t = 0

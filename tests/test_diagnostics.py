@@ -392,6 +392,25 @@ class TestRecord:
         with pytest.raises(ValueError):
             bs.record(dry, mesh, kin, eq, window, *laws)
 
+    @pytest.mark.parametrize("alpha,beta", [(3.0, 2.0), (1.0, 2.0)], ids=["alpha3", "alpha1"])
+    def test_huge_data_breaching_a_tight_window_reports_infinite_reaction_dissipation(
+        self, alpha, beta
+    ):
+        # finite but huge data under a window far tighter than their own
+        # envelope: the reaction dissipation, in units of u*^alpha, overflows
+        # to -inf, with no warning and no raise.  With alpha 1 and beta 2 the
+        # equilibrium's u* is near 1e200 and v* near 1e100
+        kin = bs.Kinetics(k=1.0, kappa=1.0, alpha=alpha, beta=beta)
+        mesh = bs.build_mesh(4, 4, 1.0, 1.0, {"bottom"})
+        state = bs.State(t=0.0, u=np.full(mesh.n_bulk, 1e200), v=np.full(mesh.n_surface, 1e200))
+        eq = bs.solve_equilibrium(kin, bs.weighted_mass(state, mesh, kin),
+                                  mesh.total_bulk_measure, mesh.total_surface_measure)
+        window = bs.ClampWindow(lower=0.5, upper=0.9, u_star=eq.u_star, v_star=eq.v_star,
+                                alpha=alpha, beta=beta)
+        rec = bs.record(state, mesh, kin, eq, window, bs.constant_law(1.0), bs.constant_law(1.0))
+        assert max(rec.u_env_max, rec.v_env_max) > window.upper
+        assert rec.reaction_dissipation == -math.inf
+
     def test_window_of_other_stars_is_rejected(self):
         # The envelope quantities read the window's stars and exponents, the
         # entropy eq's stars.  With u_star doubled, u[0] has pressure 2.25 on

@@ -6,7 +6,8 @@ so does a README "Python API" list that names other than the exported names,
 or a README count of the CoupledMesh, FaceSet, StepConfig or DiffusionLaw
 fields that does not name them exactly, or a module-level constant or table
 that nothing in the package reads.  README's Python API example runs as
-written and must conserve mass and keep its envelope entropy at 0.
+written and must conserve mass and keep its envelope entropy at 0, and its
+example configuration runs through the CLI, so a key it sets must exist.
 The smoke test runs one tiny traced benchmark sample of every workload, whose
 tracer wraps the package's layer entry points by name and fails when one is
 gone or unused.  The repo's pytest config, which turns warnings into errors,
@@ -23,7 +24,7 @@ import sys
 from pathlib import Path
 
 import bulksurf
-from bulksurf.cli import KEYS
+from bulksurf.cli import KEYS, main
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "bulksurf"
@@ -183,6 +184,18 @@ def test_readme_python_api_example_runs_and_conserves_mass(capsys):
     for rec in records:
         assert abs(rec.mass - records[0].mass) <= 1e-13 * records[0].mass
         assert rec.envelope_entropy == 0.0
+
+
+def test_readme_cli_example_config_runs(tmp_path):
+    readme = (ROOT / "README.md").read_text()
+    example = re.search(r"```\n(# two bumps relaxing toward equilibrium\n.*?)```", readme, re.S)
+    assert example, "README has no example configuration"
+    config = tmp_path / "run.cfg"
+    config.write_text(example[1])
+    out = tmp_path / "out"
+    args = ["--config", str(config), "--out", str(out), "--override", "t_final=0.004", "--quiet"]
+    assert main(args) == 0
+    assert sorted(p.name for p in out.iterdir()) == ["diagnostics.csv", "final_state.csv", "summary.json"]
 
 
 def test_readme_key_table_lists_exactly_the_config_keys():

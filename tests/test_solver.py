@@ -11,6 +11,8 @@ import numpy as np
 import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
+from scipy.optimize import brentq
+from scipy.sparse.linalg import eigs
 
 import bulksurf as bs
 from bulksurf import cli
@@ -683,6 +685,32 @@ def test_space_order_is_one_at_the_active_boundary(problem, dt, t_final, pinned)
         assert lo <= order <= hi, (name, order)
 
 
+def _spectral_gap(p) -> float:
+    """Least nonzero eigenvalue of -J at the equilibrium of the linear problem p.
+
+    -J has a one-dimensional kernel (the conserved mass), so the two
+    eigenvalues of M = I - J nearest 0, by shift-invert, are 1 and 1 + gap.
+    """
+    eq = bs.solve_equilibrium(p.kin, bs.weighted_mass(p.state, p.mesh, p.kin),
+                              p.mesh.total_bulk_measure, p.mesh.total_surface_measure)
+    w = np.concatenate([np.full(p.mesh.n_bulk, eq.u_star), np.full(p.mesh.n_surface, eq.v_star)])
+    matrix = _newton_matrix(w, 1.0, p.mesh, p.kin, p.bulk_law, p.surf_law, p.window)
+    vals = eigs(matrix, k=2, sigma=0.0, v0=np.ones(w.size), return_eigenvectors=False)
+    return float(np.sort(vals.real)[1]) - 1.0
+
+
+def test_spectral_gap_converges_to_the_exact_limit():
+    # On the unit square with Gamma = bottom and k = kappa = D = D_Gamma = 1,
+    # the slowest mode is u = cos(q(1 - y)), v = const, with gap lambda = q**2
+    # and q the least positive root of (q sin q - cos q)(1 - q**2) + cos q
+    # (ROADMAP item 15); the discrete gap's error is about 0.52 h
+    q = brentq(lambda q: (q * np.sin(q) - np.cos(q)) * (1 - q**2) + np.cos(q), 1.0, 1.5, xtol=1e-15)
+    assert abs(q**2 - 1.4587630978) < 1e-10
+    errors = [_spectral_gap(_linear_problem(n)) - q**2 for n in (16, 32, 64)]
+    orders = [np.log2(a / b) for a, b in zip(errors, errors[1:])]
+    assert errors[-1] > 0 and min(orders) >= 0.95, (errors, orders)
+
+
 class TestRun:
     def setup_problem(self):
         kin = bs.Kinetics(k=1.0, kappa=1.0, alpha=1.0, beta=1.0)
@@ -859,6 +887,22 @@ def test_newton_stops_in_units_of_the_equilibrium():
         finals.append(np.concatenate([final.u, final.v]))
     for scaled in finals[1:]:
         np.testing.assert_allclose(scaled, finals[0], rtol=1e-14, atol=0)
+
+
+# README's example configuration: two bumps relaxing toward equilibrium
+README_EXAMPLE = """
+nx = 32
+ny = 32
+alpha = 2.0
+beta = 1.0
+kappa = 0.5
+bulk_law = power
+bulk_law_param = 1.0
+surface_law = surface_cross
+initial = two-blob
+dt = 4e-4
+t_final = 0.8
+"""
 
 
 class TestLUReuse:
@@ -1266,20 +1310,41 @@ class TestLUReuse:
         np.testing.assert_array_equal(out.u, plain.u)
         np.testing.assert_array_equal(out.v, plain.v)
 
+    @staticmethod
+    def count_rates(monkeypatch):
+        """A list that grows by one per rate evaluation (safe_rate call)."""
+        rates = []
+        rate = bs.solver.safe_rate
+        monkeypatch.setattr(bs.solver, "safe_rate", lambda *args: rates.append(1) or rate(*args))
+        return rates
+
     def test_acceptance_blob_work_is_pinned(self, monkeypatch):
         # 300 steps of the acceptance blob take 4 LUs, 545 solves and 841
         # rate evaluations: a change to the Newton loop, the LU reuse or the
         # predictor that changes the work shows here
         p = blob_problem()
         calls, solves = self.count_splu(monkeypatch)
-        rates = []
-        rate = bs.solver.safe_rate
-        monkeypatch.setattr(bs.solver, "safe_rate", lambda *args: rates.append(1) or rate(*args))
+        rates = self.count_rates(monkeypatch)
         _, records = bs.run(
             p.state, 300 * p.cfg.dt, p.mesh, p.kin, p.eq, p.bulk_law, p.surf_law, p.window, p.cfg
         )
         assert len(records) == 301
         assert (len(calls), len(solves), len(rates)) == (4, 545, 841)
+
+    def test_trapezoidal_example_work_is_pinned(self, monkeypatch, tmp_path):
+        # README's example config with all four edges, theta = 0.5 and the
+        # harmonic face mean, built by the CLI: 300 steps take 3 LUs, 436
+        # solves and 732 rate evaluations.  The theta < 1 residual carries the
+        # explicit part dt*(1 - theta)*F(w_old), taken from the holder
+        config = tmp_path / "run.cfg"
+        config.write_text(README_EXAMPLE)
+        switches = ["active_edges = bottom,right,top,left", "theta = 0.5", "face_average = harmonic"]
+        mesh, kin, *laws, state, eq, window, cfg = cli.build_problem(cli.parse_config(config, switches))
+        calls, solves = self.count_splu(monkeypatch)
+        rates = self.count_rates(monkeypatch)
+        _, records = bs.run(state, 300 * cfg.dt, mesh, kin, eq, *laws, window, cfg)
+        assert len(records) == 301
+        assert (len(calls), len(solves), len(rates)) == (3, 436, 732)
 
 
 # every law kind in each slot; the surface makers take the kinetics because
@@ -1390,7 +1455,8 @@ class TestRandomProblems:
         # theta = 1 accepts has both pressure maxima within the window's upper,
         # with the clamp inert.  Newton may stall at large dt with any law once
         # an iterate leaves the positive quadrant (ROADMAP item 19); an
-        # exponential law may also fail the law check or overflow near its caps
+        # exponential law may also fail the law check.  A trial that overflows
+        # is a rejected trial, not a warning (see the test below)
         kin = bs.Kinetics(k=k, kappa=kappa, alpha=alpha, beta=beta)
         mesh = mesh_from(mesh_spec)
         rng = np.random.default_rng(seed)
@@ -1406,7 +1472,7 @@ class TestRandomProblems:
         except bs.NonConvergence:
             event("NonConvergence")
             return
-        except (ValueError, RuntimeWarning) as exc:
+        except ValueError as exc:
             if not any(law.kind == "exponential" for law in laws):
                 raise
             event(type(exc).__name__)
@@ -1415,6 +1481,27 @@ class TestRandomProblems:
         for rec in records:
             assert max(rec.u_env_max, rec.v_env_max) <= window.upper * (1.0 + 1e-12)
             assert rec.clamp_activations == 0
+
+    def test_a_trial_that_overflows_is_rejected_not_a_warning(self):
+        # a draw of the test above: the exponential bulk law is finite on the
+        # caps but reaches 2e291 there, and line-search trials overflow F in
+        # the face flux.  Under the suite's warnings-as-errors filter that must
+        # not end the run as a RuntimeWarning: the line search rejects the
+        # non-finite residual, and the run fails as Newton does
+        kin = bs.Kinetics(k=2.12, kappa=0.682, alpha=1.87, beta=2.92)
+        mesh = bs.build_mesh(2, 2, 1.0, 1.3, {"top"})
+        rng = np.random.default_rng(19)
+        u0, v0 = (np.exp(8.02 * rng.uniform(-1.0, 1.0, n)) for n in (mesh.n_bulk, mesh.n_surface))
+        state = bs.State(t=0.0, u=u0, v=v0)
+        eq = bs.solve_equilibrium(kin, bs.weighted_mass(state, mesh, kin),
+                                  mesh.total_bulk_measure, mesh.total_surface_measure)
+        window = bs.window_from_initial_data(u0, v0, eq, kin)
+        laws = (bs.exponential_law(0.5), bs.power_law(0.8))
+        assert 1e290 < bs.coefficient_bounds(laws[0], window)[1] < np.inf
+        dt = 0.00247
+        cfg = bs.StepConfig(dt=dt, newton_tol=1e-10, newton_max_iter=40, theta=1.0)
+        with pytest.raises(bs.NonConvergence, match="Newton did not converge"):
+            bs.run(state, 5 * dt, mesh, kin, eq, *laws, window, cfg)
 
     @pytest.mark.parametrize("face_average", bs.mesh.FACE_AVERAGES)
     @pytest.mark.parametrize("edges", [{"bottom"}, {"left", "bottom"}, set(bs.mesh.EDGE_NAMES)],
