@@ -415,11 +415,8 @@ def main(argv: list[str] | None = None) -> int:
             f"({eq.u_star:.6g}, {eq.v_star:.6g}), mass {eq.mass:.6g}"
         )
     started = time.perf_counter()
-    try:  # data whose rate overflows fail as a NaN residual, reported below, not as warnings
-        with np.errstate(over="ignore", invalid="ignore"):
-            final, records = solver.run(
-                state, cfg.t_final, mesh, kin, eq, bulk_law, surf_law, window, step_cfg
-            )
+    try:
+        final, records = solver.run(state, cfg.t_final, mesh, kin, eq, bulk_law, surf_law, window, step_cfg)
         completed = True
     except solver.NonConvergence as exc:
         print(f"solver failed: {exc}", file=sys.stderr)

@@ -186,10 +186,10 @@ class NewtonLU:
     newton_tol and more than CONTRACTION times the previous one.
 
     Factors are single precision until double is set.  _factor sets it when
-    the Newton matrix is not finite in float32 or SuperLU cannot factor its
-    float32 values, and step when the rule drops a fresh single-precision LU;
-    every later factor is then double precision until another problem
-    empties the holder.
+    an entry of the Newton matrix lies beyond the float32 range or is not a
+    number, or SuperLU cannot factor its float32 values, and step when the
+    rule drops a fresh single-precision LU; every later factor is then
+    double precision until another problem empties the holder.
     """
 
     problem: tuple | None = None
@@ -210,20 +210,17 @@ def _factor(w: np.ndarray, c: float, operator: tuple, double: bool) -> tuple[_So
     float64 values are cast to float32 and replace them in the matrix, so
     they are freed before SuperLU runs.  Its solve scales the right-hand side
     by its max-norm, so its range fits single precision, and returns
-    float64.  A matrix that is not finite in float32 is factored in double
-    precision; when SuperLU raises on the float32 values (an exactly
+    float64.  The float32 range is tested before the cast, so no cast
+    overflows: a matrix with an entry beyond it, inf or NaN, is factored in
+    double precision; when SuperLU raises on the float32 values (an exactly
     singular factor), the matrix is assembled again at w in double
     precision.  solve is None only when SuperLU raises on the
     double-precision matrix.
     """
     matrix = _newton_matrix(w, c, *operator)
+    double = double or not np.abs(matrix.data).max() <= np.finfo(np.float32).max  # NaN fails too
     if not double:
-        with np.errstate(over="ignore"):
-            data = matrix.data.astype(np.float32)
-        double = not np.all(np.isfinite(data))
-        if not double:
-            matrix.data = data
-        del data  # a non-finite copy is not kept through a double factor
+        matrix.data = matrix.data.astype(np.float32)
     try:
         factor = spla.splu(matrix, permc_spec="MMD_AT_PLUS_A", panel_size=1)
     except RuntimeError:
@@ -319,6 +316,7 @@ def _newton_matrix(w, c, mesh, kin, bulk_law, surf_law, window):
     return matrix
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def step(
     state: State,
     mesh: CoupledMesh,
@@ -358,6 +356,11 @@ def step(
     _factor(w, theta*dt, operator, lu.double), which assembles the Newton
     matrix at the iterate w, factors it and returns its solve and precision.
 
+    The step runs with numpy's overflow and invalid-value warnings off: a
+    trial that overflows F has an inf or NaN residual, which the line search
+    rejects, and an old state or a Newton matrix that overflows ends the
+    step in NonConvergence.
+
     Raises NonConvergence when the iteration cap is reached, or when SuperLU
     cannot factor the matrix or the line search fails on a fresh
     double-precision LU; the caller may halve dt and retry.
@@ -388,17 +391,12 @@ def step(
         return u_size if u_size >= v_size or u_size != u_size else v_size  # NaN wins
 
     def candidate(w: np.ndarray, f: np.ndarray | None = None) -> tuple:
-        """(w, F(w), R(w), size(R(w))), evaluating F unless it is given.
-
-        A trial far from the solution may overflow F: its residual is then
-        inf or NaN, which the line search rejects, so numpy need not warn.
-        """
-        with np.errstate(over="ignore", invalid="ignore"):
-            if f is None:
-                f = _rate_vector(w, *operator)
-            r = w - w_old - dt * theta * f
-            if expl is not None:
-                r -= expl
+        """(w, F(w), R(w), size(R(w))), evaluating F unless it is given."""
+        if f is None:
+            f = _rate_vector(w, *operator)
+        r = w - w_old - dt * theta * f
+        if expl is not None:
+            r -= expl
         return w, f, r, size(r)
 
     w, f, r, rn = candidate(w_old, f_old)

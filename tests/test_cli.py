@@ -43,11 +43,14 @@ def write(tmp_path, text, name="run.cfg"):
 
 
 def run_module(*args):
-    """``python -m bulksurf.cli`` with args in a process of its own, on this checkout's src."""
+    """``python -W error -m bulksurf.cli`` with args in a process of its own, on this checkout's src.
+
+    Any warning is an error, as in the suite's own filterwarnings.
+    """
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     return subprocess.run(
-        [sys.executable, "-m", "bulksurf.cli", *args],
+        [sys.executable, "-W", "error", "-m", "bulksurf.cli", *args],
         capture_output=True,
         text=True,
         env=env,
@@ -382,8 +385,7 @@ class TestMainExitCodes:
         )
         cfg = write(tmp_path, text)
         out = tmp_path / "singular"
-        with np.errstate(all="ignore"):
-            assert main(["--config", str(cfg), "--out", str(out), "--quiet"]) == 3
+        assert main(["--config", str(cfg), "--out", str(out), "--quiet"]) == 3
         assert "solver failed" in capsys.readouterr().err
         summary = json.loads((out / "summary.json").read_text())
         assert summary["completed"] is False

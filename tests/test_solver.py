@@ -3,6 +3,7 @@ import platform
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from dataclasses import replace
 from types import SimpleNamespace
 from pathlib import Path
@@ -11,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
+from scipy import sparse
 from scipy.optimize import brentq
 from scipy.sparse.linalg import eigs
 
@@ -498,7 +500,7 @@ class TestStep:
             huge = bs.State(t=0.0, u=np.full(m.n_bulk, 1e200), v=np.full(m.n_surface, 1e200))
             kin2 = bs.Kinetics(k=1.0, kappa=1.0, alpha=alpha, beta=2.0)
             lu = bs.NewtonLU()
-            with np.errstate(all="ignore"), pytest.raises(bs.NonConvergence):
+            with pytest.raises(bs.NonConvergence):
                 bs.step(huge, m, kin2, bs.constant_law(1.0), bs.constant_law(1.0),
                         wide_window(alpha=alpha, beta=2.0), bs.StepConfig(dt=1e-3), lu=lu)
             assert lu.double
@@ -685,30 +687,79 @@ def test_space_order_is_one_at_the_active_boundary(problem, dt, t_final, pinned)
         assert lo <= order <= hi, (name, order)
 
 
-def _spectral_gap(p) -> float:
-    """Least nonzero eigenvalue of -J at the equilibrium of the linear problem p.
+def _equilibrium_matrix(p, eq):
+    """M = I - J at the equilibrium eq of problem p, J the Jacobian of the total rate there."""
+    w = np.concatenate([np.full(p.mesh.n_bulk, eq.u_star), np.full(p.mesh.n_surface, eq.v_star)])
+    return _newton_matrix(w, 1.0, p.mesh, p.kin, p.bulk_law, p.surf_law, p.window)
 
-    -J has a one-dimensional kernel (the conserved mass), so the two
-    eigenvalues of M = I - J nearest 0, by shift-invert, are 1 and 1 + gap.
-    """
+
+def _linear_equilibrium_matrix(n, surf_law=bs.constant_law(1.0)):
+    """_equilibrium_matrix of _linear_problem(n), with surf_law in the surface slot."""
+    p = _linear_problem(n)
+    p.surf_law = surf_law
     eq = bs.solve_equilibrium(p.kin, bs.weighted_mass(p.state, p.mesh, p.kin),
                               p.mesh.total_bulk_measure, p.mesh.total_surface_measure)
-    w = np.concatenate([np.full(p.mesh.n_bulk, eq.u_star), np.full(p.mesh.n_surface, eq.v_star)])
-    matrix = _newton_matrix(w, 1.0, p.mesh, p.kin, p.bulk_law, p.surf_law, p.window)
-    vals = eigs(matrix, k=2, sigma=0.0, v0=np.ones(w.size), return_eigenvectors=False)
-    return float(np.sort(vals.real)[1]) - 1.0
+    return _equilibrium_matrix(p, eq), p.mesh
+
+
+# On the unit square with Gamma = bottom and k = kappa = D = D_Gamma = 1, the
+# slowest mode is u = cos(q(1 - y)), v = const, with gap lambda = q**2 and q
+# the least positive root of (q sin q - cos q)(1 - q**2) + cos q (ROADMAP
+# item 15)
+LINEAR_Q = brentq(lambda q: (q * np.sin(q) - np.cos(q)) * (1 - q**2) + np.cos(q), 1.0, 1.5, xtol=1e-15)
 
 
 def test_spectral_gap_converges_to_the_exact_limit():
-    # On the unit square with Gamma = bottom and k = kappa = D = D_Gamma = 1,
-    # the slowest mode is u = cos(q(1 - y)), v = const, with gap lambda = q**2
-    # and q the least positive root of (q sin q - cos q)(1 - q**2) + cos q
-    # (ROADMAP item 15); the discrete gap's error is about 0.52 h
-    q = brentq(lambda q: (q * np.sin(q) - np.cos(q)) * (1 - q**2) + np.cos(q), 1.0, 1.5, xtol=1e-15)
-    assert abs(q**2 - 1.4587630978) < 1e-10
-    errors = [_spectral_gap(_linear_problem(n)) - q**2 for n in (16, 32, 64)]
+    # -J has a one-dimensional kernel (the conserved mass), so the two
+    # eigenvalues of M = I - J nearest 0, by shift-invert, are 1 and 1 + gap;
+    # the discrete gap's error is about 0.52 h
+    assert abs(LINEAR_Q**2 - 1.4587630978) < 1e-10
+    errors = []
+    for n in (16, 32, 64):
+        matrix, _ = _linear_equilibrium_matrix(n)
+        vals = eigs(matrix, k=2, sigma=0.0, v0=np.ones(matrix.shape[0]), return_eigenvectors=False)
+        errors.append(np.sort(vals.real)[1] - 1.0 - LINEAR_Q**2)
     orders = [np.log2(a / b) for a, b in zip(errors, errors[1:])]
     assert errors[-1] > 0 and min(orders) >= 0.95, (errors, orders)
+
+
+@pytest.mark.parametrize("surf_param,holds", [(1.0, True), (1.01, False)], ids=["D_Gamma=D", "D_Gamma=1.01D"])
+def test_first_cosine_mode_sees_the_surface_diffusion(surf_param, holds):
+    # The m = 1 mode u = cos(pi x) cos(q(1 - y)), v = c cos(pi x) has
+    # eigenvalue pi**2 + q**2 when D_Gamma = D, since both diffusions then
+    # take the same pi**2 along x.  Discretely each takes mu_h = (2 - 2 cos
+    # pi h)/h**2 on the cell centres, so lambda_h - mu_h converges to q**2,
+    # measured at order 1.004 and 1.002 on 16**2, 32**2, 64**2 (errors 0.0324,
+    # 0.0162, 0.0081).  The slowest mode has v constant and cannot see
+    # D_Gamma; this one can: D_Gamma = 1.01 gives orders 0.32 and 0.19
+    sigma = 1.0 + LINEAR_Q**2 + np.pi**2  # M = I - J near the mode
+    errors = []
+    for n in (16, 32, 64):
+        matrix, mesh = _linear_equilibrium_matrix(n, bs.constant_law(surf_param))
+        vals, vecs = eigs(matrix, k=1, sigma=sigma, v0=np.ones(matrix.shape[0]))
+        v = vecs[mesh.n_bulk:, 0].real
+        assert np.abs(v + v[::-1]).max() <= 1e-10 * np.abs(v).max()  # odd about x = 1/2
+        h = 1.0 / n
+        errors.append(vals[0].real - 1.0 - (2 - 2 * np.cos(np.pi * h)) / h**2 - LINEAR_Q**2)
+    orders = [np.log2(a / b) for a, b in zip(errors, errors[1:])]
+    assert (errors[-1] > 0 and min(orders) >= 0.95) == holds, (errors, orders)
+
+
+def test_linearization_at_equilibrium_is_symmetric_in_the_entropy_metric():
+    # The scheme is a discrete gradient flow of the relative entropy, so at
+    # equilibrium J = -K H with K symmetric (the Onsager operator of the
+    # fluxes and the exchange) and H = diag(|K|/u*, |G|/v*) the entropy's
+    # Hessian; then H^(1/2) J H^(-1/2) = -H^(1/2) K H^(1/2) is symmetric.
+    # Measured on the acceptance blob's laws: at most 7.2e-19 relative at
+    # equilibrium, and 2.5e-2, 1.3e-2, 6.6e-3 on 16**2, 32**2, 64**2 at the
+    # initial state, where J is not symmetric in this metric
+    for n in (16, 32, 64):
+        p = blob_problem(n)
+        root = np.sqrt(p.mesh.faces.measure / np.repeat([p.eq.u_star, p.eq.v_star],
+                                                        [p.mesh.n_bulk, p.mesh.n_surface]))
+        jac = sparse.identity(root.size) - _equilibrium_matrix(p, p.eq)
+        sym = sparse.diags(root) @ jac @ sparse.diags(1.0 / root)
+        assert abs(sym - sym.T).max() <= 1e-14 * abs(sym).max(), n
 
 
 class TestRun:
@@ -771,6 +822,24 @@ class TestRun:
         assert info.value.last_state is not None
         assert info.value.records is not None
         assert len(info.value.records) >= 1
+
+    @pytest.mark.parametrize("alpha,beta", [(3.0, 2.0), (1.0, 2.0), (2.0, 1.0)])
+    def test_huge_data_end_in_nonconvergence_not_a_warning(self, alpha, beta):
+        # u0 = v0 = 1e200 overflow F at the old state or the Newton matrix,
+        # outside any line-search trial: the run must fail as Newton does
+        # ("residual nan after 0 iterations" at (3, 2), "residual inf after 1
+        # iterations" at the other two), not as numpy's RuntimeWarning
+        mesh = bs.build_mesh(4, 4, 1.0, 1.0, {"bottom"})
+        kin = bs.Kinetics(k=1.0, kappa=1.0, alpha=alpha, beta=beta)
+        state = bs.State(t=0.0, u=np.full(mesh.n_bulk, 1e200), v=np.full(mesh.n_surface, 1e200))
+        eq = bs.solve_equilibrium(kin, bs.weighted_mass(state, mesh, kin),
+                                  mesh.total_bulk_measure, mesh.total_surface_measure)
+        window = bs.window_from_initial_data(state.u, state.v, eq, kin)
+        laws = (bs.constant_law(1.0), bs.constant_law(1.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(bs.NonConvergence, match="Newton did not converge"):
+                bs.run(state, 3e-3, mesh, kin, eq, *laws, window, bs.StepConfig(dt=1e-3))
 
     def test_a_step_that_goes_negative_is_retried_with_dt_halved(self, tmp_path):
         # a README-valid two-blob config whose first trapezoidal step at the
