@@ -24,47 +24,22 @@ import numpy as np
 from . import diagnostics, model, solver
 from .mesh import EDGE_NAMES, FACE_AVERAGES, build_mesh
 
-# (diagnostics.csv column, DiagnosticsRecord attribute), in column order
-DIAGNOSTICS_COLUMNS = (
-    ("t", "t"),
-    ("mass", "mass"),
-    ("entropy", "entropy"),
-    ("entropy_L", "envelope_entropy"),
-    ("u_env_max", "u_env_max"),
-    ("v_env_max", "v_env_max"),
-    ("u_env_min", "u_env_min"),
-    ("v_env_min", "v_env_min"),
-    ("reaction_diss", "reaction_dissipation"),
-    ("diff_diss_bulk", "diffusion_dissipation_bulk"),
-    ("diff_diss_surf", "diffusion_dissipation_surface"),
-    ("clamp_activations", "clamp_activations"),
+# the columns of diagnostics.csv: DiagnosticsRecord's fields in order, four of them renamed
+DIAGNOSTICS_HEADER = (
+    "t,mass,entropy,entropy_L,u_env_max,v_env_max,u_env_min,v_env_min,"
+    "reaction_diss,diff_diss_bulk,diff_diss_surf,clamp_activations"
 )
-DIAGNOSTICS_HEADER = ",".join(column for column, _ in DIAGNOSTICS_COLUMNS)
-
-
-@dataclass(frozen=True)
-class MissingKey:
-    key: str
-
-    def __str__(self) -> str:
-        return f"missing required key: {self.key}"
 
 
 @dataclass(frozen=True)
 class BadValue:
+    """One configuration problem: key is a config key, --config, --out, --override or 'line N'."""
+
     key: str
     reason: str
 
     def __str__(self) -> str:
         return f"bad value for {self.key}: {self.reason}"
-
-
-@dataclass(frozen=True)
-class NonPositiveInitialData:
-    detail: str
-
-    def __str__(self) -> str:
-        return f"initial data must be strictly positive: {self.detail}"
 
 
 class ConfigError(ValueError):
@@ -203,18 +178,14 @@ def _cross_key_problems(cfg) -> list:
     ):
         if law == "constant" and not param > 0:
             problems.append(BadValue(name, "constant coefficient must be > 0"))
-    if cfg.initial == "constant" and not (cfg.u0 > 0 and cfg.v0 > 0):
-        problems.append(NonPositiveInitialData(f"u0={cfg.u0}, v0={cfg.v0}"))
-    if cfg.initial == "two-blob":
-        if not cfg.blob_base_u > 0:
-            problems.append(NonPositiveInitialData(f"blob_base_u={cfg.blob_base_u}"))
-        if not cfg.blob_width > 0:
-            problems.append(BadValue("blob_width", "must be > 0"))
+    positive = {"constant": ("u0", "v0"), "two-blob": ("blob_base_u", "blob_width")}
+    for name in positive.get(cfg.initial, ()):
+        if not getattr(cfg, name) > 0:
+            problems.append(BadValue(name, "must be > 0"))
     if cfg.initial == "file":
-        if not cfg.initial_u_file:
-            problems.append(MissingKey("initial_u_file"))
-        if not cfg.initial_v_file:
-            problems.append(MissingKey("initial_v_file"))
+        for name in ("initial_u_file", "initial_v_file"):
+            if not getattr(cfg, name):
+                problems.append(BadValue(name, "a path is required"))
     return problems
 
 
@@ -237,7 +208,7 @@ def parse_config(path: str | Path, overrides: list[str] | None = None) -> RunCon
     """
     path = Path(path)
     if not path.is_file():
-        raise ConfigError([MissingKey(f"config file {path}")])
+        raise ConfigError([BadValue("--config", f"no file {path}")])
     lines = [line.split("#", 1)[0].strip() for line in path.read_text().splitlines()]
     entries = [(f"line {n}", text) for n, text in enumerate(lines, start=1) if text]
     entries += [("--override", item) for item in overrides or []]
@@ -270,12 +241,16 @@ def initial_state(cfg: RunConfig, mesh) -> solver.State:
             reason = "the balanced v = (blob_base_u**alpha / kappa)**(1/beta) overflows in floats"
             raise ConfigError([BadValue("blob_base_u", reason)])
         width = cfg.blob_width * min(cfg.lx, cfg.ly)
-        u = base_u + cfg.blob_amplitude_1 * _gaussian(
-            mesh.cell_center_x, mesh.cell_center_y, cfg.blob_x1 * cfg.lx, cfg.blob_y1 * cfg.ly, width
-        )
-        u += cfg.blob_amplitude_2 * _gaussian(
-            mesh.cell_center_x, mesh.cell_center_y, cfg.blob_x2 * cfg.lx, cfg.blob_y2 * cfg.ly, width
-        )
+        if not 0.0 < 2.0 * width * width < math.inf:
+            reason = "2*(blob_width*min(lx, ly))**2 is 0 or inf in floats"
+            raise ConfigError([BadValue("blob_width", reason)])
+        cx, cy, u = mesh.cell_center_x, mesh.cell_center_y, np.full(mesh.n_bulk, base_u)
+        with np.errstate(over="ignore"):  # a bump centre out of float reach adds 0 to every cell
+            for a, x, y in ((cfg.blob_amplitude_1, cfg.blob_x1, cfg.blob_y1),
+                            (cfg.blob_amplitude_2, cfg.blob_x2, cfg.blob_y2)):
+                u += a * _gaussian(cx, cy, x * cfg.lx, y * cfg.ly, width)
+        if not np.all(u < math.inf):
+            raise ConfigError([BadValue("initial", "the two-blob u overflows in floats")])
         u = np.maximum(u, 1e-8 * base_u)
         v = np.full(mesh.n_surface, base_v)
     else:  # file
@@ -290,7 +265,7 @@ def initial_state(cfg: RunConfig, mesh) -> solver.State:
             if not np.all(np.isfinite(values)):
                 raise ConfigError([BadValue(key, "values must be finite")])
             if np.min(values) <= 0:
-                raise ConfigError([NonPositiveInitialData(f"{key}: values must be > 0")])
+                raise ConfigError([BadValue(key, "values must be > 0")])
             loaded.append(values)
         u, v = loaded
     return solver.State(t=0.0, u=u, v=v)
@@ -308,7 +283,11 @@ def build_problem(cfg: RunConfig):
     surf_law = model.DiffusionLaw(cfg.surface_law, cfg.surface_law_param)
 
     state = initial_state(cfg, mesh)
-    mass = diagnostics.weighted_mass(state, mesh, kin)
+    with np.errstate(over="ignore"):
+        mass = diagnostics.weighted_mass(state, mesh, kin)
+    if mass == math.inf:
+        reason = "the weighted mass beta*int(u) + alpha*int(v) overflows in floats"
+        raise ConfigError([BadValue("initial", reason)])
     eq = model.solve_equilibrium(kin, mass, mesh.total_bulk_measure, mesh.total_surface_measure)
     window = model.window_from_initial_data(state.u, state.v, eq, kin)
     model.check_laws(bulk_law, surf_law, window)
@@ -324,10 +303,10 @@ def _fmt(x: float) -> str:
 
 
 def write_diagnostics_csv(records, path: Path) -> None:
-    """Diagnostics series, one row per record."""
+    """Diagnostics series, one row per record: its fields in order under DIAGNOSTICS_HEADER."""
     lines = [DIAGNOSTICS_HEADER]
     for rec in records:
-        lines.append(",".join(_fmt(getattr(rec, attr)) for _, attr in DIAGNOSTICS_COLUMNS))
+        lines.append(",".join(_fmt(getattr(rec, f.name)) for f in fields(rec)))
     path.write_text("\n".join(lines) + "\n")
 
 

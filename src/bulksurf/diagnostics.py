@@ -45,14 +45,12 @@ from .model import (
 
 @dataclass(frozen=True)
 class DiagnosticsRecord:
-    """Per-step scalar diagnostics.
+    """Per-step scalar diagnostics: the columns of the CLI's diagnostics.csv, in order.
 
     The envelope extrema are pressures, on the scale of the window's lower
     and upper.  The three dissipation fields are the signed contributions to
     the envelope entropy's time derivative, so each is <= 0 up to round-off
     on healthy states, and exactly 0 while both upper envelopes hold.
-    partition_counts holds the surface-cell counts of the three
-    envelope-violation classes (only u above, only v above, both above).
     """
 
     t: float
@@ -67,7 +65,6 @@ class DiagnosticsRecord:
     diffusion_dissipation_bulk: float
     diffusion_dissipation_surface: float
     clamp_activations: int
-    partition_counts: tuple[int, int, int]
 
 
 @dataclass(frozen=True)
@@ -257,13 +254,11 @@ def record(
     p_u, p_v = _pressure(u, window.u_star, window.alpha), _pressure(v, window.v_star, window.beta)
     u_env_max, v_env_max = float(p_u.max()) + 0.0, float(p_v.max()) + 0.0  # 0.0, not -0.0
     if u_env_max <= window.upper and v_env_max <= window.upper:
-        envelope, reaction, diss, counts = 0.0, 0.0, (0.0, 0.0), (0, 0, 0)
+        envelope, reaction, diss = 0.0, 0.0, (0.0, 0.0)
     else:
         envelope = envelope_entropy(state, mesh, window)
-        split = reaction_dissipation_split(state, mesh, kin, window)
-        reaction = -split.total
+        reaction = -reaction_dissipation_split(state, mesh, kin, window).total
         diss = _diffusion_dissipation(state, mesh, window, bulk_law, surf_law)
-        counts = (split.n_u_only, split.n_v_only, split.n_both)
     w = np.concatenate((u, v))
     lows, highs = (f.reduceat(w, (0, nb)) for f in (np.minimum, np.maximum))
     clamp_count = sum(  # the clamp moves exactly the entries outside [lo, hi]
@@ -284,5 +279,4 @@ def record(
         diffusion_dissipation_bulk=diss[0] + 0.0,
         diffusion_dissipation_surface=diss[1] + 0.0,
         clamp_activations=clamp_count,
-        partition_counts=counts,
     )

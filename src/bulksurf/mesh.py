@@ -18,6 +18,7 @@ the chain closes into a loop.
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass, field
 
@@ -249,6 +250,11 @@ def build_mesh(
 
     dx = lx / nx
     dy = ly / ny
+    # each measure is dx, dy or dx*dy, each transmissibility dy/dx, dx/dy or 1/d
+    # for a chain distance d between min(dx, dy) and (dx + dy)/2
+    sizes = (dx * dy, dy / dx, dx / dy, 1 / min(dx, dy), dx + dy) if min(dx, dy) > 0 else (0.0,)
+    if not all(0 < x < math.inf for x in sizes):
+        raise ValueError(f"{nx}x{ny} cells of {lx} x {ly}: a measure or transmissibility is 0 or inf")
     n_bulk = nx * ny
     ix, iy = np.arange(nx), np.arange(ny)
     xs, ys = (ix + 0.5) * dx, (iy + 0.5) * dy

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import astuple
 from pathlib import Path
 
 import numpy as np
@@ -11,8 +12,6 @@ from bulksurf import build_mesh, solver
 from bulksurf.cli import (
     BadValue,
     ConfigError,
-    MissingKey,
-    NonPositiveInitialData,
     build_problem,
     initial_state,
     main,
@@ -80,7 +79,7 @@ class TestParseConfig:
     def test_zero_initial_rejected(self, tmp_path):
         with pytest.raises(ConfigError) as info:
             parse_config(write(tmp_path, "u0 = 0.0\n"))
-        assert any(isinstance(p, NonPositiveInitialData) for p in info.value.problems)
+        assert any(p.key == "u0" for p in info.value.problems)
 
     def test_all_problems_reported_not_just_first(self, tmp_path):
         text = "alpha = 0.2\nbeta = -1\ndt = 0\nnx = 0\nface_average = fancy\nny 4\n = 5\n"
@@ -100,12 +99,12 @@ class TestParseConfig:
     def test_missing_file_reports_missing_key(self, tmp_path):
         with pytest.raises(ConfigError) as info:
             parse_config(tmp_path / "nope.cfg")
-        assert any(isinstance(p, MissingKey) for p in info.value.problems)
+        assert any(p.key == "--config" for p in info.value.problems)
 
     def test_file_initial_requires_paths(self, tmp_path):
         with pytest.raises(ConfigError) as info:
             parse_config(write(tmp_path, "initial = file\n"))
-        missing = {p.key for p in info.value.problems if isinstance(p, MissingKey)}
+        missing = {p.key for p in info.value.problems}
         assert {"initial_u_file", "initial_v_file"} <= missing
 
     def test_overrides_apply_before_validation(self, tmp_path):
@@ -140,6 +139,13 @@ class TestInitialData:
         err = capsys.readouterr().err
         assert err.startswith("config error: bad value for blob_base_u: the balanced v")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("overrides", [["blob_x2=1e300", "blob_amplitude_1=0"], ["blob_width=1e-160"]])
+    def test_a_bump_beyond_float_reach_adds_nothing(self, tmp_path, overrides):
+        # a centre at 1e300, or a width whose square is 1e-320: every cell's
+        # distance over the width overflows, which is no bump, not a warning
+        cfg = parse_config(write(tmp_path, BLOB_RUN), overrides)
+        assert np.all(build_problem(cfg)[4].u == cfg.blob_base_u)
 
     def test_file_initial_round_trip(self, tmp_path):
         mesh = build_mesh(3, 2, 1.0, 1.0, {"bottom"})
@@ -227,6 +233,24 @@ class TestMainExitCodes:
         # one row per record: the initial state and each of the 5 steps
         assert len((out / "diagnostics.csv").read_text().splitlines()) == 1 + 6
 
+    def test_each_diagnostics_row_is_its_record_in_field_order(self, tmp_path):
+        cfg = write(tmp_path, BLOB_RUN)
+        out = tmp_path / "results"
+        assert main(["--config", str(cfg), "--out", str(out), "--quiet"]) == 0
+        header, *rows = (out / "diagnostics.csv").read_text().splitlines()
+        assert header == (
+            "t,mass,entropy,entropy_L,u_env_max,v_env_max,u_env_min,v_env_min,"
+            "reaction_diss,diff_diss_bulk,diff_diss_surf,clamp_activations"
+        )
+        run_cfg = parse_config(cfg)
+        mesh, kin, bulk_law, surf_law, state, eq, window, step_cfg = build_problem(run_cfg)
+        _, records = solver.run(state, run_cfg.t_final, mesh, kin, eq, bulk_law, surf_law, window, step_cfg)
+        assert len(rows) == len(records)
+        for row, rec in zip(rows, records):
+            columns, values = row.split(","), astuple(rec)
+            assert len(columns) == len(values) == 12
+            assert [type(value)(text) for text, value in zip(columns, values)] == list(values)
+
     def test_missing_config_path_is_exit_2(self, tmp_path, capsys):
         assert main(["--config", str(tmp_path / "absent.cfg")]) == 2
         assert "config error" in capsys.readouterr().err
@@ -303,6 +327,7 @@ class TestMainExitCodes:
         "text,key",
         [
             ("active_edges =\n", "active_edges"),
+            ("active_edges = bottom,diagonal\n", "active_edges"),
             ("nx = abc\n", "nx"),
             ("dt = inf\n", "dt"),
             ("theta = 1.5\n", "theta"),
@@ -312,7 +337,7 @@ class TestMainExitCodes:
             ("nx = 2\nny = 1\ninitial = file\ninitial_u_file = {u}\ninitial_v_file = {v}\n",
              "initial_u_file"),
         ],
-        ids=["no-edge", "not-a-number", "not-finite", "theta-above-1",
+        ids=["no-edge", "unknown-edge", "not-a-number", "not-finite", "theta-above-1",
              "zero-constant-law", "blob-base-u", "blob-width", "file-size"],
     )
     def test_each_config_problem_names_its_key_and_is_exit_2(self, tmp_path, capsys, text, key):
@@ -435,6 +460,31 @@ class TestMainExitCodes:
         proc = run_module("--config", str(cfg))
         assert proc.returncode == 2
         assert "alpha" in proc.stderr
+
+    @pytest.mark.parametrize(
+        "text,code,err",
+        [
+            ("lx = 5e-324\n", 2, "config error: 3x3 cells of 5e-324 x 1.0: "),
+            ("lx = 1e-320\n", 2, "config error: 3x3 cells of 1e-320 x 1.0: "),
+            ("initial = two-blob\nblob_width = 1e200\n", 2, "config error: bad value for blob_width: "),
+            ("initial = two-blob\nblob_width = 1e-160\n", 0, ""),
+            ("initial = two-blob\nblob_x2 = 1e300\n", 0, ""),
+            ("initial = two-blob\nblob_base_u = 1e200\nbeta = 1e300\n", 2,
+             "config error: bad value for initial: the weighted mass"),
+            ("initial = two-blob\nblob_amplitude_1 = 1e308\nblob_amplitude_2 = 1e308\nblob_x1 = 0.5\n"
+             "blob_y1 = 0.5\nblob_x2 = 0.5\nblob_y2 = 0.5\n", 2,
+             "config error: bad value for initial: the two-blob u overflows"),
+        ],
+        ids=["side-to-0", "side-transmissibility-to-inf", "blob-width-huge", "blob-width-tiny",
+             "blob-centre-far", "mass-to-inf", "bumps-to-inf"],
+    )
+    def test_module_entry_point_on_extreme_finite_keys_is_clean(self, tmp_path, text, code, err):
+        # -W error turns a RuntimeWarning into a traceback and exit 1, like
+        # the ZeroDivisionError of a cell side that rounds to 0
+        cfg = write(tmp_path, "nx = 3\nny = 3\nt_final = 0.002\n" + text)
+        proc = run_module("--config", str(cfg), "--out", str(tmp_path / "out"), "--quiet")
+        assert proc.returncode == code, proc.stderr
+        assert proc.stderr.startswith(err) and proc.stderr.count("\n") == (code == 2), proc.stderr
 
     @pytest.mark.parametrize(
         "exponents", ["alpha = 3\nbeta = 2\n", "alpha = 1\nbeta = 2\n"],

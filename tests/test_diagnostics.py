@@ -310,14 +310,12 @@ class TestRecord:
         assert rec.diffusion_dissipation_bulk == 0.0
         assert rec.diffusion_dissipation_surface == 0.0
         assert rec.clamp_activations == 0
-        assert rec.partition_counts == (0, 0, 0)
 
     def test_envelope_respecting_state(self):
         mesh, kin, eq, state, window = make_problem()
         rec = bs.record(state, mesh, kin, eq, window,
                         bs.power_law(1.0), bs.surface_cross_law(kin))
         assert rec.envelope_entropy == 0.0
-        assert rec.partition_counts == (0, 0, 0)
         assert rec.u_env_max <= window.upper
         assert rec.v_env_max <= window.upper
         assert rec.u_env_min >= window.lower
@@ -351,11 +349,11 @@ class TestRecord:
             assert rec.reaction_dissipation == -split.total
             assert (rec.diffusion_dissipation_bulk, rec.diffusion_dissipation_surface) == diss
             assert rec.clamp_activations == _outside_caps(st.u, st.v, window)
-            assert rec.partition_counts == (split.n_u_only, split.n_v_only, split.n_both)
             below = (np.all((st.u / eq.u_star) ** kin.alpha <= window.upper)
                      and np.all((st.v / eq.v_star) ** kin.beta <= window.upper))
             assert below == healthy
-        assert min(rec.partition_counts) > 0 and min(diss) < 0.0  # every breached term is live
+        counts = (split.n_u_only, split.n_v_only, split.n_both)
+        assert min(counts) > 0 and min(diss) < 0.0  # every breached term is live
 
     def test_clamp_activation_count(self):
         mesh, kin, eq, state, window = make_problem()
@@ -477,7 +475,6 @@ def test_data_on_their_own_envelope_record_exact_zeros(
     assert rec.envelope_entropy == 0.0
     assert rec.reaction_dissipation == 0.0
     assert (rec.diffusion_dissipation_bulk, rec.diffusion_dissipation_surface) == (0.0, 0.0)
-    assert rec.partition_counts == (0, 0, 0)
     assert bs.envelope_entropy(state, mesh, window) == 0.0
     split = bs.reaction_dissipation_split(state, mesh, kin, window)
     assert (split.u_only, split.v_only, split.both, split.total) == (0.0,) * 4
@@ -565,7 +562,6 @@ def test_record_fields_are_the_functions_they_stand_for(
     for name, value in expected.items():
         assert _bits(getattr(rec, name)) == _bits(value), (name, getattr(rec, name), value)
     assert rec.clamp_activations == _outside_caps(u, v, window)
-    assert rec.partition_counts == (split.n_u_only, split.n_v_only, split.n_both)
 
 
 

@@ -3,11 +3,12 @@
 mesh and model sit at the bottom, then diagnostics, then solver, then cli.
 A cycle, or an import hidden inside a function to dodge one, fails here, and
 so does a README "Python API" list that names other than the exported names,
-or a README count of the CoupledMesh, FaceSet, StepConfig or DiffusionLaw
-fields that does not name them exactly, or a module-level constant or table
-that nothing in the package reads.  README's Python API example runs as
-written and must conserve mass and keep its envelope entropy at 0, and its
-example configuration runs through the CLI, so a key it sets must exist.
+or a README count of the CoupledMesh, FaceSet, StepConfig, DiffusionLaw,
+NewtonLU or DiagnosticsRecord fields that does not name them exactly, or a
+module-level constant or table that nothing in the package reads.  README's
+Python API example runs as written and must conserve mass and keep its
+envelope entropy at 0, and its example configuration runs through the CLI,
+so a key it sets must exist.
 The smoke test runs one tiny traced benchmark sample of every workload, whose
 tracer wraps the package's layer entry points by name and fails when one is
 gone or unused.  The repo's pytest config, which turns warnings into errors,
@@ -168,6 +169,10 @@ def test_readme_lists_exactly_the_diffusion_law_fields():
 
 def test_readme_lists_exactly_the_newton_lu_fields():
     _check_readme_fields(bulksurf.NewtonLU)
+
+
+def test_readme_lists_exactly_the_diagnostics_record_fields():
+    _check_readme_fields(bulksurf.DiagnosticsRecord)
 
 
 def test_readme_python_api_example_runs_and_conserves_mass(capsys):

@@ -313,7 +313,8 @@ def test_rejects_bad_arguments():
             build_mesh(2, bad, 1.0, 1.0, {"bottom"})
     with pytest.raises(ValueError):
         build_mesh(1, 1, 0.0, 1.0, {"bottom"})
-    for bad in (float("nan"), float("inf")):
+    # a cell side 5e-324 / 2 is 0.0, and 1 / (1e-320 / 2) overflows
+    for bad in (float("nan"), float("inf"), 5e-324, 1e-320):
         with pytest.raises(ValueError):
             build_mesh(2, 2, bad, 1.0, {"bottom"})
         with pytest.raises(ValueError):

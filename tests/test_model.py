@@ -280,6 +280,8 @@ class TestClamp:
         assert win.upper == pytest.approx(max(1.5**2, 1.2))
         with pytest.raises(ValueError):
             window_from_initial_data(np.array([0.0, 1.0]), v0, eq, kin)
+        with pytest.raises(ValueError, match="initial data must be nonempty"):
+            window_from_initial_data(u0, np.array([]), eq, kin)
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
     @pytest.mark.parametrize("field", ["u0", "v0"])
@@ -390,6 +392,10 @@ class TestDiffusionLaws:
         with pytest.raises(ValueError, match="bad value for bulk_law"):
             check_laws(exponential_law(-1000.0), power_law(1.0), win)  # underflows to 0
 
+    def test_unknown_law_kind_raises(self):
+        with pytest.raises(ValueError, match="'bogus' is not a diffusion law"):
+            DiffusionLaw("bogus")
+
     def test_constant_law_positive(self):
         with pytest.raises(ValueError):
             constant_law(0.0)
@@ -474,6 +480,9 @@ class TestEquilibrium:
         for mass in (float("nan"), float("inf")):
             with pytest.raises(ValueError):
                 solve_equilibrium(kin, mass, 1.0, 1.0)
+        for measures in ((0.0, 1.0), (1.0, -1.0), (float("nan"), 1.0), (1.0, float("inf"))):
+            with pytest.raises(ValueError, match="domain measures must be positive and finite"):
+                solve_equilibrium(kin, 2.0, *measures)
 
     def test_matches_bisection_oracle(self):
         for kin, mass, omega, gamma in equilibrium_draws():

@@ -564,6 +564,8 @@ class TestStep:
                 bs.StepConfig(**bad)
         with pytest.raises(ValueError):
             bs.State(t=0.0, u=state.u[:, None], v=state.v)
+        with pytest.raises(ValueError, match="state fields must be finite"):
+            bs.State(t=0.0, u=state.u, v=np.full_like(state.v, nan))
 
 
 class TestSingleCellOde:
@@ -760,6 +762,27 @@ def test_linearization_at_equilibrium_is_symmetric_in_the_entropy_metric():
         jac = sparse.identity(root.size) - _equilibrium_matrix(p, p.eq)
         sym = sparse.diags(root) @ jac @ sparse.diags(1.0 / root)
         assert abs(sym - sym.T).max() <= 1e-14 * abs(sym).max(), n
+
+
+@pytest.mark.parametrize("n,dt_factor,steps", [(16, 50, 300), (32, 20, 600)])
+def test_backward_euler_tail_decays_at_the_rate_of_the_spectral_gap(n, dt_factor, steps):
+    # Near (u*, v*) backward Euler divides the slowest mode by 1 + lambda_h*dt
+    # per step, so the sup distance to (u*, v*) decays at ln(1 + lambda_h*dt)/dt
+    # per unit time (ROADMAP item 11), with lambda_h the least nonzero
+    # eigenvalue of -J.  Measured on the acceptance blob at dt_factor times its
+    # dt: 6.6e-8 relative at 16**2 and 1.0e-6 at 32**2; the exchange column of
+    # _newton_matrix scaled by 1.01 moves lambda_h and gives 6.4e-4
+    p = blob_problem(n)
+    matrix = _equilibrium_matrix(p, p.eq)
+    vals = eigs(matrix, k=2, sigma=0.0, v0=np.ones(matrix.shape[0]), return_eigenvectors=False)
+    gap = np.sort(vals.real)[1] - 1.0
+    cfg = replace(p.cfg, dt=dt_factor * p.cfg.dt)
+    state, lu, dist = p.state, bs.NewtonLU(), []
+    for _ in range(steps):
+        state = bs.step(state, p.mesh, p.kin, p.bulk_law, p.surf_law, p.window, cfg, lu=lu)
+        dist.append(max(np.abs(state.u - p.eq.u_star).max(), np.abs(state.v - p.eq.v_star).max()))
+    rate, predicted = np.log(dist[-2] / dist[-1]) / cfg.dt, np.log1p(gap * cfg.dt) / cfg.dt
+    assert abs(rate - predicted) <= 1e-5 * predicted, (rate, predicted)
 
 
 class TestRun:
