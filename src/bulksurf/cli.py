@@ -29,6 +29,7 @@ DIAGNOSTICS_HEADER = (
     "t,mass,entropy,entropy_L,u_env_max,v_env_max,u_env_min,v_env_min,"
     "reaction_diss,diff_diss_bulk,diff_diss_surf,clamp_activations"
 )
+_STATE_HEADER = "field,index,x,y,value"  # then the rows of _cells, each with its value
 
 
 @dataclass(frozen=True)
@@ -130,8 +131,7 @@ KEYS: dict[str, Key] = {
     "blob_y1": Key(float, "0.6"),
     "blob_x2": Key(float, "0.65"),
     "blob_y2": Key(float, "0.4"),
-    "initial_u_file": Key(str, ""),
-    "initial_v_file": Key(str, ""),
+    "initial_file": Key(str, ""),
     # time controls
     "dt": Key(float, "1e-3", gt=0.0),
     "t_final": Key(float, "0.05", ge=0.0),
@@ -182,10 +182,8 @@ def _cross_key_problems(cfg) -> list:
     for name in positive.get(cfg.initial, ()):
         if not getattr(cfg, name) > 0:
             problems.append(BadValue(name, "must be > 0"))
-    if cfg.initial == "file":
-        for name in ("initial_u_file", "initial_v_file"):
-            if not getattr(cfg, name):
-                problems.append(BadValue(name, "a path is required"))
+    if cfg.initial == "file" and not cfg.initial_file:
+        problems.append(BadValue("initial_file", "a path is required"))
     return problems
 
 
@@ -206,10 +204,11 @@ def parse_config(path: str | Path, overrides: list[str] | None = None) -> RunCon
 
     '#' starts a comment in the file.  One ConfigError reports every problem.
     """
-    path = Path(path)
-    if not path.is_file():
-        raise ConfigError([BadValue("--config", f"no file {path}")])
-    lines = [line.split("#", 1)[0].strip() for line in path.read_text().splitlines()]
+    try:
+        text = Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError([BadValue("--config", str(exc))]) from exc
+    lines = [line.split("#", 1)[0].strip() for line in text.splitlines()]
     entries = [(f"line {n}", text) for n, text in enumerate(lines, start=1) if text]
     entries += [("--override", item) for item in overrides or []]
     problems: list = []
@@ -225,8 +224,7 @@ def initial_state(cfg: RunConfig, mesh) -> solver.State:
 
     two-blob places two Gaussian bumps on top of a reaction-balanced
     background (base_v is derived from base_u through the detailed-balance
-    relation), clipped away from zero; file reads one value per line for the
-    bulk (row-major) and surface cells.
+    relation), clipped away from zero; file reads a final_state.csv of this mesh.
     """
     if cfg.initial == "constant":
         u = np.full(mesh.n_bulk, cfg.u0)
@@ -253,21 +251,22 @@ def initial_state(cfg: RunConfig, mesh) -> solver.State:
             raise ConfigError([BadValue("initial", "the two-blob u overflows in floats")])
         u = np.maximum(u, 1e-8 * base_u)
         v = np.full(mesh.n_surface, base_v)
-    else:  # file
-        loaded = []
-        for key, size in (("initial_u_file", mesh.n_bulk), ("initial_v_file", mesh.n_surface)):
-            try:
-                values = np.loadtxt(getattr(cfg, key), dtype=float, ndmin=1)
-            except (OSError, ValueError) as exc:
-                raise ConfigError([BadValue(key, str(exc))]) from exc
-            if values.size != size:
-                raise ConfigError([BadValue(key, f"expected {size} values, got {values.size}")])
-            if not np.all(np.isfinite(values)):
-                raise ConfigError([BadValue(key, "values must be finite")])
-            if np.min(values) <= 0:
-                raise ConfigError([BadValue(key, "values must be > 0")])
-            loaded.append(values)
-        u, v = loaded
+    else:  # file: the rows of _cells, each with its value, as write_final_state_csv writes them
+        cells = _cells(mesh)
+        try:
+            lines = Path(cfg.initial_file).read_text().splitlines()
+            if lines[:1] != [_STATE_HEADER] or len(lines) != 1 + len(cells):
+                raise ValueError(f"expected the header {_STATE_HEADER} and {len(cells)} rows, one per cell")
+            rows = [line.split(",") for line in lines[1:]]
+            for n, (row, (name, *place)) in enumerate(zip(rows, cells), start=2):
+                if len(row) != 5 or row[0] != name or [float(c) for c in row[1:4]] != place:
+                    raise ValueError(f"line {n} is not the row of {name} cell {place[0]} on this mesh")
+            values = np.array([float(row[4]) for row in rows])
+        except (OSError, ValueError) as exc:  # UnicodeDecodeError and float() included
+            raise ConfigError([BadValue("initial_file", str(exc))]) from exc
+        if not np.all((values > 0) & (values < math.inf)):
+            raise ConfigError([BadValue("initial_file", "values must be finite and > 0")])
+        u, v = np.split(values, [mesh.n_bulk])
     return solver.State(t=0.0, u=u, v=v)
 
 
@@ -310,18 +309,17 @@ def write_diagnostics_csv(records, path: Path) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
+def _cells(mesh) -> list:
+    """(field, index, x, y) of each final_state.csv row: bulk u cells, then surface v cells."""
+    u = [("u", i, x, y) for i, (x, y) in enumerate(zip(mesh.cell_center_x, mesh.cell_center_y))]
+    return u + [("v", i, x, y) for i, (x, y) in enumerate(zip(mesh.surf_center_x, mesh.surf_center_y))]
+
+
 def write_final_state_csv(state, mesh, path: Path) -> None:
-    """Per-cell values with coordinates: bulk field u rows, then surface field v."""
-    lines = ["field,index,x,y,value"]
-    for name, values, xs, ys in (
-        ("u", state.u, mesh.cell_center_x, mesh.cell_center_y),
-        ("v", state.v, mesh.surf_center_x, mesh.surf_center_y),
-    ):
-        lines += [
-            f"{name},{i},{_fmt(x)},{_fmt(y)},{_fmt(value)}"
-            for i, (x, y, value) in enumerate(zip(xs, ys, values))
-        ]
-    path.write_text("\n".join(lines) + "\n")
+    """Each row of _cells with its value, under _STATE_HEADER: what initial = file reads."""
+    values = np.concatenate([state.u, state.v])
+    rows = [f"{name},{i},{_fmt(x)},{_fmt(y)},{_fmt(val)}" for (name, i, x, y), val in zip(_cells(mesh), values)]
+    path.write_text("\n".join([_STATE_HEADER, *rows]) + "\n")
 
 
 def write_summary_json(path: Path, eq, state, records, wall_time: float, completed: bool) -> None:

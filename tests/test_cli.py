@@ -4,6 +4,7 @@ import subprocess
 import sys
 from dataclasses import astuple
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from bulksurf.cli import (
     initial_state,
     main,
     parse_config,
+    write_final_state_csv,
 )
 
 MINIMAL = "# empty: every key has a default\n"
@@ -39,6 +41,12 @@ def write(tmp_path, text, name="run.cfg"):
     p = tmp_path / name
     p.write_text(text)
     return p
+
+
+def write_state(path, mesh, u, v):
+    """A final_state.csv of u and v on mesh, as a run writes it; the values may be any floats."""
+    write_final_state_csv(SimpleNamespace(u=np.asarray(u, float), v=np.asarray(v, float)), mesh, path)
+    return path
 
 
 def run_module(*args):
@@ -104,8 +112,7 @@ class TestParseConfig:
     def test_file_initial_requires_paths(self, tmp_path):
         with pytest.raises(ConfigError) as info:
             parse_config(write(tmp_path, "initial = file\n"))
-        missing = {p.key for p in info.value.problems}
-        assert {"initial_u_file", "initial_v_file"} <= missing
+        assert [(p.key, p.reason) for p in info.value.problems] == [("initial_file", "a path is required")]
 
     def test_overrides_apply_before_validation(self, tmp_path):
         path = write(tmp_path, "nx = 4\n")
@@ -149,60 +156,66 @@ class TestInitialData:
 
     def test_file_initial_round_trip(self, tmp_path):
         mesh = build_mesh(3, 2, 1.0, 1.0, {"bottom"})
-        u = np.linspace(1.0, 2.0, mesh.n_bulk)
-        v = np.linspace(0.5, 0.8, mesh.n_surface)
-        u_path = tmp_path / "u.txt"
-        v_path = tmp_path / "v.txt"
-        np.savetxt(u_path, u)
-        np.savetxt(v_path, v)
-        cfg = parse_config(
-            write(
-                tmp_path,
-                f"nx = 3\nny = 2\ninitial = file\ninitial_u_file = {u_path}\n"
-                f"initial_v_file = {v_path}\n",
-            )
-        )
+        u = np.linspace(1.0, 2.0, mesh.n_bulk) / 3.0
+        v = np.linspace(0.5, 0.8, mesh.n_surface) / 7.0
+        path = write_state(tmp_path / "state.csv", mesh, u, v)
+        cfg = parse_config(write(tmp_path, f"nx = 3\nny = 2\ninitial = file\ninitial_file = {path}\n"))
         state = initial_state(cfg, mesh)
-        np.testing.assert_allclose(state.u, u, rtol=1e-15)
-        np.testing.assert_allclose(state.v, v, rtol=1e-15)
+        np.testing.assert_array_equal(state.u, u)
+        np.testing.assert_array_equal(state.v, v)
+        assert state.t == 0.0
 
     def test_file_initial_rejects_nonpositive(self, tmp_path):
         mesh = build_mesh(2, 1, 1.0, 1.0, {"bottom"})
-        np.savetxt(tmp_path / "u.txt", [1.0, -1.0])
-        np.savetxt(tmp_path / "v.txt", [1.0, 1.0])
-        cfg = parse_config(
-            write(
-                tmp_path,
-                f"nx = 2\nny = 1\ninitial = file\n"
-                f"initial_u_file = {tmp_path / 'u.txt'}\ninitial_v_file = {tmp_path / 'v.txt'}\n",
-            )
-        )
-        with pytest.raises(ConfigError):
-            initial_state(cfg, mesh)
-        # non-finite values are reported under the key of the file that holds them
-        np.savetxt(tmp_path / "u.txt", [1.0, 2.0])
-        for bad in ("nan", "inf"):
-            (tmp_path / "v.txt").write_text(f"1.0\n{bad}\n")
+        path = tmp_path / "state.csv"
+        cfg = parse_config(write(tmp_path, f"nx = 2\nny = 1\ninitial = file\ninitial_file = {path}\n"))
+        # nonpositive and non-finite values, in either field, are reported under initial_file
+        for u, v in (([1.0, -1.0], [1.0, 1.0]), ([1.0, 2.0], [0.0, 1.0]),
+                     ([1.0, 2.0], [1.0, np.nan]), ([np.inf, 2.0], [1.0, 1.0])):
+            write_state(path, mesh, u, v)
             with pytest.raises(ConfigError) as info:
                 initial_state(cfg, mesh)
-            assert [(type(p), p.key) for p in info.value.problems] == [(BadValue, "initial_v_file")]
+            assert [str(p) for p in info.value.problems] == [
+                "bad value for initial_file: values must be finite and > 0"]
 
-    def test_missing_v_file_names_its_own_key(self, tmp_path):
+    def test_missing_file_names_initial_file_and_its_path(self, tmp_path):
         mesh = build_mesh(2, 1, 1.0, 1.0, {"bottom"})
-        np.savetxt(tmp_path / "u.txt", [1.0, 2.0])
         cfg = parse_config(
-            write(
-                tmp_path,
-                f"nx = 2\nny = 1\ninitial = file\n"
-                f"initial_u_file = {tmp_path / 'u.txt'}\n"
-                f"initial_v_file = {tmp_path / 'missing_v.txt'}\n",
-            )
+            write(tmp_path, f"nx = 2\nny = 1\ninitial = file\ninitial_file = {tmp_path / 'missing.csv'}\n")
         )
         with pytest.raises(ConfigError) as info:
             initial_state(cfg, mesh)
-        keys = {p.key for p in info.value.problems if isinstance(p, BadValue)}
-        assert keys == {"initial_v_file"}
-        assert "missing_v.txt" in str(info.value)
+        assert [p.key for p in info.value.problems] == ["initial_file"]
+        assert "missing.csv" in str(info.value)
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda lines: [],
+            lambda lines: ["field,index,x,y"] + lines[1:],
+            lambda lines: lines[:-1],
+            lambda lines: lines + lines[-1:],
+            lambda lines: lines[:1] + [lines[2], lines[1]] + lines[3:],
+            lambda lines: lines[:3] + [lines[3].replace("u,", "v,", 1)] + lines[4:],
+            lambda lines: lines[:1] + [lines[1].rsplit(",", 1)[0]] + lines[2:],
+            lambda lines: lines[:1] + [lines[1] + ",1.0"] + lines[2:],
+            lambda lines: lines[:1] + [lines[1].rsplit(",", 1)[0] + ",abc"] + lines[2:],
+            lambda lines: lines[:1] + ["u,0,x,0.25,1.0"] + lines[2:],
+            lambda lines: lines[:1] + ["u,0,0.25,0.25,\xff"] + lines[2:],
+        ],
+        ids=["empty", "header", "short", "long", "order", "field", "row-short", "row-long",
+             "value-text", "x-text", "not-utf-8"],
+    )
+    def test_a_file_that_is_not_this_meshs_state_names_initial_file(self, tmp_path, edit):
+        mesh = build_mesh(2, 2, 1.0, 1.0, {"bottom", "top"})
+        path = write_state(tmp_path / "state.csv", mesh, np.arange(1, 5), np.arange(1, 5))
+        # latin-1 writes the character \xff as the byte 0xff, which is not UTF-8
+        path.write_text("".join(line + "\n" for line in edit(path.read_text().splitlines())), "latin-1")
+        cfg = parse_config(write(tmp_path, f"nx = 2\nny = 2\nactive_edges = bottom,top\n"
+                                           f"initial = file\ninitial_file = {path}\n"))
+        with pytest.raises(ConfigError) as info:
+            initial_state(cfg, mesh)
+        assert [p.key for p in info.value.problems] == ["initial_file"]
 
     def test_build_problem_window_defaults_from_data(self, tmp_path):
         cfg = parse_config(write(tmp_path, BLOB_RUN))
@@ -211,6 +224,51 @@ class TestInitialData:
         assert 0 < window.lower <= window.upper
         assert surf_law.kind == "surface_cross"
         assert step_cfg.dt == cfg.dt
+
+
+class TestRestart:
+    """initial = file reads the final_state.csv a run writes, so a run continues from its own output."""
+
+    def run(self, tmp_path, out, *overrides, code=0):
+        args = ["--config", str(write(tmp_path, BLOB_RUN)), "--out", str(tmp_path / out), "--quiet"]
+        overrides = ("active_edges=bottom,right,top,left",) + overrides
+        assert main(args + [f"--override={o}" for o in overrides]) == code
+        return tmp_path / out
+
+    def restart(self, tmp_path, out, first, *overrides, code=0):
+        state = f"initial_file={first / 'final_state.csv'}"
+        return self.run(tmp_path, out, "initial=file", state, *overrides, code=code)
+
+    def test_a_run_of_no_time_rewrites_the_state_it_reads(self, tmp_path):
+        first = self.run(tmp_path, "first")
+        again = self.restart(tmp_path, "again", first, "t_final=0")
+        assert (again / "final_state.csv").read_bytes() == (first / "final_state.csv").read_bytes()
+
+    @pytest.mark.parametrize("theta", ["1", "0.5"])
+    def test_two_halves_end_where_the_whole_run_ends(self, tmp_path, theta):
+        whole = self.run(tmp_path, "whole", f"theta={theta}", "t_final=0.02")
+        half = self.run(tmp_path, "half", f"theta={theta}", "t_final=0.01")
+        rest = self.restart(tmp_path, "rest", half, f"theta={theta}", "t_final=0.01")
+
+        def values(out):
+            return np.loadtxt(out / "final_state.csv", delimiter=",", skiprows=1, usecols=4)
+
+        np.testing.assert_allclose(values(rest), values(whole), rtol=1e-11, atol=0)
+
+    def test_a_restart_keeps_the_mass(self, tmp_path):
+        first = self.run(tmp_path, "first")
+        rest = self.restart(tmp_path, "rest", first)
+        first_mass, rest_mass = (json.loads((out / "summary.json").read_text())["mass"] for out in (first, rest))
+        assert rest_mass == pytest.approx(first_mass, rel=1e-13, abs=0)
+
+    @pytest.mark.parametrize("overrides", [("nx=8", "ny=4"), ("nx=4", "ny=8", "lx=2")], ids=["8x4", "lx-2"])
+    def test_the_state_of_another_mesh_is_exit_2(self, tmp_path, capsys, overrides):
+        # all edges of 4x8 and of 8x4 hold 32 bulk and 24 surface cells: their rows differ, not their count
+        first = self.run(tmp_path, "first", "nx=4", "ny=8", "t_final=0")
+        second = self.restart(tmp_path, "second", first, *overrides, code=2)
+        err = capsys.readouterr().err
+        assert err == "config error: bad value for initial_file: line 2 is not the row of u cell 0 on this mesh\n"
+        assert not second.exists()
 
 
 class TestMainExitCodes:
@@ -251,9 +309,14 @@ class TestMainExitCodes:
             assert len(columns) == len(values) == 12
             assert [type(value)(text) for text, value in zip(columns, values)] == list(values)
 
-    def test_missing_config_path_is_exit_2(self, tmp_path, capsys):
-        assert main(["--config", str(tmp_path / "absent.cfg")]) == 2
-        assert "config error" in capsys.readouterr().err
+    @pytest.mark.parametrize("content", [None, b"nx = 3\n\xff\n"], ids=["absent", "not-utf-8"])
+    def test_missing_config_path_is_exit_2(self, tmp_path, capsys, content):
+        path = tmp_path / "run.cfg"
+        if content is not None:
+            path.write_bytes(content)
+        assert main(["--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: bad value for --config: ") and err.count("\n") == 1, err
 
     def test_bad_config_is_exit_2(self, tmp_path, capsys):
         cfg = write(tmp_path, "alpha = 0.5\n")
@@ -265,10 +328,11 @@ class TestMainExitCodes:
         "removed",
         ["jacobian = fd", "clamp_v_exponent = beta", "max_dt_halvings = 5",
          "clamp_lower = 0.5", "clamp_upper = 0.5", "out_dir = {taken}", "output_every = 0",
-         "outputs = plots"],
+         "outputs = plots", "initial_u_file = x", "initial_v_file = x"],
     )
     def test_removed_key_is_exit_2(self, tmp_path, capsys, removed):
-        # each value is invalid for the key too, so no run starts either way: out_dir names a file
+        # each value is invalid for the key too, so no run starts either way: out_dir names a file;
+        # the two file keys were read only with initial = file
         taken = write(tmp_path, "not a directory\n", name="taken")
         cfg = write(tmp_path, removed.format(taken=taken) + "\n")
         assert main(["--config", str(cfg)]) == 2
@@ -334,17 +398,15 @@ class TestMainExitCodes:
             ("bulk_law = constant\nbulk_law_param = 0\n", "bulk_law_param"),
             ("initial = two-blob\nblob_base_u = 0\n", "blob_base_u"),
             ("initial = two-blob\nblob_width = -0.1\n", "blob_width"),
-            ("nx = 2\nny = 1\ninitial = file\ninitial_u_file = {u}\ninitial_v_file = {v}\n",
-             "initial_u_file"),
+            ("nx = 2\nny = 1\ninitial = file\ninitial_file = {state}\n", "initial_file"),
         ],
         ids=["no-edge", "unknown-edge", "not-a-number", "not-finite", "theta-above-1",
              "zero-constant-law", "blob-base-u", "blob-width", "file-size"],
     )
     def test_each_config_problem_names_its_key_and_is_exit_2(self, tmp_path, capsys, text, key):
-        # the u file holds 3 values for the 2 bulk cells of a 2x1 mesh
-        np.savetxt(tmp_path / "u.txt", [1.0, 2.0, 3.0])
-        np.savetxt(tmp_path / "v.txt", [1.0, 1.0])
-        cfg = write(tmp_path, text.format(u=tmp_path / "u.txt", v=tmp_path / "v.txt"))
+        # the state file holds the 3 bulk cells of a 3x1 mesh, read on a 2x1 mesh
+        state = write_state(tmp_path / "state.csv", build_mesh(3, 1, 1.0, 1.0, {"bottom"}), [1, 2, 3], [1, 1, 1])
+        cfg = write(tmp_path, text.format(state=state))
         with pytest.raises(ConfigError) as info:
             build_problem(parse_config(cfg))
         assert [key in str(p) for p in info.value.problems] == [True]
@@ -485,6 +547,15 @@ class TestMainExitCodes:
         proc = run_module("--config", str(cfg), "--out", str(tmp_path / "out"), "--quiet")
         assert proc.returncode == code, proc.stderr
         assert proc.stderr.startswith(err) and proc.stderr.count("\n") == (code == 2), proc.stderr
+
+    def test_module_entry_point_reports_a_file_of_bare_values_as_a_config_error(self, tmp_path):
+        # the former one-value-per-line format, 9 bulk and 3 surface values: exit 2, with no warning
+        values = write(tmp_path, "1.0\n" * 12, "values.txt")
+        cfg = write(tmp_path, f"nx = 3\nny = 3\ninitial = file\ninitial_file = {values}\n")
+        proc = run_module("--config", str(cfg), "--out", str(tmp_path / "out"), "--quiet")
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr == ("config error: bad value for initial_file: expected the header "
+                               "field,index,x,y,value and 12 rows, one per cell\n")
 
     @pytest.mark.parametrize(
         "exponents", ["alpha = 3\nbeta = 2\n", "alpha = 1\nbeta = 2\n"],

@@ -20,6 +20,7 @@ import dataclasses
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -191,7 +192,7 @@ def test_readme_python_api_example_runs_and_conserves_mass(capsys):
         assert rec.envelope_entropy == 0.0
 
 
-def test_readme_cli_example_config_runs(tmp_path):
+def test_readme_cli_example_config_runs(tmp_path, monkeypatch):
     readme = (ROOT / "README.md").read_text()
     example = re.search(r"```\n(# two bumps relaxing toward equilibrium\n.*?)```", readme, re.S)
     assert example, "README has no example configuration"
@@ -201,6 +202,15 @@ def test_readme_cli_example_config_runs(tmp_path):
     args = ["--config", str(config), "--out", str(out), "--override", "t_final=0.004", "--quiet"]
     assert main(args) == 0
     assert sorted(p.name for p in out.iterdir()) == ["diagnostics.csv", "final_state.csv", "summary.json"]
+    # the restart example of Output files, run in the directory of run.cfg: the second run reads the first's state
+    section = readme.split("\n### Output files\n", 1)[1].split("\n## ", 1)[0]
+    restart = re.search(r"```\n(\s*bulksurf .*?)```", section, re.S)
+    assert restart, "README Output files has no restart example"
+    monkeypatch.chdir(tmp_path)
+    commands = [shlex.split(line) for line in restart[1].splitlines() if line.strip()]
+    assert [c[0] for c in commands] == ["bulksurf", "bulksurf"] and "initial=file" in commands[1]
+    for command in commands:
+        assert main(command[1:] + ["--override", "t_final=0.004", "--quiet"]) == 0
 
 
 def test_readme_key_table_lists_exactly_the_config_keys():
