@@ -34,9 +34,9 @@ _STATE_HEADER = "field,index,x,y,value"  # then the rows of _cells, each with it
 
 @dataclass(frozen=True)
 class BadValue:
-    """One configuration problem: key is a config key, --config, --out, --override or 'line N'."""
+    """One configuration problem and the key it is reported under."""
 
-    key: str
+    key: str  # a config key, several joined by ', ', --config, --out, --override or 'line N'
     reason: str
 
     def __str__(self) -> str:
@@ -49,6 +49,14 @@ class ConfigError(ValueError):
     def __init__(self, problems):
         self.problems = list(problems)
         super().__init__("; ".join(str(p) for p in self.problems))
+
+
+def _keyed(key: str, check, *args, **kwargs):
+    """check(*args, **kwargs), an OSError or ValueError it raises reported as a BadValue for key."""
+    try:
+        return check(*args, **kwargs)
+    except (OSError, ValueError) as exc:
+        raise ConfigError([BadValue(key, str(exc))]) from exc
 
 
 @dataclass(frozen=True)
@@ -204,10 +212,7 @@ def parse_config(path: str | Path, overrides: list[str] | None = None) -> RunCon
 
     '#' starts a comment in the file.  One ConfigError reports every problem.
     """
-    try:
-        text = Path(path).read_text()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigError([BadValue("--config", str(exc))]) from exc
+    text = _keyed("--config", Path(path).read_text)
     lines = [line.split("#", 1)[0].strip() for line in text.splitlines()]
     entries = [(f"line {n}", text) for n, text in enumerate(lines, start=1) if text]
     entries += [("--override", item) for item in overrides or []]
@@ -276,20 +281,20 @@ def build_problem(cfg: RunConfig):
     The window is always the envelope of the initial data, the one the
     paper's L-infinity bound keeps the solution inside.
     """
-    mesh = build_mesh(cfg.nx, cfg.ny, cfg.lx, cfg.ly, cfg.active_edges, cfg.face_average)
+    mesh = _keyed("nx, ny, lx, ly", build_mesh,
+                  cfg.nx, cfg.ny, cfg.lx, cfg.ly, cfg.active_edges, cfg.face_average)
     kin = model.Kinetics(k=cfg.k, kappa=cfg.kappa, alpha=cfg.alpha, beta=cfg.beta)
     bulk_law = model.DiffusionLaw(cfg.bulk_law, cfg.bulk_law_param)
     surf_law = model.DiffusionLaw(cfg.surface_law, cfg.surface_law_param)
 
     state = initial_state(cfg, mesh)
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore"):  # an overflowing mass or pressure fails a check keyed initial
         mass = diagnostics.weighted_mass(state, mesh, kin)
-    if mass == math.inf:
-        reason = "the weighted mass beta*int(u) + alpha*int(v) overflows in floats"
-        raise ConfigError([BadValue("initial", reason)])
-    eq = model.solve_equilibrium(kin, mass, mesh.total_bulk_measure, mesh.total_surface_measure)
-    window = model.window_from_initial_data(state.u, state.v, eq, kin)
-    model.check_laws(bulk_law, surf_law, window)
+        eq = _keyed("initial", model.solve_equilibrium,
+                    kin, mass, mesh.total_bulk_measure, mesh.total_surface_measure)
+        window = _keyed("initial", model.window_from_initial_data, state.u, state.v, eq, kin)
+    _keyed("bulk_law", model.check_law, bulk_law, window, False)
+    _keyed("surface_law", model.check_law, surf_law, window, True)
     # every StepConfig field is the configuration key of the same name
     step_fields = fields(solver.StepConfig)
     step_cfg = solver.StepConfig(**{f.name: getattr(cfg, f.name) for f in step_fields})
@@ -374,14 +379,11 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = parse_config(args.config, args.override)
         mesh, kin, bulk_law, surf_law, state, eq, window, step_cfg = build_problem(cfg)
-        solver.check_clock(state.t, cfg.t_final, step_cfg.dt)  # run's own check, before the loop
-        out_dir = Path(args.out)
-        try:  # before the run, so that an unusable directory loses no solve
-            out_dir.mkdir(parents=True, exist_ok=True)
-        except OSError as exc:
-            raise ConfigError([BadValue("--out", str(exc))]) from exc
-    except ValueError as exc:  # ConfigError included
-        for problem in exc.problems if isinstance(exc, ConfigError) else [exc]:
+        _keyed("dt", solver.check_clock, state.t, cfg.t_final, step_cfg.dt)  # run's check, before the loop
+        out_dir = Path(args.out)  # made before the run, so that an unusable directory loses no solve
+        _keyed("--out", out_dir.mkdir, parents=True, exist_ok=True)
+    except ConfigError as exc:
+        for problem in exc.problems:
             print(f"config error: {problem}", file=sys.stderr)
         return 2
 

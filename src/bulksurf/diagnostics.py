@@ -119,17 +119,20 @@ def relative_entropy(state, eq: Equilibrium, mesh: CoupledMesh) -> float:
     return _entropy(state.u, state.v, eq.u_star, eq.v_star, mesh)
 
 
+def _above(p, window: ClampWindow):
+    return np.logical_not(p <= window.upper)  # the one envelope comparison: p > upper, or NaN
+
+
 def _envelope(c, star, exponent, window: ClampWindow):
     """The envelope test of one field: (above, p, pot), entrywise.
 
-    p = (c/star)**exponent is the pressure (0 where c <= 0) and above the
-    mask p > upper; a NaN counts as above, so envelope_entropy rejects it.
-    pot is the excess log-potential of the truncated field, log(p/upper) /
-    exponent where above and 0 elsewhere: >= 0 by construction, and 0
-    exactly where the envelope holds.
+    p = (c/star)**exponent is the pressure (0 where c <= 0), above is _above(p)
+    (a NaN is above, so envelope_entropy rejects it) and pot the excess
+    log-potential of the truncated field, log(p/upper) / exponent where above
+    and 0 elsewhere: >= 0 by construction, and 0 exactly where the envelope holds.
     """
     p = _pressure(c, star, exponent)
-    above = ~(p <= window.upper)
+    above = _above(p, window)
     return above, p, np.log(np.where(above, p / window.upper, 1.0)) / exponent
 
 
@@ -236,13 +239,12 @@ def record(
     dissipation carries its sign in the envelope-entropy balance (<= 0), the
     negated total of the split.
 
-    While u_env_max <= upper and v_env_max <= upper, the envelope terms are
-    exactly 0 and no cell is in a violation class, so they are set to zero
-    unevaluated; otherwise envelope_entropy, reaction_dissipation_split and
-    the face-sum dissipation, by mesh.faces.average as the solver's flux,
-    test each cell by the same comparison.  Clamped entries are counted only
-    when an extremum of u or v, from one pass over (u, v), lies outside the
-    caps.
+    Unless u_env_max or v_env_max is _above upper, the envelope terms are 0
+    and no cell is in a violation class, so they are set unevaluated;
+    otherwise envelope_entropy, reaction_dissipation_split and the face-sum
+    dissipation (the solver's flux, by mesh.faces.average) test each cell by
+    _above.  Clamped entries are counted only when an extremum of u or v,
+    from one pass over (u, v), lies outside the caps.
     """
     check_bulk_law(bulk_law)
     refs = (window.u_star, window.v_star, window.alpha, window.beta)
@@ -253,7 +255,7 @@ def record(
     entropy = relative_entropy(state, eq, mesh)  # rejects negative and non-finite entries
     p_u, p_v = _pressure(u, window.u_star, window.alpha), _pressure(v, window.v_star, window.beta)
     u_env_max, v_env_max = float(p_u.max()) + 0.0, float(p_v.max()) + 0.0  # 0.0, not -0.0
-    if u_env_max <= window.upper and v_env_max <= window.upper:
+    if not (_above(u_env_max, window) or _above(v_env_max, window)):
         envelope, reaction, diss = 0.0, 0.0, (0.0, 0.0)
     else:
         envelope = envelope_entropy(state, mesh, window)

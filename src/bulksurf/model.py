@@ -385,18 +385,17 @@ def _slot_bounds(law: DiffusionLaw, window: ClampWindow, surface: bool) -> tuple
     return float(np.min(mu)), float(np.max(mu))
 
 
-def check_laws(bulk_law: DiffusionLaw, surf_law: DiffusionLaw, window: ClampWindow) -> None:
-    """Raise ValueError naming the slot of a law not finite and > 0 over its slot's caps.
+def check_law(law: DiffusionLaw, window: ClampWindow, surface: bool) -> None:
+    """Raise ValueError, naming law first, unless it is finite and > 0 over its slot's caps.
 
-    The caps are u_caps for the bulk law, v_caps for a single-argument surface
-    law and their box for surface_cross.  An exp or power that overflows or
-    underflows there makes the clamp bound nothing.
+    The caps are u_caps in the bulk slot, v_caps for a single-argument law in
+    the surface slot and their box for surface_cross.  An exp or power that
+    overflows or underflows there makes the clamp bound nothing.
     """
-    for slot, law, surface in (("bulk_law", bulk_law, False), ("surface_law", surf_law, True)):
-        with np.errstate(all="ignore"):  # the test below rejects what would warn
-            lo, hi = _slot_bounds(law, window, surface)
-        if not 0 < lo <= hi < math.inf:
-            raise ValueError(f"bad value for {slot}: {law} spans [{lo:g}, {hi:g}] on the caps")
+    with np.errstate(all="ignore"):  # the test below rejects what would warn
+        lo, hi = _slot_bounds(law, window, surface)
+    if not 0 < lo <= hi < math.inf:
+        raise ValueError(f"{law} spans [{lo:g}, {hi:g}] on the {'surface' if surface else 'bulk'} slot's caps")
 
 
 def solve_equilibrium(

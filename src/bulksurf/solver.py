@@ -59,7 +59,7 @@ from .model import (
     DiffusionLaw,
     Equilibrium,
     Kinetics,
-    check_laws,
+    check_law,
     coefficient_and_derivatives,
     diffusion_coefficient,
     safe_rate,
@@ -475,8 +475,8 @@ def run(
     and |t_final|, so any time scale steps alike) is taken at cfg.dt, so
     summed step times do not cost a clipped step, and its time is set to
     t_final.  A clock that cannot resolve the span or cfg.dt raises
-    ValueError (see check_clock), and so does a law that check_laws
-    rejects.  A step that fails Newton or leaves a negative entry is retried
+    ValueError (see check_clock), and so does a law that check_law
+    rejects in its slot.  A step that fails Newton or leaves a negative entry is retried
     with dt halved, up to MAX_DT_HALVINGS times; later steps return to the
     configured dt.  The steps share one NewtonLU (see there for what it
     carries across steps and when a halved or clipped step drops it).  A fatal failure propagates NonConvergence with
@@ -484,7 +484,8 @@ def run(
     """
     t_eps = check_clock(initial.t, t_final, cfg.dt)
     check_sizes(initial, mesh)
-    check_laws(bulk_law, surf_law, window)
+    check_law(bulk_law, window, False)
+    check_law(surf_law, window, True)
     record_args = (mesh, kin, eq, window, bulk_law, surf_law)  # after the state
     state = initial
     records = [diagnostics.record(state, *record_args)]

@@ -344,7 +344,7 @@ class TestMainExitCodes:
         cfg = write(tmp_path, "nx = 4\nny = 4\ndt = 1e-15\nt_final = 0.05\n")
         assert main(["--config", str(cfg), "--out", str(tmp_path / "out"), "--quiet"]) == 2
         err = capsys.readouterr().err
-        assert err == "config error: span 0.05 or dt 1e-15 is within round-off 5e-14\n"
+        assert err == "config error: bad value for dt: span 0.05 or dt 1e-15 is within round-off 5e-14\n"
         assert not (tmp_path / "out").exists()
 
     def test_an_unusable_out_directory_is_exit_2_before_the_run(self, tmp_path, capsys, monkeypatch):
@@ -526,13 +526,13 @@ class TestMainExitCodes:
     @pytest.mark.parametrize(
         "text,code,err",
         [
-            ("lx = 5e-324\n", 2, "config error: 3x3 cells of 5e-324 x 1.0: "),
-            ("lx = 1e-320\n", 2, "config error: 3x3 cells of 1e-320 x 1.0: "),
+            ("lx = 5e-324\n", 2, "config error: bad value for nx, ny, lx, ly: 3x3 cells of 5e-324 x 1.0: "),
+            ("lx = 1e-320\n", 2, "config error: bad value for nx, ny, lx, ly: 3x3 cells of 1e-320 x 1.0: "),
             ("initial = two-blob\nblob_width = 1e200\n", 2, "config error: bad value for blob_width: "),
             ("initial = two-blob\nblob_width = 1e-160\n", 0, ""),
             ("initial = two-blob\nblob_x2 = 1e300\n", 0, ""),
             ("initial = two-blob\nblob_base_u = 1e200\nbeta = 1e300\n", 2,
-             "config error: bad value for initial: the weighted mass"),
+             "config error: bad value for initial: equilibrium requires positive finite mass, got inf"),
             ("initial = two-blob\nblob_amplitude_1 = 1e308\nblob_amplitude_2 = 1e308\nblob_x1 = 0.5\n"
              "blob_y1 = 0.5\nblob_x2 = 0.5\nblob_y2 = 0.5\n", 2,
              "config error: bad value for initial: the two-blob u overflows"),
@@ -547,6 +547,33 @@ class TestMainExitCodes:
         proc = run_module("--config", str(cfg), "--out", str(tmp_path / "out"), "--quiet")
         assert proc.returncode == code, proc.stderr
         assert proc.stderr.startswith(err) and proc.stderr.count("\n") == (code == 2), proc.stderr
+
+    @pytest.mark.parametrize(
+        "text,key",
+        [
+            ("lx = 5e-324\n", "nx, ny, lx, ly"),
+            ("lx = 1e300\nly = 1e300\n", "nx, ny, lx, ly"),
+            ("kappa = 1e-310\n", "initial"),
+            ("u0 = 1e-320\nv0 = 1e-320\n", "initial"),
+            ("beta = 2\nv0 = 1e-300\n", "initial"),
+            ("initial = two-blob\nalpha = 3000\n", "initial"),
+            ("dt = 1e-15\nt_final = 0.05\n", "dt"),
+            ("bulk_law = exponential\nbulk_law_param = 1000\n", "bulk_law"),
+        ],
+        ids=["mesh-side-to-0", "mesh-sides-to-inf", "equilibrium-u-star-subnormal",
+             "equilibrium-v-star-subnormal", "window-lower-to-0", "window-upper-to-inf",
+             "clock", "bulk-law-slot"],
+    )
+    def test_every_core_check_the_cli_reaches_is_one_keyed_line(self, tmp_path, text, key):
+        # the mesh, equilibrium, window, clock and law checks raise in their own
+        # words; the CLI reports each under the key the check reads.  On the
+        # window cases p = (v/v*)**2 underflows to 0 and (u/u*)**3000 overflows
+        cfg = write(tmp_path, "nx = 3\nny = 3\nt_final = 0.002\n" + text)
+        proc = run_module("--config", str(cfg), "--out", str(tmp_path / "out"), "--quiet")
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith(f"config error: bad value for {key}: "), proc.stderr
+        assert proc.stderr.count("\n") == 1 and proc.stderr.endswith("\n"), proc.stderr
+        assert not (tmp_path / "out").exists()
 
     def test_module_entry_point_reports_a_file_of_bare_values_as_a_config_error(self, tmp_path):
         # the former one-value-per-line format, 9 bulk and 3 surface values: exit 2, with no warning

@@ -5,7 +5,8 @@ A cycle, or an import hidden inside a function to dodge one, fails here, and
 so does a README "Python API" list that names other than the exported names,
 or a README count of the CoupledMesh, FaceSet, StepConfig, DiffusionLaw,
 NewtonLU or DiagnosticsRecord fields that does not name them exactly, or a
-module-level constant or table that nothing in the package reads.  README's
+module-level constant or table that nothing in the package reads, or a
+module other than cli that writes the CLI's "bad value for" text.  README's
 Python API example runs as written and must conserve mass and keep its
 envelope entropy at 0, and its example configuration runs through the CLI,
 so a key it sets must exist.
@@ -107,6 +108,12 @@ def test_every_module_level_name_is_read_in_the_package():
                 read.add(node.attr)
     orphans = {name for name in assigned - read if not (name.startswith("__") and name.endswith("__"))}
     assert not orphans, f"module-level names nothing in the package reads: {sorted(orphans)}"
+
+
+def test_only_the_cli_writes_its_error_format():
+    # the core raises ValueError in its own words; cli keys each check by the config key it reads
+    writers = [p.name for p in sorted(PACKAGE.glob("*.py")) if "bad value for" in p.read_text()]
+    assert writers == ["cli.py"]
 
 
 def test_traced_benchmark_sample_enters_every_layer():

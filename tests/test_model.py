@@ -25,7 +25,7 @@ from bulksurf import (
     surface_cross_law,
     window_from_initial_data,
 )
-from bulksurf.model import check_laws, coefficient_and_derivatives
+from bulksurf.model import check_law, coefficient_and_derivatives
 
 
 def mass_function(kin, mass, omega, gamma):
@@ -378,19 +378,22 @@ class TestDiffusionLaws:
         assert coefficient_bounds(power_law(1.0), win) == win.u_caps
         assert coefficient_bounds(power_law(-1.0), win) == (1 / win.u_caps[1], 1 / win.u_caps[0])
 
-    def test_check_laws_reads_the_caps_of_each_slot(self):
+    def test_check_law_reads_the_caps_of_its_slot(self):
         # exp(c) is bounded on u_caps = (0.25, 4) and overflows on v_caps = (250, 4000)
         win = ClampWindow(lower=0.5, upper=2.0, u_star=1.0, v_star=1e3, alpha=1.0, beta=1.0)
         law = exponential_law(1.0)
-        check_laws(law, constant_law(1.0), win)
+        check_law(law, win, surface=False)
         assert coefficient_bounds(law, win) == pytest.approx((math.exp(0.25), math.exp(4.0)))
-        with pytest.raises(ValueError, match="bad value for surface_law: DiffusionLaw"):
-            check_laws(constant_law(1.0), law, win)
+        with pytest.raises(ValueError) as info:
+            check_law(law, win, surface=True)
+        assert str(info.value) == f"{law!r} spans [{math.exp(250.0):g}, inf] on the surface slot's caps"
         # the same law in both slots, and surface_cross on the cap box, pass when bounded
-        check_laws(power_law(1.0), power_law(1.0), win)
-        check_laws(power_law(1.0), surface_cross_law(Kinetics(1.0, 1.0, 1.0, 1.0)), win)
-        with pytest.raises(ValueError, match="bad value for bulk_law"):
-            check_laws(exponential_law(-1000.0), power_law(1.0), win)  # underflows to 0
+        for surface in (False, True):
+            check_law(power_law(1.0), win, surface)
+        check_law(surface_cross_law(Kinetics(1.0, 1.0, 1.0, 1.0)), win, surface=True)
+        with pytest.raises(ValueError, match=r"^DiffusionLaw\(kind='exponential', param=-1000.0\) spans "
+                                             r"\[0, [^]]+\] on the bulk slot's caps$"):
+            check_law(exponential_law(-1000.0), win, surface=False)  # underflows to 0
 
     def test_unknown_law_kind_raises(self):
         with pytest.raises(ValueError, match="'bogus' is not a diffusion law"):

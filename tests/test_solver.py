@@ -525,17 +525,17 @@ class TestStep:
     @pytest.mark.parametrize(
         "bulk_law,surf_law,slot",
         [
-            (bs.exponential_law(1000.0), bs.constant_law(1.0), "bulk_law"),
-            (bs.constant_law(1.0), bs.exponential_law(1000.0), "surface_law"),
-            (bs.exponential_law(-1000.0), bs.constant_law(1.0), "bulk_law"),
+            (bs.exponential_law(1000.0), bs.constant_law(1.0), "bulk"),
+            (bs.constant_law(1.0), bs.exponential_law(1000.0), "surface"),
+            (bs.exponential_law(-1000.0), bs.constant_law(1.0), "bulk"),
         ],
         ids=["bulk-overflow", "surface-overflow", "bulk-underflow"],
     )
     def test_a_law_the_clamp_cannot_bound_raises_before_the_first_step(self, bulk_law, surf_law, slot):
         # exp(1000 c) is inf on the caps and exp(-1000 c) is 0 there, so no
-        # clamp bounds the coefficient; run names the slot instead of stepping
+        # clamp bounds the coefficient; run names the law and its slot instead of stepping
         mesh, kin, eq, state, window = self.setup_problem()
-        with pytest.raises(ValueError, match=f"bad value for {slot}"):
+        with pytest.raises(ValueError, match=rf"^DiffusionLaw\(.* on the {slot} slot's caps$"):
             bs.run(state, 2e-3, mesh, kin, eq, bulk_law, surf_law, window, bs.StepConfig(dt=1e-3))
 
     def test_config_validation(self):
