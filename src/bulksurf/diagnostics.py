@@ -30,17 +30,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import model
 from .mesh import CoupledMesh, check_sizes, face_flux
-from .model import (
-    ClampWindow,
-    DiffusionLaw,
-    Equilibrium,
-    Kinetics,
-    _float_if_0d,
-    _pressure,
-    check_bulk_law,
-    diffusion_coefficient,
-)
+from .model import ClampWindow, DiffusionLaw, Equilibrium, Kinetics
 
 
 @dataclass(frozen=True)
@@ -94,7 +86,7 @@ def entropy_density(z):
     if not ((z_arr >= 0) & (z_arr < np.inf)).all():
         raise ValueError("entropy density requires a finite nonnegative argument")
     pos = z_arr > 0
-    return _float_if_0d(np.where(pos, z_arr * np.log(np.where(pos, z_arr, 1.0)) - z_arr + 1.0, 1.0))
+    return model._float_if_0d(np.where(pos, z_arr * np.log(np.where(pos, z_arr, 1.0)) - z_arr + 1.0, 1.0))
 
 
 def weighted_mass(state, mesh: CoupledMesh, kin: Kinetics) -> float:
@@ -131,7 +123,7 @@ def _envelope(c, star, exponent, window: ClampWindow):
     log-potential of the truncated field, log(p/upper) / exponent where above
     and 0 elsewhere: >= 0 by construction, and 0 exactly where the envelope holds.
     """
-    p = _pressure(c, star, exponent)
+    p = model._pressure(c, star, exponent)
     above = _above(p, window)
     return above, p, np.log(np.where(above, p / window.upper, 1.0)) / exponent
 
@@ -139,15 +131,15 @@ def _envelope(c, star, exponent, window: ClampWindow):
 def envelope_entropy(state, mesh: CoupledMesh, window: ClampWindow) -> float:
     """Relative entropy of the upper-truncated fields against the envelope.
 
-    A field of star c* and exponent a is truncated at its envelope value
-    s = c* * upper**(1/a): a cell at or below the envelope is set to s, where
-    e(1) = 0, so the result is zero exactly when both upper envelopes hold.
+    A field is truncated at its envelope value s, the concentration whose
+    _pressure is upper (model._concentration): a cell at or below the envelope
+    is set to s, where e(1) = 0, so the result is zero exactly when both upper
+    envelopes hold.
     """
     check_sizes(state, mesh)
-    fields = (state.u, window.u_star, window.alpha), (state.v, window.v_star, window.beta)
     truncated, stars = [], []
-    for c, star, exponent in fields:
-        stars.append(star * window.upper ** (1.0 / exponent))
+    for c, star, exponent, _ in window._fields(state.u, state.v):
+        stars.append(model._concentration(window.upper, star, exponent))
         truncated.append(np.where(_envelope(c, star, exponent, window)[0], c, stars[-1]))
     return _entropy(*truncated, *stars, mesh)
 
@@ -160,7 +152,8 @@ def reaction_dissipation_split(
 ) -> ReactionDissipation:
     """Reaction contribution to the envelope-entropy production, per class.
 
-    For each surface cell with positive trace pair (u_i, v_j), pressures
+    For each surface cell whose trace pair (u_i, v_j) lies in the rate's
+    domain, model._positive_quadrant (u_i > 0 and v_j > 0), pressures
     p_u = (u_i/u_star)**alpha, p_v = (v_j/v_star)**beta and excess potentials
     xi, chi, the integrand is the rate k*u_star**alpha*(p_u - p_v) times
 
@@ -175,9 +168,10 @@ def reaction_dissipation_split(
     """
     check_sizes(state, mesh)
     u_t, v = state.u[mesh.surf_to_bulk], state.v
-    admissible = (u_t > 0) & (v > 0)
-    u_above, p_u, xi = _envelope(u_t, window.u_star, window.alpha, window)
-    v_above, p_v, chi = _envelope(v, window.v_star, window.beta, window)
+    admissible = model._positive_quadrant(u_t, v)[0]
+    (u_above, p_u, xi), (v_above, p_v, chi) = (
+        _envelope(c, star, exponent, window) for c, star, exponent, _ in window._fields(u_t, v)
+    )
     contrib = np.where(admissible, (p_u - p_v) * (window.alpha * xi - window.beta * chi), 0.0)
     contrib *= mesh.faces.measure[mesh.n_bulk :]
     xi_pos, chi_pos = admissible & u_above, admissible & v_above
@@ -204,13 +198,12 @@ def _diffusion_dissipation(state, mesh, window, bulk_law, surf_law):
     """
     u, v = state.u, state.v
     mu = np.concatenate((
-        diffusion_coefficient(bulk_law, u, None, window),
-        diffusion_coefficient(surf_law, u[mesh.surf_to_bulk], v, window),
+        model.diffusion_coefficient(bulk_law, u, None, window),
+        model.diffusion_coefficient(surf_law, u[mesh.surf_to_bulk], v, window),
     ))
-    pot = np.concatenate((
-        _envelope(u, window.u_star, window.alpha, window)[2],
-        _envelope(v, window.v_star, window.beta, window)[2],
-    ))
+    pot = np.concatenate(
+        [_envelope(c, star, exponent, window)[2] for c, star, exponent, _ in window._fields(u, v)]
+    )
     faces, bulk = mesh.faces, mesh.faces.cell_a < mesh.n_bulk
     flux = face_flux(faces, np.concatenate((u, v)), mu)
     terms = flux * (pot[faces.cell_b] - pot[faces.cell_a])
@@ -243,17 +236,16 @@ def record(
     and no cell is in a violation class, so they are set unevaluated;
     otherwise envelope_entropy, reaction_dissipation_split and the face-sum
     dissipation (the solver's flux, by mesh.faces.average) test each cell by
-    _above.  Clamped entries are counted only when an extremum of u or v,
-    from one pass over (u, v), lies outside the caps.
+    _above.  clamp_activations counts the entries the clamp moves: those of
+    u and v that model._clip, the clamp of every diffusion law, changes.
     """
-    check_bulk_law(bulk_law)
+    model.check_bulk_law(bulk_law)
     refs = (window.u_star, window.v_star, window.alpha, window.beta)
     if refs != (eq.u_star, eq.v_star, kin.alpha, kin.beta):
         raise ValueError(f"window stars and exponents {refs} are not those of eq and kin")
-    nb = mesh.n_bulk
-    u, v = state.u, state.v
+    fields = window._fields(state.u, state.v)
     entropy = relative_entropy(state, eq, mesh)  # rejects negative and non-finite entries
-    p_u, p_v = _pressure(u, window.u_star, window.alpha), _pressure(v, window.v_star, window.beta)
+    p_u, p_v = (model._pressure(c, star, exponent) for c, star, exponent, _ in fields)
     u_env_max, v_env_max = float(p_u.max()) + 0.0, float(p_v.max()) + 0.0  # 0.0, not -0.0
     if not (_above(u_env_max, window) or _above(v_env_max, window)):
         envelope, reaction, diss = 0.0, 0.0, (0.0, 0.0)
@@ -261,13 +253,7 @@ def record(
         envelope = envelope_entropy(state, mesh, window)
         reaction = -reaction_dissipation_split(state, mesh, kin, window).total
         diss = _diffusion_dissipation(state, mesh, window, bulk_law, surf_law)
-    w = np.concatenate((u, v))
-    lows, highs = (f.reduceat(w, (0, nb)) for f in (np.minimum, np.maximum))
-    clamp_count = sum(  # the clamp moves exactly the entries outside [lo, hi]
-        int(np.count_nonzero((c < lo) | (c > hi)))
-        for c, c_min, c_max, (lo, hi) in zip((u, v), lows, highs, (window.u_caps, window.v_caps))
-        if c_min < lo or c_max > hi
-    )
+    clamp_count = sum(int(np.count_nonzero(model._clip(c, caps) != c)) for c, *_, caps in fields)
     return DiagnosticsRecord(
         t=float(state.t),
         mass=weighted_mass(state, mesh, kin),

@@ -150,7 +150,8 @@ class CoupledMesh:
     ``n_bulk + j``; no face of ``faces`` joins a bulk cell to a surface cell.
     Every cell measure, bulk area and surface length alike, is
     ``faces.measure``, and the totals |Omega| and |Gamma| are its sums over
-    the two parts; every measure and ``faces.trans`` entry is finite and > 0.
+    the two parts.  Every measure is a positive normal float, so the rate's
+    1/measure is finite, and every ``faces.trans`` entry is finite and > 0.
     ``surf_to_bulk[j]`` is the bulk cell whose boundary face hosts surface
     cell j, of which there is at least one; one bulk cell may host several.
     The centres place the cells for initial data and output, and ``lx``,
@@ -178,8 +179,10 @@ class CoupledMesh:
             raise ValueError("a face joins a bulk cell to a surface cell")
         if not (tr.size and 0 <= tr.min() <= tr.max() < nb):  # so n_bulk >= 1 too
             raise ValueError(f"surf_to_bulk must be nonempty and index the n_bulk = {nb} bulk cells")
-        if not all(np.all((x > 0) & (x < np.inf)) for x in (f.measure, f.trans)):
-            raise ValueError("every faces.measure and faces.trans entry must be finite and > 0")
+        if not np.all((f.measure >= np.finfo(float).tiny) & (f.measure < np.inf)):
+            raise ValueError("every faces.measure entry must be a positive normal float")
+        if not np.all((f.trans > 0) & (f.trans < np.inf)):
+            raise ValueError("every faces.trans entry must be finite and > 0")
 
     @property
     def n_bulk(self) -> int:

@@ -128,11 +128,11 @@ class ClampWindow:
 
     u is measured by (u/u_star)**alpha and v by (v/v_star)**beta, the one
     scale of every envelope quantity (see _pressure); the envelopes are
-    lower <= p <= upper.  Concentrations fed to diffusion laws are clamped so
-    that this pressure stays in [lower/2, 2*upper]; ``u_caps`` and ``v_caps``
-    hold the matching concentration bounds.  The pressure range of the caps
-    contains [lower, upper] for every alpha and beta, so the clamp is inert
-    wherever both envelopes hold.
+    lower <= p <= upper.  Concentrations fed to diffusion laws are clamped, by
+    _clip, so that this pressure stays in [lower/2, 2*upper]; ``u_caps`` and
+    ``v_caps`` hold the _concentration of each end.  The pressure range of the
+    caps contains [lower, upper] for every alpha and beta, so the clamp is
+    inert wherever both envelopes hold.
     """
 
     lower: float
@@ -152,14 +152,23 @@ class ClampWindow:
         if not (_finite(*refs) and min(refs) > 0):
             raise ValueError(f"need finite positive u_star, v_star, alpha, beta, got {refs}")
         for name, star, exponent in (("u", self.u_star, self.alpha), ("v", self.v_star, self.beta)):
-            lo = star * (0.5 * self.lower) ** (1.0 / exponent)
-            hi = star * (2.0 * self.upper) ** (1.0 / exponent)
+            lo = _concentration(0.5 * self.lower, star, exponent)
+            hi = _concentration(2.0 * self.upper, star, exponent)
             object.__setattr__(self, f"{name}_caps", (lo, hi))
+
+    def _fields(self, u, v):
+        """(c, star, exponent, caps) of u, then of v: what this window reads of each field."""
+        return (u, self.u_star, self.alpha, self.u_caps), (v, self.v_star, self.beta, self.v_caps)
 
 
 def _pressure(c, star, exponent):
     """Normalized pressure (c/star)**exponent, 0 where c <= 0: the window's one scale."""
     return (np.maximum(c, 0.0) / star) ** exponent
+
+
+def _concentration(p, star, exponent):
+    """The concentration star * p**(1/exponent) whose _pressure is p: the inverse of _pressure."""
+    return star * p ** (1.0 / exponent)
 
 
 def window_from_initial_data(

@@ -553,6 +553,7 @@ class TestMainExitCodes:
         [
             ("lx = 5e-324\n", "nx, ny, lx, ly"),
             ("lx = 1e300\nly = 1e300\n", "nx, ny, lx, ly"),
+            ("lx = 1e-160\nly = 1e-160\n", "nx, ny, lx, ly"),
             ("kappa = 1e-310\n", "initial"),
             ("u0 = 1e-320\nv0 = 1e-320\n", "initial"),
             ("beta = 2\nv0 = 1e-300\n", "initial"),
@@ -560,14 +561,16 @@ class TestMainExitCodes:
             ("dt = 1e-15\nt_final = 0.05\n", "dt"),
             ("bulk_law = exponential\nbulk_law_param = 1000\n", "bulk_law"),
         ],
-        ids=["mesh-side-to-0", "mesh-sides-to-inf", "equilibrium-u-star-subnormal",
-             "equilibrium-v-star-subnormal", "window-lower-to-0", "window-upper-to-inf",
-             "clock", "bulk-law-slot"],
+        ids=["mesh-side-to-0", "mesh-sides-to-inf", "mesh-area-subnormal",
+             "equilibrium-u-star-subnormal", "equilibrium-v-star-subnormal", "window-lower-to-0",
+             "window-upper-to-inf", "clock", "bulk-law-slot"],
     )
     def test_every_core_check_the_cli_reaches_is_one_keyed_line(self, tmp_path, text, key):
         # the mesh, equilibrium, window, clock and law checks raise in their own
-        # words; the CLI reports each under the key the check reads.  On the
-        # window cases p = (v/v*)**2 underflows to 0 and (u/u*)**3000 overflows
+        # words; the CLI reports each under the key the check reads.  A cell
+        # area (1e-160/3)**2 ~ 1.1e-321 is subnormal, and 1/area overflows in the
+        # rate.  On the window cases p = (v/v*)**2 underflows to 0 and
+        # (u/u*)**3000 overflows
         cfg = write(tmp_path, "nx = 3\nny = 3\nt_final = 0.002\n" + text)
         proc = run_module("--config", str(cfg), "--out", str(tmp_path / "out"), "--quiet")
         assert proc.returncode == 2, proc.stderr

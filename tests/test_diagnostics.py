@@ -364,6 +364,18 @@ class TestRecord:
                         bs.power_law(1.0), bs.surface_cross_law(kin))
         assert rec.clamp_activations == 2
 
+    def test_clamp_count_at_the_caps(self):
+        # the caps are a closed interval: an entry on a cap is not moved, one
+        # ulp outside it is
+        mesh, kin, eq, state, window = make_problem()
+        laws = (bs.power_law(1.0), bs.surface_cross_law(kin))
+        for outward in (False, True):
+            edge = state.copy()
+            for c, (lo, hi) in ((edge.u, window.u_caps), (edge.v, window.v_caps)):
+                c[:2] = (np.nextafter(lo, 0.0), np.nextafter(hi, np.inf)) if outward else (lo, hi)
+            rec = bs.record(edge, mesh, kin, eq, window, *laws)
+            assert rec.clamp_activations == (4 if outward else 0)
+
     def test_clamp_inert_inside_upper_envelope(self):
         # alpha > beta: v = 6 lies inside v's envelope (v/v_star)**beta <= 8,
         # so neither the envelope entropy nor the clamp sees it

@@ -6,10 +6,11 @@ so does a README "Python API" list that names other than the exported names,
 or a README count of the CoupledMesh, FaceSet, StepConfig, DiffusionLaw,
 NewtonLU or DiagnosticsRecord fields that does not name them exactly, or a
 module-level constant or table that nothing in the package reads, or a
-module other than cli that writes the CLI's "bad value for" text.  README's
-Python API example runs as written and must conserve mass and keep its
-envelope entropy at 0, and its example configuration runs through the CLI,
-so a key it sets must exist.
+module other than cli that writes the CLI's "bad value for" text, or a
+diagnostics that restates model's clamp, the inverse of its pressure or its
+positive quadrant.  README's Python API example runs as written and must
+conserve mass and keep its envelope entropy at 0, and its example
+configuration runs through the CLI, so a key it sets must exist.
 The smoke test runs one tiny traced benchmark sample of every workload, whose
 tracer wraps the package's layer entry points by name and fails when one is
 gone or unused.  The repo's pytest config, which turns warnings into errors,
@@ -114,6 +115,31 @@ def test_only_the_cli_writes_its_error_format():
     # the core raises ValueError in its own words; cli keys each check by the config key it reads
     writers = [p.name for p in sorted(PACKAGE.glob("*.py")) if "bad value for" in p.read_text()]
     assert writers == ["cli.py"]
+
+
+def _positive_test(node) -> bool:
+    return (isinstance(node, ast.Compare) and [type(op) for op in node.ops] == [ast.Gt]
+            and isinstance(node.comparators[0], ast.Constant) and node.comparators[0].value == 0)
+
+
+def test_diagnostics_takes_the_clamp_the_envelope_values_and_the_quadrant_from_model():
+    # model states which entries the clamp moves (_clip on the caps), the
+    # concentration of a pressure (_concentration) and the positive quadrant
+    # (_positive_quadrant); the code of diagnostics, docstrings aside, restates none
+    restated = []
+    for node in ast.walk(_modules()["bulksurf.diagnostics"]):
+        if isinstance(node, ast.Attribute) and node.attr in ("u_caps", "v_caps"):
+            restated.append(f"line {node.lineno}: reads {node.attr}")
+        elif (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow)
+              and isinstance(node.right, ast.BinOp) and isinstance(node.right.op, ast.Div)
+              and isinstance(node.right.left, ast.Constant) and node.right.left.value == 1):
+            restated.append(f"line {node.lineno}: raises to a power 1 / ...")
+        elif isinstance(node, ast.BinOp) and isinstance(node.op, ast.BitAnd):
+            if _positive_test(node.left) and _positive_test(node.right):
+                restated.append(f"line {node.lineno}: tests two fields > 0")
+        elif isinstance(node, ast.BoolOp) and sum(map(_positive_test, node.values)) >= 2:
+            restated.append(f"line {node.lineno}: tests two fields > 0")
+    assert not restated, restated
 
 
 def test_traced_benchmark_sample_enters_every_layer():

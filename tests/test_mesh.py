@@ -265,6 +265,8 @@ _BROKEN = {
         m, surf_to_bulk=np.zeros(m.faces.measure.size, dtype=np.intp)),
     "no surface cell": lambda m: dataclasses.replace(m, surf_to_bulk=np.zeros(0, dtype=np.intp)),
     "zero cell measure": lambda m: _with_faces(m, measure=_changed(m.faces.measure, 0, 0.0)),
+    "subnormal cell measure": lambda m: _with_faces(
+        m, measure=_changed(m.faces.measure, 0, 1e-310)),
     "negative transmissibility": lambda m: _with_faces(m, trans=_changed(m.faces.trans, 0, -1.0)),
     "infinite transmissibility": lambda m: _with_faces(m, trans=_changed(m.faces.trans, -1, np.inf)),
     "NaN cell measure": lambda m: _with_faces(m, measure=_changed(m.faces.measure, -1, np.nan)),
@@ -299,6 +301,19 @@ def test_disk_mesh_measures_the_disk(n):
     np.testing.assert_allclose(np.arctan2(mesh.surf_center_y, mesh.surf_center_x),
                                np.arctan2(mesh.cell_center_y[mesh.surf_to_bulk],
                                           mesh.cell_center_x[mesh.surf_to_bulk]), atol=1e-14)
+
+
+@pytest.mark.parametrize("side,normal", [(1e-153, True), (1e-154, False)])
+def test_a_cell_area_must_be_a_normal_float(side, normal):
+    # 3x3 cells of side/3: an area of 1.1e-307 is normal, one of 1.1e-309
+    # subnormal, and 1/area, which the rate divides by, overflows to inf
+    area = (side / 3) ** 2
+    assert (area >= np.finfo(float).tiny) == normal
+    if normal:
+        assert build_mesh(3, 3, side, side, {"bottom"}).faces.measure[0] == area
+    else:
+        with pytest.raises(ValueError, match="positive normal float"):
+            build_mesh(3, 3, side, side, {"bottom"})
 
 
 def test_rejects_bad_arguments():
