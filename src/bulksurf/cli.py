@@ -227,20 +227,18 @@ def _gaussian(cx, cy, x0, y0, width):
 def initial_state(cfg: RunConfig, mesh) -> solver.State:
     """Build the initial fields from the configured preset.
 
-    two-blob places two Gaussian bumps on top of a reaction-balanced
-    background (base_v is derived from base_u through the detailed-balance
-    relation), clipped away from zero; file reads a final_state.csv of this mesh.
+    two-blob places two Gaussian bumps, clipped away from zero, on a
+    reaction-balanced background whose float64 base_v (base_u's by detailed
+    balance) is a ConfigError where it overflows; file reads a final_state.csv of this mesh.
     """
     if cfg.initial == "constant":
         u = np.full(mesh.n_bulk, cfg.u0)
         v = np.full(mesh.n_surface, cfg.v0)
     elif cfg.initial == "two-blob":
         base_u = cfg.blob_base_u
-        try:  # not (base_u**alpha / kappa)**(1/beta), whose base_u**alpha may overflow
-            base_v = base_u ** (cfg.alpha / cfg.beta) * cfg.kappa ** (-1.0 / cfg.beta)
-        except OverflowError:
-            base_v = math.inf
-        if base_v == math.inf:
+        # not (base_u**alpha / kappa)**(1/beta), whose base_u**alpha may overflow
+        base_v = np.float64(base_u) ** (cfg.alpha / cfg.beta) * np.float64(cfg.kappa) ** (-1.0 / cfg.beta)
+        if not base_v < math.inf:  # inf, or nan where 0 * inf
             reason = "the balanced v = (blob_base_u**alpha / kappa)**(1/beta) overflows in floats"
             raise ConfigError([BadValue("blob_base_u", reason)])
         width = cfg.blob_width * min(cfg.lx, cfg.ly)
@@ -248,10 +246,9 @@ def initial_state(cfg: RunConfig, mesh) -> solver.State:
             reason = "2*(blob_width*min(lx, ly))**2 is 0 or inf in floats"
             raise ConfigError([BadValue("blob_width", reason)])
         cx, cy, u = mesh.cell_center_x, mesh.cell_center_y, np.full(mesh.n_bulk, base_u)
-        with np.errstate(over="ignore"):  # a bump centre out of float reach adds 0 to every cell
-            for a, x, y in ((cfg.blob_amplitude_1, cfg.blob_x1, cfg.blob_y1),
-                            (cfg.blob_amplitude_2, cfg.blob_x2, cfg.blob_y2)):
-                u += a * _gaussian(cx, cy, x * cfg.lx, y * cfg.ly, width)
+        for a, x, y in ((cfg.blob_amplitude_1, cfg.blob_x1, cfg.blob_y1),
+                        (cfg.blob_amplitude_2, cfg.blob_x2, cfg.blob_y2)):
+            u += a * _gaussian(cx, cy, x * cfg.lx, y * cfg.ly, width)  # a bump out of float reach adds 0
         if not np.all(u < math.inf):
             raise ConfigError([BadValue("initial", "the two-blob u overflows in floats")])
         u = np.maximum(u, 1e-8 * base_u)
@@ -275,11 +272,13 @@ def initial_state(cfg: RunConfig, mesh) -> solver.State:
     return solver.State(t=0.0, u=u, v=v)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def build_problem(cfg: RunConfig):
     """Assemble mesh, kinetics, laws, initial state, equilibrium and window; check the laws.
 
     The window is always the envelope of the initial data, the one the
-    paper's L-infinity bound keeps the solution inside.
+    paper's L-infinity bound keeps the solution inside.  numpy's overflow and
+    invalid warnings are off: a value that leaves the floats fails the check that reads it.
     """
     mesh = _keyed("nx, ny, lx, ly", build_mesh,
                   cfg.nx, cfg.ny, cfg.lx, cfg.ly, cfg.active_edges, cfg.face_average)
@@ -288,11 +287,9 @@ def build_problem(cfg: RunConfig):
     surf_law = model.DiffusionLaw(cfg.surface_law, cfg.surface_law_param)
 
     state = initial_state(cfg, mesh)
-    with np.errstate(over="ignore"):  # an overflowing mass or pressure fails a check keyed initial
-        mass = diagnostics.weighted_mass(state, mesh, kin)
-        eq = _keyed("initial", model.solve_equilibrium,
-                    kin, mass, mesh.total_bulk_measure, mesh.total_surface_measure)
-        window = _keyed("initial", model.window_from_initial_data, state.u, state.v, eq, kin)
+    mass = diagnostics.weighted_mass(state, mesh, kin)
+    eq = _keyed("initial", model.solve_equilibrium, kin, mass, mesh.total_bulk_measure, mesh.total_surface_measure)
+    window = _keyed("initial", model.window_from_initial_data, state.u, state.v, eq, kin)
     _keyed("bulk_law", model.check_law, bulk_law, window, False)
     _keyed("surface_law", model.check_law, surf_law, window, True)
     # every StepConfig field is the configuration key of the same name

@@ -129,6 +129,11 @@ class TestInitialData:
         base_v = (cfg.blob_base_u**cfg.alpha / cfg.kappa) ** (1 / cfg.beta)
         assert np.min(state.u) >= cfg.blob_base_u  # positive bumps only add
         np.testing.assert_allclose(state.v, base_v)
+        # bit for bit the Python-float product, on exponent ratios integer or not
+        for alpha, beta, kappa in ((2.0, 1.0, 0.5), (3.5, 1.5, 0.3), (1.0, 3.0, 7.0), (2.7, 1.3, 1e-5)):
+            cfg = parse_config(write(tmp_path, BLOB_RUN), [f"alpha={alpha}", f"beta={beta}", f"kappa={kappa}"])
+            v = initial_state(cfg, mesh).v
+            assert np.all(v == cfg.blob_base_u ** (alpha / beta) * kappa ** (-1 / beta))
 
     def test_two_blob_background_whose_power_overflows_is_balanced(self, tmp_path):
         # blob_base_u**alpha = 1e400 overflows, yet the balanced v is 1e200
@@ -526,8 +531,10 @@ class TestMainExitCodes:
     @pytest.mark.parametrize(
         "text,code,err",
         [
-            ("lx = 5e-324\n", 2, "config error: bad value for nx, ny, lx, ly: 3x3 cells of 5e-324 x 1.0: "),
-            ("lx = 1e-320\n", 2, "config error: bad value for nx, ny, lx, ly: 3x3 cells of 1e-320 x 1.0: "),
+            ("lx = 5e-324\n", 2, "config error: bad value for nx, ny, lx, ly: "
+                                 "every faces.measure entry must be a positive normal float"),
+            ("lx = 1e-320\n", 2, "config error: bad value for nx, ny, lx, ly: "
+                                 "every faces.measure entry must be a positive normal float"),
             ("initial = two-blob\nblob_width = 1e200\n", 2, "config error: bad value for blob_width: "),
             ("initial = two-blob\nblob_width = 1e-160\n", 0, ""),
             ("initial = two-blob\nblob_x2 = 1e300\n", 0, ""),
@@ -554,6 +561,7 @@ class TestMainExitCodes:
             ("lx = 5e-324\n", "nx, ny, lx, ly"),
             ("lx = 1e300\nly = 1e300\n", "nx, ny, lx, ly"),
             ("lx = 1e-160\nly = 1e-160\n", "nx, ny, lx, ly"),
+            ("nx = 3\nny = 1\nlx = 1.7976931348623157e308\nly = 0.5\nactive_edges = right\n", "nx, ny, lx, ly"),
             ("kappa = 1e-310\n", "initial"),
             ("u0 = 1e-320\nv0 = 1e-320\n", "initial"),
             ("beta = 2\nv0 = 1e-300\n", "initial"),
@@ -561,7 +569,7 @@ class TestMainExitCodes:
             ("dt = 1e-15\nt_final = 0.05\n", "dt"),
             ("bulk_law = exponential\nbulk_law_param = 1000\n", "bulk_law"),
         ],
-        ids=["mesh-side-to-0", "mesh-sides-to-inf", "mesh-area-subnormal",
+        ids=["mesh-side-to-0", "mesh-sides-to-inf", "mesh-area-subnormal", "mesh-centre-to-inf",
              "equilibrium-u-star-subnormal", "equilibrium-v-star-subnormal", "window-lower-to-0",
              "window-upper-to-inf", "clock", "bulk-law-slot"],
     )

@@ -8,9 +8,11 @@ NewtonLU or DiagnosticsRecord fields that does not name them exactly, or a
 module-level constant or table that nothing in the package reads, or a
 module other than cli that writes the CLI's "bad value for" text, or a
 diagnostics that restates model's clamp, the inverse of its pressure or its
-positive quadrant.  README's Python API example runs as written and must
-conserve mass and keep its envelope entropy at 0, and its example
-configuration runs through the CLI, so a key it sets must exist.
+positive quadrant, or a set-up (mesh, cli) that catches an OverflowError or
+opens a with np.errstate block instead of computing under one decorator.
+README's Python API example runs as written and must conserve mass and keep
+its envelope entropy at 0, and its example configuration runs through the
+CLI, so a key it sets must exist.
 The smoke test runs one tiny traced benchmark sample of every workload, whose
 tracer wraps the package's layer entry points by name and fails when one is
 gone or unused.  The repo's pytest config, which turns warnings into errors,
@@ -140,6 +142,36 @@ def test_diagnostics_takes_the_clamp_the_envelope_values_and_the_quadrant_from_m
         elif isinstance(node, ast.BoolOp) and sum(map(_positive_test, node.values)) >= 2:
             restated.append(f"line {node.lineno}: tests two fields > 0")
     assert not restated, restated
+
+
+def _catches_overflow(handler: ast.ExceptHandler) -> bool:
+    caught = handler.type.elts if isinstance(handler.type, ast.Tuple) else [handler.type]
+    return any(isinstance(c, ast.Name) and c.id == "OverflowError" for c in caught)
+
+
+def _is_errstate(expr) -> bool:
+    return isinstance(expr, ast.Call) and isinstance(expr.func, ast.Attribute) and expr.func.attr == "errstate"
+
+
+def test_set_up_has_one_overflow_policy():
+    # build_mesh and build_problem compute under one np.errstate decorator each,
+    # and the check that reads a value rejects it; only solve_equilibrium's
+    # Python floats catch an OverflowError, where float64 would make 0 * inf = nan
+    modules = _modules()
+    allowed = set()
+    for node in ast.walk(modules["bulksurf.model"]):
+        if isinstance(node, ast.FunctionDef) and node.name == "solve_equilibrium":
+            allowed |= {id(n) for n in ast.walk(node)}
+    found = []
+    for name, tree in modules.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ExceptHandler) and node.type and _catches_overflow(node):
+                if id(node) not in allowed:
+                    found.append(f"{name} line {node.lineno}: except OverflowError")
+            elif isinstance(node, ast.With) and name in ("bulksurf.cli", "bulksurf.mesh"):
+                if any(_is_errstate(item.context_expr) for item in node.items):
+                    found.append(f"{name} line {node.lineno}: with np.errstate")
+    assert not found, found
 
 
 def test_traced_benchmark_sample_enters_every_layer():

@@ -270,6 +270,8 @@ _BROKEN = {
     "negative transmissibility": lambda m: _with_faces(m, trans=_changed(m.faces.trans, 0, -1.0)),
     "infinite transmissibility": lambda m: _with_faces(m, trans=_changed(m.faces.trans, -1, np.inf)),
     "NaN cell measure": lambda m: _with_faces(m, measure=_changed(m.faces.measure, -1, np.nan)),
+    "infinite cell centre": lambda m: dataclasses.replace(
+        m, surf_center_x=_changed(m.surf_center_x, -1, np.inf)),
 }
 
 
@@ -316,6 +318,22 @@ def test_a_cell_area_must_be_a_normal_float(side, normal):
             build_mesh(3, 3, side, side, {"bottom"})
 
 
+def test_a_centre_past_the_largest_float_is_rejected():
+    # the right side's centre nx * dx = 3 * (1.797e308 / 3) rounds to inf
+    with pytest.raises(ValueError, match="every cell centre must be finite"):
+        build_mesh(3, 1, 1.7976931348623157e308, 0.5, {"right"})
+
+
+def test_measures_and_transmissibilities_are_the_float_quotients():
+    dx, dy = 0.7 / 3, 0.3 / 7
+    faces = build_mesh(3, 7, 0.7, 0.3, EDGE_NAMES).faces
+    bulk = faces.cell_a < 21
+    horizontal = bulk & (faces.cell_b == faces.cell_a + 1)
+    assert np.all(faces.measure[:21] == dx * dy)
+    assert np.all(faces.trans[horizontal] == dy / dx)
+    assert np.all(faces.trans[bulk & ~horizontal] == dx / dy)
+
+
 def test_rejects_bad_arguments():
     with pytest.raises(ValueError):
         build_mesh(0, 1, 1.0, 1.0, {"bottom"})
@@ -334,6 +352,10 @@ def test_rejects_bad_arguments():
             build_mesh(2, 2, bad, 1.0, {"bottom"})
         with pytest.raises(ValueError):
             build_mesh(2, 2, 1.0, bad, {"bottom"})
+    # a negative side, one or both, and sides whose cell area overflows
+    for lx, ly in ((-1.0, 1.0), (1.0, -1.0), (-1.0, -1.0), (1e300, 1e300)):
+        with pytest.raises(ValueError):
+            build_mesh(3, 3, lx, ly, {"bottom"})
     with pytest.raises(ValueError):
         build_mesh(1, 1, 1.0, 1.0, set())
     with pytest.raises(ValueError):
